@@ -25,9 +25,6 @@ from .operators import (
     Point2D,
     StancuParams,
     apply,
-    apply_1d_bernstein,
-    apply_1d_stancu,
-    apply_1d_szasz,
     apply_on_grid,
     korovkin_gaps,
     moments_closed_form,
@@ -47,7 +44,6 @@ from .moduli import (
 from .bounds import (
     DeltaTriple,
     beta_func,
-    beta_func_loggamma,
     check_theorem_3_3,
     corollary_3_4_bound,
     corollary_3_5_bound,
@@ -64,7 +60,6 @@ from .taylor import (
     directional_rth_derivative,
     f_rth_lipschitz_estimate,
     finite_difference_derivs,
-    taylor_poly,
 )
 from .weighted import (
     TruncatedStrip,

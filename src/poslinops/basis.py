@@ -7,7 +7,7 @@ infinite sum is truncated under a certified tail bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import mpmath

@@ -11,12 +11,10 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .basis import DEFAULT_POLICY, DomainError
 from .moduli import full_modulus, partial_moduli
-from .operators import apply_on_grid, eval_grid, nodes, bernstein_weight_matrix, \
-    szasz_weight_matrix
+from .operators import apply_on_grid, eval_grid, weights_and_nodes
 from .reporting import (
     CAVEAT_NONE,
     CAVEAT_RHS_GRID_LOWER_BOUND,
@@ -120,9 +118,7 @@ def sup_distance_power_operator(params, m, n, p_exp, region, grid_points=101,
     """
     xs = np.linspace(0.0, 1.0, grid_points)
     ys = np.linspace(0.0, region.A, grid_points)
-    WX = bernstein_weight_matrix(m, xs)
-    WY = szasz_weight_matrix(n, ys, policy)
-    tx, ty = nodes(params, m, n, WY.shape[1])
+    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy)
     half = 0.5 * p_exp
     best = 0.0
     for a, x in enumerate(xs):
@@ -179,7 +175,3 @@ def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
         raise DomainError(f"unknown mode {mode!r}")
     return BoundReport(lhs=lhs, rhs=rhs)
 
-
-def beta_func_loggamma(gamma, r):
-    """Log-gamma route for B(gamma, r); cross-check for beta_func."""
-    return math.exp(gammaln(gamma) + gammaln(r) - gammaln(gamma + r))

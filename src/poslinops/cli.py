@@ -12,12 +12,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .basis import TruncationPolicy
-from .bounds import check_theorem_3_3, deltas, theorem_4_1_bound
-from .corpus import CorpusLookupError, corpus_lookup, corpus_names
+from .bounds import check_theorem_3_3, deltas, sup_error_on_grid, theorem_4_1_bound
+from .corpus import CorpusLookupError, corpus_lookup
 from .moduli import full_modulus, partial_moduli
 from .operators import (
     CompactRegion,
@@ -28,7 +26,7 @@ from .operators import (
     second_central_moment,
 )
 from .reporting import BoundReport
-from .taylor import apply_rth, finite_difference_derivs
+from .taylor import apply_rth, f_rth_lipschitz_estimate, finite_difference_derivs
 from .weighted import (
     TruncatedStrip,
     WeightSpec,
@@ -36,7 +34,6 @@ from .weighted import (
     check_theorem_5_3,
     operator_rho_norm_bound,
 )
-from .bounds import sup_error_on_grid
 
 COMMANDS = (
     "eval", "moments", "modulus", "check-thm33", "rth", "check-thm41",
@@ -137,8 +134,6 @@ def _run(cfg):
         derivs = entry.derivative_provider or finite_difference_derivs(f, cfg["r"])
         M = cfg["M"]
         if M is None:
-            from .taylor import f_rth_lipschitz_estimate
-
             M = 1.05 * f_rth_lipschitz_estimate(
                 derivs, cfg["r"], cfg["gamma"], region, seed=cfg["seed"]
             ).M_estimate

@@ -7,9 +7,9 @@ provider for the order-r machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 

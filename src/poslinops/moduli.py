@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .basis import DomainError
-from .operators import CompactRegion, Point2D
+from .operators import Point2D, eval_grid
 from .reporting import BoundReport
 
 
@@ -70,13 +70,18 @@ def _shifted_views(F, di, dj):
 
 
 def _pair_max(F, offsets, denom=None):
+    # One scratch buffer serves every offset: above glibc's mmap threshold a
+    # fresh grid-sized temporary per offset is mapped, page-faulted and
+    # unmapped each time, which can cost more than the arithmetic.
+    scratch, lo = np.empty(F.size), np.empty(F.size)
     best = 0.0
     for di, dj in offsets:
         a, b = _shifted_views(F, di, dj)
-        diff = np.abs(a - b)
+        diff = scratch[: a.size].reshape(a.shape)
+        np.abs(np.subtract(a, b, out=diff), out=diff)
         if denom is not None:
             ra, rb = _shifted_views(denom, di, dj)
-            diff = diff / np.minimum(ra, rb)
+            diff /= np.minimum(ra, rb, out=lo[: a.size].reshape(a.shape))
         if diff.size:
             best = max(best, float(diff.max()))
     return best
@@ -87,7 +92,7 @@ def full_modulus(f, region, delta, grid_points=201):
     if delta <= 0.0:
         raise DomainError(f"delta must be > 0, got {delta}")
     xs, ys = _lattice(region, grid_points)
-    F = _sample(f, xs, ys)
+    F = eval_grid(f, xs, ys)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     value = _pair_max(F, _offsets(delta, hx, hy))
     spec = f"{grid_points}x{grid_points} uniform on [0,1]x[0,{region.A}]"
@@ -99,7 +104,7 @@ def partial_moduli(f, region, delta, grid_points=201):
     if delta <= 0.0:
         raise DomainError(f"delta must be > 0, got {delta}")
     xs, ys = _lattice(region, grid_points)
-    F = _sample(f, xs, ys)
+    F = eval_grid(f, xs, ys)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     spec = f"{grid_points}x{grid_points} uniform on [0,1]x[0,{region.A}]"
     wx = _pair_max(F, _offsets(delta, hx, hy, axis="x"))
@@ -108,12 +113,6 @@ def partial_moduli(f, region, delta, grid_points=201):
         ModulusEstimate(delta, wx, "partial_x", spec),
         ModulusEstimate(delta, wy, "partial_y", spec),
     )
-
-
-def _sample(f, xs, ys):
-    from .operators import eval_grid
-
-    return eval_grid(f, xs, ys)
 
 
 def lipschitz_ratio(f, gamma, region, sample_pairs=10000, seed=0):
@@ -158,7 +157,7 @@ def weighted_modulus(f, delta, S, grid_points=201):
         raise DomainError(f"delta must be > 0, got {delta}")
     xs = np.linspace(0.0, 1.0, grid_points)
     ys = np.linspace(0.0, S, grid_points)
-    F = _sample(f, xs, ys)
+    F = eval_grid(f, xs, ys)
     R = rho(xs[:, None], ys[None, :])
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     value = _pair_max(F, _offsets(delta, hx, hy), denom=R)

@@ -1,4 +1,4 @@
-"""The bivariate positive linear operator, its 1-D building blocks and moments.
+"""The bivariate positive linear operator and its moments.
 
 The operator averages f over a product lattice of shifted nodes
 (v + alpha1)/(m + beta1) in x and (k + alpha2)/(n + beta2) in y, with
@@ -9,7 +9,7 @@ on [0, 1]^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -18,7 +18,6 @@ import numpy as np
 from .basis import (
     DEFAULT_POLICY,
     DomainError,
-    TruncationPolicy,
     bernstein_weights,
     szasz_weights,
 )
@@ -117,36 +116,6 @@ def eval_grid(f, tx, ty):
     return np.array([[float(f(a, b)) for b in ty] for a in tx])
 
 
-def _weight_pair(params, m, n, x, y, policy, family):
-    wx = bernstein_weights(m, x)
-    if family is KernelFamily.BERNSTEIN_SZASZ:
-        wy = szasz_weights(n, y, policy)
-    else:
-        wy = bernstein_weights(n, y)
-    return wx, wy
-
-
-def nodes(params, m, n, n_terms_y):
-    tx = (np.arange(m + 1) + params.alpha1) / (m + params.beta1)
-    ty = (np.arange(n_terms_y) + params.alpha2) / (n + params.beta2)
-    return tx, ty
-
-
-def apply(f, params, m, n, p, policy=DEFAULT_POLICY,
-          family=KernelFamily.BERNSTEIN_SZASZ):
-    """Apply the operator to f at the point p."""
-    wx, wy = _weight_pair(params, m, n, p.x, p.y, policy, family)
-    tx, ty = nodes(params, m, n, len(wy))
-    try:
-        F = eval_grid(f, tx, ty)
-    except Exception as exc:
-        raise RuntimeError(
-            f"evaluation of {getattr(f, 'name', 'f')} failed on the node grid "
-            f"(m={m}, n={n}, x={p.x}, y={p.y})"
-        ) from exc
-    return float(wx.values @ F @ wy.values)
-
-
 def bernstein_weight_matrix(m, xs):
     return np.vstack([bernstein_weights(m, float(x)).values for x in xs])
 
@@ -160,6 +129,23 @@ def szasz_weight_matrix(n, ys, policy=DEFAULT_POLICY):
     return W
 
 
+def weights_and_nodes(params, m, n, xs, ys, policy=DEFAULT_POLICY,
+                      family=KernelFamily.BERNSTEIN_SZASZ):
+    """Weight matrices WX, WY (one row per point) and the shifted nodes tx, ty.
+
+    WX has m + 1 columns; WY has n + 1 columns for the Bernstein y-family and
+    the widest truncated Poisson row for the Szasz y-family.
+    """
+    WX = bernstein_weight_matrix(m, xs)
+    if family is KernelFamily.BERNSTEIN_SZASZ:
+        WY = szasz_weight_matrix(n, ys, policy)
+    else:
+        WY = bernstein_weight_matrix(n, ys)
+    tx = (np.arange(m + 1) + params.alpha1) / (m + params.beta1)
+    ty = (np.arange(WY.shape[1]) + params.alpha2) / (n + params.beta2)
+    return WX, WY, tx, ty
+
+
 def apply_on_grid(f, params, m, n, xs, ys, policy=DEFAULT_POLICY,
                   family=KernelFamily.BERNSTEIN_SZASZ):
     """Operator values on the tensor grid xs x ys, shape (len(xs), len(ys)).
@@ -167,37 +153,26 @@ def apply_on_grid(f, params, m, n, xs, ys, policy=DEFAULT_POLICY,
     The nodes do not depend on the evaluation point, so f is evaluated once
     and the grid sweep reduces to two matrix products.
     """
-    WX = bernstein_weight_matrix(m, xs)
-    if family is KernelFamily.BERNSTEIN_SZASZ:
-        WY = szasz_weight_matrix(n, ys, policy)
-    else:
-        WY = bernstein_weight_matrix(n, ys)
-    tx, ty = nodes(params, m, n, WY.shape[1])
-    F = eval_grid(f, tx, ty)
+    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy, family)
+    try:
+        F = eval_grid(f, tx, ty)
+    except Exception as exc:
+        raise RuntimeError(
+            f"evaluation of {getattr(f, 'name', 'f')} failed on the node grid "
+            f"(m={m}, n={n}, {len(tx)}x{len(ty)} nodes)"
+        ) from exc
     return WX @ F @ WY.T
 
 
-def apply_1d_bernstein(f1, n, x):
-    """The classical 1-D Bernstein polynomial of f1 at x."""
-    w = bernstein_weights(n, x)
-    t = np.arange(n + 1) / n
-    return float(w.values @ np.asarray([f1(v) for v in t], dtype=float))
+def apply(f, params, m, n, p, policy=DEFAULT_POLICY,
+          family=KernelFamily.BERNSTEIN_SZASZ):
+    """Apply the operator to f at the point p.
 
-
-def apply_1d_szasz(f1, n, x, policy=DEFAULT_POLICY):
-    """The truncated 1-D Szasz-Mirakyan operator of f1 at x."""
-    w = szasz_weights(n, x, policy)
-    t = np.arange(len(w)) / n
-    return float(w.values @ np.asarray([f1(v) for v in t], dtype=float))
-
-
-def apply_1d_stancu(f1, n, x, alpha, beta):
-    """The 1-D Stancu operator: Bernstein weights at shifted nodes."""
-    if not 0.0 <= alpha <= beta:
-        raise DomainError(f"need 0 <= alpha <= beta, got ({alpha}, {beta})")
-    w = bernstein_weights(n, x)
-    t = (np.arange(n + 1) + alpha) / (n + beta)
-    return float(w.values @ np.asarray([f1(v) for v in t], dtype=float))
+    With alpha2 = 0, on the edge y = 0 this is the 1-D Stancu operator of
+    f(., 0) (Bernstein for alpha1 = beta1 = 0); with alpha1 = 0, on the edge
+    x = 0 it is the truncated 1-D Szasz-Stancu operator of f(0, .).
+    """
+    return float(apply_on_grid(f, params, m, n, [p.x], [p.y], policy, family)[0, 0])
 
 
 def _moment_t(params, m, x):

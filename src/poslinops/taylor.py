@@ -8,19 +8,14 @@ closed forms or from second-order finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError
 from .moduli import LipschitzWitness
-from .operators import (
-    KernelFamily,
-    Point2D,
-    bernstein_weight_matrix,
-    nodes,
-    szasz_weight_matrix,
-)
+from .operators import KernelFamily, Point2D, eval_grid, weights_and_nodes
 
 _MAX_FD_ORDER = 4
 
@@ -54,37 +49,6 @@ class DirectionalFrame:
             raise DomainError(f"u must be >= 0, got {self.u}")
 
 
-def taylor_poly(derivs, node, p, r):
-    """Degree-r Taylor polynomial of f at ``node`` evaluated at ``p``.
-
-    The coefficient of dx^i dy^j is f_{x^i y^j}(node) / (i! j!).
-    """
-    if derivs.order < r:
-        raise DomainError(
-            f"derivative provider of order {derivs.order} cannot build a "
-            f"degree-{r} Taylor polynomial"
-        )
-    dx = p.x - node.x
-    dy = p.y - node.y
-    total = 0.0
-    for h in range(r + 1):
-        for j in range(h + 1):
-            i = h - j
-            c = derivs.eval(i, j, node.x, node.y)
-            total += c * dx**i * dy**j / (math.factorial(i) * math.factorial(j))
-    return float(total)
-
-
-def _deriv_grid(derivs, i, j, tx, ty):
-    try:
-        out = np.asarray(derivs.eval(i, j, tx[:, None], ty[None, :]), dtype=float)
-        if out.shape == (len(tx), len(ty)):
-            return out
-    except Exception:
-        pass
-    return np.array([[float(derivs.eval(i, j, a, b)) for b in ty] for a in tx])
-
-
 def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY,
                       family=KernelFamily.BERNSTEIN_SZASZ):
     """Order-r operator values on the tensor grid xs x ys.
@@ -99,17 +63,12 @@ def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY,
         )
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    WX = bernstein_weight_matrix(m, xs)
-    if family is KernelFamily.BERNSTEIN_SZASZ:
-        WY = szasz_weight_matrix(n, ys, policy)
-    else:
-        WY = bernstein_weight_matrix(n, ys)
-    tx, ty = nodes(params, m, n, WY.shape[1])
+    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy, family)
     out = np.zeros((len(xs), len(ys)))
     for h in range(r + 1):
         for j in range(h + 1):
             i = h - j
-            C = _deriv_grid(derivs, i, j, tx, ty) / (
+            C = eval_grid(functools.partial(derivs.eval, i, j), tx, ty) / (
                 math.factorial(i) * math.factorial(j)
             )
             U = WX * (xs[:, None] - tx[None, :]) ** i
@@ -186,8 +145,6 @@ def finite_difference_derivs(f, r, h=1e-4):
         raise DomainError(f"h must be > 0, got {h}")
     if r > _MAX_FD_ORDER:
         raise DomainError(f"finite differences support order <= {_MAX_FD_ORDER}")
-
-    from .operators import eval_grid
 
     def ev(i, j, x, y):
         xn, wx = _axis_nodes(float(x), i, h * (1.0 + abs(x)), 0.0, 1.0)

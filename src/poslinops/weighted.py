@@ -14,13 +14,11 @@ import numpy as np
 from .basis import DEFAULT_POLICY, DomainError
 from .moduli import rho, weighted_modulus
 from .operators import (
-    CompactRegion,
+    Function2D,
     apply_on_grid,
     eval_grid,
     second_central_moment_grid,
-    _moment_t,
     _moment_t2,
-    _moment_tau,
     _moment_tau2,
 )
 from .reporting import CAVEAT_FROZEN_WEIGHTED_MODULUS, BoundReport
@@ -66,12 +64,6 @@ def weighted_norm(g, weight, strip, grid_points=201):
     return float(np.max(np.abs(G) / W))
 
 
-def _moment_gap_parts(params, m, n, xs, ys):
-    gx = _moment_t2(params, m, xs) - xs * xs
-    gy = _moment_tau2(params, n, ys) - ys * ys
-    return gx, gy
-
-
 def operator_rho_norm_bound(params, m, n, strip, grid_points=201):
     """Surrogate for the uniform operator norm on the rho-weighted space.
 
@@ -81,7 +73,8 @@ def operator_rho_norm_bound(params, m, n, strip, grid_points=201):
     """
     xs = np.linspace(0.0, 1.0, grid_points)
     ys = np.linspace(0.0, strip.S, grid_points)
-    gx, gy = _moment_gap_parts(params, m, n, xs, ys)
+    gx = _moment_t2(params, m, xs) - xs * xs
+    gy = _moment_tau2(params, n, ys) - ys * ys
     ratio = np.abs(gx[:, None] + gy[None, :]) / rho(xs[:, None], ys[None, :])
     tail_limit = abs(n * n / (n + params.beta2) ** 2 - 1.0)
     return 1.0 + max(float(ratio.max()), tail_limit)
@@ -133,8 +126,6 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
     norm = weighted_norm(f, WeightSpec("rho"), strip, grid_points)
     if norm == 0.0:
         raise DomainError("f vanishes on the sampling strip; cannot normalize")
-    from .operators import Function2D
-
     fhat = Function2D(
         eval=lambda x, y, _f=f.eval, _c=norm: np.asarray(_f(x, y)) / _c,
         name=f.name + "_unit_rho",

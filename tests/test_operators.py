@@ -1,4 +1,6 @@
-"""Tests for the bivariate operator, its 1-D building blocks and moments."""
+"""Tests for the bivariate operator, its 1-D edge cases and moments."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +14,6 @@ from poslinops import (
     StancuParams,
     TruncationPolicy,
     apply,
-    apply_1d_bernstein,
-    apply_1d_stancu,
-    apply_1d_szasz,
     korovkin_gaps,
     moments_closed_form,
     second_central_moment,
@@ -64,27 +63,35 @@ def test_apply_separable_product():
     assert val == pytest.approx(0.5, abs=1e-10)
 
 
+def stancu_1d(g, m, x, alpha=0.0, beta=0.0):
+    """The 1-D Stancu operator of g at x: the operator on the edge y = 0."""
+    f = f2(lambda t, tau: g(t))
+    return apply(f, StancuParams(alpha, beta, 0.0, 0.0), m, 1, Point2D(x, 0.0))
+
+
+def szasz_1d(g, n, y, policy):
+    """The 1-D Szasz operator of g at y: the operator on the edge x = 0."""
+    f = f2(lambda t, tau: g(tau))
+    return apply(f, StancuParams(), 1, n, Point2D(0.0, y), policy)
+
+
 def test_apply_1d_bernstein():
-    assert apply_1d_bernstein(lambda t: 3.0, 9, 0.42) == pytest.approx(3.0, abs=1e-13)
-    assert apply_1d_bernstein(lambda t: t, 9, 0.42) == pytest.approx(0.42, abs=1e-14)
-    assert apply_1d_bernstein(lambda t: t * t, 10, 0.5) == pytest.approx(0.275)
+    assert stancu_1d(lambda t: 3.0, 9, 0.42) == pytest.approx(3.0, abs=1e-13)
+    assert stancu_1d(lambda t: t, 9, 0.42) == pytest.approx(0.42, abs=1e-14)
+    assert stancu_1d(lambda t: t * t, 10, 0.5) == pytest.approx(0.275)
 
 
 def test_apply_1d_szasz():
-    assert apply_1d_szasz(lambda t: 2.5, 4, 1.7, TIGHT) == pytest.approx(2.5, abs=1e-12)
-    assert apply_1d_szasz(lambda t: t, 4, 1.7, TIGHT) == pytest.approx(1.7, abs=1e-10)
-    assert apply_1d_szasz(lambda t: t * t, 20, 1.0, TIGHT) == pytest.approx(
+    assert szasz_1d(lambda t: 2.5, 4, 1.7, TIGHT) == pytest.approx(2.5, abs=1e-12)
+    assert szasz_1d(lambda t: t, 4, 1.7, TIGHT) == pytest.approx(1.7, abs=1e-10)
+    assert szasz_1d(lambda t: t * t, 20, 1.0, TIGHT) == pytest.approx(
         1.05, abs=1e-9
     )
 
 
 def test_apply_1d_stancu():
-    for x in (0.0, 0.31, 1.0):
-        assert apply_1d_stancu(lambda t: t * t, 8, x, 0.0, 0.0) == pytest.approx(
-            apply_1d_bernstein(lambda t: t * t, 8, x), abs=1e-14
-        )
-    assert apply_1d_stancu(lambda t: 1.0, 10, 0.3, 1.0, 2.0) == pytest.approx(1.0)
-    assert apply_1d_stancu(lambda t: t, 10, 0.5, 1.0, 2.0) == pytest.approx(0.5)
+    assert stancu_1d(lambda t: 1.0, 10, 0.3, 1.0, 2.0) == pytest.approx(1.0)
+    assert stancu_1d(lambda t: t, 10, 0.5, 1.0, 2.0) == pytest.approx(0.5)
 
 
 def test_moments_classical():
@@ -223,6 +230,14 @@ def test_apply_on_grid_matches_pointwise():
             assert grid[i, j] == pytest.approx(
                 apply(f, params, 8, 9, Point2D(x, y), TIGHT), abs=1e-12
             )
+
+
+def test_apply_on_grid_names_failing_function():
+    # math.sqrt rejects arrays, so eval_grid falls back to scalar calls,
+    # which then fail outside the function's domain
+    f = f2(lambda t, tau: math.sqrt(t - 2.0), name="sqrt_shifted")
+    with pytest.raises(RuntimeError, match="sqrt_shifted"):
+        apply_on_grid(f, StancuParams(), 4, 4, [0.0, 0.5], [0.0, 1.0])
 
 
 def test_point_and_region_validation():

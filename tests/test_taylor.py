@@ -20,7 +20,6 @@ from poslinops import (
     f_rth_lipschitz_estimate,
     finite_difference_derivs,
     szasz_weights,
-    taylor_poly,
 )
 from poslinops.basis import bernstein_weights
 from poslinops.taylor import PartialDerivativeSet, fd_stencil_weights
@@ -47,6 +46,28 @@ def _monomial_derivs(a, b):
         )
 
     return PartialDerivativeSet(order=10, eval=ev)
+
+
+def taylor_poly(derivs, node, p, r):
+    """Degree-r Taylor polynomial of f at ``node`` evaluated at ``p``.
+
+    The coefficient of dx^i dy^j is f_{x^i y^j}(node) / (i! j!); an
+    independent pointwise oracle for the order-r operator.
+    """
+    if derivs.order < r:
+        raise DomainError(
+            f"derivative provider of order {derivs.order} cannot build a "
+            f"degree-{r} Taylor polynomial"
+        )
+    dx = p.x - node.x
+    dy = p.y - node.y
+    total = 0.0
+    for h in range(r + 1):
+        for j in range(h + 1):
+            i = h - j
+            c = derivs.eval(i, j, node.x, node.y)
+            total += c * dx**i * dy**j / (math.factorial(i) * math.factorial(j))
+    return float(total)
 
 
 def test_taylor_poly_r0():
