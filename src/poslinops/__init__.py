@@ -36,9 +36,11 @@ from .moduli import (
     LipschitzWitness,
     ModulusEstimate,
     full_modulus,
+    lattice_moduli,
     lipschitz_ratio,
     modulus_subadditivity_check,
     partial_moduli,
+    sample_lattice,
     weighted_modulus,
 )
 from .bounds import (

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError
-from .moduli import full_modulus, partial_moduli
+from .moduli import lattice_moduli, sample_lattice
 from .operators import apply_on_grid, eval_grid, weights_and_nodes
 from .reporting import (
     CAVEAT_NONE,
@@ -56,9 +56,9 @@ def check_theorem_3_3(f, params, m, n, region, grid_points=201,
 
     ``closed_form_moduli`` maps kind ("full" | "partial_x" | "partial_y") to
     a callable (delta, A) -> value.  With grid moduli the RHS is itself a
-    lower estimate, flagged by a caveat.
+    lower estimate, flagged by a caveat, and one lattice sample of f serves
+    the LHS and all three moduli.
     """
-    lhs = sup_error_on_grid(f, params, m, n, region, grid_points, policy)
     d = deltas(m, n, params, region)
     caveat = CAVEAT_NONE
     if moduli_source == "closed_form":
@@ -66,14 +66,18 @@ def check_theorem_3_3(f, params, m, n, region, grid_points=201,
             raise DomainError(
                 f"{getattr(f, 'name', 'f')} carries no closed-form moduli"
             )
+        lhs = sup_error_on_grid(f, params, m, n, region, grid_points, policy)
         w1 = closed_form_moduli["partial_x"](d.delta_m, region.A)
         w2 = closed_form_moduli["partial_y"](d.delta_n, region.A)
         w = closed_form_moduli["full"](d.delta_mn, region.A)
     elif moduli_source == "grid":
-        e1, e2 = partial_moduli(f, region, d.delta_m, grid_points)
-        _, e2b = partial_moduli(f, region, d.delta_n, grid_points)
-        w1, w2 = e1.value, e2b.value
-        w = full_modulus(f, region, d.delta_mn, grid_points).value
+        xs, ys, F = sample_lattice(f, region, grid_points)
+        L = apply_on_grid(f, params, m, n, xs, ys, policy)
+        lhs = float(np.max(np.abs(L - F)))
+        est = lattice_moduli(F, region, full=d.delta_mn, partial_x=d.delta_m,
+                             partial_y=d.delta_n)
+        w1, w2 = est["partial_x"].value, est["partial_y"].value
+        w = est["full"].value
         caveat = CAVEAT_RHS_GRID_LOWER_BOUND
     else:
         raise DomainError(f"unknown moduli_source {moduli_source!r}")

@@ -16,7 +16,7 @@ from . import __version__
 from .basis import TruncationPolicy
 from .bounds import check_theorem_3_3, deltas, sup_error_on_grid, theorem_4_1_bound
 from .corpus import CorpusLookupError, corpus_lookup
-from .moduli import full_modulus, partial_moduli
+from .moduli import lattice_moduli, sample_lattice
 from .operators import (
     CompactRegion,
     Point2D,
@@ -109,10 +109,11 @@ def _run(cfg):
         header = ["m", "n", "x", "y", "one", "t", "tau", "t2_plus_tau2", "central"]
         rows = [[m, n, p.x, p.y, mom.one, mom.t, mom.tau, mom.t2_plus_tau2, central]]
     elif command == "modulus":
-        est = full_modulus(f, region, cfg["delta"], G)
-        ex, ey = partial_moduli(f, region, cfg["delta"], G)
+        delta = cfg["delta"]
+        ests = lattice_moduli(sample_lattice(f, region, G)[2], region, full=delta,
+                              partial_x=delta, partial_y=delta)
         header = ["kind", "delta", "value", "grid"]
-        rows = [[e.kind, e.delta, e.value, e.grid_spec] for e in (est, ex, ey)]
+        rows = [[e.kind, e.delta, e.value, e.grid_spec] for e in ests.values()]
     elif command == "check-thm33":
         ra, rb = check_theorem_3_3(
             f, params, m, n, region, G, policy,

@@ -2,6 +2,14 @@
 
 All estimators maximize over a finite sample of point pairs, so every value
 is a lower estimate of the corresponding supremum.
+
+The full and partial moduli take, for each y-offset dj of the delta-disc, the
+running max and min of f over the x-window the disc allows (van Herk 1992;
+Gil & Werman 1993), built from power-of-two windows by doubling.  On a G x G
+lattice with disc radii r_x, r_y (in lattice steps) that costs
+O(G^2 (r_y + log r_x)) instead of one pass per offset, O(G^2 r_x r_y), and
+gives the same values as the pair loop: rounded subtraction is monotone in
+its first operand, so max(W) - F equals the largest rounded difference.
 """
 
 from __future__ import annotations
@@ -32,34 +40,96 @@ class LipschitzWitness:
     argmax_pair: tuple
 
 
-def _lattice(region, grid_points):
-    xs = np.linspace(0.0, 1.0, grid_points)
-    ys = np.linspace(0.0, region.A, grid_points)
-    return xs, ys
+def _lattice(A, grid_points):
+    if grid_points < 2:
+        raise DomainError(f"grid_points must be >= 2, got {grid_points}")
+    return np.linspace(0.0, 1.0, grid_points), np.linspace(0.0, A, grid_points)
 
 
-def _offsets(delta, hx, hy, axis=None):
-    """Lattice offsets (di, dj) with Euclidean length <= delta.
+def _sample(f, xs, ys):
+    F = eval_grid(f, xs, ys)
+    bad = F.size - np.count_nonzero(np.isfinite(F))
+    if bad:
+        raise RuntimeError(
+            f"{getattr(f, 'name', 'f')} is not finite at {bad} of {F.size} "
+            f"lattice points on [0,1]x[0,{ys[-1]}]"
+        )
+    return F
 
-    Only one half-plane is enumerated (pairs are unordered).  ``axis``
-    restricts offsets to a single coordinate for the partial moduli.
+
+def _check_delta(delta):
+    if delta <= 0.0:
+        raise DomainError(f"delta must be > 0, got {delta}")
+
+
+def _radius(delta, h, G):
+    """Lattice steps of length h within delta, at most G - 1."""
+    return min(int(math.floor(delta / h * (1.0 + 1e-12))), G - 1)
+
+
+def _offsets(delta, hx, hy, G):
+    """Offsets (di, dj) of length <= delta that fit in a G x G lattice.
+
+    Only one half-plane is enumerated (pairs are unordered).
     """
-    rx = int(math.floor(delta / hx * (1.0 + 1e-12)))
-    ry = int(math.floor(delta / hy * (1.0 + 1e-12)))
-    out = []
-    if axis == "x":
-        return [(di, 0) for di in range(1, rx + 1)]
-    if axis == "y":
-        return [(0, dj) for dj in range(1, ry + 1)]
+    rx, ry = _radius(delta, hx, G), _radius(delta, hy, G)
     d2 = delta * delta * (1.0 + 1e-12)
+    out = []
     for di in range(rx + 1):
-        lo = 1 if di == 0 else -ry
-        for dj in range(lo, ry + 1):
-            if di == 0 and dj <= 0:
-                continue
+        for dj in range(1 if di == 0 else -ry, ry + 1):
             if (di * hx) ** 2 + (dj * hy) ** 2 <= d2:
                 out.append((di, dj))
     return out
+
+
+def _radii(delta, hx, hy, G):
+    """For dj = 0, 1, ...: the largest di that ``_offsets`` pairs with dj.
+
+    The radii do not increase with dj; the list stops at the first dj that
+    has no offset or no room in the lattice.
+    """
+    d2 = delta * delta * (1.0 + 1e-12)
+    r, radii = _radius(delta, hx, G), []
+    for dj in range(_radius(delta, hy, G) + 1):
+        while r >= 0 and (r * hx) ** 2 + (dj * hy) ** 2 > d2:
+            r -= 1
+        if r < 0:
+            break
+        radii.append(r)
+    return radii
+
+
+def _window_max(F, radii):
+    """Largest |F[i2, j + dj] - F[i, j]| with |i2 - i| <= radii[dj].
+
+    hi[k] (lo[k]) holds the max (min) of the padded rows k .. k + width - 1.
+    The y-offsets are walked from the narrowest window to the widest, so the
+    width only doubles and one level of each is kept.  Pads of -inf/+inf
+    clip the windows to the lattice.
+    """
+    G, H = F.shape
+    R = radii[0]
+    N = G + 2 * R
+    hi, lo = np.full((N, H), -np.inf), np.full((N, H), np.inf)
+    hi[R:R + G] = lo[R:R + G] = F
+    nhi, nlo, scratch = np.empty_like(hi), np.empty_like(lo), np.empty_like(F)
+    width, best = 1, 0.0
+    for dj in range(len(radii) - 1, -1, -1):
+        r = radii[dj]
+        while 2 * width <= 2 * r + 1:
+            k = N - 2 * width + 1
+            np.maximum(hi[:k], hi[width:width + k], out=nhi[:k])
+            np.minimum(lo[:k], lo[width:width + k], out=nlo[:k])
+            hi, nhi, lo, nlo = nhi, hi, nlo, lo
+            width *= 2
+        # window rows i - r .. i + r are two overlapping levels
+        a, b, cols = R - r, R + r + 1 - width, H - dj
+        W, Fj = scratch[:, :cols], F[:, :cols]
+        np.maximum(hi[a:a + G, dj:], hi[b:b + G, dj:], out=W)
+        best = max(best, float(np.subtract(W, Fj, out=W).max()))
+        np.minimum(lo[a:a + G, dj:], lo[b:b + G, dj:], out=W)
+        best = max(best, float(np.subtract(Fj, W, out=W).max()))
+    return best
 
 
 def _shifted_views(F, di, dj):
@@ -69,7 +139,7 @@ def _shifted_views(F, di, dj):
     return F[di:, : H + dj], F[: G - di, -dj:]
 
 
-def _pair_max(F, offsets, denom=None):
+def _pair_max(F, offsets, denom):
     # One scratch buffer serves every offset: above glibc's mmap threshold a
     # fresh grid-sized temporary per offset is mapped, page-faulted and
     # unmapped each time, which can cost more than the arithmetic.
@@ -77,42 +147,64 @@ def _pair_max(F, offsets, denom=None):
     best = 0.0
     for di, dj in offsets:
         a, b = _shifted_views(F, di, dj)
+        ra, rb = _shifted_views(denom, di, dj)
         diff = scratch[: a.size].reshape(a.shape)
         np.abs(np.subtract(a, b, out=diff), out=diff)
-        if denom is not None:
-            ra, rb = _shifted_views(denom, di, dj)
-            diff /= np.minimum(ra, rb, out=lo[: a.size].reshape(a.shape))
-        if diff.size:
-            best = max(best, float(diff.max()))
+        diff /= np.minimum(ra, rb, out=lo[: a.size].reshape(a.shape))
+        best = max(best, float(diff.max()))
     return best
+
+
+def sample_lattice(f, region, grid_points=201):
+    """f on the grid_points x grid_points lattice of R_A, as (xs, ys, F).
+
+    Raises RuntimeError naming f when a sample is not finite: a NaN would
+    drop out of every maximum and an infinity would give inf - inf.
+    """
+    xs, ys = _lattice(region.A, grid_points)
+    return xs, ys, _sample(f, xs, ys)
+
+
+def lattice_moduli(F, region, full=None, partial_x=None, partial_y=None):
+    """Moduli of the lattice sample F of ``sample_lattice``, each at its own delta.
+
+    Returns a dict from kind to ModulusEstimate with one entry per delta
+    given, in the order full, partial_x, partial_y.  Deltas past the lattice
+    give the maximum over all lattice pairs.
+    """
+    G = len(F)
+    xs, ys = _lattice(region.A, G)
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+    spec = f"{G}x{G} uniform on [0,1]x[0,{region.A}]"
+    out = {}
+    for kind, delta in (("full", full), ("partial_x", partial_x),
+                        ("partial_y", partial_y)):
+        if delta is None:
+            continue
+        _check_delta(delta)
+        if kind == "full":
+            value = _window_max(F, _radii(delta, hx, hy, G))
+        elif kind == "partial_x":
+            value = _window_max(F, [_radius(delta, hx, G)])
+        else:
+            value = _window_max(F.T, [_radius(delta, hy, G)])
+        out[kind] = ModulusEstimate(delta, value, kind, spec)
+    return out
 
 
 def full_modulus(f, region, delta, grid_points=201):
     """Largest |f(p1) - f(p2)| over lattice pairs at distance <= delta."""
-    if delta <= 0.0:
-        raise DomainError(f"delta must be > 0, got {delta}")
-    xs, ys = _lattice(region, grid_points)
-    F = eval_grid(f, xs, ys)
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    value = _pair_max(F, _offsets(delta, hx, hy))
-    spec = f"{grid_points}x{grid_points} uniform on [0,1]x[0,{region.A}]"
-    return ModulusEstimate(delta, value, "full", spec)
+    _check_delta(delta)
+    F = sample_lattice(f, region, grid_points)[2]
+    return lattice_moduli(F, region, full=delta)["full"]
 
 
 def partial_moduli(f, region, delta, grid_points=201):
     """Moduli along the x axis and the y axis, as a pair."""
-    if delta <= 0.0:
-        raise DomainError(f"delta must be > 0, got {delta}")
-    xs, ys = _lattice(region, grid_points)
-    F = eval_grid(f, xs, ys)
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    spec = f"{grid_points}x{grid_points} uniform on [0,1]x[0,{region.A}]"
-    wx = _pair_max(F, _offsets(delta, hx, hy, axis="x"))
-    wy = _pair_max(F, _offsets(delta, hx, hy, axis="y"))
-    return (
-        ModulusEstimate(delta, wx, "partial_x", spec),
-        ModulusEstimate(delta, wy, "partial_y", spec),
-    )
+    _check_delta(delta)
+    F = sample_lattice(f, region, grid_points)[2]
+    est = lattice_moduli(F, region, partial_x=delta, partial_y=delta)
+    return est["partial_x"], est["partial_y"]
 
 
 def lipschitz_ratio(f, gamma, region, sample_pairs=10000, seed=0):
@@ -153,14 +245,12 @@ def weighted_modulus(f, delta, S, grid_points=201):
         raise DomainError(
             f"weighted modulus requires rho_dominated growth, got {f.growth!r}"
         )
-    if delta <= 0.0:
-        raise DomainError(f"delta must be > 0, got {delta}")
-    xs = np.linspace(0.0, 1.0, grid_points)
-    ys = np.linspace(0.0, S, grid_points)
-    F = eval_grid(f, xs, ys)
+    _check_delta(delta)
+    xs, ys = _lattice(S, grid_points)
+    F = _sample(f, xs, ys)
     R = rho(xs[:, None], ys[None, :])
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    value = _pair_max(F, _offsets(delta, hx, hy), denom=R)
+    value = _pair_max(F, _offsets(delta, hx, hy, grid_points), R)
     spec = f"{grid_points}x{grid_points} uniform on [0,1]x[0,{S}]"
     return ModulusEstimate(delta, value, "weighted", spec)
 

@@ -1,5 +1,6 @@
 """Tests for the rate quantities and the explicit error-bound checkers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from poslinops import (
     corollary_3_5_bound,
     corpus_lookup,
     deltas,
+    full_modulus,
+    partial_moduli,
     sup_distance_power_operator,
     sup_error_on_grid,
     theorem_4_1_bound,
@@ -85,6 +88,29 @@ def test_check_theorem_3_3_grid_source_flags_caveat():
     assert rb.caveat == CAVEAT_RHS_GRID_LOWER_BOUND
     # the grid modulus still dominates the grid sup error here
     assert ra.holds and rb.holds
+
+
+def test_check_theorem_3_3_grid_samples_lattice_once():
+    base = corpus_lookup("smooth").function
+    calls = []
+
+    def counted(x, y):
+        calls.append(np.broadcast(x, y).shape)
+        return base.eval(x, y)
+
+    f = dataclasses.replace(base, eval=counted)
+    params, m, n = StancuParams(1, 2, 0, 1), 12, 9
+    ra, rb = check_theorem_3_3(f, params, m, n, R1, grid_points=61,
+                               policy=TIGHT, moduli_source="grid")
+    # one call on the lattice and one on the operator's node grid
+    assert len(calls) == 2 and calls.count((61, 61)) == 1
+    # the same numbers as the separate estimators, each sampling f itself
+    d = deltas(m, n, params, R1)
+    w1 = partial_moduli(base, R1, d.delta_m, 61)[0].value
+    w2 = partial_moduli(base, R1, d.delta_n, 61)[1].value
+    assert ra.lhs == rb.lhs == sup_error_on_grid(base, params, m, n, R1, 61, TIGHT)
+    assert ra.rhs == 1.5 * (w1 + w2)
+    assert rb.rhs == 1.5 * full_modulus(base, R1, d.delta_mn, 61).value
 
 
 def test_check_theorem_3_3_missing_moduli():

@@ -3,9 +3,18 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from poslinops import __version__
+from poslinops import (
+    CompactRegion,
+    CorpusEntry,
+    Function2D,
+    __version__,
+    corpus_lookup,
+    sample_lattice,
+)
+from poslinops import cli
 from poslinops.cli import main, resolve_config
 
 
@@ -56,6 +65,59 @@ def test_modulus_command(tmp_path):
     header, rows = read_csv(out)
     kinds = [r[0] for r in rows]
     assert kinds == ["full", "partial_x", "partial_y"]
+
+
+def test_modulus_delta_past_lattice(tmp_path):
+    code, out = run(tmp_path, "modulus", "--function", "smooth",
+                    "--grid", "11", "--delta", "1.5")
+    assert code == 0
+    F = sample_lattice(corpus_lookup("smooth").function, CompactRegion(1.0), 11)[2]
+    _, rows = read_csv(out)
+    assert {r[0]: float(r[2]) for r in rows} == {
+        "full": F.max() - F.min(),
+        "partial_x": np.ptp(F, axis=0).max(),
+        "partial_y": np.ptp(F, axis=1).max(),
+    }
+
+
+@pytest.mark.parametrize("extra", [["--m", "2", "--n", "2"],
+                                   ["--m", "40", "--n", "40", "--A", "0.05"]])
+def test_check_thm33_grid_delta_past_lattice(tmp_path, extra):
+    code, out = run(tmp_path, "check-thm33", "--function", "smooth",
+                    "--moduli-source", "grid", *extra)
+    assert code == 0
+    assert sidecar(out)["error"] is None
+    assert [r[0] for r in read_csv(out)[1]] == ["a", "b"]
+
+
+def counting_entry(calls, eval_fn, name):
+    def counted(x, y):
+        calls.append(np.broadcast(x, y).shape)
+        return eval_fn(x, y)
+    return CorpusEntry(function=Function2D(eval=counted, name=name))
+
+
+def test_modulus_samples_lattice_once(tmp_path, monkeypatch):
+    calls = []
+    entry = counting_entry(calls, corpus_lookup("prod").function.eval, "prod")
+    monkeypatch.setattr(cli, "corpus_lookup", lambda name: entry)
+    code, _ = run(tmp_path, "modulus", "--grid", "31")
+    assert code == 0
+    assert calls == [(31, 31)]
+
+
+@pytest.mark.parametrize("command", ["modulus", "check-thm33"])
+def test_non_finite_function_exits_2(tmp_path, monkeypatch, command):
+    entry = counting_entry(
+        [], lambda x, y: np.where(np.asarray(x) > 0.5, np.nan, 0.0 * np.asarray(y)),
+        "nan_half")
+    monkeypatch.setattr(cli, "corpus_lookup", lambda name: entry)
+    code, out = run(tmp_path, command, "--moduli-source", "grid", "--grid", "21")
+    assert code == 2
+    error = sidecar(out)["error"]
+    assert error["type"] == "RuntimeError"
+    assert "nan_half is not finite" in error["message"]
+    assert not out.exists()
 
 
 def test_check_thm33_pass(tmp_path):

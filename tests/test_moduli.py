@@ -2,6 +2,7 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -10,11 +11,14 @@ from poslinops import (
     DomainError,
     Function2D,
     full_modulus,
+    lattice_moduli,
     lipschitz_ratio,
     modulus_subadditivity_check,
     partial_moduli,
+    sample_lattice,
     weighted_modulus,
 )
+from poslinops.moduli import _offsets, _radius
 
 R1 = CompactRegion(1.0)
 
@@ -159,3 +163,94 @@ def test_subadditivity_closed_forms():
     assert r.lhs == pytest.approx(0.2)
     assert r.rhs == pytest.approx(0.5)
     assert r.holds
+
+
+def pair_loop_oracle(F, offsets):
+    """Largest |F[p + (di, dj)] - F[p]| over the offsets, one pass per offset."""
+    G = len(F)
+    best = 0.0
+    for di, dj in offsets:
+        a = F[di:, max(dj, 0):G + min(dj, 0)]
+        b = F[: G - di, max(-dj, 0):G - max(dj, 0)]
+        best = max(best, float(np.abs(a - b).max()))
+    return best
+
+
+def table(F, name="table"):
+    """A function whose lattice sample is the array F."""
+    return f2(lambda x, y: F, name=name)
+
+
+@st.composite
+def lattice_cases(draw):
+    G = draw(st.integers(2, 40))
+    A = draw(st.sampled_from([0.3, 1.0, 2.5, 7.0]))
+    # deltas on lattice multiples hit the slack of the offset rule; the
+    # largest ones reach past the lattice side
+    step = draw(st.sampled_from([1.0, A])) / (G - 1)
+    delta = draw(st.one_of(
+        st.floats(1e-3, 10.0),
+        st.integers(1, G + 3).map(lambda k: k * step),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        F = rng.standard_normal((G, G))
+    else:
+        F = rng.integers(-2, 3, (G, G)).astype(float)  # many ties
+    return G, A, delta, F
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(lattice_cases())
+def test_window_moduli_equal_pair_loop(case):
+    G, A, delta, F = case
+    region = CompactRegion(A)
+    xs, ys, _ = sample_lattice(table(F), region, G)
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+    full = pair_loop_oracle(F, _offsets(delta, hx, hy, G))
+    along_x = pair_loop_oracle(
+        F, [(di, 0) for di in range(1, _radius(delta, hx, G) + 1)])
+    along_y = pair_loop_oracle(
+        F, [(0, dj) for dj in range(1, _radius(delta, hy, G) + 1)])
+    assert full_modulus(table(F), region, delta, G).value == full
+    ex, ey = partial_moduli(table(F), region, delta, G)
+    assert (ex.value, ey.value) == (along_x, along_y)
+
+
+def test_delta_past_lattice_takes_all_pairs():
+    F = np.random.default_rng(8).standard_normal((9, 9))
+    est = lattice_moduli(F, R1, full=5.0, partial_x=5.0, partial_y=5.0)
+    assert est["full"].value == F.max() - F.min()
+    assert est["partial_x"].value == np.ptp(F, axis=0).max()
+    assert est["partial_y"].value == np.ptp(F, axis=1).max()
+    f = f2(lambda x, y: 1.0 + 0.0 * np.asarray(x) + np.asarray(y, float),
+           growth="rho_dominated", m_f=1.0)
+    assert weighted_modulus(f, 100.0, 2.0, grid_points=5).value == 2.0
+
+
+def test_lattice_moduli_kinds_and_deltas():
+    F = sample_lattice(PROD, R1, 51)[2]
+    est = lattice_moduli(F, R1, full=0.3, partial_y=0.1)
+    assert list(est) == ["full", "partial_y"]
+    assert est["full"] == full_modulus(PROD, R1, 0.3, grid_points=51)
+    assert est["partial_y"] == partial_moduli(PROD, R1, 0.1, grid_points=51)[1]
+    with pytest.raises(DomainError):
+        lattice_moduli(F, R1, partial_x=0.0)
+
+
+def test_lattice_needs_two_points():
+    with pytest.raises(DomainError):
+        full_modulus(PROD, R1, 0.1, grid_points=1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_raises_naming_f(value):
+    f = f2(lambda x, y: np.where((np.asarray(x) > 0.5) & (np.asarray(y) > 0.5),
+                                 value, 1.0),
+           name="bad_corner", growth="rho_dominated", m_f=1.0)
+    with pytest.raises(RuntimeError, match="bad_corner is not finite"):
+        full_modulus(f, R1, 0.1, grid_points=21)
+    with pytest.raises(RuntimeError, match="bad_corner is not finite"):
+        partial_moduli(f, R1, 0.1, grid_points=21)
+    with pytest.raises(RuntimeError, match="bad_corner is not finite"):
+        weighted_modulus(f, 0.1, 2.0, grid_points=21)
