@@ -28,6 +28,7 @@ from .operators import (
     apply_on_grid,
     korovkin_gaps,
     moments_closed_form,
+    sample_lattice,
     second_central_moment,
     second_central_moment_grid,
     stancu_node,
@@ -40,7 +41,6 @@ from .moduli import (
     lipschitz_ratio,
     modulus_subadditivity_check,
     partial_moduli,
-    sample_lattice,
     weighted_modulus,
 )
 from .bounds import (

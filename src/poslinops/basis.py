@@ -18,6 +18,12 @@ class DomainError(ValueError):
     """An argument lies outside the domain an operation is defined on."""
 
 
+def require_positive(name, value):
+    """Raise DomainError naming the parameter unless value is finite and > 0."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {value}")
+
+
 class TruncationError(RuntimeError):
     """The term cap was reached before the requested tail mass was attained."""
 
@@ -48,13 +54,12 @@ _FLUSH = 1e-300
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Non-negative weights w[k] for k = start_index, start_index+1, ...
+    """Non-negative weights w[k] for k = 0, 1, ...
 
     ``tail_bound`` bounds the probability mass dropped by truncation.
     """
 
     values: np.ndarray
-    start_index: int = 0
     tail_bound: float = 0.0
 
     def __len__(self):

@@ -13,8 +13,14 @@ import math
 import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError
-from .moduli import lattice_moduli, sample_lattice
-from .operators import apply_on_grid, eval_grid, weights_and_nodes
+from .moduli import lattice_moduli
+from .operators import (
+    apply_on_grid,
+    lattice,
+    lattice_error,
+    sample_lattice,
+    weights_and_nodes,
+)
 from .reporting import (
     CAVEAT_NONE,
     CAVEAT_RHS_GRID_LOWER_BOUND,
@@ -42,11 +48,9 @@ def deltas(m, n, params, region):
 def sup_error_on_grid(f, params, m, n, region, grid_points=201,
                       policy=DEFAULT_POLICY):
     """Grid sup of |L(f) - f| over R_A."""
-    xs = np.linspace(0.0, 1.0, grid_points)
-    ys = np.linspace(0.0, region.A, grid_points)
+    xs, ys, F = sample_lattice(f, region, grid_points)
     L = apply_on_grid(f, params, m, n, xs, ys, policy)
-    F = eval_grid(f, xs, ys)
-    return float(np.max(np.abs(L - F)))
+    return float(np.max(lattice_error(f, L, F)))
 
 
 def check_theorem_3_3(f, params, m, n, region, grid_points=201,
@@ -56,31 +60,28 @@ def check_theorem_3_3(f, params, m, n, region, grid_points=201,
 
     ``closed_form_moduli`` maps kind ("full" | "partial_x" | "partial_y") to
     a callable (delta, A) -> value.  With grid moduli the RHS is itself a
-    lower estimate, flagged by a caveat, and one lattice sample of f serves
-    the LHS and all three moduli.
+    lower estimate, flagged by a caveat.  One lattice sample of f serves the
+    LHS and, with grid moduli, all three moduli.
     """
+    if moduli_source not in ("closed_form", "grid"):
+        raise DomainError(f"unknown moduli_source {moduli_source!r}")
+    if moduli_source == "closed_form" and not closed_form_moduli:
+        raise DomainError(f"{getattr(f, 'name', 'f')} carries no closed-form moduli")
     d = deltas(m, n, params, region)
-    caveat = CAVEAT_NONE
-    if moduli_source == "closed_form":
-        if not closed_form_moduli:
-            raise DomainError(
-                f"{getattr(f, 'name', 'f')} carries no closed-form moduli"
-            )
-        lhs = sup_error_on_grid(f, params, m, n, region, grid_points, policy)
-        w1 = closed_form_moduli["partial_x"](d.delta_m, region.A)
-        w2 = closed_form_moduli["partial_y"](d.delta_n, region.A)
-        w = closed_form_moduli["full"](d.delta_mn, region.A)
-    elif moduli_source == "grid":
-        xs, ys, F = sample_lattice(f, region, grid_points)
-        L = apply_on_grid(f, params, m, n, xs, ys, policy)
-        lhs = float(np.max(np.abs(L - F)))
+    xs, ys, F = sample_lattice(f, region, grid_points)
+    L = apply_on_grid(f, params, m, n, xs, ys, policy)
+    lhs = float(np.max(lattice_error(f, L, F)))
+    if moduli_source == "grid":
         est = lattice_moduli(F, region, full=d.delta_mn, partial_x=d.delta_m,
                              partial_y=d.delta_n)
         w1, w2 = est["partial_x"].value, est["partial_y"].value
         w = est["full"].value
         caveat = CAVEAT_RHS_GRID_LOWER_BOUND
     else:
-        raise DomainError(f"unknown moduli_source {moduli_source!r}")
+        w1 = closed_form_moduli["partial_x"](d.delta_m, region.A)
+        w2 = closed_form_moduli["partial_y"](d.delta_n, region.A)
+        w = closed_form_moduli["full"](d.delta_mn, region.A)
+        caveat = CAVEAT_NONE
     report_a = BoundReport(lhs=lhs, rhs=1.5 * (w1 + w2), caveat=caveat)
     report_b = BoundReport(lhs=lhs, rhs=1.5 * w, caveat=caveat)
     return report_a, report_b
@@ -120,8 +121,7 @@ def sup_distance_power_operator(params, m, n, p_exp, region, grid_points=101,
     The integrand depends on the outer point, so the sup needs one operator
     evaluation per grid point; the sweep is vectorized one grid row at a time.
     """
-    xs = np.linspace(0.0, 1.0, grid_points)
-    ys = np.linspace(0.0, region.A, grid_points)
+    xs, ys = lattice(region.A, grid_points)
     WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy)
     half = 0.5 * p_exp
     best = 0.0
@@ -147,11 +147,9 @@ def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
         raise DomainError("the order-r bound requires r >= 1")
     if not 0.0 < gamma <= 1.0:
         raise DomainError(f"gamma must be in (0, 1], got {gamma}")
-    xs = np.linspace(0.0, 1.0, grid_points)
-    ys = np.linspace(0.0, region.A, grid_points)
+    xs, ys, F = sample_lattice(f, region, grid_points)
     Lr = apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy)
-    F = eval_grid(f, xs, ys)
-    lhs = float(np.max(np.abs(Lr - F)))
+    lhs = float(np.max(lattice_error(f, Lr, F)))
 
     prefactor = (gamma * M / (gamma + r)) * beta_func(gamma, r) / math.factorial(r - 1)
     p_exp = r + gamma

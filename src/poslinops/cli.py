@@ -16,13 +16,14 @@ from . import __version__
 from .basis import TruncationPolicy
 from .bounds import check_theorem_3_3, deltas, sup_error_on_grid, theorem_4_1_bound
 from .corpus import CorpusLookupError, corpus_lookup
-from .moduli import lattice_moduli, sample_lattice
+from .moduli import lattice_moduli
 from .operators import (
     CompactRegion,
     Point2D,
     StancuParams,
     apply,
     moments_closed_form,
+    sample_lattice,
     second_central_moment,
 )
 from .reporting import BoundReport

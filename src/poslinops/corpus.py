@@ -27,7 +27,6 @@ class CorpusEntry:
     closed_form_moduli: Optional[dict] = None
     lipschitz_data: Optional[tuple] = None  # (gamma, M(A))
     derivative_provider: Optional[PartialDerivativeSet] = None
-    tags: tuple = ()
 
 
 def _const_deriv(c):
@@ -120,7 +119,6 @@ _register(
         },
         lipschitz_data=(1.0, lambda A: 0.0),
         derivative_provider=PartialDerivativeSet(order=10, eval=_const_deriv(1.0)),
-        tags=("constant",),
     ),
 )
 
@@ -136,7 +134,6 @@ _register(
         },
         lipschitz_data=(1.0, lambda A: math.sqrt(2.0)),
         derivative_provider=PartialDerivativeSet(order=10, eval=_linear_deriv),
-        tags=("polynomial",),
     ),
 )
 
@@ -147,7 +144,6 @@ _register(
                             * np.asarray(y, float), name="prod"),
         lipschitz_data=(1.0, lambda A: math.sqrt(1.0 + A * A)),
         derivative_provider=PartialDerivativeSet(order=10, eval=_prod_deriv),
-        tags=("polynomial", "separable"),
     ),
 )
 
@@ -158,7 +154,6 @@ _register(
                             + np.asarray(y, float) ** 2, name="quad"),
         lipschitz_data=(1.0, lambda A: 2.0 * math.sqrt(1.0 + A * A)),
         derivative_provider=PartialDerivativeSet(order=10, eval=_quad_deriv),
-        tags=("polynomial",),
     ),
 )
 
@@ -169,7 +164,6 @@ _register(
             np.abs(np.asarray(x, float) - 0.5))
             + 0.0 * np.asarray(y, float), name="holder_half"),
         lipschitz_data=(0.5, lambda A: 1.0),
-        tags=("holder",),
     ),
 )
 
@@ -178,7 +172,6 @@ _register(
     CorpusEntry(
         function=Function2D(eval=_smooth, name="smooth"),
         derivative_provider=PartialDerivativeSet(order=10, eval=_smooth_deriv),
-        tags=("smooth", "bounded"),
     ),
 )
 
@@ -189,7 +182,6 @@ _register(
                             + np.asarray(y, float) ** 2, name="rho_growth",
                             growth="rho_dominated", m_f=1.0),
         derivative_provider=PartialDerivativeSet(order=10, eval=_quad_deriv),
-        tags=("polynomial", "unbounded"),
     ),
 )
 

@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from .basis import DomainError
-from .operators import Point2D, eval_grid
+from .basis import DomainError, require_positive
+from .operators import CompactRegion, Point2D, _require_finite, lattice, sample_lattice
 from .reporting import BoundReport
 
 
@@ -38,28 +38,6 @@ class LipschitzWitness:
     gamma: float
     M_estimate: float
     argmax_pair: tuple
-
-
-def _lattice(A, grid_points):
-    if grid_points < 2:
-        raise DomainError(f"grid_points must be >= 2, got {grid_points}")
-    return np.linspace(0.0, 1.0, grid_points), np.linspace(0.0, A, grid_points)
-
-
-def _sample(f, xs, ys):
-    F = eval_grid(f, xs, ys)
-    bad = F.size - np.count_nonzero(np.isfinite(F))
-    if bad:
-        raise RuntimeError(
-            f"{getattr(f, 'name', 'f')} is not finite at {bad} of {F.size} "
-            f"lattice points on [0,1]x[0,{ys[-1]}]"
-        )
-    return F
-
-
-def _check_delta(delta):
-    if delta <= 0.0:
-        raise DomainError(f"delta must be > 0, got {delta}")
 
 
 def _radius(delta, h, G):
@@ -155,16 +133,6 @@ def _pair_max(F, offsets, denom):
     return best
 
 
-def sample_lattice(f, region, grid_points=201):
-    """f on the grid_points x grid_points lattice of R_A, as (xs, ys, F).
-
-    Raises RuntimeError naming f when a sample is not finite: a NaN would
-    drop out of every maximum and an infinity would give inf - inf.
-    """
-    xs, ys = _lattice(region.A, grid_points)
-    return xs, ys, _sample(f, xs, ys)
-
-
 def lattice_moduli(F, region, full=None, partial_x=None, partial_y=None):
     """Moduli of the lattice sample F of ``sample_lattice``, each at its own delta.
 
@@ -173,7 +141,7 @@ def lattice_moduli(F, region, full=None, partial_x=None, partial_y=None):
     give the maximum over all lattice pairs.
     """
     G = len(F)
-    xs, ys = _lattice(region.A, G)
+    xs, ys = lattice(region.A, G)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     spec = f"{G}x{G} uniform on [0,1]x[0,{region.A}]"
     out = {}
@@ -181,7 +149,7 @@ def lattice_moduli(F, region, full=None, partial_x=None, partial_y=None):
                         ("partial_y", partial_y)):
         if delta is None:
             continue
-        _check_delta(delta)
+        require_positive("delta", delta)
         if kind == "full":
             value = _window_max(F, _radii(delta, hx, hy, G))
         elif kind == "partial_x":
@@ -194,14 +162,12 @@ def lattice_moduli(F, region, full=None, partial_x=None, partial_y=None):
 
 def full_modulus(f, region, delta, grid_points=201):
     """Largest |f(p1) - f(p2)| over lattice pairs at distance <= delta."""
-    _check_delta(delta)
     F = sample_lattice(f, region, grid_points)[2]
     return lattice_moduli(F, region, full=delta)["full"]
 
 
 def partial_moduli(f, region, delta, grid_points=201):
     """Moduli along the x axis and the y axis, as a pair."""
-    _check_delta(delta)
     F = sample_lattice(f, region, grid_points)[2]
     est = lattice_moduli(F, region, partial_x=delta, partial_y=delta)
     return est["partial_x"], est["partial_y"]
@@ -221,9 +187,10 @@ def lipschitz_ratio(f, gamma, region, sample_pairs=10000, seed=0):
     ratio = np.abs(
         np.asarray(f(x1, y1), dtype=float) - np.asarray(f(x2, y2), dtype=float)
     ) / dist**gamma
-    i = int(np.argmax(ratio)) if ratio.size else 0
     if ratio.size == 0:
         return LipschitzWitness(gamma, 0.0, (Point2D(0.0, 0.0), Point2D(0.0, 0.0)))
+    _require_finite(getattr(f, "name", "f"), ratio, "random point pairs")
+    i = int(np.argmax(ratio))
     pair = (Point2D(float(x1[i]), float(y1[i])), Point2D(float(x2[i]), float(y2[i])))
     return LipschitzWitness(gamma, float(ratio[i]), pair)
 
@@ -245,9 +212,8 @@ def weighted_modulus(f, delta, S, grid_points=201):
         raise DomainError(
             f"weighted modulus requires rho_dominated growth, got {f.growth!r}"
         )
-    _check_delta(delta)
-    xs, ys = _lattice(S, grid_points)
-    F = _sample(f, xs, ys)
+    require_positive("delta", delta)
+    xs, ys, F = sample_lattice(f, CompactRegion(S), grid_points)
     R = rho(xs[:, None], ys[None, :])
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     value = _pair_max(F, _offsets(delta, hx, hy, grid_points), R)

@@ -19,6 +19,7 @@ from .basis import (
     DEFAULT_POLICY,
     DomainError,
     bernstein_weights,
+    require_positive,
     szasz_weights,
 )
 
@@ -39,9 +40,9 @@ class StancuParams:
 
     def __post_init__(self):
         for a, b, axis in ((self.alpha1, self.beta1, 1), (self.alpha2, self.beta2, 2)):
-            if not 0.0 <= a <= b:
+            if not 0.0 <= a <= b < np.inf:
                 raise DomainError(
-                    f"need 0 <= alpha{axis} <= beta{axis}, got ({a}, {b})"
+                    f"need 0 <= alpha{axis} <= beta{axis} < inf, got ({a}, {b})"
                 )
 
 
@@ -55,8 +56,8 @@ class Point2D:
     def __post_init__(self):
         if not 0.0 <= self.x <= 1.0:
             raise DomainError(f"x must be in [0, 1], got {self.x}")
-        if self.y < 0.0:
-            raise DomainError(f"y must be >= 0, got {self.y}")
+        if not 0.0 <= self.y < np.inf:
+            raise DomainError(f"y must be finite and >= 0, got {self.y}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,7 @@ class CompactRegion:
     A: float
 
     def __post_init__(self):
-        if self.A <= 0.0:
-            raise DomainError(f"A must be > 0, got {self.A}")
+        require_positive("A", self.A)
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,62 @@ def stancu_node(index, degree, alpha, beta):
 
 
 def eval_grid(f, tx, ty):
-    """Evaluate f on the tensor grid tx x ty, tolerating scalar-only callables."""
+    """Evaluate f on the tensor grid tx x ty, tolerating scalar-only callables.
+
+    Raises RuntimeError naming f when the point-by-point evaluation fails.
+    """
     try:
         out = np.asarray(f(tx[:, None], ty[None, :]), dtype=float)
         if out.shape == (len(tx), len(ty)):
             return out
     except Exception:
         pass
-    return np.array([[float(f(a, b)) for b in ty] for a in tx])
+    try:
+        return np.array([[float(f(a, b)) for b in ty] for a in tx])
+    except Exception as exc:
+        raise RuntimeError(
+            f"evaluation of {getattr(f, 'name', 'f')} failed on a "
+            f"{len(tx)}x{len(ty)} grid"
+        ) from exc
+
+
+def _require_finite(label, values, where):
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise RuntimeError(f"{label} is not finite at {bad} of {values.size} {where}")
+    return values
+
+
+def lattice(side, grid_points):
+    """The uniform grid_points x grid_points lattice of [0, 1] x [0, side].
+
+    Every grid sup of the package is taken on this lattice, as (xs, ys).
+    """
+    if grid_points < 2:
+        raise DomainError(f"grid_points must be >= 2, got {grid_points}")
+    return np.linspace(0.0, 1.0, grid_points), np.linspace(0.0, side, grid_points)
+
+
+def sample_lattice(f, region, grid_points=201):
+    """f on the lattice of R_A = [0, 1] x [0, region.A], as (xs, ys, F).
+
+    Raises RuntimeError naming f when a sample is not finite: a NaN would
+    drop out of every maximum and an infinity would give inf - inf.
+    """
+    xs, ys = lattice(region.A, grid_points)
+    F = eval_grid(f, xs, ys)
+    return xs, ys, _require_finite(getattr(f, "name", "f"), F,
+                                   f"lattice points on [0,1]x[0,{region.A}]")
+
+
+def lattice_error(f, L, F):
+    """|L f - f| on a lattice, from L f there and the sample F of f.
+
+    Raises RuntimeError naming f when L f is not finite: f can be finite on
+    the lattice and not at the operator's nodes beyond it.
+    """
+    label = f"L({getattr(f, 'name', 'f')})"
+    return np.abs(_require_finite(label, L, "lattice points") - F)
 
 
 def bernstein_weight_matrix(m, xs):
@@ -154,14 +202,7 @@ def apply_on_grid(f, params, m, n, xs, ys, policy=DEFAULT_POLICY,
     and the grid sweep reduces to two matrix products.
     """
     WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy, family)
-    try:
-        F = eval_grid(f, tx, ty)
-    except Exception as exc:
-        raise RuntimeError(
-            f"evaluation of {getattr(f, 'name', 'f')} failed on the node grid "
-            f"(m={m}, n={n}, {len(tx)}x{len(ty)} nodes)"
-        ) from exc
-    return WX @ F @ WY.T
+    return WX @ eval_grid(f, tx, ty) @ WY.T
 
 
 def apply(f, params, m, n, p, policy=DEFAULT_POLICY,
@@ -232,10 +273,7 @@ def second_central_moment_grid(params, m, n, xs, ys):
 
 def korovkin_gaps(params, m, n, region, grid_points=201):
     """Sup-norm gaps of the four Korovkin test functions over R_A (grid max)."""
-    if grid_points < 2:
-        raise DomainError(f"grid_points must be >= 2, got {grid_points}")
-    xs = np.linspace(0.0, 1.0, grid_points)
-    ys = np.linspace(0.0, region.A, grid_points)
+    xs, ys = lattice(region.A, grid_points)
     gap_one = 0.0  # L(1) = 1 exactly
     gap_t = float(np.max(np.abs(_moment_t(params, m, xs) - xs)))
     gap_tau = float(np.max(np.abs(_moment_tau(params, n, ys) - ys)))

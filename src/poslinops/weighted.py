@@ -11,12 +11,15 @@ import math
 
 import numpy as np
 
-from .basis import DEFAULT_POLICY, DomainError
+from .basis import DEFAULT_POLICY, DomainError, require_positive
 from .moduli import rho, weighted_modulus
 from .operators import (
+    CompactRegion,
     Function2D,
     apply_on_grid,
-    eval_grid,
+    lattice,
+    lattice_error,
+    sample_lattice,
     second_central_moment_grid,
     _moment_t2,
     _moment_tau2,
@@ -34,8 +37,8 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in ("rho", "rho1_power"):
             raise DomainError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "rho1_power" and self.epsilon <= 0.0:
-            raise DomainError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.kind == "rho1_power":
+            require_positive("epsilon", self.epsilon)
 
     def __call__(self, x, y):
         base = rho(x, y)
@@ -51,15 +54,12 @@ class TruncatedStrip:
     S: float
 
     def __post_init__(self):
-        if self.S <= 0.0:
-            raise DomainError(f"S must be > 0, got {self.S}")
+        require_positive("S", self.S)
 
 
 def weighted_norm(g, weight, strip, grid_points=201):
     """Grid max of |g| / weight over the strip (lower estimate of the sup)."""
-    xs = np.linspace(0.0, 1.0, grid_points)
-    ys = np.linspace(0.0, strip.S, grid_points)
-    G = eval_grid(g, xs, ys)
+    xs, ys, G = sample_lattice(g, CompactRegion(strip.S), grid_points)
     W = weight(xs[:, None], ys[None, :])
     return float(np.max(np.abs(G) / W))
 
@@ -71,8 +71,7 @@ def operator_rho_norm_bound(params, m, n, strip, grid_points=201):
     sup estimated as the max of a strip grid value and the analytic y -> inf
     limit |n^2 / (n + beta2)^2 - 1|.
     """
-    xs = np.linspace(0.0, 1.0, grid_points)
-    ys = np.linspace(0.0, strip.S, grid_points)
+    xs, ys = lattice(strip.S, grid_points)
     gx = _moment_t2(params, m, xs) - xs * xs
     gy = _moment_tau2(params, n, ys) - ys * ys
     ratio = np.abs(gx[:, None] + gy[None, :]) / rho(xs[:, None], ys[None, :])
@@ -91,15 +90,13 @@ def check_theorem_5_2(f, params, schedule, weight1, strip, grid_points=201,
         raise DomainError("check_theorem_5_2 needs rho_dominated growth with m_f")
     if weight1.kind != "rho1_power":
         raise DomainError("weight1 must be a rho1_power weight")
-    xs = np.linspace(0.0, 1.0, grid_points)
-    ys = np.linspace(0.0, strip.S, grid_points)
+    xs, ys, F = sample_lattice(f, CompactRegion(strip.S), grid_points)
     R1 = weight1(xs[:, None], ys[None, :])
-    F = eval_grid(f, xs, ys)
     decay = (1.0 + strip.S**2) ** (-weight1.epsilon)
     out = []
     for m, n in schedule:
         L = apply_on_grid(f, params, m, n, xs, ys, policy)
-        strip_part = float(np.max(np.abs(L - F) / R1))
+        strip_part = float(np.max(lattice_error(f, L, F) / R1))
         bound = operator_rho_norm_bound(params, m, n, strip, grid_points)
         tail_part = (f.m_f * bound + f.m_f) * decay
         out.append(strip_part + tail_part)
@@ -118,8 +115,7 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
     """
     if f.growth != "rho_dominated":
         raise DomainError("check_theorem_5_3 needs rho_dominated growth")
-    if s <= 0.0:
-        raise DomainError(f"s must be > 0, got {s}")
+    require_positive("s", s)
     if strip is None:
         strip = TruncatedStrip(max(50.0, 2.0 * s))
 
@@ -134,15 +130,12 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
     )
 
     # LHS: sup over the part of the disc inside the domain
-    xs = np.linspace(0.0, 1.0, grid_points)
-    ys = np.linspace(0.0, s, grid_points)
+    xs, ys, F = sample_lattice(fhat, CompactRegion(s), grid_points)
     L = apply_on_grid(fhat, params, m, n, xs, ys, policy)
-    F = eval_grid(fhat, xs, ys)
     disc = (xs[:, None] ** 2 + ys[None, :] ** 2) <= s * s
-    lhs = float(np.max(np.abs(L - F)[disc]))
+    lhs = float(np.max(lattice_error(fhat, L, F)[disc]))
 
-    sx = np.linspace(0.0, 1.0, grid_points)
-    sy = np.linspace(0.0, strip.S, grid_points)
+    sx, sy = lattice(strip.S, grid_points)
     central = second_central_moment_grid(params, m, n, sx, sy)
     ratio = central / rho(sx[:, None], sy[None, :])
     tail_limit = params.beta2**2 / (n + params.beta2) ** 2

@@ -120,6 +120,24 @@ def test_non_finite_function_exits_2(tmp_path, monkeypatch, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["converge", "--grid", "1"], "grid_points must be >= 2"),
+    (["check-thm33", "--grid", "1"], "grid_points must be >= 2"),
+    (["modulus", "--delta", "inf"], "delta must be finite"),
+    (["modulus", "--delta", "nan"], "delta must be finite"),
+    (["weighted", "--function", "rho_growth", "--epsilon", "nan"],
+     "epsilon must be finite"),
+    (["converge", "--A", "nan"], "A must be finite"),
+])
+def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
+    code, out = run(tmp_path, *args)
+    assert code == 2
+    error = sidecar(out)["error"]
+    assert error["type"] == "DomainError"
+    assert error["message"].startswith(message)
+    assert not out.exists()
+
+
 def test_check_thm33_pass(tmp_path):
     code, out = run(tmp_path, "check-thm33", "--function", "linear",
                     "--m", "20", "--n", "20", "--grid", "101")

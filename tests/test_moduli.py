@@ -254,3 +254,6 @@ def test_non_finite_sample_raises_naming_f(value):
         partial_moduli(f, R1, 0.1, grid_points=21)
     with pytest.raises(RuntimeError, match="bad_corner is not finite"):
         weighted_modulus(f, 0.1, 2.0, grid_points=21)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            RuntimeError, match="bad_corner is not finite"):
+        lipschitz_ratio(f, 1.0, R1, sample_pairs=1000)

@@ -18,6 +18,7 @@ from poslinops import (
     moments_closed_form,
     second_central_moment,
     stancu_node,
+    sup_error_on_grid,
 )
 from poslinops.operators import apply_on_grid
 
@@ -238,6 +239,8 @@ def test_apply_on_grid_names_failing_function():
     f = f2(lambda t, tau: math.sqrt(t - 2.0), name="sqrt_shifted")
     with pytest.raises(RuntimeError, match="sqrt_shifted"):
         apply_on_grid(f, StancuParams(), 4, 4, [0.0, 0.5], [0.0, 1.0])
+    with pytest.raises(RuntimeError, match="sqrt_shifted"):
+        sup_error_on_grid(f, StancuParams(), 4, 4, CompactRegion(1.0), 5)
 
 
 def test_point_and_region_validation():

@@ -1,0 +1,113 @@
+"""Every grid checker samples R_A through one lattice and one checked f-sample."""
+
+import math
+
+import numpy as np
+import pytest
+
+from poslinops import (
+    CompactRegion,
+    DomainError,
+    Function2D,
+    Point2D,
+    StancuParams,
+    TruncatedStrip,
+    WeightSpec,
+    check_theorem_3_3,
+    check_theorem_5_2,
+    check_theorem_5_3,
+    corpus_lookup,
+    full_modulus,
+    korovkin_gaps,
+    lattice_moduli,
+    operator_rho_norm_bound,
+    partial_moduli,
+    sup_distance_power_operator,
+    sup_error_on_grid,
+    theorem_4_1_bound,
+    weighted_modulus,
+    weighted_norm,
+)
+
+P = StancuParams()
+R1 = CompactRegion(1.0)
+STRIP = TruncatedStrip(5.0)
+LINEAR_DERIVS = corpus_lookup("linear").derivative_provider
+
+# Each checker as a call of (f, grid_points); f is ignored by those that
+# take no function.
+CHECKERS = {
+    "sup_error_on_grid": lambda f, G: sup_error_on_grid(f, P, 10, 10, R1, G),
+    "check_theorem_3_3": lambda f, G: check_theorem_3_3(
+        f, P, 10, 10, R1, G, moduli_source="grid"),
+    "theorem_4_1_bound": lambda f, G: theorem_4_1_bound(
+        LINEAR_DERIVS, f, P, 10, 10, 1, 1.0, 1.0, R1, G),
+    "weighted_norm": lambda f, G: weighted_norm(f, WeightSpec("rho"), STRIP, G),
+    "check_theorem_5_2": lambda f, G: check_theorem_5_2(
+        f, P, [(10, 10)], WeightSpec("rho1_power", 0.5), STRIP, G),
+    "check_theorem_5_3": lambda f, G: check_theorem_5_3(
+        f, P, 10, 10, 2.0, G, strip=STRIP),
+    "weighted_modulus": lambda f, G: weighted_modulus(f, 0.1, STRIP.S, G),
+    "full_modulus": lambda f, G: full_modulus(f, R1, 0.1, G),
+    "partial_moduli": lambda f, G: partial_moduli(f, R1, 0.1, G),
+}
+LATTICE_ONLY = {
+    "sup_distance_power_operator": lambda f, G: sup_distance_power_operator(
+        P, 10, 10, 2.0, R1, G),
+    "korovkin_gaps": lambda f, G: korovkin_gaps(P, 10, 10, R1, G),
+    "operator_rho_norm_bound": lambda f, G: operator_rho_norm_bound(
+        P, 10, 10, STRIP, G),
+    "lattice_moduli": lambda f, G: lattice_moduli(np.zeros((G, G)), R1, full=0.1),
+}
+
+
+def with_name(name, expr):
+    return Function2D(eval=expr, name=name, growth="rho_dominated", m_f=1.0)
+
+
+QUAD = with_name("quad", lambda x, y: np.asarray(x, float) ** 2
+                 + np.asarray(y, float) ** 2)
+NAN_CORNER = with_name("nan_corner", lambda x, y: np.where(
+    (np.asarray(x) > 0.5) & (np.asarray(y) > 0.5), np.nan, 1.0))
+
+
+@pytest.mark.parametrize("grid_points", [0, 1])
+@pytest.mark.parametrize("checker", sorted({**CHECKERS, **LATTICE_ONLY}))
+def test_grid_checker_needs_two_lattice_points(checker, grid_points):
+    call = {**CHECKERS, **LATTICE_ONLY}[checker]
+    with pytest.raises(DomainError, match="grid_points must be >= 2"):
+        call(QUAD, grid_points)
+
+
+@pytest.mark.parametrize("checker", sorted(CHECKERS))
+def test_grid_checker_rejects_non_finite_sample(checker):
+    with pytest.raises(RuntimeError, match="nan_corner is not finite"):
+        CHECKERS[checker](NAN_CORNER, 21)
+
+
+@pytest.mark.parametrize("checker", ["sup_error_on_grid", "check_theorem_3_3"])
+def test_non_finite_operator_values_raise_naming_f(checker):
+    # finite on [0, 1]^2, infinite at the Szasz node y = 2 of n = 10
+    def recip(x, y):
+        with np.errstate(divide="ignore"):
+            return 0.0 * np.asarray(x) + 1.0 / (2.0 - np.asarray(y, float))
+
+    with np.errstate(invalid="ignore"), pytest.raises(
+            RuntimeError, match=r"L\(recip\) is not finite"):
+        CHECKERS[checker](with_name("recip", recip), 21)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("message, make", [
+    ("^A must be finite", CompactRegion),
+    ("^S must be finite", TruncatedStrip),
+    ("^epsilon must be finite", lambda v: WeightSpec("rho1_power", v)),
+    ("^delta must be finite", lambda v: full_modulus(QUAD, R1, v, 11)),
+    ("^delta must be finite", lambda v: weighted_modulus(QUAD, v, 2.0, 11)),
+    ("^s must be finite", lambda v: check_theorem_5_3(QUAD, P, 10, 10, v, 11)),
+    ("^y must be finite", lambda v: Point2D(0.5, v)),
+    ("alpha1 <= beta1 < inf", lambda v: StancuParams(v, v)),
+])
+def test_non_finite_parameter_rejected_by_name(message, make, value):
+    with pytest.raises(DomainError, match=message):
+        make(value)
