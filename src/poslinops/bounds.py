@@ -147,6 +147,8 @@ def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
         raise DomainError("the order-r bound requires r >= 1")
     if not 0.0 < gamma <= 1.0:
         raise DomainError(f"gamma must be in (0, 1], got {gamma}")
+    if not 0.0 <= M < math.inf:
+        raise DomainError(f"M must be finite and >= 0, got {M}")
     xs, ys, F = sample_lattice(f, region, grid_points)
     Lr = apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy)
     lhs = float(np.max(lattice_error(f, Lr, F)))

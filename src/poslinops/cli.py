@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .basis import TruncationPolicy
+from .basis import TruncationPolicy, require_positive
 from .bounds import check_theorem_3_3, deltas, sup_error_on_grid, theorem_4_1_bound
 from .corpus import CorpusLookupError, corpus_lookup
 from .moduli import lattice_moduli
@@ -94,6 +94,7 @@ def _run(cfg):
     m, n, G = cfg["m"], cfg["n"], cfg["grid"]
     schedule = [(int(v), int(v)) for v in str(cfg["schedule"]).split(",")]
     scale = cfg["rhs_scale"]
+    require_positive("rhs_scale", scale)
     command = cfg["command"]
     reports = []
     caveats = set()
@@ -197,13 +198,8 @@ def build_parser():
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="JSON config file; flags override it")
     for key, default in _DEFAULTS.items():
-        flag = "--" + key.replace("_", "-")
-        if key in ("m", "n", "grid", "max_terms", "r", "seed"):
-            parser.add_argument(flag, type=int, default=None)
-        elif key in ("schedule", "function", "mode", "out", "moduli_source"):
-            parser.add_argument(flag, type=str, default=None)
-        else:
-            parser.add_argument(flag, type=float, default=None)
+        parser.add_argument("--" + key.replace("_", "-"), default=None,
+                            type=float if default is None else type(default))
     return parser
 
 

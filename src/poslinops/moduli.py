@@ -10,6 +10,15 @@ lattice with disc radii r_x, r_y (in lattice steps) that costs
 O(G^2 (r_y + log r_x)) instead of one pass per offset, O(G^2 r_x r_y), and
 gives the same values as the pair loop: rounded subtraction is monotone in
 its first operand, so max(W) - F equals the largest rounded difference.
+
+The weighted modulus divides each pair's difference by the smaller rho of
+the two points, which is the larger of the difference over rho at either
+point.  So it is the largest, over base points p, of the window difference
+at p over rho(p), and rounded division is monotone too.  As the base point
+sets the divisor, each pair counts in both orders: the windows of y-offsets
+dj >= 0 cover the pairs whose second point lies at or above the base, and
+the same pass over F[:, ::-1], where an offset -dj becomes +dj, covers those
+below it.
 """
 
 from __future__ import annotations
@@ -45,23 +54,8 @@ def _radius(delta, h, G):
     return min(int(math.floor(delta / h * (1.0 + 1e-12))), G - 1)
 
 
-def _offsets(delta, hx, hy, G):
-    """Offsets (di, dj) of length <= delta that fit in a G x G lattice.
-
-    Only one half-plane is enumerated (pairs are unordered).
-    """
-    rx, ry = _radius(delta, hx, G), _radius(delta, hy, G)
-    d2 = delta * delta * (1.0 + 1e-12)
-    out = []
-    for di in range(rx + 1):
-        for dj in range(1 if di == 0 else -ry, ry + 1):
-            if (di * hx) ** 2 + (dj * hy) ** 2 <= d2:
-                out.append((di, dj))
-    return out
-
-
 def _radii(delta, hx, hy, G):
-    """For dj = 0, 1, ...: the largest di that ``_offsets`` pairs with dj.
+    """For dj = 0, 1, ...: the largest di with (di hx)^2 + (dj hy)^2 <= delta^2.
 
     The radii do not increase with dj; the list stops at the first dj that
     has no offset or no room in the lattice.
@@ -77,8 +71,11 @@ def _radii(delta, hx, hy, G):
     return radii
 
 
-def _window_max(F, radii):
+def _window_max(F, radii, divisor=None):
     """Largest |F[i2, j + dj] - F[i, j]| with |i2 - i| <= radii[dj].
+
+    With a divisor, each difference is divided by divisor[i, j] at its base
+    point (i, j) before the maximum is taken.
 
     hi[k] (lo[k]) holds the max (min) of the padded rows k .. k + width - 1.
     The y-offsets are walked from the narrowest window to the widest, so the
@@ -103,42 +100,28 @@ def _window_max(F, radii):
         # window rows i - r .. i + r are two overlapping levels
         a, b, cols = R - r, R + r + 1 - width, H - dj
         W, Fj = scratch[:, :cols], F[:, :cols]
+        Dj = None if divisor is None else divisor[:, :cols]
         np.maximum(hi[a:a + G, dj:], hi[b:b + G, dj:], out=W)
-        best = max(best, float(np.subtract(W, Fj, out=W).max()))
+        best = max(best, _largest(np.subtract(W, Fj, out=W), Dj))
         np.minimum(lo[a:a + G, dj:], lo[b:b + G, dj:], out=W)
-        best = max(best, float(np.subtract(Fj, W, out=W).max()))
+        best = max(best, _largest(np.subtract(Fj, W, out=W), Dj))
     return best
 
 
-def _shifted_views(F, di, dj):
-    G, H = F.shape
-    if dj >= 0:
-        return F[di:, dj:], F[: G - di, : H - dj]
-    return F[di:, : H + dj], F[: G - di, -dj:]
+def _largest(W, divisor):
+    """Max of W, after dividing W in place by divisor unless it is None."""
+    if divisor is not None:
+        W /= divisor
+    return float(W.max())
 
 
-def _pair_max(F, offsets, denom):
-    # One scratch buffer serves every offset: above glibc's mmap threshold a
-    # fresh grid-sized temporary per offset is mapped, page-faulted and
-    # unmapped each time, which can cost more than the arithmetic.
-    scratch, lo = np.empty(F.size), np.empty(F.size)
-    best = 0.0
-    for di, dj in offsets:
-        a, b = _shifted_views(F, di, dj)
-        ra, rb = _shifted_views(denom, di, dj)
-        diff = scratch[: a.size].reshape(a.shape)
-        np.abs(np.subtract(a, b, out=diff), out=diff)
-        diff /= np.minimum(ra, rb, out=lo[: a.size].reshape(a.shape))
-        best = max(best, float(diff.max()))
-    return best
-
-
-def lattice_moduli(F, region, full=None, partial_x=None, partial_y=None):
+def lattice_moduli(F, region, full=None, partial_x=None, partial_y=None,
+                   weighted=None):
     """Moduli of the lattice sample F of ``sample_lattice``, each at its own delta.
 
     Returns a dict from kind to ModulusEstimate with one entry per delta
-    given, in the order full, partial_x, partial_y.  Deltas past the lattice
-    give the maximum over all lattice pairs.
+    given, in the order full, partial_x, partial_y, weighted.  Deltas past
+    the lattice give the maximum over all lattice pairs.
     """
     G = len(F)
     xs, ys = lattice(region.A, G)
@@ -146,7 +129,7 @@ def lattice_moduli(F, region, full=None, partial_x=None, partial_y=None):
     spec = f"{G}x{G} uniform on [0,1]x[0,{region.A}]"
     out = {}
     for kind, delta in (("full", full), ("partial_x", partial_x),
-                        ("partial_y", partial_y)):
+                        ("partial_y", partial_y), ("weighted", weighted)):
         if delta is None:
             continue
         require_positive("delta", delta)
@@ -154,8 +137,12 @@ def lattice_moduli(F, region, full=None, partial_x=None, partial_y=None):
             value = _window_max(F, _radii(delta, hx, hy, G))
         elif kind == "partial_x":
             value = _window_max(F, [_radius(delta, hx, G)])
-        else:
+        elif kind == "partial_y":
             value = _window_max(F.T, [_radius(delta, hy, G)])
+        else:
+            radii, R = _radii(delta, hx, hy, G), rho(xs[:, None], ys[None, :])
+            value = max(_window_max(F, radii, R),
+                        _window_max(F[:, ::-1], radii, R[:, ::-1]))
         out[kind] = ModulusEstimate(delta, value, kind, spec)
     return out
 
@@ -212,13 +199,9 @@ def weighted_modulus(f, delta, S, grid_points=201):
         raise DomainError(
             f"weighted modulus requires rho_dominated growth, got {f.growth!r}"
         )
-    require_positive("delta", delta)
-    xs, ys, F = sample_lattice(f, CompactRegion(S), grid_points)
-    R = rho(xs[:, None], ys[None, :])
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    value = _pair_max(F, _offsets(delta, hx, hy, grid_points), R)
-    spec = f"{grid_points}x{grid_points} uniform on [0,1]x[0,{S}]"
-    return ModulusEstimate(delta, value, "weighted", spec)
+    region = CompactRegion(S)
+    F = sample_lattice(f, region, grid_points)[2]
+    return lattice_moduli(F, region, weighted=delta)["weighted"]
 
 
 def modulus_subadditivity_check(w_exact, lam, delta):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError, require_positive
-from .moduli import rho, weighted_modulus
+from .moduli import lattice_moduli, rho
 from .operators import (
     CompactRegion,
     Function2D,
@@ -119,7 +119,11 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
     if strip is None:
         strip = TruncatedStrip(max(50.0, 2.0 * s))
 
-    norm = weighted_norm(f, WeightSpec("rho"), strip, grid_points)
+    # one strip sample gives the rho-norm, the unit-norm sample and its modulus
+    sregion = CompactRegion(strip.S)
+    sx, sy, Fs = sample_lattice(f, sregion, grid_points)
+    R = rho(sx[:, None], sy[None, :])
+    norm = float(np.max(np.abs(Fs) / R))
     if norm == 0.0:
         raise DomainError("f vanishes on the sampling strip; cannot normalize")
     fhat = Function2D(
@@ -135,14 +139,13 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
     disc = (xs[:, None] ** 2 + ys[None, :] ** 2) <= s * s
     lhs = float(np.max(lattice_error(fhat, L, F)[disc]))
 
-    sx, sy = lattice(strip.S, grid_points)
     central = second_central_moment_grid(params, m, n, sx, sy)
-    ratio = central / rho(sx[:, None], sy[None, :])
+    ratio = central / R
     tail_limit = params.beta2**2 / (n + params.beta2) ** 2
     delta = math.sqrt(max(float(ratio.max()), tail_limit))
 
     M = operator_rho_norm_bound(params, m, n, strip, grid_points)
     c = 1.0 + s * s  # sup of rho on the disc
-    w = weighted_modulus(fhat, delta, strip.S, grid_points)
+    w = lattice_moduli(Fs / norm, sregion, weighted=delta)["weighted"]
     rhs = c * c * (1.0 + M) * w.value
     return BoundReport(lhs=lhs, rhs=rhs, caveat=CAVEAT_FROZEN_WEIGHTED_MODULUS)

@@ -128,6 +128,10 @@ def test_non_finite_function_exits_2(tmp_path, monkeypatch, command):
     (["weighted", "--function", "rho_growth", "--epsilon", "nan"],
      "epsilon must be finite"),
     (["converge", "--A", "nan"], "A must be finite"),
+    (["check-thm41", "--function", "quad", "--M", "nan"], "M must be finite"),
+    (["check-thm41", "--function", "quad", "--M", "-1"], "M must be finite"),
+    (["check-thm41", "--function", "quad", "--rhs-scale", "nan"],
+     "rhs_scale must be finite"),
 ])
 def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
     code, out = run(tmp_path, *args)

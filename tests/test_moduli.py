@@ -18,7 +18,7 @@ from poslinops import (
     sample_lattice,
     weighted_modulus,
 )
-from poslinops.moduli import _offsets, _radius
+from poslinops.moduli import _radius, rho
 
 R1 = CompactRegion(1.0)
 
@@ -165,20 +165,41 @@ def test_subadditivity_closed_forms():
     assert r.holds
 
 
-def pair_loop_oracle(F, offsets):
-    """Largest |F[p + (di, dj)] - F[p]| over the offsets, one pass per offset."""
+def _offsets(delta, hx, hy, G):
+    """Offsets (di, dj) of length <= delta that fit in a G x G lattice.
+
+    Only one half-plane is enumerated (pairs are unordered).
+    """
+    rx, ry = _radius(delta, hx, G), _radius(delta, hy, G)
+    d2 = delta * delta * (1.0 + 1e-12)
+    out = []
+    for di in range(rx + 1):
+        for dj in range(1 if di == 0 else -ry, ry + 1):
+            if (di * hx) ** 2 + (dj * hy) ** 2 <= d2:
+                out.append((di, dj))
+    return out
+
+
+def pair_loop_oracle(F, offsets, R=None):
+    """Largest |F[p + (di, dj)] - F[p]| over the offsets, one pass per offset.
+
+    With R, each difference is divided by the smaller R of its two points.
+    """
     G = len(F)
     best = 0.0
     for di, dj in offsets:
-        a = F[di:, max(dj, 0):G + min(dj, 0)]
-        b = F[: G - di, max(-dj, 0):G - max(dj, 0)]
-        best = max(best, float(np.abs(a - b).max()))
+        p = np.s_[di:, max(dj, 0):G + min(dj, 0)]
+        q = np.s_[: G - di, max(-dj, 0):G - max(dj, 0)]
+        diff = np.abs(F[p] - F[q])
+        if R is not None:
+            diff = diff / np.minimum(R[p], R[q])
+        best = max(best, float(diff.max()))
     return best
 
 
 def table(F, name="table"):
     """A function whose lattice sample is the array F."""
-    return f2(lambda x, y: F, name=name)
+    return f2(lambda x, y: F, name=name, growth="rho_dominated", m_f=1.0)
 
 
 @st.composite
@@ -215,6 +236,9 @@ def test_window_moduli_equal_pair_loop(case):
     assert full_modulus(table(F), region, delta, G).value == full
     ex, ey = partial_moduli(table(F), region, delta, G)
     assert (ex.value, ey.value) == (along_x, along_y)
+    weighted = pair_loop_oracle(F, _offsets(delta, hx, hy, G),
+                                rho(xs[:, None], ys[None, :]))
+    assert weighted_modulus(table(F), delta, A, G).value == weighted
 
 
 def test_delta_past_lattice_takes_all_pairs():

@@ -1,5 +1,6 @@
 """Tests for the rho-weighted norms, operator bound and convergence checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -123,6 +124,22 @@ def test_check_theorem_5_3_lhs_shrinks():
         for m in (10, 40, 160)
     ]
     assert lhs[0] > lhs[1] > lhs[2]
+
+
+def test_check_theorem_5_3_samples_strip_once():
+    base = corpus_lookup("rho_growth").function
+    calls = []
+
+    def counted(x, y):
+        calls.append(np.broadcast(x, y).shape)
+        return base.eval(x, y)
+
+    f = dataclasses.replace(base, eval=counted)
+    rep = check_theorem_5_3(f, StancuParams(1, 1, 2, 2), 12, 9, 2.0,
+                            grid_points=61, policy=TIGHT)
+    # the strip lattice, the disc lattice and the operator's node grid
+    assert len(calls) == 3 and calls.count((61, 61)) == 2
+    assert rep.holds
 
 
 def test_check_theorem_5_3_validation():
