@@ -1,8 +1,15 @@
-"""Numerically stable Bernstein and Szasz (Poisson) weight evaluation.
+"""Bernstein and Szasz (Poisson) weight rows, built by one algorithm.
 
-Both weight families are probability vectors: the Bernstein weights are an
-exact partition of unity on [0, 1], the Szasz weights are a Poisson pmf whose
-infinite sum is truncated under a certified tail bound.
+A row obeys an exact ratio recurrence p[k+1] / p[k] = a / b[k]: a = x and
+b[k] = (1 - x)(k + 1)/(m - k) for Bernstein, a = ny and b[k] = k + 1 for
+Poisson.  Each row starts at p_mode = 1 and runs the recurrence outward from
+its mode, a / max(a, b[k]) upward and b[k] / max(a, b[k]) downward (each is 1
+on the far side of the mode), as two cumulative products over all rows at
+once; each row is then divided by its sum.  A Poisson row is built over a
+window [0, W) whose Chernoff bound P(X >= W) <= exp(-ny h(W/(ny) - 1)),
+h(u) = (1 + u) ln(1 + u) - u, is at most tail_tol * 2^-60; that bound joins
+the mass dropped past K in ``tail_bound``.  Weights below the smallest normal
+float are set to 0: subnormal operands slow the matrix products several-fold.
 """
 
 from __future__ import annotations
@@ -10,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-import mpmath
 import numpy as np
 
 
@@ -48,8 +54,8 @@ class TruncationPolicy:
 
 DEFAULT_POLICY = TruncationPolicy()
 
-# Weights smaller than this are flushed to zero once the mass target is met.
-_FLUSH = 1e-300
+_TINY = np.finfo(float).tiny
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -66,116 +72,120 @@ class WeightVector:
         return len(self.values)
 
 
-def bernstein_weights(m, x):
-    """Weights C(m, v) x^v (1-x)^(m-v), v = 0..m.
+def _mode_rows(a, b, lo, hi, widths=None):
+    """Rows p[i, k] / p[i, mode_i] from p[i, k+1] / p[i, k] = a[i] / b[i, k].
 
-    Uses exact binomial coefficients for m <= 64; for larger m the weight at
-    the mode is evaluated once in extended precision and the rest follow from
-    the exact ratio recurrence, which keeps the partition-of-unity deficit at
-    a few ulp even for m in the hundreds.
+    a has shape (G, 1) and b broadcasts to (G, W - 1); every mode lies in
+    [lo, hi].  With ``widths`` row i is cut to 0 from column widths[i] on.
     """
+    rows = np.empty((len(a), np.shape(b)[-1] + 1))
+    rows[:, : lo + 1] = 1.0
+    top = np.maximum(a, b)
+    np.divide(a, top[:, lo:], out=rows[:, lo + 1 :])
+    if widths is not None:
+        rows[np.arange(len(a)), widths] = 0.0
+    up = rows[:, lo:]
+    up.cumprod(axis=1, out=up)
+    down = np.divide(b[..., :hi], top[:, :hi], out=top[:, :hi])[:, ::-1]
+    down.cumprod(axis=1, out=down)
+    rows[:, :hi] *= down[:, ::-1]
+    return rows
+
+
+def _row_sums(rows):
+    """Row sums whose bits do not depend on how many zero columns pad a row.
+
+    Pairwise sums of _BLOCK-column blocks, then a pairwise sum of the block
+    sums zero-padded to a power-of-two count."""
+    blocks = rows.reshape(len(rows), -1, _BLOCK).sum(axis=2)
+    padded = np.zeros((len(rows), max(8, 1 << (blocks.shape[1] - 1).bit_length())))
+    padded[:, : blocks.shape[1]] = blocks
+    return padded.sum(axis=1)
+
+
+def bernstein_weight_matrix(m, xs):
+    """Weights C(m, v) x^v (1-x)^(m-v), v = 0..m, one row per x in xs."""
     if m < 1:
         raise DomainError(f"degree m must be >= 1, got {m}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must be in [0, 1], got {x}")
-
-    if x == 0.0:
-        values = np.zeros(m + 1)
-        values[0] = 1.0
-        return WeightVector(values)
-    if x == 1.0:
-        values = np.zeros(m + 1)
-        values[m] = 1.0
-        return WeightVector(values)
-
-    nu = np.arange(m + 1)
-    if m <= 64:
-        binom = np.array([math.comb(m, int(v)) for v in nu], dtype=float)
-        values = binom * x**nu * (1.0 - x) ** (m - nu)
-    else:
-        # anchor at the binomial mode, then p_{v+1} / p_v = (m-v)/(v+1) * x/(1-x)
-        mode = min(int((m + 1) * x), m)
-        with mpmath.workdps(40):
-            mx = mpmath.mpf(x)
-            p_mode = float(
-                mpmath.binomial(m, mode) * mx**mode * (1 - mx) ** (m - mode)
-            )
-        values = np.empty(m + 1)
-        values[mode] = p_mode
-        odds = x / (1.0 - x)
-        if mode > 0:
-            v = np.arange(mode, 0, -1)
-            down = np.cumprod(v / (m - v + 1.0) / odds)
-            values[mode - 1 :: -1] = p_mode * down
-        if mode < m:
-            v = np.arange(mode, m)
-            up = np.cumprod((m - v) / (v + 1.0) * odds)
-            values[mode + 1 :] = p_mode * up
-    return WeightVector(values)
+    x = np.asarray(xs, dtype=float)[:, None]
+    if not (x.min() >= 0.0 and x.max() <= 1.0):
+        bad = next(v for v in x[:, 0] if not 0.0 <= v <= 1.0)
+        raise DomainError(f"x must be in [0, 1], got {bad}")
+    b = (1.0 - x) * (np.arange(1.0, m + 1) / np.arange(m, 0.0, -1))
+    rows = _mode_rows(x, b, 0, m)
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows[rows < _TINY] = 0.0
+    return rows
 
 
-def _poisson_pmf_upto(rate, hi):
-    """Poisson pmf values for k = 0..hi-1, anchored at the mode.
+def bernstein_weights(m, x):
+    """The Bernstein weight row at one point x."""
+    return WeightVector(bernstein_weight_matrix(m, [x])[0])
 
-    The pmf at the mode is evaluated once in extended precision; the other
-    terms follow from the exact recurrence p_{k+1} = p_k * rate / (k + 1).
-    Direct log-space evaluation (k ln(rate) - rate - lgamma(k+1)) loses too
-    much absolute precision in the exponent for large rates to certify a
-    1e-12 tail.
+
+def _szasz_rows(n, ys, policy):
+    """Truncated Poisson rows, one per y, and their tail bounds.
+
+    Row i ends at K_i, the smallest index at or beyond ceil(ny) whose dropped
+    mass, counted inside the window plus the Chernoff bound past it, is at
+    most tail_tol; the matrix is as wide as the widest row.
     """
-    mode = min(int(rate), hi - 1)
-    with mpmath.workdps(40):
-        p_mode = float(mpmath.exp(
-            mode * mpmath.log(rate) - rate - mpmath.loggamma(mode + 1)
-        ))
-    values = np.empty(hi)
-    values[mode] = p_mode
-    if mode > 0:
-        down = np.cumprod(np.arange(mode, 0, -1) / rate)
-        values[mode - 1 :: -1] = p_mode * down
-    if mode < hi - 1:
-        up = np.cumprod(rate / np.arange(mode + 1, hi))
-        values[mode + 1 :] = p_mode * up
-    return values
+    if n < 1:
+        raise DomainError(f"degree n must be >= 1, got {n}")
+    ys = np.asarray(ys, dtype=float)
+    y_min, y_max = float(ys.min()), float(ys.max())
+    if not (y_min >= 0.0 and n * y_max < math.inf):
+        bad = next(y for y in ys.tolist() if not 0.0 <= n * y < math.inf)
+        raise DomainError(f"y must be >= 0 with n*y finite, got y = {bad} (n = {n})")
+    rate = n * ys
+    tol = policy.tail_tol
+    # Bernstein's inequality P(X >= rate + t) <= exp(-t^2 / (2 (rate + t/3)))
+    # sizes the window so that the Chernoff bound past it is <= tol * 2^-60.
+    L = math.log(2.0**60 / tol)
+    widths = np.minimum(np.ceil(rate + L / 3 + np.sqrt(L * L / 9 + 2 * L * rate)),
+                        policy.max_terms).astype(np.intp)
+    chernoff = np.exp(widths - rate + widths * np.log(np.maximum(rate, _TINY) / widths))
+    low = np.ceil(rate).astype(np.intp)
+    fail = (chernoff > tol) | (low >= widths)
+    if fail.any():
+        i = np.flatnonzero(fail)[0]
+        raise TruncationError(f"mass target 1 - {tol} not reached within "
+                              f"{policy.max_terms} terms (rate {rate[i]})",
+                              tail=float(chernoff[i]) if widths[i] > rate[i] else 1.0)
+
+    # The mode floor(rate) is exact (b[k] = k + 1 >= rate past it), so rows
+    # start from the lowest mode and stop the backward product at the highest.
+    lo, hi = int(n * y_min), int(n * y_max)
+    cols = (widths.max() // _BLOCK + 1) * _BLOCK
+    rows = _mode_rows(rate[:, None], np.arange(1.0, cols), lo, hi, widths)
+    total = _row_sums(rows)
+    # K_i lies in [low_i, widths_i): sum the mass past each column there only
+    g = np.arange(len(rows))
+    at = (g[:, None],
+          np.minimum(low[:, None] + np.arange((widths - low).max() + 1), cols - 1))
+    near = rows[at]
+    after = np.cumsum(near[:, :0:-1], axis=1)[:, ::-1] / total[:, None]
+    K = (after > (tol - chernoff)[:, None]).sum(axis=1)  # K_i - low_i
+    tail = after[g, K] + chernoff
+    near[np.arange(near.shape[1]) > K[:, None]] = 0.0
+    rows[at] = near
+    W = rows[:, : (low + K).max() + 1]
+    W /= total[:, None]
+    W[W < _TINY] = 0.0
+    return W, tail
+
+
+def szasz_weight_matrix(n, ys, policy=DEFAULT_POLICY):
+    """Truncated Poisson weights e^(-ny) (ny)^k / k!, one zero-padded row per y."""
+    return _szasz_rows(n, ys, policy)[0]
 
 
 def szasz_weights(n, y, policy=DEFAULT_POLICY):
     """Truncated Poisson weights e^(-ny) (ny)^k / k!, k = 0..K.
 
     K is the smallest index at or beyond the Poisson mode ceil(ny) such that
-    the accumulated mass reaches 1 - tail_tol, capped at policy.max_terms.
+    the accumulated mass reaches 1 - tail_tol, capped at policy.max_terms;
+    ``tail_bound`` bounds the mass past K.
     """
-    if n < 1:
-        raise DomainError(f"degree n must be >= 1, got {n}")
-    if y < 0.0:
-        raise DomainError(f"y must be >= 0, got {y}")
-
-    if y == 0.0:
-        return WeightVector(np.array([1.0]))
-
-    rate = n * y
-    mode = int(math.ceil(rate))
-    target = 1.0 - policy.tail_tol
-
-    # Beyond the mode the pmf decays at least geometrically, so a window of
-    # a few standard deviations past the mode almost always suffices.
-    hi = min(int(mode + 10.0 * math.sqrt(rate) + 20.0), policy.max_terms)
-    while True:
-        values = _poisson_pmf_upto(rate, hi)
-        mass = np.cumsum(values)
-        eligible = np.nonzero((mass >= target) & (np.arange(hi) >= mode))[0]
-        if eligible.size:
-            K = int(eligible[0])
-            break
-        if hi >= policy.max_terms:
-            raise TruncationError(
-                f"mass target 1 - {policy.tail_tol} not reached within "
-                f"{policy.max_terms} terms (rate {rate})",
-                tail=float(1.0 - mass[-1]),
-            )
-        hi = min(2 * hi, policy.max_terms)
-
-    values = values[: K + 1]
-    values[values < _FLUSH] = 0.0
-    tail = max(0.0, 1.0 - float(mass[K]))
-    return WeightVector(values, tail_bound=tail)
+    W, tail = _szasz_rows(n, [y], policy)
+    return WeightVector(W[0], tail_bound=float(tail[0]))

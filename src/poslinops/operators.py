@@ -18,9 +18,9 @@ import numpy as np
 from .basis import (
     DEFAULT_POLICY,
     DomainError,
-    bernstein_weights,
+    bernstein_weight_matrix,
     require_positive,
-    szasz_weights,
+    szasz_weight_matrix,
 )
 
 
@@ -164,19 +164,6 @@ def lattice_error(f, L, F):
     return np.abs(_require_finite(label, L, "lattice points") - F)
 
 
-def bernstein_weight_matrix(m, xs):
-    return np.vstack([bernstein_weights(m, float(x)).values for x in xs])
-
-
-def szasz_weight_matrix(n, ys, policy=DEFAULT_POLICY):
-    rows = [szasz_weights(n, float(y), policy) for y in ys]
-    width = max(len(r) for r in rows)
-    W = np.zeros((len(rows), width))
-    for i, r in enumerate(rows):
-        W[i, : len(r)] = r.values
-    return W
-
-
 def weights_and_nodes(params, m, n, xs, ys, policy=DEFAULT_POLICY,
                       family=KernelFamily.BERNSTEIN_SZASZ):
     """Weight matrices WX, WY (one row per point) and the shifted nodes tx, ty.
@@ -236,30 +223,32 @@ def _moment_tau2(params, n, y):
     return (n * n * y * y + (2 * a + 1) * n * y + a * a) / (n + b) ** 2
 
 
+def _finite_in_y(value, n, p):
+    if not np.isfinite(value):
+        raise DomainError(f"y must give finite moments, got y = {p.y} (n = {n})")
+    return value
+
+
 def moments_closed_form(params, m, n, p):
     """Closed-form operator moments of 1, t, tau and t^2 + tau^2.
 
     The tau moment is (n y + alpha2)/(n + beta2): linear in y, confirmed
-    against the direct double-summation oracle.
+    against the direct double-summation oracle.  Raises DomainError naming y
+    when a moment is not finite.
     """
-    return MomentSet(
-        one=1.0,
-        t=float(_moment_t(params, m, p.x)),
-        tau=float(_moment_tau(params, n, p.y)),
-        t2_plus_tau2=float(_moment_t2(params, m, p.x) + _moment_tau2(params, n, p.y)),
-    )
+    with np.errstate(over="ignore"):
+        tau = float(_moment_tau(params, n, p.y))
+        tau2 = float(_moment_t2(params, m, p.x) + _moment_tau2(params, n, p.y))
+    return MomentSet(one=1.0, t=float(_moment_t(params, m, p.x)),
+                     tau=_finite_in_y(tau, n, p),
+                     t2_plus_tau2=_finite_in_y(tau2, n, p))
 
 
 def second_central_moment(params, m, n, p):
     """Operator value on (t - x)^2 + (tau - y)^2, assembled from moments."""
     mom = moments_closed_form(params, m, n, p)
-    return (
-        mom.t2_plus_tau2
-        - 2.0 * p.x * mom.t
-        - 2.0 * p.y * mom.tau
-        + p.x * p.x
-        + p.y * p.y
-    )
+    return _finite_in_y(mom.t2_plus_tau2 - 2.0 * p.x * mom.t - 2.0 * p.y * mom.tau
+                        + p.x * p.x + p.y * p.y, n, p)
 
 
 def second_central_moment_grid(params, m, n, xs, ys):

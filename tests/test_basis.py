@@ -3,17 +3,23 @@
 import math
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
 import mpmath
 import numpy as np
 import pytest
 
 from poslinops import (
+    DEFAULT_POLICY,
     DomainError,
     TruncationError,
     TruncationPolicy,
     bernstein_weights,
     szasz_weights,
 )
+from poslinops.basis import bernstein_weight_matrix, szasz_weight_matrix
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
 
 
 def test_bernstein_m2_half():
@@ -125,6 +131,11 @@ def test_szasz_domain_errors():
         szasz_weights(0, 1.0)
     with pytest.raises(DomainError):
         szasz_weights(5, -0.5)
+    for y in (float("nan"), float("inf"), 1e308):  # 1e308: n*y overflows
+        with pytest.raises(DomainError, match="^y must be"):
+            szasz_weights(10, y)
+    with pytest.raises(DomainError, match="^y must be"):
+        szasz_weight_matrix(10, [0.5, float("nan")])
 
 
 def test_policy_validation():
@@ -134,3 +145,81 @@ def test_policy_validation():
         TruncationPolicy(tail_tol=1.5)
     with pytest.raises(DomainError):
         TruncationPolicy(max_terms=0)
+
+
+# Rows share one algorithm: the exact ratio recurrence run outward from the
+# mode and divided by the row sum.  x includes the edges; n*y covers [0, 1e4].
+unit_x = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+rates = st.one_of(st.just(0.0), st.floats(0.0, 1e4))
+ROW_SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                        max_examples=150)
+
+
+@ROW_SETTINGS
+@given(m=st.integers(1, 2000), xs=st.lists(unit_x, min_size=1, max_size=4))
+def test_bernstein_rows_properties(m, xs):
+    W = bernstein_weight_matrix(m, xs)
+    assert W.shape == (len(xs), m + 1)
+    assert (W >= 0.0).all()
+    assert not ((0.0 < W) & (W < TINY)).any()  # subnormals slow the BLAS products
+    assert np.all(np.abs(W.sum(axis=1) - 1.0) <= 4 * EPS)
+    for i, x in enumerate(xs):
+        assert W[i].tobytes() == bernstein_weights(m, x).values.tobytes()
+
+
+@ROW_SETTINGS
+@given(n=st.integers(1, 2000), rs=st.lists(rates, min_size=1, max_size=4))
+def test_szasz_rows_properties(n, rs):
+    ys = [r / n for r in rs]
+    W = szasz_weight_matrix(n, ys)
+    for i, y in enumerate(ys):
+        w = szasz_weights(n, y)
+        K = len(w) - 1
+        assert W[i, : K + 1].tobytes() == w.values.tobytes()
+        assert not W[i, K + 1 :].any()
+        assert (w.values >= 0.0).all()
+        assert not ((0.0 < w.values) & (w.values < TINY)).any()
+        assert abs(w.values.sum() - (1.0 - w.tail_bound)) <= 4 * EPS
+        assert w.tail_bound <= DEFAULT_POLICY.tail_tol
+        with mpmath.workdps(50):
+            dropped = mpmath.gammainc(K + 1, 0, mpmath.mpf(n * y), regularized=True)
+        assert w.tail_bound >= float(dropped) - 1e-15
+
+
+def _mp_row(first, ratio, length):
+    """first, first * ratio(0), ... in the current mpmath precision."""
+    out = [first]
+    for k in range(length - 1):
+        out.append(out[-1] * ratio(k))
+    return out
+
+
+def _assert_rel(got, exact, rtol, floor=1e-280):
+    for k, want in enumerate(exact):
+        if want >= floor:
+            assert abs(got[k] - want) <= rtol * want, (k, got[k], float(want))
+
+
+# Against 50-digit mpmath the weights hold 1e-12 relative on every entry of
+# at least 1e-280 (the Poisson rate is n*y as a float, as the builder gets it).
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(m=st.integers(1, 2000), x=st.floats(0.0, 1.0, exclude_min=True,
+                                           exclude_max=True))
+def test_bernstein_weights_against_mpmath(m, x):
+    got = bernstein_weights(m, x).values
+    with mpmath.workdps(50):
+        xm = mpmath.mpf(x)
+        exact = _mp_row((1 - xm) ** m,
+                        lambda k: (m - k) * xm / ((k + 1) * (1 - xm)), m + 1)
+    _assert_rel(got, exact, 1e-12)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(n=st.integers(1, 2000), r=st.floats(1e-3, 1e4))
+def test_szasz_weights_against_mpmath(n, r):
+    y = r / n
+    got = szasz_weights(n, y).values
+    with mpmath.workdps(50):
+        rate = mpmath.mpf(n * y)
+        exact = _mp_row(mpmath.exp(-rate), lambda k: rate / (k + 1), len(got))
+    _assert_rel(got, exact, 1e-12)

@@ -132,6 +132,9 @@ def test_non_finite_function_exits_2(tmp_path, monkeypatch, command):
     (["check-thm41", "--function", "quad", "--M", "-1"], "M must be finite"),
     (["check-thm41", "--function", "quad", "--rhs-scale", "nan"],
      "rhs_scale must be finite"),
+    (["eval", "--y", "1e308"], "y must be >= 0 with n*y finite"),
+    (["rth", "--y", "1e308"], "y must be >= 0 with n*y finite"),
+    (["moments", "--y", "1e308"], "y must give finite moments"),
 ])
 def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
     code, out = run(tmp_path, *args)

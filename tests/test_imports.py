@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import poslinops
 
 
-def test_import_loads_no_scipy():
+@pytest.mark.parametrize("package", ["scipy", "mpmath"])
+def test_import_loads_no_scipy(package):
     src = os.path.dirname(os.path.dirname(os.path.abspath(poslinops.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -15,7 +18,7 @@ def test_import_loads_no_scipy():
     )
     code = (
         "import poslinops, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
