@@ -5,11 +5,19 @@ b[k] = (1 - x)(k + 1)/(m - k) for Bernstein, a = ny and b[k] = k + 1 for
 Poisson.  Each row starts at p_mode = 1 and runs the recurrence outward from
 its mode, a / max(a, b[k]) upward and b[k] / max(a, b[k]) downward (each is 1
 on the far side of the mode), as two cumulative products over all rows at
-once; each row is then divided by its sum.  A Poisson row is built over a
-window [0, W) whose Chernoff bound P(X >= W) <= exp(-ny h(W/(ny) - 1)),
-h(u) = (1 + u) ln(1 + u) - u, is at most tail_tol * 2^-60; that bound joins
-the mass dropped past K in ``tail_bound``.  Weights below the smallest normal
-float are set to 0: subnormal operands slow the matrix products several-fold.
+once; each row is then divided by its sum.  The recurrence needs no anchor,
+so a row can be built over any column range [lo, hi) that holds its mode.
+
+A row's window is [mean - t, mean + t] with t = L/3 + sqrt(L^2/9 + 2 L var),
+L = ln(2^60 / tail_tol) and var = m x(1 - x) (Bernstein) or ny (Poisson):
+by Bernstein's inequality the mass on either side of it is at most
+e^-L = tail_tol * 2^-60.  A Poisson row is built up to the window's right
+edge W, where the Chernoff bound P(X >= W) <= exp(-ny h(W/(ny) - 1)),
+h(u) = (1 + u) ln(1 + u) - u, joins the mass dropped past K in
+``tail_bound``.  The band builders cover only the union of their rows'
+windows (for Bernstein rows, less its columns of zeros: a row at x = 0 or 1
+has one nonzero weight).  Weights below the smallest normal float are set to
+0: subnormal operands slow the matrix products several-fold.
 """
 
 from __future__ import annotations
@@ -103,19 +111,59 @@ def _row_sums(rows):
     return padded.sum(axis=1)
 
 
-def bernstein_weight_matrix(m, xs):
-    """Weights C(m, v) x^v (1-x)^(m-v), v = 0..m, one row per x in xs."""
+def _window(mean, var, tol):
+    """Each row's window edges: at most tol * 2^-60 of its mass on each side.
+
+    Bernstein's inequality P(|X - mean| >= t) <= exp(-t^2 / (2 (var + t/3)))
+    on each side, for sums of independent variables within 1 of their means.
+    """
+    L = math.log(2.0**60 / tol)
+    s = np.sqrt(L * L / 9 + 2 * L * var)
+    return mean - L / 3 - s, mean + L / 3 + s
+
+
+def _bernstein_rows(m, xs, band_tol=None):
+    """Bernstein rows over columns [lo, hi), and lo.
+
+    The range is [0, m + 1), or with ``band_tol`` the union of the rows'
+    windows for that tolerance.
+    """
     if m < 1:
         raise DomainError(f"degree m must be >= 1, got {m}")
     x = np.asarray(xs, dtype=float)[:, None]
-    if not (x.min() >= 0.0 and x.max() <= 1.0):
+    x_min, x_max = float(x.min()), float(x.max())
+    if not (x_min >= 0.0 and x_max <= 1.0):
         bad = next(v for v in x[:, 0] if not 0.0 <= v <= 1.0)
         raise DomainError(f"x must be in [0, 1], got {bad}")
-    b = (1.0 - x) * (np.arange(1.0, m + 1) / np.arange(m, 0.0, -1))
-    rows = _mode_rows(x, b, 0, m)
+    lo, hi = 0, m + 1
+    if band_tol is not None:
+        # A left window edge grows with x where it is >= 0, and a right edge
+        # where it is <= m: the rows at x_min and x_max bound the union.
+        left = _window(m * x_min, m * x_min * (1.0 - x_min), band_tol)[0]
+        right = _window(m * x_max, m * x_max * (1.0 - x_max), band_tol)[1]
+        lo, hi = max(math.floor(left), 0), min(math.ceil(right), m + 1)
+    b = (1.0 - x) * (np.arange(lo + 1.0, hi) / np.arange(m - lo, m - hi + 1.0, -1))
+    rows = _mode_rows(x, b, 0, hi - lo - 1)
     rows /= rows.sum(axis=1, keepdims=True)
     rows[rows < _TINY] = 0.0
-    return rows
+    return rows, lo
+
+
+def bernstein_weight_matrix(m, xs):
+    """Weights C(m, v) x^v (1-x)^(m-v), v = 0..m, one row per x in xs."""
+    return _bernstein_rows(m, xs)[0]
+
+
+def bernstein_band_matrix(m, xs, policy=DEFAULT_POLICY):
+    """Bernstein rows over their band [lo, hi), and lo.
+
+    The band is the union of the rows' windows, less its columns of zeros;
+    each row drops at most policy.tail_tol * 2^-60 of its mass on each side.
+    """
+    rows, lo = _bernstein_rows(m, xs, policy.tail_tol)
+    nonzero = rows.any(axis=0)
+    a, b = int(nonzero.argmax()), len(nonzero) - int(nonzero[::-1].argmax())
+    return rows[:, a:b], lo + a
 
 
 def bernstein_weights(m, x):
@@ -123,12 +171,13 @@ def bernstein_weights(m, x):
     return WeightVector(bernstein_weight_matrix(m, [x])[0])
 
 
-def _szasz_rows(n, ys, policy):
-    """Truncated Poisson rows, one per y, and their tail bounds.
+def _szasz_rows(n, ys, policy, band=False):
+    """Truncated Poisson rows, one per y, their tail bounds and first column.
 
     Row i ends at K_i, the smallest index at or beyond ceil(ny) whose dropped
     mass, counted inside the window plus the Chernoff bound past it, is at
-    most tail_tol; the matrix is as wide as the widest row.
+    most tail_tol; the matrix is as wide as the widest row.  Rows start at
+    column 0, or with ``band`` at the leftmost window edge.
     """
     if n < 1:
         raise DomainError(f"degree n must be >= 1, got {n}")
@@ -139,11 +188,8 @@ def _szasz_rows(n, ys, policy):
         raise DomainError(f"y must be >= 0 with n*y finite, got y = {bad} (n = {n})")
     rate = n * ys
     tol = policy.tail_tol
-    # Bernstein's inequality P(X >= rate + t) <= exp(-t^2 / (2 (rate + t/3)))
-    # sizes the window so that the Chernoff bound past it is <= tol * 2^-60.
-    L = math.log(2.0**60 / tol)
-    widths = np.minimum(np.ceil(rate + L / 3 + np.sqrt(L * L / 9 + 2 * L * rate)),
-                        policy.max_terms).astype(np.intp)
+    left, right = _window(rate, rate, tol)
+    widths = np.minimum(np.ceil(right), policy.max_terms).astype(np.intp)
     chernoff = np.exp(widths - rate + widths * np.log(np.maximum(rate, _TINY) / widths))
     low = np.ceil(rate).astype(np.intp)
     fail = (chernoff > tol) | (low >= widths)
@@ -155,29 +201,42 @@ def _szasz_rows(n, ys, policy):
 
     # The mode floor(rate) is exact (b[k] = k + 1 >= rate past it), so rows
     # start from the lowest mode and stop the backward product at the highest.
-    lo, hi = int(n * y_min), int(n * y_max)
-    cols = (widths.max() // _BLOCK + 1) * _BLOCK
-    rows = _mode_rows(rate[:, None], np.arange(1.0, cols), lo, hi, widths)
+    # Local column c is global column start + c.
+    start = max(math.floor(left.min()), 0) if band else 0
+    lo, hi = int(n * y_min) - start, int(n * y_max) - start
+    cols = ((widths.max() - start) // _BLOCK + 1) * _BLOCK
+    rows = _mode_rows(rate[:, None], np.arange(start + 1.0, start + cols), lo, hi,
+                      widths - start)
     total = _row_sums(rows)
     # K_i lies in [low_i, widths_i): sum the mass past each column there only
     g = np.arange(len(rows))
-    at = (g[:, None],
-          np.minimum(low[:, None] + np.arange((widths - low).max() + 1), cols - 1))
+    at = (g[:, None], np.minimum(low[:, None] - start
+                                 + np.arange((widths - low).max() + 1), cols - 1))
     near = rows[at]
     after = np.cumsum(near[:, :0:-1], axis=1)[:, ::-1] / total[:, None]
     K = (after > (tol - chernoff)[:, None]).sum(axis=1)  # K_i - low_i
     tail = after[g, K] + chernoff
     near[np.arange(near.shape[1]) > K[:, None]] = 0.0
     rows[at] = near
-    W = rows[:, : (low + K).max() + 1]
+    W = rows[:, : (low + K).max() + 1 - start]
     W /= total[:, None]
     W[W < _TINY] = 0.0
-    return W, tail
+    return W, tail, start
 
 
 def szasz_weight_matrix(n, ys, policy=DEFAULT_POLICY):
     """Truncated Poisson weights e^(-ny) (ny)^k / k!, one zero-padded row per y."""
     return _szasz_rows(n, ys, policy)[0]
+
+
+def szasz_band_matrix(n, ys, policy=DEFAULT_POLICY):
+    """szasz_weight_matrix from the leftmost window edge lo on, and lo.
+
+    Each row drops at most policy.tail_tol * 2^-60 of its mass left of its
+    window, besides the truncated tail past K.
+    """
+    W, _, start = _szasz_rows(n, ys, policy, band=True)
+    return W, start
 
 
 def szasz_weights(n, y, policy=DEFAULT_POLICY):
@@ -187,5 +246,5 @@ def szasz_weights(n, y, policy=DEFAULT_POLICY):
     the accumulated mass reaches 1 - tail_tol, capped at policy.max_terms;
     ``tail_bound`` bounds the mass past K.
     """
-    W, tail = _szasz_rows(n, [y], policy)
+    W, tail, _ = _szasz_rows(n, [y], policy)
     return WeightVector(W[0], tail_bound=float(tail[0]))

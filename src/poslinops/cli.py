@@ -33,7 +33,7 @@ from .weighted import (
     WeightSpec,
     check_theorem_5_2,
     check_theorem_5_3,
-    operator_rho_norm_bound,
+    rho_norm_bounds,
 )
 
 COMMANDS = (
@@ -152,16 +152,22 @@ def _run(cfg):
                  rep.margin, rep.holds, rep.caveat]]
     elif command == "weighted":
         strip = TruncatedStrip(cfg["S"])
-        bound = operator_rho_norm_bound(params, m, n, strip, G)
+        rated = f.growth == "rho_dominated"
+        bounds = rho_norm_bounds(params, [(m, n)] + (schedule if rated else []),
+                                 strip, G)
         header = ["row", "m", "n", "value", "holds", "caveat"]
-        rows = [["rho_norm_bound", m, n, bound, True, "none"]]
-        if f.growth == "rho_dominated":
+        rows = [["rho_norm_bound", m, n, bounds[m, n], True, "none"]]
+        if rated:
+            # one strip sample and one bound per (m, n) serve both theorems
+            sample = sample_lattice(f, CompactRegion(strip.S), G)
             w1 = WeightSpec("rho1_power", cfg["epsilon"])
-            ests = check_theorem_5_2(f, params, schedule, w1, strip, G, policy)
+            ests = check_theorem_5_2(f, params, schedule, w1, strip, G, policy,
+                                     sample, bounds)
             for (mm, nn), v in zip(schedule, ests):
                 rows.append(["thm52_estimate", mm, nn, v, True, "none"])
             rep = _scaled(
-                check_theorem_5_3(f, params, m, n, cfg["s"], G, policy, strip),
+                check_theorem_5_3(f, params, m, n, cfg["s"], G, policy, strip,
+                                  sample, bounds[m, n]),
                 scale,
             )
             reports.append(rep)

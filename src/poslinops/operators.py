@@ -18,9 +18,9 @@ import numpy as np
 from .basis import (
     DEFAULT_POLICY,
     DomainError,
-    bernstein_weight_matrix,
+    bernstein_band_matrix,
     require_positive,
-    szasz_weight_matrix,
+    szasz_band_matrix,
 )
 
 
@@ -166,18 +166,24 @@ def lattice_error(f, L, F):
 
 def weights_and_nodes(params, m, n, xs, ys, policy=DEFAULT_POLICY,
                       family=KernelFamily.BERNSTEIN_SZASZ):
-    """Weight matrices WX, WY (one row per point) and the shifted nodes tx, ty.
+    """Weight matrices WX, WY (one row per point) and their nodes tx, ty.
 
-    WX has m + 1 columns; WY has n + 1 columns for the Bernstein y-family and
-    the widest truncated Poisson row for the Szasz y-family.
+    Each matrix covers only its band, the union of its rows' windows: a row
+    holds all but at most policy.tail_tol * 2^-60 of its mass on each side of
+    its window (``basis``), and a Szasz row still ends at its truncation
+    index K.  For one point the band is the point's own; on a lattice, which
+    holds x = 0, x = 1 and y = 0, it is every column, as with the full rows.
+    Rows are normalized over the band, which moves an operator value by at
+    most 4 * tail_tol * 2^-60 * (sup f - inf f) over the full node lattice,
+    beyond rounding.
     """
-    WX = bernstein_weight_matrix(m, xs)
+    WX, a = bernstein_band_matrix(m, xs, policy)
     if family is KernelFamily.BERNSTEIN_SZASZ:
-        WY = szasz_weight_matrix(n, ys, policy)
+        WY, b = szasz_band_matrix(n, ys, policy)
     else:
-        WY = bernstein_weight_matrix(n, ys)
-    tx = (np.arange(m + 1) + params.alpha1) / (m + params.beta1)
-    ty = (np.arange(WY.shape[1]) + params.alpha2) / (n + params.beta2)
+        WY, b = bernstein_band_matrix(n, ys, policy)
+    tx = (np.arange(a, a + WX.shape[1]) + params.alpha1) / (m + params.beta1)
+    ty = (np.arange(b, b + WY.shape[1]) + params.alpha2) / (n + params.beta2)
     return WX, WY, tx, ty
 
 
@@ -245,18 +251,24 @@ def moments_closed_form(params, m, n, p):
 
 
 def second_central_moment(params, m, n, p):
-    """Operator value on (t - x)^2 + (tau - y)^2, assembled from moments."""
-    mom = moments_closed_form(params, m, n, p)
-    return _finite_in_y(mom.t2_plus_tau2 - 2.0 * p.x * mom.t - 2.0 * p.y * mom.tau
-                        + p.x * p.x + p.y * p.y, n, p)
+    """Operator value on (t - x)^2 + (tau - y)^2 at the point p."""
+    with np.errstate(over="ignore"):
+        value = float(second_central_moment_grid(params, m, n, [p.x], [p.y])[0, 0])
+    return _finite_in_y(value, n, p)
 
 
 def second_central_moment_grid(params, m, n, xs, ys):
-    """second_central_moment on the tensor grid xs x ys (vectorized)."""
+    """Operator value on (t - x)^2 + (tau - y)^2 on the tensor grid xs x ys.
+
+    Each axis is its variance plus its squared bias, so no digits cancel:
+    (m x(1-x) + (alpha1 - beta1 x)^2) / (m + beta1)^2 + the same in y with
+    variance n y.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    cx = _moment_t2(params, m, xs) - 2.0 * xs * _moment_t(params, m, xs) + xs * xs
-    cy = _moment_tau2(params, n, ys) - 2.0 * ys * _moment_tau(params, n, ys) + ys * ys
+    a1, b1, a2, b2 = params.alpha1, params.beta1, params.alpha2, params.beta2
+    cx = (m * xs * (1.0 - xs) + (a1 - b1 * xs) ** 2) / (m + b1) ** 2
+    cy = (n * ys + (a2 - b2 * ys) ** 2) / (n + b2) ** 2
     return cx[:, None] + cy[None, :]
 
 

@@ -79,39 +79,51 @@ def operator_rho_norm_bound(params, m, n, strip, grid_points=201):
     return 1.0 + max(float(ratio.max()), tail_limit)
 
 
+def rho_norm_bounds(params, pairs, strip, grid_points=201):
+    """operator_rho_norm_bound once per distinct (m, n) in pairs, as a dict."""
+    return {mn: operator_rho_norm_bound(params, *mn, strip, grid_points)
+            for mn in dict.fromkeys(pairs)}
+
+
 def check_theorem_5_2(f, params, schedule, weight1, strip, grid_points=201,
-                      policy=DEFAULT_POLICY):
+                      policy=DEFAULT_POLICY, sample=None, bounds=None):
     """Certified ||Lf - f||_rho1 estimates along an (m, n) schedule.
 
     Each entry is a strip grid estimate plus a tail certificate for y > S:
     |Lf - f| <= M_f (||L|| + 1) rho there, and rho / rho1 <= (1 + S^2)^-eps.
+    ``sample`` (f on the strip lattice, as sample_lattice returns it) and
+    ``bounds`` (rho_norm_bounds over the schedule) are computed if not given.
     """
     if f.growth != "rho_dominated" or f.m_f is None:
         raise DomainError("check_theorem_5_2 needs rho_dominated growth with m_f")
     if weight1.kind != "rho1_power":
         raise DomainError("weight1 must be a rho1_power weight")
-    xs, ys, F = sample_lattice(f, CompactRegion(strip.S), grid_points)
+    if sample is None:
+        sample = sample_lattice(f, CompactRegion(strip.S), grid_points)
+    if bounds is None:
+        bounds = rho_norm_bounds(params, schedule, strip, grid_points)
+    xs, ys, F = sample
     R1 = weight1(xs[:, None], ys[None, :])
     decay = (1.0 + strip.S**2) ** (-weight1.epsilon)
     out = []
     for m, n in schedule:
         L = apply_on_grid(f, params, m, n, xs, ys, policy)
         strip_part = float(np.max(lattice_error(f, L, F) / R1))
-        bound = operator_rho_norm_bound(params, m, n, strip, grid_points)
-        tail_part = (f.m_f * bound + f.m_f) * decay
+        tail_part = (f.m_f * bounds[m, n] + f.m_f) * decay
         out.append(strip_part + tail_part)
     return out
 
 
 def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY,
-                      strip=None):
+                      strip=None, sample=None, rho_norm_bound=None):
     """Weighted-modulus rate bound on the disc x^2 + y^2 <= s^2.
 
     f is rescaled to unit rho-norm.  delta^2 is the rho-weighted sup of the
     second central moment (strip grid max plus analytic tail limit); the
     constant is c^2 (1 + M) with c = sup of rho on the disc and M the uniform
     operator-norm surrogate.  The weighted modulus uses the frozen grid
-    definition, flagged by a caveat.
+    definition, flagged by a caveat.  ``sample`` (f on the strip lattice)
+    and ``rho_norm_bound`` (M) are computed if not given.
     """
     if f.growth != "rho_dominated":
         raise DomainError("check_theorem_5_3 needs rho_dominated growth")
@@ -121,7 +133,9 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
 
     # one strip sample gives the rho-norm, the unit-norm sample and its modulus
     sregion = CompactRegion(strip.S)
-    sx, sy, Fs = sample_lattice(f, sregion, grid_points)
+    if sample is None:
+        sample = sample_lattice(f, sregion, grid_points)
+    sx, sy, Fs = sample
     R = rho(sx[:, None], sy[None, :])
     norm = float(np.max(np.abs(Fs) / R))
     if norm == 0.0:
@@ -144,7 +158,9 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
     tail_limit = params.beta2**2 / (n + params.beta2) ** 2
     delta = math.sqrt(max(float(ratio.max()), tail_limit))
 
-    M = operator_rho_norm_bound(params, m, n, strip, grid_points)
+    M = rho_norm_bound
+    if M is None:
+        M = operator_rho_norm_bound(params, m, n, strip, grid_points)
     c = 1.0 + s * s  # sup of rho on the disc
     w = lattice_moduli(Fs / norm, sregion, weighted=delta)["weighted"]
     rhs = c * c * (1.0 + M) * w.value

@@ -1,5 +1,6 @@
 """Tests for the experiment harness: configs, CSV/JSON output, exit codes."""
 
+import dataclasses
 import json
 import os
 
@@ -10,11 +11,16 @@ from poslinops import (
     CompactRegion,
     CorpusEntry,
     Function2D,
+    StancuParams,
+    TruncatedStrip,
+    WeightSpec,
     __version__,
+    check_theorem_5_2,
+    check_theorem_5_3,
     corpus_lookup,
     sample_lattice,
 )
-from poslinops import cli
+from poslinops import cli, weighted
 from poslinops.cli import main, resolve_config
 
 
@@ -56,6 +62,15 @@ def test_moments_command(tmp_path):
     row = dict(zip(header, rows[0]))
     assert float(row["t"]) == pytest.approx(0.5)
     assert float(row["tau"]) == pytest.approx(11.0 / 12.0)
+
+
+def test_moments_command_central_without_cancellation(tmp_path):
+    code, out = run(tmp_path, "moments", "--m", "10", "--n", "10", "--x", "0.5",
+                    "--y", "1e153")
+    assert code == 0
+    header, rows = read_csv(out)
+    central = float(rows[0][header.index("central")])
+    assert central == pytest.approx(0.025 + 1e152, rel=1e-14)
 
 
 def test_modulus_command(tmp_path):
@@ -197,6 +212,36 @@ def test_weighted_command(tmp_path):
     assert "thm52_estimate" in labels
     assert "thm53_margin" in labels
     assert "rhs_uses_frozen_weighted_modulus" in sidecar(out)["caveats"]
+
+
+def test_weighted_computes_each_input_once(tmp_path, monkeypatch):
+    """One strip sample and one rho-norm bound per (m, n); same CSV values."""
+    base = corpus_lookup("rho_growth").function
+    calls = []
+    entry = CorpusEntry(function=dataclasses.replace(
+        base, eval=lambda x, y: calls.append(np.max(y)) or base.eval(x, y)))
+    monkeypatch.setattr(cli, "corpus_lookup", lambda name: entry)
+    bound_args = []
+    bound = weighted.operator_rho_norm_bound
+
+    def counted_bound(params, m, n, strip, grid_points=201):
+        bound_args.append((m, n))
+        return bound(params, m, n, strip, grid_points)
+
+    monkeypatch.setattr(weighted, "operator_rho_norm_bound", counted_bound)
+    code, out = run(tmp_path, "weighted", "--function", "rho_growth",
+                    "--m", "40", "--n", "40", "--grid", "51")
+    assert code == 0
+    assert sorted(bound_args) == [(10, 10), (20, 20), (40, 40), (80, 80), (160, 160)]
+    assert calls.count(50.0) == 1  # the strip [0, 1] x [0, 50]
+
+    # the values the checks give when each computes its own inputs
+    params, strip = StancuParams(), TruncatedStrip(50.0)
+    schedule = [(v, v) for v in (10, 20, 40, 80, 160)]
+    want = [bound(params, 40, 40, strip, 51), *check_theorem_5_2(
+        base, params, schedule, WeightSpec("rho1_power", 0.5), strip, 51),
+        check_theorem_5_3(base, params, 40, 40, 2.0, 51, strip=strip).margin]
+    assert [row[3] for row in read_csv(out)[1]] == [cli._fmt(v) for v in want]
 
 
 def test_config_file_with_flag_override(tmp_path):

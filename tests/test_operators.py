@@ -17,6 +17,7 @@ from poslinops import (
     korovkin_gaps,
     moments_closed_form,
     second_central_moment,
+    second_central_moment_grid,
     stancu_node,
     sup_error_on_grid,
 )
@@ -147,6 +148,18 @@ def test_second_central_moment_oracle():
     assert second_central_moment(params, 10, 10, p) == pytest.approx(
         direct, abs=1e-10
     )
+
+
+@pytest.mark.parametrize("y", [1e-300, 1e-3, 1.0, 1e4, 1e8, 1e12, 1e153])
+@pytest.mark.parametrize("m, n, x", [(10, 10, 0.5), (7, 3, 0.3), (1000, 1, 0.999),
+                                     (1, 5000, 0.0), (64, 65, 1.0)])
+def test_second_central_moment_without_cancellation(m, n, x, y):
+    # at alpha = beta = 0 the moment is x(1-x)/m + y/n
+    want = x * (1.0 - x) / m + y / n
+    got = second_central_moment(StancuParams(), m, n, Point2D(x, y))
+    assert abs(got - want) <= 1e-14 * want
+    grid = second_central_moment_grid(StancuParams(), m, n, [0.25, x], [y, 2.0])
+    assert grid[1, 0] == got
 
 
 def test_second_central_moment_nonnegative():
