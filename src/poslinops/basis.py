@@ -174,10 +174,11 @@ def bernstein_weights(m, x):
 def _szasz_rows(n, ys, policy, band=False):
     """Truncated Poisson rows, one per y, their tail bounds and first column.
 
-    Row i ends at K_i, the smallest index at or beyond ceil(ny) whose dropped
-    mass, counted inside the window plus the Chernoff bound past it, is at
-    most tail_tol; the matrix is as wide as the widest row.  Rows start at
-    column 0, or with ``band`` at the leftmost window edge.
+    Row i ends at K_i, the smallest index at or beyond ceil(ny) (0 when ny is
+    below the smallest normal float) whose dropped mass, counted inside the
+    window plus the Chernoff bound past it, is at most tail_tol; the matrix
+    is as wide as the widest row.  Rows start at column 0, or with ``band``
+    at the leftmost window edge.
     """
     if n < 1:
         raise DomainError(f"degree n must be >= 1, got {n}")
@@ -191,7 +192,9 @@ def _szasz_rows(n, ys, policy, band=False):
     left, right = _window(rate, rate, tol)
     widths = np.minimum(np.ceil(right), policy.max_terms).astype(np.intp)
     chernoff = np.exp(widths - rate + widths * np.log(np.maximum(rate, _TINY) / widths))
-    low = np.ceil(rate).astype(np.intp)
+    # A rate below the smallest normal float flushes every weight past column
+    # 0 to 0, so such a row stops at K = 0 and its tail bound is ny.
+    low = np.where(rate < _TINY, 0.0, np.ceil(rate)).astype(np.intp)
     fail = (chernoff > tol) | (low >= widths)
     if fail.any():
         i = np.flatnonzero(fail)[0]
@@ -244,7 +247,7 @@ def szasz_weights(n, y, policy=DEFAULT_POLICY):
 
     K is the smallest index at or beyond the Poisson mode ceil(ny) such that
     the accumulated mass reaches 1 - tail_tol, capped at policy.max_terms;
-    ``tail_bound`` bounds the mass past K.
+    ``tail_bound`` bounds the mass past K (ny when 0 < ny is subnormal: K = 0).
     """
     W, tail, _ = _szasz_rows(n, [y], policy)
     return WeightVector(W[0], tail_bound=float(tail[0]))

@@ -29,68 +29,41 @@ class CorpusEntry:
     derivative_provider: Optional[PartialDerivativeSet] = None
 
 
-def _const_deriv(c):
+def _polynomial_deriv(partials):
+    """Provider from {(i, j): d^(i+j) f / dx^i dy^j}; every other partial is 0."""
+
     def ev(i, j, x, y):
-        out = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))[0]
-        if i == 0 and j == 0:
-            return np.full_like(out, c)
-        return np.zeros_like(out)
+        g = partials.get((i, j))
+        return 0.0 if g is None else g(np.asarray(x, float), np.asarray(y, float))
 
     return ev
 
 
-def _linear_deriv(i, j, x, y):
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    base = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    if i == 0 and j == 0:
-        return x + y + base
-    if (i, j) in ((1, 0), (0, 1)):
-        return base + 1.0
-    return base
+def _quad(x, y):
+    return np.square(x) + np.square(y)
 
 
-def _prod_deriv(i, j, x, y):
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    base = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    if (i, j) == (0, 0):
-        return x * y + base
-    if (i, j) == (1, 0):
-        return y + base
-    if (i, j) == (0, 1):
-        return x + base
-    if (i, j) == (1, 1):
-        return base + 1.0
-    return base
-
-
-def _quad_deriv(i, j, x, y):
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    base = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    if (i, j) == (0, 0):
-        return x * x + y * y + base
-    if (i, j) == (1, 0):
-        return 2.0 * x + base
-    if (i, j) == (0, 1):
-        return 2.0 * y + base
-    if (i, j) in ((2, 0), (0, 2)):
-        return base + 2.0
-    return base
+_const_deriv = _polynomial_deriv({(0, 0): lambda x, y: 1.0})
+_linear_deriv = _polynomial_deriv({
+    (0, 0): np.add, (1, 0): lambda x, y: 1.0, (0, 1): lambda x, y: 1.0,
+})
+_prod_deriv = _polynomial_deriv({
+    (0, 0): np.multiply, (1, 0): lambda x, y: y, (0, 1): lambda x, y: x,
+    (1, 1): lambda x, y: 1.0,
+})
+_quad_deriv = _polynomial_deriv({
+    (0, 0): _quad, (1, 0): lambda x, y: 2.0 * x, (0, 1): lambda x, y: 2.0 * y,
+    (2, 0): lambda x, y: 2.0, (0, 2): lambda x, y: 2.0,
+})
 
 
 def _smooth(x, y):
     # e^x cos(y) e^(-y)
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
     return np.exp(x) * np.cos(y) * np.exp(-y)
 
 
 def _smooth_deriv(i, j, x, y):
     # d^j/dy^j [e^(-y) cos y] = Re[(-1 + 1i)^j e^((-1 + 1i) y)]
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
     z = (-1.0 + 1.0j) ** j * np.exp((-1.0 + 1.0j) * y)
     return np.exp(x) * np.real(z)
 
@@ -109,24 +82,21 @@ def _zero_modulus(delta, A):
 _register(
     "const1",
     CorpusEntry(
-        function=Function2D(eval=lambda x, y: np.broadcast_arrays(
-            np.asarray(x, float) * 0.0 + 1.0, np.asarray(y, float))[0],
-            name="const1"),
+        function=Function2D(eval=lambda x, y: 1.0, name="const1"),
         closed_form_moduli={
             "full": _zero_modulus,
             "partial_x": _zero_modulus,
             "partial_y": _zero_modulus,
         },
         lipschitz_data=(1.0, lambda A: 0.0),
-        derivative_provider=PartialDerivativeSet(order=10, eval=_const_deriv(1.0)),
+        derivative_provider=PartialDerivativeSet(order=10, eval=_const_deriv),
     ),
 )
 
 _register(
     "linear",
     CorpusEntry(
-        function=Function2D(eval=lambda x, y: np.asarray(x, float)
-                            + np.asarray(y, float), name="linear"),
+        function=Function2D(eval=np.add, name="linear"),
         closed_form_moduli={
             "full": lambda delta, A: delta * math.sqrt(2.0),
             "partial_x": lambda delta, A: delta,
@@ -140,8 +110,7 @@ _register(
 _register(
     "prod",
     CorpusEntry(
-        function=Function2D(eval=lambda x, y: np.asarray(x, float)
-                            * np.asarray(y, float), name="prod"),
+        function=Function2D(eval=np.multiply, name="prod"),
         lipschitz_data=(1.0, lambda A: math.sqrt(1.0 + A * A)),
         derivative_provider=PartialDerivativeSet(order=10, eval=_prod_deriv),
     ),
@@ -150,8 +119,7 @@ _register(
 _register(
     "quad",
     CorpusEntry(
-        function=Function2D(eval=lambda x, y: np.asarray(x, float) ** 2
-                            + np.asarray(y, float) ** 2, name="quad"),
+        function=Function2D(eval=_quad, name="quad"),
         lipschitz_data=(1.0, lambda A: 2.0 * math.sqrt(1.0 + A * A)),
         derivative_provider=PartialDerivativeSet(order=10, eval=_quad_deriv),
     ),
@@ -161,8 +129,7 @@ _register(
     "holder_half",
     CorpusEntry(
         function=Function2D(eval=lambda x, y: np.sqrt(
-            np.abs(np.asarray(x, float) - 0.5))
-            + 0.0 * np.asarray(y, float), name="holder_half"),
+            np.abs(np.asarray(x, float) - 0.5)), name="holder_half"),
         lipschitz_data=(0.5, lambda A: 1.0),
     ),
 )
@@ -178,9 +145,8 @@ _register(
 _register(
     "rho_growth",
     CorpusEntry(
-        function=Function2D(eval=lambda x, y: np.asarray(x, float) ** 2
-                            + np.asarray(y, float) ** 2, name="rho_growth",
-                            growth="rho_dominated", m_f=1.0),
+        function=Function2D(eval=_quad, name="rho_growth", growth="rho_dominated",
+                            m_f=1.0),
         derivative_provider=PartialDerivativeSet(order=10, eval=_quad_deriv),
     ),
 )

@@ -29,7 +29,14 @@ import math
 import numpy as np
 
 from .basis import DomainError, require_positive
-from .operators import CompactRegion, Point2D, _require_finite, lattice, sample_lattice
+from .operators import (
+    CompactRegion,
+    Point2D,
+    _require_finite,
+    evaluate,
+    lattice,
+    sample_lattice,
+)
 from .reporting import BoundReport
 
 
@@ -171,12 +178,17 @@ def lipschitz_ratio(f, gamma, region, sample_pairs=10000, seed=0):
     dist = np.hypot(x1 - x2, y1 - y2)
     keep = dist > 1e-12
     x1, y1, x2, y2, dist = x1[keep], y1[keep], x2[keep], y2[keep], dist[keep]
-    ratio = np.abs(
-        np.asarray(f(x1, y1), dtype=float) - np.asarray(f(x2, y2), dtype=float)
-    ) / dist**gamma
+    ratio = np.abs(evaluate(f, x1, y1) - evaluate(f, x2, y2)) / dist**gamma
+    return _largest_ratio(gamma, ratio, x1, y1, x2, y2, getattr(f, "name", "f"),
+                          "random point pairs")
+
+
+def _largest_ratio(gamma, ratio, x1, y1, x2, y2, label, where):
+    """Witness of the largest ratio and its pair (x1, y1), (x2, y2), or M = 0
+    without pairs.  Raises RuntimeError naming label when a ratio is not finite."""
     if ratio.size == 0:
         return LipschitzWitness(gamma, 0.0, (Point2D(0.0, 0.0), Point2D(0.0, 0.0)))
-    _require_finite(getattr(f, "name", "f"), ratio, "random point pairs")
+    _require_finite(label, ratio, where)
     i = int(np.argmax(ratio))
     pair = (Point2D(float(x1[i]), float(y1[i])), Point2D(float(x2[i]), float(y2[i])))
     return LipschitzWitness(gamma, float(ratio[i]), pair)

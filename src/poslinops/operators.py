@@ -74,8 +74,8 @@ class CompactRegion:
 class Function2D:
     """Evaluation contract for f on [0, 1] x [0, inf).
 
-    ``eval`` should accept numpy arrays (broadcasting); scalar-only callables
-    are handled through a fallback loop.  ``m_f`` is the growth constant for
+    ``eval(x, y)`` must broadcast over numpy arrays (see ``evaluate``); wrap
+    a scalar-only f in ``np.vectorize``.  ``m_f`` is the growth constant for
     rho-dominated functions: |f| <= m_f * (1 + x^2 + y^2).
     """
 
@@ -105,24 +105,27 @@ def stancu_node(index, degree, alpha, beta):
     return (index + alpha) / (degree + beta)
 
 
-def eval_grid(f, tx, ty):
-    """Evaluate f on the tensor grid tx x ty, tolerating scalar-only callables.
+def evaluate(f, x, y):
+    """f(x, y), called once, as a float array of x and y's broadcast shape.
 
-    Raises RuntimeError naming f when the point-by-point evaluation fails.
+    A result that broadcasts to it, such as a constant, is expanded.  Raises
+    RuntimeError naming f when f raises or its result does not broadcast.
     """
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
     try:
-        out = np.asarray(f(tx[:, None], ty[None, :]), dtype=float)
-        if out.shape == (len(tx), len(ty)):
-            return out
-    except Exception:
-        pass
-    try:
-        return np.array([[float(f(a, b)) for b in ty] for a in tx])
+        out = np.asarray(f(x, y), dtype=float)
+        if out.shape != shape:
+            out = np.broadcast_to(out, shape).copy()
     except Exception as exc:
         raise RuntimeError(
-            f"evaluation of {getattr(f, 'name', 'f')} failed on a "
-            f"{len(tx)}x{len(ty)} grid"
+            f"evaluation of {getattr(f, 'name', 'f')} failed on shape {shape}"
         ) from exc
+    return out
+
+
+def eval_grid(f, tx, ty):
+    """f on the tensor grid tx x ty, shape (len(tx), len(ty)); see evaluate."""
+    return evaluate(f, tx[:, None], ty[None, :])
 
 
 def _require_finite(label, values, where):

@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
-from .basis import DEFAULT_POLICY, DomainError
-from .moduli import LipschitzWitness
-from .operators import KernelFamily, Point2D, eval_grid, weights_and_nodes
+from .basis import DEFAULT_POLICY, DomainError, require_positive
+from .moduli import _largest_ratio
+from .operators import KernelFamily, Point2D, eval_grid, evaluate, weights_and_nodes
 
 _MAX_FD_ORDER = 4
 
@@ -24,8 +24,9 @@ _MAX_FD_ORDER = 4
 class PartialDerivativeSet:
     """Provider of the partials d^(i+j) f / dx^i dy^j for i + j <= order.
 
-    ``eval(i, j, x, y)`` returns the derivative value; it should broadcast
-    over numpy arrays for the closed-form providers.
+    ``eval(i, j, x, y)`` returns the derivative values and, like
+    ``Function2D.eval``, must broadcast over numpy arrays; wrap a scalar-only
+    provider in ``np.vectorize``.
     """
 
     order: int
@@ -57,10 +58,7 @@ def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY,
     factorizes into two matrix products; the nodal derivative table is shared
     across all grid points.
     """
-    if derivs.order < r:
-        raise DomainError(
-            f"derivative provider of order {derivs.order} insufficient for r={r}"
-        )
+    _require_order(derivs, r)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy, family)
@@ -89,48 +87,49 @@ def apply_rth(derivs, params, m, n, r, p, policy=DEFAULT_POLICY,
 def fd_stencil_weights(z, xs, k):
     """Finite-difference weights for the k-th derivative at z on nodes xs.
 
-    Fornberg's recursion; exact for polynomials of degree < len(xs).
+    Fornberg's recursion on arrays of centres z, with nodes xs of shape
+    z.shape + (N,) and weights of that shape; exact for degrees < N.
     """
     xs = np.asarray(xs, dtype=float)
-    N = len(xs)
-    w = np.zeros((N, k + 1))
-    w[0, 0] = 1.0
+    N = xs.shape[-1]
+    w = np.zeros(xs.shape + (k + 1,))
+    w[..., 0, 0] = 1.0
     c1 = 1.0
-    c4 = xs[0] - z
+    c4 = xs[..., 0] - z
     for i in range(1, N):
         mn = min(i, k)
         c2 = 1.0
         c5 = c4
-        c4 = xs[i] - z
+        c4 = xs[..., i] - z
         for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
+            c3 = xs[..., i] - xs[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for kk in range(mn, 0, -1):
-                    w[i, kk] = c1 * (kk * w[i - 1, kk - 1] - c5 * w[i - 1, kk]) / c2
-                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
+                    w[..., i, kk] = c1 * (kk * w[..., i - 1, kk - 1]
+                                          - c5 * w[..., i - 1, kk]) / c2
+                w[..., i, 0] = -c1 * c5 * w[..., i - 1, 0] / c2
             for kk in range(mn, 0, -1):
-                w[j, kk] = (c4 * w[j, kk] - kk * w[j, kk - 1]) / c3
-            w[j, 0] = c4 * w[j, 0] / c3
+                w[..., j, kk] = (c4 * w[..., j, kk] - kk * w[..., j, kk - 1]) / c3
+            w[..., j, 0] = c4 * w[..., j, 0] / c3
         c1 = c2
-    return w[:, k]
+    return w[..., k]
 
 
-def _axis_nodes(center, order, step, lo, hi=None):
-    """A stencil window around center, shifted to stay inside [lo, hi]."""
+def _axis_nodes(center, order, h, lo, hi):
+    """Nodes and order-th derivative weights of the stencils around the
+    centres, step h * (1 + |center|), shifted to stay inside [lo, hi]."""
+    center = np.asarray(center, dtype=float)
     if order == 0:
-        return np.array([center]), np.array([1.0])
+        return center[..., None], np.ones(center.shape + (1,))
     count = order + 3
-    offs = (np.arange(count) - (count - 1) / 2.0) * step
-    pts = center + offs
-    if pts[0] < lo:
-        pts = pts + (lo - pts[0])
-    if hi is not None and pts[-1] > hi:
-        pts = pts - (pts[-1] - hi)
-    if pts[0] < lo:
-        raise DomainError(
-            f"stencil of width {pts[-1] - pts[0]:g} does not fit in the domain"
-        )
+    step = h * (1.0 + np.abs(center))
+    pts = center[..., None] + (np.arange(count) - (count - 1) / 2.0) * step[..., None]
+    pts = pts + np.maximum(lo - pts[..., :1], 0.0)
+    pts = pts - np.maximum(pts[..., -1:] - hi, 0.0)
+    if (pts[..., 0] < lo).any():
+        width = np.max(pts[..., -1] - pts[..., 0])
+        raise DomainError(f"stencil of width {width:g} does not fit in the domain")
     return pts, fd_stencil_weights(center, pts, order)
 
 
@@ -139,66 +138,74 @@ def finite_difference_derivs(f, r, h=1e-4):
 
     Mixed partials use tensor composition of 1-D stencils; near x in {0, 1}
     or y = 0 the window is shifted one-sidedly into the domain.  The step is
-    relative: h * (1 + |coordinate|).
+    relative: h * (1 + |coordinate|).  The provider broadcasts and calls f
+    once per pair of stencil offsets, at most (i + 3)(j + 3) times.
     """
-    if h <= 0.0:
-        raise DomainError(f"h must be > 0, got {h}")
+    require_positive("h", h)
     if r > _MAX_FD_ORDER:
         raise DomainError(f"finite differences support order <= {_MAX_FD_ORDER}")
 
     def ev(i, j, x, y):
-        xn, wx = _axis_nodes(float(x), i, h * (1.0 + abs(x)), 0.0, 1.0)
-        yn, wy = _axis_nodes(float(y), j, h * (1.0 + abs(y)), 0.0)
-        F = eval_grid(f, xn, yn)
-        return float(wx @ F @ wy)
+        xn, wx = _axis_nodes(x, i, h, 0.0, 1.0)
+        yn, wy = _axis_nodes(y, j, h, 0.0, np.inf)
+        total = 0.0
+        for b in range(yn.shape[-1]):
+            inner = 0.0
+            for a in range(xn.shape[-1]):
+                inner = inner + wx[..., a] * evaluate(f, xn[..., a], yn[..., b])
+            total = total + inner * wy[..., b]
+        return total[()]
 
     return PartialDerivativeSet(order=r, eval=ev, source=f"finite_difference(h={h})")
 
 
-def directional_rth_derivative(derivs, frame, r):
-    """r-th derivative of u -> f(base + u * direction) at the frame's u."""
+def _require_order(derivs, r):
     if derivs.order < r:
         raise DomainError(
             f"derivative provider of order {derivs.order} insufficient for r={r}"
         )
+
+
+def _directional(derivs, r, x, y, a, b):
+    """r-th derivatives of f along unit directions (a, b) at points (x, y),
+    sum_j C(r, j) a^i b^j d^r f / dx^i dy^j with i = r - j; all broadcast."""
+    total = 0.0
+    for j in range(r + 1):
+        i = r - j
+        partial = evaluate(functools.partial(derivs.eval, i, j), x, y)
+        total = total + math.comb(r, j) * partial * a**i * b**j
+    return total
+
+
+def directional_rth_derivative(derivs, frame, r):
+    """r-th derivative of u -> f(base + u * direction) at the frame's u."""
+    _require_order(derivs, r)
     a, b = frame.direction
     x = frame.base.x + frame.u * a
     y = frame.base.y + frame.u * b
     if not (0.0 <= x <= 1.0) or y < 0.0:
         raise DomainError(f"point ({x}, {y}) leaves the operator domain")
-    total = 0.0
-    for j in range(r + 1):
-        i = r - j
-        total += math.comb(r, j) * derivs.eval(i, j, x, y) * a**i * b**j
-    return float(total)
+    return float(_directional(derivs, r, x, y, a, b))
 
 
 def f_rth_lipschitz_estimate(derivs, r, gamma, region, samples=2000, seed=0):
     """Lower estimate of the Lipschitz constant of u -> F^(r)(u).
 
-    Frames are sampled as random segment endpoints inside R_A; the ratio
-    |F^(r)(u) - F^(r)(0)| / u^gamma is maximized.
+    Random segments in R_A, of length u >= 1e-9, maximize
+    |F^(r)(u) - F^(r)(0)| / u^gamma, F^(r) taken along the segment at its
+    endpoints.  Raises RuntimeError when a ratio is not finite.
     """
     if not 0.0 < gamma <= 1.0:
         raise DomainError(f"gamma must be in (0, 1], got {gamma}")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    best_pair = (Point2D(0.0, 0.0), Point2D(0.0, 0.0))
-    for _ in range(samples):
-        x1, x2 = rng.random(2)
-        y1, y2 = rng.random(2) * region.A
-        u = math.hypot(x2 - x1, y2 - y1)
-        if u < 1e-9:
-            continue
-        d = ((x2 - x1) / u, (y2 - y1) / u)
-        base = Point2D(x1, y1)
-        frame0 = DirectionalFrame(base, d, 0.0)
-        frame1 = DirectionalFrame(base, d, u)
-        val = abs(
-            directional_rth_derivative(derivs, frame1, r)
-            - directional_rth_derivative(derivs, frame0, r)
-        ) / u**gamma
-        if val > best:
-            best = val
-            best_pair = (base, Point2D(x2, y2))
-    return LipschitzWitness(gamma, best, best_pair)
+    _require_order(derivs, r)
+    draws = np.random.default_rng(seed).random((samples, 4))
+    x1, x2 = draws[:, 0], draws[:, 1]
+    y1, y2 = draws[:, 2] * region.A, draws[:, 3] * region.A
+    u = np.hypot(x2 - x1, y2 - y1)
+    keep = u >= 1e-9
+    x1, y1, x2, y2, u = x1[keep], y1[keep], x2[keep], y2[keep], u[keep]
+    a, b = (x2 - x1) / u, (y2 - y1) / u
+    ratio = np.abs(_directional(derivs, r, x2, y2, a, b)
+                   - _directional(derivs, r, x1, y1, a, b)) / u**gamma
+    return _largest_ratio(gamma, ratio, x1, y1, x2, y2,
+                          f"F^({r}) of {derivs.source}", "sampled segments")

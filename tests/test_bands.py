@@ -28,6 +28,7 @@ from poslinops.basis import (
     bernstein_weight_matrix,
     szasz_band_matrix,
     szasz_weight_matrix,
+    szasz_weights,
 )
 
 EPS = np.finfo(float).eps
@@ -35,7 +36,8 @@ TINY = np.finfo(float).tiny
 DROP = DEFAULT_POLICY.tail_tol * 2.0**-60  # mass bound on each side of a window
 
 unit_x = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-rates = st.one_of(st.just(0.0), st.floats(0.0, 1e5))
+# 1.1e-308 is below the smallest normal float: its weight at k = 1 is flushed
+rates = st.one_of(st.sampled_from([0.0, 1.1e-308]), st.floats(0.0, 1e5))
 BAND_SETTINGS = settings(derandomize=True, deadline=None, database=None,
                          max_examples=200)
 
@@ -88,6 +90,10 @@ def test_szasz_band_is_the_window(n, r):
         assert mpmath.gammainc(math.ceil(right), 0, rate, regularized=True) <= DROP
     assert left <= int(rate) < right  # the mode floor(ny)
     assert_band_row(band[0], lo, full, left, right)
+    # both rows end at the full row's K, its last nonzero weight
+    assert full[-1] > 0.0 and lo + band.shape[1] == len(full)
+    if len(full) == 1:  # K = 0: all the mass past k = 0 is dropped
+        assert szasz_weights(n, y).tail_bound >= -math.expm1(-rate)
 
 
 def bounded(x, y):

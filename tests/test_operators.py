@@ -21,7 +21,7 @@ from poslinops import (
     stancu_node,
     sup_error_on_grid,
 )
-from poslinops.operators import apply_on_grid
+from poslinops.operators import apply_on_grid, eval_grid, evaluate
 
 TIGHT = TruncationPolicy(1e-14)
 
@@ -247,13 +247,45 @@ def test_apply_on_grid_matches_pointwise():
 
 
 def test_apply_on_grid_names_failing_function():
-    # math.sqrt rejects arrays, so eval_grid falls back to scalar calls,
-    # which then fail outside the function's domain
+    # math.sqrt rejects arrays; f must broadcast, so the error names f
     f = f2(lambda t, tau: math.sqrt(t - 2.0), name="sqrt_shifted")
     with pytest.raises(RuntimeError, match="sqrt_shifted"):
         apply_on_grid(f, StancuParams(), 4, 4, [0.0, 0.5], [0.0, 1.0])
     with pytest.raises(RuntimeError, match="sqrt_shifted"):
         sup_error_on_grid(f, StancuParams(), 4, 4, CompactRegion(1.0), 5)
+
+
+def test_failing_function_is_called_once():
+    calls = []
+
+    def scalar_only(t, tau):
+        calls.append(1)
+        return math.exp(t) + tau
+
+    f = f2(scalar_only, name="scalar_only")
+    with pytest.raises(RuntimeError, match="scalar_only") as info:
+        apply_on_grid(f, StancuParams(), 4, 4, [0.0, 0.5], [0.0, 1.0])
+    assert len(calls) == 1
+    assert isinstance(info.value.__cause__, TypeError)
+    # np.vectorize is the way to use a scalar-only f
+    g = f2(np.vectorize(lambda t, tau: math.exp(t) + tau))
+    want = apply_on_grid(f2(lambda t, tau: np.exp(t) + tau), StancuParams(), 4, 4,
+                         [0.0, 0.5], [0.0, 1.0])
+    assert np.array_equal(
+        apply_on_grid(g, StancuParams(), 4, 4, [0.0, 0.5], [0.0, 1.0]), want)
+
+
+def test_result_must_broadcast_to_the_grid():
+    tx, ty = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 2.0, 4)
+    wrong = f2(lambda t, tau: np.ones((4, 3)), name="transposed")
+    with pytest.raises(RuntimeError, match="transposed"):
+        eval_grid(wrong, tx, ty)
+    # a constant, or a result constant along one axis, broadcasts
+    assert np.array_equal(eval_grid(f2(lambda t, tau: 2.0), tx, ty), np.full((3, 4), 2.0))
+    assert np.array_equal(eval_grid(f2(lambda t, tau: t), tx, ty),
+                          np.repeat(tx[:, None], 4, axis=1))
+    out = evaluate(f2(lambda t, tau: tau), 0.5, ty)
+    assert out.shape == (4,) and out.flags.writeable
 
 
 def test_point_and_region_validation():

@@ -184,6 +184,12 @@ def test_fd_boundary_stencils():
     assert d.eval(0, 2, 0.5, 0.0) == pytest.approx(2.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+def test_fd_step_must_be_finite_and_positive(h):
+    with pytest.raises(DomainError, match="h must be finite and > 0"):
+        finite_difference_derivs(corpus_lookup("quad").function, 2, h=h)
+
+
 def test_fd_convergence_order():
     f = corpus_lookup("smooth").function
     exact = corpus_lookup("smooth").derivative_provider
