@@ -138,10 +138,11 @@ def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
                       grid_points=101, policy=DEFAULT_POLICY, mode="moment"):
     """Order-r approximation bound, three interchangeable RHS variants.
 
-    mode "moment": RHS through the operator applied to the distance power
-    |.|^(r+gamma).  mode "modulus": RHS through the closed-form modulus of the
-    distance-power function at delta_mn.  mode "lipschitz": RHS through its
-    Lipschitz constant (1+A^2)^(r/2) and delta_mn^gamma.
+    mode "moment": RHS through the lattice sup of the operator applied to the
+    distance power |.|^(r+gamma), flagged as a lower estimate.  mode "modulus":
+    RHS through the closed-form modulus of the distance-power function at
+    delta_mn.  mode "lipschitz": RHS through its Lipschitz constant
+    (1+A^2)^(r/2) and delta_mn^gamma.
     """
     if r < 1:
         raise DomainError("the order-r bound requires r >= 1")
@@ -177,5 +178,6 @@ def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
         )
     else:
         raise DomainError(f"unknown mode {mode!r}")
-    return BoundReport(lhs=lhs, rhs=rhs)
+    caveat = CAVEAT_RHS_GRID_LOWER_BOUND if mode == "moment" else CAVEAT_NONE
+    return BoundReport(lhs=lhs, rhs=rhs, caveat=caveat)
 

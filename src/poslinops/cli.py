@@ -2,19 +2,21 @@
 
 Each subcommand writes a CSV (one row per point, schedule entry or bound)
 and a JSON sidecar echoing the resolved configuration, the library version
-and all caveat flags.  Exit status is 0 iff every checked bound holds.
+and all caveat flags.  Exit status is 0 iff every checked bound holds, 1 if
+one fails and 2 on bad input or a failed run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
 from . import __version__
-from .basis import TruncationPolicy, require_positive
-from .bounds import check_theorem_3_3, deltas, sup_error_on_grid, theorem_4_1_bound
+from .basis import TruncationPolicy
+from .bounds import check_theorem_3_3, deltas, theorem_4_1_bound
 from .corpus import CorpusLookupError, corpus_lookup
 from .moduli import lattice_moduli
 from .operators import (
@@ -22,11 +24,13 @@ from .operators import (
     Point2D,
     StancuParams,
     apply,
+    apply_on_grid,
+    lattice_error,
     moments_closed_form,
     sample_lattice,
     second_central_moment,
 )
-from .reporting import BoundReport
+from .reporting import CAVEAT_NONE
 from .taylor import apply_rth, f_rth_lipschitz_estimate, finite_difference_derivs
 from .weighted import (
     TruncatedStrip,
@@ -50,8 +54,6 @@ _DEFAULTS = {
     "r": 1, "gamma": 1.0, "M": None, "mode": "moment",
     "epsilon": 0.5, "moduli_source": "closed_form",
     "seed": 0, "out": "report.csv",
-    # fault-injection hook for exit-status testing: scales every RHS
-    "rhs_scale": 1.0,
 }
 
 
@@ -70,19 +72,12 @@ def _write_atomic(path, text):
     os.replace(tmp, path)
 
 
-def _emit(out_path, header, rows, sidecar):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_atomic(out_path, "\n".join(lines) + "\n")
-    base, _ = os.path.splitext(out_path)
+def _sidecar(cfg, caveats, hold, error):
+    """Write the run's JSON sidecar: configuration, caveats and verdict."""
+    sidecar = {"config": cfg, "version": __version__, "caveats": sorted(caveats),
+               "reports_hold": hold, "error": error}
+    base, _ = os.path.splitext(cfg["out"])
     _write_atomic(base + ".json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-
-
-def _scaled(report, scale):
-    if scale == 1.0:
-        return report
-    return BoundReport(lhs=report.lhs, rhs=report.rhs * scale, caveat=report.caveat)
 
 
 def _run(cfg):
@@ -93,11 +88,8 @@ def _run(cfg):
     f = entry.function
     m, n, G = cfg["m"], cfg["n"], cfg["grid"]
     schedule = [(int(v), int(v)) for v in str(cfg["schedule"]).split(",")]
-    scale = cfg["rhs_scale"]
-    require_positive("rhs_scale", scale)
     command = cfg["command"]
     reports = []
-    caveats = set()
 
     if command == "eval":
         p = Point2D(cfg["x"], cfg["y"])
@@ -117,16 +109,14 @@ def _run(cfg):
         header = ["kind", "delta", "value", "grid"]
         rows = [[e.kind, e.delta, e.value, e.grid_spec] for e in ests.values()]
     elif command == "check-thm33":
-        ra, rb = check_theorem_3_3(
+        reports += check_theorem_3_3(
             f, params, m, n, region, G, policy,
             moduli_source=cfg["moduli_source"],
             closed_form_moduli=entry.closed_form_moduli,
         )
-        ra, rb = _scaled(ra, scale), _scaled(rb, scale)
-        reports += [ra, rb]
         header = ["part", "m", "n", "lhs", "rhs", "margin", "holds", "caveat"]
-        rows = [["a", m, n, ra.lhs, ra.rhs, ra.margin, ra.holds, ra.caveat],
-                ["b", m, n, rb.lhs, rb.rhs, rb.margin, rb.holds, rb.caveat]]
+        rows = [[part, m, n, rep.lhs, rep.rhs, rep.margin, rep.holds, rep.caveat]
+                for part, rep in zip("ab", reports)]
     elif command == "rth":
         derivs = entry.derivative_provider or finite_difference_derivs(f, cfg["r"])
         p = Point2D(cfg["x"], cfg["y"])
@@ -144,7 +134,6 @@ def _run(cfg):
             derivs, f, params, m, n, cfg["r"], cfg["gamma"], M, region, G,
             policy, mode=cfg["mode"],
         )
-        rep = _scaled(rep, scale)
         reports.append(rep)
         header = ["mode", "m", "n", "r", "gamma", "M", "lhs", "rhs", "margin",
                   "holds", "caveat"]
@@ -165,35 +154,20 @@ def _run(cfg):
                                      sample, bounds)
             for (mm, nn), v in zip(schedule, ests):
                 rows.append(["thm52_estimate", mm, nn, v, True, "none"])
-            rep = _scaled(
-                check_theorem_5_3(f, params, m, n, cfg["s"], G, policy, strip,
-                                  sample, bounds[m, n]),
-                scale,
-            )
+            rep = check_theorem_5_3(f, params, m, n, cfg["s"], G, policy, strip,
+                                    sample, bounds[m, n])
             reports.append(rep)
             rows.append(["thm53_margin", m, n, rep.margin, rep.holds, rep.caveat])
-    elif command == "converge":
+    else:  # converge: one lattice sample of f serves every schedule entry
+        xs, ys, F = sample_lattice(f, region, G)
         header = ["m", "n", "sup_error", "delta_mn"]
         rows = []
         for mm, nn in schedule:
-            err = sup_error_on_grid(f, params, mm, nn, region, G, policy)
+            L = apply_on_grid(f, params, mm, nn, xs, ys, policy)
+            err = float(lattice_error(f, L, F).max())
             rows.append([mm, nn, err, deltas(mm, nn, params, region).delta_mn])
-    else:
-        raise ValueError(f"unknown command {command!r}")
 
-    for rep in reports:
-        if rep.caveat != "none":
-            caveats.add(rep.caveat)
-    all_hold = all(rep.holds for rep in reports)
-    sidecar = {
-        "config": cfg,
-        "version": __version__,
-        "caveats": sorted(caveats),
-        "reports_hold": all_hold,
-        "error": None,
-    }
-    _emit(cfg["out"], header, rows, sidecar)
-    return 0 if all_hold else 1
+    return header, rows, reports
 
 
 def build_parser():
@@ -204,21 +178,37 @@ def build_parser():
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="JSON config file; flags override it")
     for key, default in _DEFAULTS.items():
-        parser.add_argument("--" + key.replace("_", "-"), default=None,
+        parser.add_argument("--" + key.replace("_", "-"), default=default,
                             type=float if default is None else type(default))
     return parser
 
 
 def resolve_config(argv):
-    args = build_parser().parse_args(argv)
-    cfg = dict(_DEFAULTS)
+    """The run's configuration from the flags in argv.
+
+    The entries of the --config file's JSON object are parsed as flags ahead
+    of argv's, so argv wins.  null means unset, and the command key that a
+    sidecar's config carries is skipped.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.config:
-        with open(args.config) as fh:
-            cfg.update(json.load(fh))
-    for key in _DEFAULTS:
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
+        try:
+            with open(args.config) as fh:
+                entries = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read config {args.config}: {exc}")
+        if not isinstance(entries, dict):
+            parser.error(f"config {args.config} must hold a JSON object")
+        entries.pop("command", None)
+        unknown = sorted(set(entries) - set(_DEFAULTS))
+        if unknown:
+            parser.error(f"unknown config keys {unknown} in {args.config}")
+        flags = [f"--{key.replace('_', '-')}="
+                 + (value if isinstance(value, str) else json.dumps(value))
+                 for key, value in entries.items() if value is not None]
+        args = parser.parse_args(flags + list(argv))
+    cfg = {key: getattr(args, key) for key in _DEFAULTS}
     cfg["command"] = args.command
     return cfg
 
@@ -226,18 +216,17 @@ def resolve_config(argv):
 def main(argv=None):
     cfg = resolve_config(sys.argv[1:] if argv is None else argv)
     try:
-        return _run(cfg)
-    except (CorpusLookupError, ValueError, RuntimeError) as exc:
-        sidecar = {
-            "config": cfg,
-            "version": __version__,
-            "caveats": [],
-            "reports_hold": False,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        base, _ = os.path.splitext(cfg["out"])
-        _write_atomic(base + ".json",
-                      json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        header, rows, reports = _run(cfg)
+        hold = all(rep.holds for rep in reports)
+        lines = [",".join(_fmt(v) for v in row) for row in [header, *rows]]
+        _write_atomic(cfg["out"], "\n".join(lines) + "\n")
+        caveats = {rep.caveat for rep in reports} - {CAVEAT_NONE}
+        _sidecar(cfg, caveats, hold, None)
+        return 0 if hold else 1
+    except (CorpusLookupError, ValueError, RuntimeError, OSError) as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        with contextlib.suppress(OSError):
+            _sidecar(cfg, (), False, error)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

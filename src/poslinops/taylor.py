@@ -15,7 +15,8 @@ import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError, require_positive
 from .moduli import _largest_ratio
-from .operators import KernelFamily, Point2D, eval_grid, evaluate, weights_and_nodes
+from .operators import (Function2D, KernelFamily, Point2D, eval_grid, evaluate,
+                        weights_and_nodes)
 
 _MAX_FD_ORDER = 4
 
@@ -66,9 +67,8 @@ def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY,
     for h in range(r + 1):
         for j in range(h + 1):
             i = h - j
-            C = eval_grid(functools.partial(derivs.eval, i, j), tx, ty) / (
-                math.factorial(i) * math.factorial(j)
-            )
+            C = (eval_grid(_partial(derivs, i, j), tx, ty)
+                 / (math.factorial(i) * math.factorial(j)))
             U = WX * (xs[:, None] - tx[None, :]) ** i
             V = WY * (ys[:, None] - ty[None, :]) ** j
             out += U @ C @ V.T
@@ -159,6 +159,12 @@ def finite_difference_derivs(f, r, h=1e-4):
     return PartialDerivativeSet(order=r, eval=ev, source=f"finite_difference(h={h})")
 
 
+def _partial(derivs, i, j):
+    """The provider's partial d^(i+j) f / dx^i dy^j, named for error messages."""
+    return Function2D(functools.partial(derivs.eval, i, j),
+                      name=f"partial ({i}, {j}) of {derivs.source}")
+
+
 def _require_order(derivs, r):
     if derivs.order < r:
         raise DomainError(
@@ -172,7 +178,7 @@ def _directional(derivs, r, x, y, a, b):
     total = 0.0
     for j in range(r + 1):
         i = r - j
-        partial = evaluate(functools.partial(derivs.eval, i, j), x, y)
+        partial = evaluate(_partial(derivs, i, j), x, y)
         total = total + math.comb(r, j) * partial * a**i * b**j
     return total
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from poslinops import (
+    BoundReport,
     CompactRegion,
     Function2D,
     Point2D,
@@ -32,6 +33,7 @@ from poslinops import (
     szasz_weights,
     theorem_4_1_bound,
 )
+from poslinops import cli
 from poslinops.cli import main as cli_main
 from poslinops.taylor import PartialDerivativeSet
 
@@ -273,7 +275,7 @@ def test_criterion_9_modulus_estimator_convergence():
                   "delta * sqrt(2) at the lattice rate")
 
 
-def test_criterion_10_cli_reproducibility(tmp_path):
+def test_criterion_10_cli_reproducibility(tmp_path, monkeypatch):
     args = ["check-thm33", "--function", "linear", "--alpha1", "1",
             "--beta1", "2", "--alpha2", "1", "--beta2", "2",
             "--m", "20", "--n", "20", "--grid", "101", "--seed", "3"]
@@ -284,7 +286,10 @@ def test_criterion_10_cli_reproducibility(tmp_path):
     ok = code1 == 0 and code2 == 0
     ok &= out1.read_bytes() == out2.read_bytes()
     out3 = tmp_path / "tampered.csv"
-    code3 = cli_main(args + ["--rhs-scale", "1e-6", "--out", str(out3)])
+    check = cli.check_theorem_3_3  # tampered: every RHS scaled by 1e-6
+    monkeypatch.setattr(cli, "check_theorem_3_3", lambda *a, **k: [
+        BoundReport(r.lhs, r.rhs * 1e-6, r.caveat) for r in check(*a, **k)])
+    code3 = cli_main(args + ["--out", str(out3)])
     ok &= code3 == 1
     with open(tmp_path / "tampered.json") as fh:
         ok &= json.load(fh)["reports_hold"] is False

@@ -221,6 +221,20 @@ def test_theorem_4_1_quad_holds_all_modes():
         assert rep.margin > 0.0, mode
 
 
+def test_theorem_4_1_flags_the_moment_grid_sup():
+    """Only the moment mode takes its RHS as a lattice sup, a lower estimate."""
+    entry = corpus_lookup("quad")
+    caveats = {
+        mode: theorem_4_1_bound(
+            entry.derivative_provider, entry.function, StancuParams(1, 1, 2, 2),
+            10, 10, 1, 1.0, 2.0 * math.sqrt(2.0), R1, 21, TIGHT, mode=mode,
+        ).caveat
+        for mode in ("moment", "modulus", "lipschitz")
+    }
+    assert caveats == {"moment": CAVEAT_RHS_GRID_LOWER_BOUND,
+                       "modulus": "none", "lipschitz": "none"}
+
+
 def test_theorem_4_1_rhs_decreases():
     entry = corpus_lookup("quad")
     M = 2.0 * math.sqrt(2.0)

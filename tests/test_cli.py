@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from poslinops import (
+    BoundReport,
     CompactRegion,
     CorpusEntry,
     Function2D,
@@ -145,8 +146,7 @@ def test_non_finite_function_exits_2(tmp_path, monkeypatch, command):
     (["converge", "--A", "nan"], "A must be finite"),
     (["check-thm41", "--function", "quad", "--M", "nan"], "M must be finite"),
     (["check-thm41", "--function", "quad", "--M", "-1"], "M must be finite"),
-    (["check-thm41", "--function", "quad", "--rhs-scale", "nan"],
-     "rhs_scale must be finite"),
+    (["check-thm41", "--function", "quad", "--gamma", "0"], "gamma must be in (0, 1]"),
     (["eval", "--y", "1e308"], "y must be >= 0 with n*y finite"),
     (["rth", "--y", "1e308"], "y must be >= 0 with n*y finite"),
     (["moments", "--y", "1e308"], "y must give finite moments"),
@@ -169,14 +169,35 @@ def test_check_thm33_pass(tmp_path):
     assert side["caveats"] == []
 
 
-def test_check_thm33_tampered_rhs_fails(tmp_path):
+def tamper_thm33(monkeypatch):
+    """Make cli's Theorem 3.3 checker scale every RHS by 1e-6."""
+    check = cli.check_theorem_3_3
+
+    def tampered(*args, **kwargs):
+        return [BoundReport(r.lhs, r.rhs * 1e-6, r.caveat)
+                for r in check(*args, **kwargs)]
+
+    monkeypatch.setattr(cli, "check_theorem_3_3", tampered)
+
+
+def test_check_thm33_tampered_rhs_fails(tmp_path, monkeypatch):
+    tamper_thm33(monkeypatch)
     # shifted params so the operator does not reproduce x + y exactly
     code, out = run(tmp_path, "check-thm33", "--function", "linear",
                     "--alpha1", "1", "--beta1", "2", "--alpha2", "1",
-                    "--beta2", "2", "--m", "20", "--n", "20", "--grid", "101",
-                    "--rhs-scale", "1e-6")
+                    "--beta2", "2", "--m", "20", "--n", "20", "--grid", "101")
     assert code == 1
     assert sidecar(out)["reports_hold"] is False
+
+
+def test_converge_samples_lattice_once(tmp_path, monkeypatch):
+    calls = []
+    entry = counting_entry(calls, corpus_lookup("prod").function.eval, "prod")
+    monkeypatch.setattr(cli, "corpus_lookup", lambda name: entry)
+    code, _ = run(tmp_path, "converge", "--schedule", "10,20,40", "--grid", "31")
+    assert code == 0
+    # the lattice once, then f on each entry's node grid
+    assert calls[0] == (31, 31) and len(calls) == 4
 
 
 def test_converge_command(tmp_path):
@@ -257,6 +278,60 @@ def test_config_file_with_flag_override(tmp_path):
     assert side["config"]["n"] == 5  # file value kept
 
 
+def test_config_entries_parse_as_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "converge", "m": None, "n": "7",
+                               "x": 1, "M": 2, "schedule": 10}))
+    got = resolve_config(["eval", "--config", str(cfg), "--M", "3"])
+    assert got["command"] == "eval"  # a sidecar's command key is skipped
+    assert got["m"] == 10  # null means unset
+    assert got["n"] == 7 and got["x"] == 1.0 and type(got["x"]) is float
+    assert got["schedule"] == "10" and got["M"] == 3.0
+
+
+def exit_code(argv):
+    """main's exit status, also where argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("text, extra", [
+    pytest.param(None, [], id="missing file"),
+    pytest.param('{"m": 10', [], id="malformed JSON"),
+    pytest.param("[10, 10]", [], id="JSON array"),
+    pytest.param('{"m": 10, "mm": 20}', [], id="unknown key"),
+    pytest.param('{"m": 2.5}', [], id="m 2.5"),
+    pytest.param('{"m": true}', [], id="m true"),
+    pytest.param('{"grid": 50.5}', [], id="grid 50.5"),
+    pytest.param('{"A": "wide"}', [], id="A wide"),
+    pytest.param("{}", ["--out", "missing/r.csv"], id="out in a missing directory"),
+])
+def test_configuration_error_exits_2(tmp_path, monkeypatch, capsys, text, extra):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text)
+    assert exit_code(["eval", "--config", "cfg.json", *extra]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_sidecar_config_reruns_byte_identical(tmp_path):
+    code, out = run(tmp_path, "check-thm41", "--function", "quad", "--m", "12",
+                    "--n", "12", "--grid", "21", "--mode", "lipschitz", "--A", "2")
+    assert code == 0
+    config = sidecar(out)["config"]
+    assert config["M"] is None and config["command"] == "check-thm41"
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    again = tmp_path / "again.csv"
+    code = main(["check-thm41", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(again)])
+    assert code == 0
+    assert again.read_bytes() == out.read_bytes()
+    assert sidecar(again)["config"] == dict(config, out=str(again))
+
+
 def test_byte_identical_reruns(tmp_path):
     args = ["converge", "--function", "prod", "--schedule", "10,20",
             "--grid", "41", "--seed", "7"]
@@ -280,7 +355,6 @@ def test_resolve_config_defaults():
     cfg = resolve_config(["eval"])
     assert cfg["command"] == "eval"
     assert cfg["m"] == 10 and cfg["grid"] == 201
-    assert cfg["rhs_scale"] == 1.0
 
 
 def test_floats_use_full_precision(tmp_path):

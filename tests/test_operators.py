@@ -2,6 +2,7 @@
 
 import math
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -197,31 +198,75 @@ def test_korovkin_gaps_decrease():
         prev = gaps
 
 
-def test_linearity():
-    rng = np.random.default_rng(3)
+unit_x = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+OPERATOR_SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                             max_examples=100)
+
+
+@st.composite
+def operator_points(draw):
+    """A family, parameters (alpha = beta drawn too), m, n <= 200 and a point
+    with n*y <= 1e3, the edges x in {0, 1} and y = 0 drawn too."""
+    family = draw(st.sampled_from(list(KernelFamily)))
+    m, n = draw(st.integers(1, 200)), draw(st.integers(1, 200))
+    x = draw(unit_x)
+    if family is KernelFamily.BERNSTEIN_SZASZ:
+        y = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3))) / n
+    else:
+        y = draw(unit_x)
+    b1, b2 = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+    a1 = draw(st.one_of(st.just(b1), st.floats(0.0, b1)))
+    a2 = draw(st.one_of(st.just(b2), st.floats(0.0, b2)))
+    return family, StancuParams(a1, b1, a2, b2), m, n, Point2D(x, y)
+
+
+FIXED_POINT = (KernelFamily.BERNSTEIN_SZASZ, StancuParams(0.5, 1.0, 0.5, 1.0), 15, 15,
+               Point2D(0.4, 0.8))
+
+
+@OPERATOR_SETTINGS
+@given(case=operator_points(), a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0))
+@example(case=FIXED_POINT, a=-8.287016657127513, b=-5.263789868078006)
+@example(case=FIXED_POINT, a=6.025489304127937, b=1.6432407212873557)
+@example(case=FIXED_POINT, a=-8.117427155192017, b=-1.3374611952705244)
+@example(case=FIXED_POINT, a=-0.41897403718331994, b=-6.805221707258429)
+@example(case=FIXED_POINT, a=4.691543028184292, b=-7.726559601571932)
+def test_linearity(case, a, b):
+    family, params, m, n, p = case
     f = f2(lambda t, tau: np.sin(3 * t) + tau)
     g = f2(lambda t, tau: t * tau + 1.0)
-    params = StancuParams(0.5, 1.0, 0.5, 1.0)
-    p = Point2D(0.4, 0.8)
-    for _ in range(5):
-        a, b = rng.uniform(-10, 10, 2)
-        h = f2(lambda t, tau, a=a, b=b: a * (np.sin(3 * t) + tau) + b * (t * tau + 1))
-        lhs = apply(h, params, 15, 15, p, TIGHT)
-        rhs = a * apply(f, params, 15, 15, p, TIGHT) + b * apply(
-            g, params, 15, 15, p, TIGHT
-        )
-        assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
+    h = f2(lambda t, tau: a * (np.sin(3 * t) + tau) + b * (t * tau + 1))
+    vf, vg = (apply(k, params, m, n, p, TIGHT, family=family) for k in (f, g))
+    # f >= -1 and g >= 1, so |a| L|f| + |b| L|g| <= |a| (L f + 2) + |b| L g
+    scale = abs(a) * (abs(vf) + 2.0) + abs(b) * abs(vg)
+    got = apply(h, params, m, n, p, TIGHT, family=family)
+    assert abs(got - (a * vf + b * vg)) <= 1e-11 * scale
 
 
-def test_positivity_and_monotonicity():
-    f = f2(lambda t, tau: t * t + 0.1 + 0.0 * tau)
-    g = f2(lambda t, tau: t * t + 0.2 + tau * 0.0)
-    params = StancuParams(1, 1, 1, 1)
-    p = Point2D(0.6, 1.4)
-    vf = apply(f, params, 12, 12, p, TIGHT)
-    vg = apply(g, params, 12, 12, p, TIGHT)
-    assert vf >= -1e-12
-    assert vf <= vg + 1e-12
+@OPERATOR_SETTINGS
+@given(case=operator_points(), c=st.floats(0.0, 1.0), s=st.floats(0.0, 1.0),
+       d=st.floats(0.0, 1.0), e=st.floats(0.0, 1.0))
+@example(case=(KernelFamily.BERNSTEIN_SZASZ, StancuParams(1, 1, 1, 1), 12, 12,
+               Point2D(0.6, 1.4)), c=0.1, s=0.0, d=0.1, e=0.0)
+def test_positivity_and_monotonicity(case, c, s, d, e):
+    """0 <= f <= g gives 0 <= L f <= L g."""
+    family, params, m, n, p = case
+    f = f2(lambda t, tau: t * t + c + s * np.sin(3 * tau) ** 2)
+    g = f2(lambda t, tau: t * t + c + s * np.sin(3 * tau) ** 2 + d + e * t * tau)
+    vf = apply(f, params, m, n, p, TIGHT, family=family)
+    vg = apply(g, params, m, n, p, TIGHT, family=family)
+    assert vf >= 0.0
+    assert vf <= vg + 1e-12 * max(1.0, vg)
+
+
+@OPERATOR_SETTINGS
+@given(case=operator_points())
+def test_constant_one_loses_at_most_the_tail(case):
+    """L(1) in [1 - tail_tol - 4 eps, 1 + 4 eps]: only truncation drops mass."""
+    family, params, m, n, p = case
+    eps = np.finfo(float).eps
+    one = apply(f2(lambda t, tau: 1.0), params, m, n, p, TIGHT, family=family)
+    assert 1.0 - TIGHT.tail_tol - 4 * eps <= one <= 1.0 + 4 * eps
 
 
 def test_bernstein_bernstein_family_reduces():

@@ -226,6 +226,30 @@ def test_directional_derivative_quad():
         assert directional_rth_derivative(d, frame, 2) == pytest.approx(2.0)
 
 
+def no_x_partials(i, j, x, y):
+    if i:
+        raise ArithmeticError("no x-partials")
+    return np.exp(x) + 0.0 * np.asarray(y)
+
+
+def test_failing_provider_is_named_with_its_partial():
+    scalar_only = PartialDerivativeSet(
+        order=1, eval=lambda i, j, x, y: math.exp(x) + 0.0 * y, source="scalar_only")
+    with pytest.raises(RuntimeError, match=r"^evaluation of partial \(0, 0\) of "
+                                           r"scalar_only failed on shape \(11, "):
+        apply_rth(scalar_only, StancuParams(), 10, 10, 1, Point2D(0.3, 0.7))
+    broken = PartialDerivativeSet(order=1, eval=no_x_partials, source="no_x")
+    frame = DirectionalFrame(Point2D(0.2, 0.5), (1.0, 0.0), 0.3)
+    for call in (
+        lambda: apply_rth(broken, StancuParams(), 10, 10, 1, Point2D(0.3, 0.7)),
+        lambda: directional_rth_derivative(broken, frame, 1),
+        lambda: f_rth_lipschitz_estimate(broken, 1, 1.0, CompactRegion(1.0)),
+    ):
+        with pytest.raises(RuntimeError, match=r"partial \(1, 0\) of no_x") as info:
+            call()
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+
 def test_directional_derivative_domain_error():
     d = corpus_lookup("quad").derivative_provider
     with pytest.raises(DomainError):
