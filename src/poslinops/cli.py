@@ -223,11 +223,13 @@ def main(argv=None):
         caveats = {rep.caveat for rep in reports} - {CAVEAT_NONE}
         _sidecar(cfg, caveats, hold, None)
         return 0 if hold else 1
-    except (CorpusLookupError, ValueError, RuntimeError, OSError) as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
+    except (CorpusLookupError, ValueError, RuntimeError, OSError, MemoryError) as exc:
+        oom = isinstance(exc, MemoryError)  # numpy raises a private subclass
+        error = {"type": "MemoryError" if oom else type(exc).__name__,
+                 "message": str(exc)}
         with contextlib.suppress(OSError):
             _sidecar(cfg, (), False, error)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {'out of memory: ' if oom else ''}{exc}", file=sys.stderr)
         return 2
 
 

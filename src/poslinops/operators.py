@@ -108,14 +108,16 @@ def stancu_node(index, degree, alpha, beta):
 def evaluate(f, x, y):
     """f(x, y), called once, as a float array of x and y's broadcast shape.
 
-    A result that broadcasts to it, such as a constant, is expanded.  Raises
-    RuntimeError naming f when f raises or its result does not broadcast.
+    A result broadcasting to it (a constant, say) is expanded.  Raises RuntimeError
+    naming f when f raises, MemoryError aside, or its result does not broadcast.
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
     try:
         out = np.asarray(f(x, y), dtype=float)
         if out.shape != shape:
             out = np.broadcast_to(out, shape).copy()
+    except MemoryError:
+        raise
     except Exception as exc:
         raise RuntimeError(
             f"evaluation of {getattr(f, 'name', 'f')} failed on shape {shape}"

@@ -203,6 +203,8 @@ def f_rth_lipschitz_estimate(derivs, r, gamma, region, samples=2000, seed=0):
     """
     if not 0.0 < gamma <= 1.0:
         raise DomainError(f"gamma must be in (0, 1], got {gamma}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     _require_order(derivs, r)
     draws = np.random.default_rng(seed).random((samples, 4))
     x1, x2 = draws[:, 0], draws[:, 1]

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.special import beta as scipy_beta
@@ -24,6 +25,7 @@ from poslinops import (
     sup_error_on_grid,
     theorem_4_1_bound,
 )
+from poslinops.operators import lattice, weights_and_nodes
 from poslinops.reporting import CAVEAT_RHS_GRID_LOWER_BOUND
 
 R1 = CompactRegion(1.0)
@@ -196,6 +198,87 @@ def test_sup_distance_power_power_mean_ordering():
     for p in (1.0, 1.5):
         sp = sup_distance_power_operator(params, m, n, p, R1, 21, TIGHT)
         assert sp <= s2 ** (p / 2.0) + 1e-12
+
+
+def distance_power_table(params, m, n, p_exp, region, grid_points, policy):
+    """L(|d|^p_exp) at every lattice point by the full einsum sweep."""
+    xs, ys = lattice(region.A, grid_points)
+    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy)
+    half = 0.5 * p_exp
+    rows = []
+    for a, x in enumerate(xs):
+        dx2 = (tx - x) ** 2  # (m+1,)
+        dy2 = (ys[:, None] - ty[None, :]) ** 2  # (G, K)
+        M = (dx2[None, :, None] + dy2[:, None, :]) ** half
+        rows.append(np.einsum("v,bvk,bk->b", WX[a], M, WY))
+    return np.array(rows)
+
+
+def even_moment_table(params, m, n, h, region, grid_points, policy):
+    """L(|d|^2h) at every lattice point, expanded binomially into 1-D moments."""
+    xs, ys = lattice(region.A, grid_points)
+    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy)
+    out = np.zeros((len(xs), len(ys)))
+    for j in range(h + 1):
+        mx = (WX * (tx[None, :] - xs[:, None]) ** (2 * j)).sum(axis=1)
+        my = (WY * (ys[:, None] - ty[None, :]) ** (2 * (h - j))).sum(axis=1)
+        out += math.comb(h, j) * mx[:, None] * my[None, :]
+    return out
+
+
+@st.composite
+def sweep_cases(draw):
+    """Unshifted or Stancu-shifted (alpha = beta included) lattice sweeps."""
+    if draw(st.booleans()):
+        b1, b2 = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+        a1 = draw(st.one_of(st.just(b1), st.floats(0.0, b1)))
+        a2 = draw(st.one_of(st.just(b2), st.floats(0.0, b2)))
+        params = StancuParams(a1, b1, a2, b2)
+    else:
+        params = StancuParams()
+    m, n = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    p_exp = draw(st.one_of(st.sampled_from([2.0, 4.0]), st.floats(0.5, 4.5)))
+    region = CompactRegion(draw(st.floats(0.0, 5.0, exclude_min=True)))
+    return params, m, n, p_exp, region, draw(st.integers(2, 41))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(case=sweep_cases())
+def test_sup_distance_power_is_the_full_sweep_max(case):
+    params, m, n, p_exp, region, G = case
+    table = distance_power_table(params, m, n, p_exp, region, G, TIGHT)
+    # bit for bit: a skipped point's value lies below the best one seen
+    got = sup_distance_power_operator(params, m, n, p_exp, region, G, TIGHT)
+    assert got == max(0.0, float(table.max()))
+    # the skipping rests on Lyapunov's L(|d|^p) <= L(|d|^2h)^(p/2h), with
+    # slack for rounding and L(1) = 1 up to ulps, and a floor for underflow
+    h = math.ceil(p_exp / 2.0)
+    even = even_moment_table(params, m, n, h, region, G, TIGHT)
+    assert np.allclose(even, distance_power_table(params, m, n, 2.0 * h, region,
+                                                  G, TIGHT), rtol=1e-12, atol=0.0)
+    assert np.all((1.0 + 1e-9) * (even + 2.0**-1000) ** (p_exp / (2 * h)) >= table)
+
+
+def test_sup_distance_power_skips_most_points(monkeypatch):
+    einsum, evaluated = np.einsum, []
+
+    def counted(spec, *operands):
+        evaluated.append(operands[1].shape[0])
+        return einsum(spec, *operands)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    # even p: the bound is L(|d|^p) itself, so only the top row is swept
+    sup_distance_power_operator(StancuParams(), 10, 10, 2.0, R1, 201, TIGHT)
+    assert evaluated == [201]
+    evaluated.clear()
+    sup_distance_power_operator(StancuParams(1, 2, 1, 2), 20, 20, 3.0, R1, 101, TIGHT)
+    assert sum(evaluated) <= 0.25 * 101**2
+
+
+@pytest.mark.parametrize("p_exp", [0.0, -1.0, math.nan, math.inf])
+def test_sup_distance_power_rejects_bad_exponent(p_exp):
+    with pytest.raises(DomainError, match="p_exp must be finite and > 0"):
+        sup_distance_power_operator(StancuParams(), 10, 10, p_exp, R1, 11)
 
 
 def test_theorem_4_1_linear_exact():

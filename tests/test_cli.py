@@ -150,6 +150,7 @@ def test_non_finite_function_exits_2(tmp_path, monkeypatch, command):
     (["eval", "--y", "1e308"], "y must be >= 0 with n*y finite"),
     (["rth", "--y", "1e308"], "y must be >= 0 with n*y finite"),
     (["moments", "--y", "1e308"], "y must give finite moments"),
+    (["check-thm41", "--seed", "-1"], "seed must be a non-negative integer"),
 ])
 def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
     code, out = run(tmp_path, *args)
@@ -157,6 +158,27 @@ def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
     error = sidecar(out)["error"]
     assert error["type"] == "DomainError"
     assert error["message"].startswith(message)
+    assert not out.exists()
+
+
+class PrivateMemoryError(MemoryError):
+    """Like numpy's allocation failure, a subclass of MemoryError."""
+
+
+@pytest.mark.parametrize("exc_type", [MemoryError, PrivateMemoryError])
+def test_out_of_memory_exits_2_without_blaming_f(tmp_path, monkeypatch, capsys,
+                                                 exc_type):
+    def exhausted(x, y):
+        raise exc_type("Unable to allocate 74.5 PiB")
+
+    entry = counting_entry([], exhausted, "hungry")
+    monkeypatch.setattr(cli, "corpus_lookup", lambda name: entry)
+    code, out = run(tmp_path, "modulus", "--grid", "21")
+    assert code == 2
+    assert sidecar(out)["error"] == {"type": "MemoryError",
+                                     "message": "Unable to allocate 74.5 PiB"}
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 74.5 PiB\n")
     assert not out.exists()
 
 
