@@ -227,6 +227,36 @@ def _szasz_rows(n, ys, policy, band=False):
     return W, tail, start
 
 
+def _szasz_row(n, y, policy):
+    """szasz_band_matrix(n, [y], policy), its tail bound and lo, from scalars:
+    the row is built alone and summed directly (not in blocks), so a weight
+    may differ from the band row's by rounding."""
+    if n < 1:
+        raise DomainError(f"degree n must be >= 1, got {n}")
+    rate, tol = n * y, policy.tail_tol
+    if not (y >= 0.0 and rate < math.inf):
+        raise DomainError(f"y must be >= 0 with n*y finite, got y = {y} (n = {n})")
+    left, right = _window(rate, rate, tol)
+    width = min(math.ceil(right), policy.max_terms)
+    chernoff = float(np.exp(width - rate + width * np.log(max(rate, _TINY) / width)))
+    low = 0 if rate < _TINY else math.ceil(rate)
+    if chernoff > tol or low >= width:
+        raise TruncationError(f"mass target 1 - {tol} not reached within "
+                              f"{policy.max_terms} terms (rate {rate})",
+                              tail=chernoff if width > rate else 1.0)
+    start, mode = max(math.floor(left), 0), int(rate)
+    row = np.concatenate((np.cumprod(np.arange(mode, start, -1.0) / rate)[::-1], [1.0],
+                          np.cumprod(rate / np.arange(mode + 1.0, width))))
+    total = row.sum()
+    # the mass past each column from low on: K - low columns are above target
+    after = np.cumsum(row[: low - start : -1])[::-1] / total
+    K = int(np.count_nonzero(after > tol - chernoff))
+    tail = (float(after[K]) if K < len(after) else 0.0) + chernoff
+    row = row[None, : low + K + 1 - start] / total
+    row[row < _TINY] = 0.0
+    return row, tail, start
+
+
 def szasz_weight_matrix(n, ys, policy=DEFAULT_POLICY):
     """Truncated Poisson weights e^(-ny) (ny)^k / k!, one zero-padded row per y."""
     return _szasz_rows(n, ys, policy)[0]

@@ -30,7 +30,7 @@ from .operators import (
     sample_lattice,
     second_central_moment,
 )
-from .reporting import CAVEAT_NONE
+from .reporting import CAVEAT_GRID_ESTIMATE, CAVEAT_NONE
 from .taylor import apply_rth, f_rth_lipschitz_estimate, finite_difference_derivs
 from .weighted import (
     TruncatedStrip,
@@ -145,7 +145,7 @@ def _run(cfg):
         bounds = rho_norm_bounds(params, [(m, n)] + (schedule if rated else []),
                                  strip, G)
         header = ["row", "m", "n", "value", "holds", "caveat"]
-        rows = [["rho_norm_bound", m, n, bounds[m, n], True, "none"]]
+        rows = [["rho_norm_bound", m, n, bounds[m, n], "", CAVEAT_GRID_ESTIMATE]]
         if rated:
             # one strip sample and one bound per (m, n) serve both theorems
             sample = sample_lattice(f, CompactRegion(strip.S), G)
@@ -153,7 +153,7 @@ def _run(cfg):
             ests = check_theorem_5_2(f, params, schedule, w1, strip, G, policy,
                                      sample, bounds)
             for (mm, nn), v in zip(schedule, ests):
-                rows.append(["thm52_estimate", mm, nn, v, True, "none"])
+                rows.append(["thm52_estimate", mm, nn, v, "", CAVEAT_GRID_ESTIMATE])
             rep = check_theorem_5_3(f, params, m, n, cfg["s"], G, policy, strip,
                                     sample, bounds[m, n])
             reports.append(rep)
@@ -220,7 +220,7 @@ def main(argv=None):
         hold = all(rep.holds for rep in reports)
         lines = [",".join(_fmt(v) for v in row) for row in [header, *rows]]
         _write_atomic(cfg["out"], "\n".join(lines) + "\n")
-        caveats = {rep.caveat for rep in reports} - {CAVEAT_NONE}
+        caveats = {row[-1] for row in rows if header[-1] == "caveat"} - {CAVEAT_NONE}
         _sidecar(cfg, caveats, hold, None)
         return 0 if hold else 1
     except (CorpusLookupError, ValueError, RuntimeError, OSError, MemoryError) as exc:

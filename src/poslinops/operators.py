@@ -18,6 +18,7 @@ import numpy as np
 from .basis import (
     DEFAULT_POLICY,
     DomainError,
+    _szasz_row,
     bernstein_band_matrix,
     require_positive,
     szasz_band_matrix,
@@ -105,24 +106,30 @@ def stancu_node(index, degree, alpha, beta):
     return (index + alpha) / (degree + beta)
 
 
-def evaluate(f, x, y):
-    """f(x, y), called once, as a float array of x and y's broadcast shape.
-
-    A result broadcasting to it (a constant, say) is expanded.  Raises RuntimeError
-    naming f when f raises, MemoryError aside, or its result does not broadcast.
-    """
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+def _evaluate(f, x, y):
+    """evaluate(f, x, y) unexpanded, and x and y's broadcast shape."""
+    shape = np.broadcast(x, y).shape
     try:
         out = np.asarray(f(x, y), dtype=float)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape).copy()
+        if np.broadcast(out, x, y).shape != shape:
+            raise ValueError(f"result of shape {out.shape} does not broadcast")
     except MemoryError:
         raise
     except Exception as exc:
         raise RuntimeError(
             f"evaluation of {getattr(f, 'name', 'f')} failed on shape {shape}"
         ) from exc
-    return out
+    return out, shape
+
+
+def evaluate(f, x, y):
+    """f(x, y), called once, as a float array of x and y's broadcast shape.
+
+    A result broadcasting to it (a constant, say) is expanded.  Raises RuntimeError
+    naming f when f raises, MemoryError aside, or its result does not broadcast.
+    """
+    out, shape = _evaluate(f, x, y)
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 def eval_grid(f, tx, ty):
@@ -183,10 +190,12 @@ def weights_and_nodes(params, m, n, xs, ys, policy=DEFAULT_POLICY,
     beyond rounding.
     """
     WX, a = bernstein_band_matrix(m, xs, policy)
-    if family is KernelFamily.BERNSTEIN_SZASZ:
-        WY, b = szasz_band_matrix(n, ys, policy)
-    else:
+    if family is not KernelFamily.BERNSTEIN_SZASZ:
         WY, b = bernstein_band_matrix(n, ys, policy)
+    elif len(ys) == 1:  # one point: its own row, built directly
+        WY, _, b = _szasz_row(n, float(ys[0]), policy)
+    else:
+        WY, b = szasz_band_matrix(n, ys, policy)
     tx = (np.arange(a, a + WX.shape[1]) + params.alpha1) / (m + params.beta1)
     ty = (np.arange(b, b + WY.shape[1]) + params.alpha2) / (n + params.beta2)
     return WX, WY, tx, ty

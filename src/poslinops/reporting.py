@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 CAVEAT_NONE = "none"
 CAVEAT_RHS_GRID_LOWER_BOUND = "rhs_is_grid_lower_bound"
 CAVEAT_FROZEN_WEIGHTED_MODULUS = "rhs_uses_frozen_weighted_modulus"
+CAVEAT_GRID_ESTIMATE = "value_is_grid_estimate"  # an estimate, not a check
 
 # Absorbs floating-point noise on exactly-tight cases (e.g. constants, where
 # both sides are 0).

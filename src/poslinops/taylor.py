@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError, require_positive
 from .moduli import _largest_ratio
-from .operators import (Function2D, KernelFamily, Point2D, eval_grid, evaluate,
+from .operators import (Function2D, KernelFamily, Point2D, _evaluate, evaluate,
                         weights_and_nodes)
 
 _MAX_FD_ORDER = 4
@@ -55,33 +55,33 @@ def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY,
                       family=KernelFamily.BERNSTEIN_SZASZ):
     """Order-r operator values on the tensor grid xs x ys.
 
-    For each monomial (i, j) of the Taylor expansion the double node sum
-    factorizes into two matrix products; the nodal derivative table is shared
-    across all grid points.
+    For each monomial (i, j) of the Taylor expansion the double node sum is
+    U_i @ C @ V_j.T, with U_i = WX * dx^i and V_j = WY * dy^j built once per
+    power and C the nodal table of the partial over i! j!.  A partial that
+    returns a constant c adds c / (i! j!) * outer(U_i.sum(1), V_j.sum(1)).
     """
     _require_order(derivs, r)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy, family)
+    dx, dy = xs[:, None] - tx[None, :], ys[:, None] - ty[None, :]
+    U = [WX * dx**i for i in range(r + 1)]
+    V = [WY * dy**j for j in range(r + 1)]
     out = np.zeros((len(xs), len(ys)))
-    for h in range(r + 1):
-        for j in range(h + 1):
-            i = h - j
-            C = (eval_grid(_partial(derivs, i, j), tx, ty)
-                 / (math.factorial(i) * math.factorial(j)))
-            U = WX * (xs[:, None] - tx[None, :]) ** i
-            V = WY * (ys[:, None] - ty[None, :]) ** j
-            out += U @ C @ V.T
+    for i, j in ((h - j, j) for h in range(r + 1) for j in range(h + 1)):
+        scale = math.factorial(i) * math.factorial(j)
+        c, shape = _evaluate(_partial(derivs, i, j), tx[:, None], ty[None, :])
+        if c.ndim:
+            out += U[i] @ np.divide(c, scale, out=np.empty(shape)) @ V[j].T
+        elif c:
+            out += c / scale * np.outer(U[i].sum(axis=1), V[j].sum(axis=1))
     return out
 
 
 def apply_rth(derivs, params, m, n, r, p, policy=DEFAULT_POLICY,
               family=KernelFamily.BERNSTEIN_SZASZ):
     """Order-r operator value at a single point."""
-    grid = apply_rth_on_grid(
-        derivs, params, m, n, r, [p.x], [p.y], policy=policy, family=family
-    )
-    return float(grid[0, 0])
+    return float(apply_rth_on_grid(derivs, params, m, n, r, [p.x], [p.y], policy,
+                                   family)[0, 0])
 
 
 def fd_stencil_weights(z, xs, k):

@@ -12,17 +12,23 @@ import tracemalloc
 from hypothesis import given, settings, strategies as st
 import mpmath
 import numpy as np
+import pytest
 
 from poslinops import (
     DEFAULT_POLICY,
+    DomainError,
     Function2D,
     KernelFamily,
     Point2D,
     StancuParams,
+    TruncationError,
+    TruncationPolicy,
     apply,
     corpus_lookup,
 )
 from poslinops.basis import (
+    _szasz_row,
+    _szasz_rows,
     _window,
     bernstein_band_matrix,
     bernstein_weight_matrix,
@@ -30,6 +36,7 @@ from poslinops.basis import (
     szasz_weight_matrix,
     szasz_weights,
 )
+from poslinops.operators import weights_and_nodes
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
@@ -94,6 +101,61 @@ def test_szasz_band_is_the_window(n, r):
     assert full[-1] > 0.0 and lo + band.shape[1] == len(full)
     if len(full) == 1:  # K = 0: all the mass past k = 0 is dropped
         assert szasz_weights(n, y).tail_bound >= -math.expm1(-rate)
+
+
+@BAND_SETTINGS
+@given(n=st.integers(1, 5000), r=rates)
+def test_one_row_builder_matches_the_band_row(n, r):
+    """A single point's Szasz row, built directly, has the band row's lo and K;
+    its weights and tail bound differ from the band row's by rounding only."""
+    y = r / n
+    band, lo = szasz_band_matrix(n, [y])
+    _, band_tail, _ = _szasz_rows(n, [y], DEFAULT_POLICY, band=True)
+    row, tail, start = _szasz_row(n, y, DEFAULT_POLICY)
+    assert start == lo and row.shape == band.shape
+    assert np.all(np.abs(row - band) <= 8 * EPS * band + TINY)
+    assert abs(tail - band_tail[0]) <= 4 * EPS * band_tail[0] + TINY
+    # a single point's operator builds exactly this row
+    WY = weights_and_nodes(StancuParams(), 3, n, [0.5], [y])[1]
+    assert np.array_equal(WY, row)
+
+
+@BAND_SETTINGS
+@given(n=st.integers(1, 5000), r=st.floats(1e-3, 1e5), frac=st.floats(0.0, 1.0))
+def test_one_row_builder_truncates_as_the_band_row(n, r, frac):
+    """With max_terms below the window's right edge both builders raise the
+    same TruncationError, tail bound included, or both return the same band."""
+    y = r / n
+    right = _window(n * y, n * y, DEFAULT_POLICY.tail_tol)[1]
+    policy = TruncationPolicy(max_terms=1 + int(frac * (math.ceil(right) - 2)))
+    try:
+        band, lo = szasz_band_matrix(n, [y], policy)
+    except TruncationError as want:
+        with pytest.raises(TruncationError) as got:
+            _szasz_row(n, y, policy)
+        assert str(got.value) == str(want)
+        assert abs(got.value.tail - want.tail) <= 4 * EPS * want.tail
+    else:
+        row, _, start = _szasz_row(n, y, policy)
+        assert start == lo and row.shape == band.shape
+
+
+@pytest.mark.parametrize("n, y, message", [
+    (0, 1.0, "^degree n must be >= 1"),
+    (10, -1e-3, "^y must be >= 0"),
+    (10, float("nan"), "^y must be >= 0"),
+    (10, float("inf"), "^y must be >= 0"),
+    (2, 1e308, "^y must be >= 0 with n\\*y finite"),  # n*y overflows
+])
+def test_one_row_builder_domain_errors(n, y, message):
+    with pytest.raises(DomainError, match=message):
+        _szasz_row(n, y, DEFAULT_POLICY)
+
+
+def test_point_with_infinite_rate_names_y():
+    f = corpus_lookup("linear").function
+    with pytest.raises(DomainError, match="^y must be >= 0 with n"):
+        apply(f, StancuParams(), 10, 2, Point2D(0.5, 1e308))
 
 
 def bounded(x, y):

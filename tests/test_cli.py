@@ -257,6 +257,30 @@ def test_weighted_command(tmp_path):
     assert "rhs_uses_frozen_weighted_modulus" in sidecar(out)["caveats"]
 
 
+def test_weighted_estimate_rows_carry_no_verdict(tmp_path):
+    """rho_norm_bound and thm52_estimate are lattice-max estimates, not checked
+    inequalities: their holds field is empty, their caveat says so, and only
+    the thm53_margin check decides the exit code."""
+    code, out = run(tmp_path, "weighted", "--function", "rho_growth", "--m", "20",
+                    "--n", "20", "--grid", "51", "--schedule", "10,20")
+    assert code == 0
+    header, rows = read_csv(out)
+    fields = [dict(zip(header, row)) for row in rows]
+    assert [r["row"] for r in fields] == ["rho_norm_bound", "thm52_estimate",
+                                          "thm52_estimate", "thm53_margin"]
+    for r in fields[:-1]:
+        assert r["holds"] == "" and r["caveat"] == "value_is_grid_estimate"
+    assert fields[-1]["holds"] == "true"
+    assert fields[-1]["caveat"] == "rhs_uses_frozen_weighted_modulus"
+    assert sidecar(out)["caveats"] == ["rhs_uses_frozen_weighted_modulus",
+                                       "value_is_grid_estimate"]
+    # without a rho-dominated f only the estimate row is written: no check
+    code, out = run(tmp_path, "weighted", "--function", "linear", "--grid", "21")
+    assert code == 0 and sidecar(out)["reports_hold"] is True
+    (row,) = read_csv(out)[1]
+    assert row[0] == "rho_norm_bound" and row[4:] == ["", "value_is_grid_estimate"]
+
+
 def test_weighted_computes_each_input_once(tmp_path, monkeypatch):
     """One strip sample and one rho-norm bound per (m, n); same CSV values."""
     base = corpus_lookup("rho_growth").function

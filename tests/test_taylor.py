@@ -1,6 +1,7 @@
 """Tests for the order-r operator, Taylor polynomials and derivatives."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from poslinops import (
     szasz_weights,
 )
 from poslinops.basis import bernstein_weights
-from poslinops.taylor import PartialDerivativeSet, fd_stencil_weights
+from poslinops.operators import evaluate
+from poslinops.taylor import (PartialDerivativeSet, apply_rth_on_grid,
+                              fd_stencil_weights)
 
 TIGHT = TruncationPolicy(1e-14)
 
@@ -148,6 +151,74 @@ def test_apply_rth_against_direct_summation_oracle():
                 e.derivative_provider, Point2D(tx, ty), p, r
             )
     assert got == pytest.approx(total, abs=1e-10)
+
+
+POLYNOMIAL_DEGREES = {"const1": 0, "linear": 1, "prod": 2, "quad": 2}
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL_DEGREES)
+def test_apply_rth_reproduces_polynomials_at_points_and_on_lattices(name):
+    """L_r f = f for f of degree <= r: each node's Taylor polynomial is f.
+
+    Points on the edges x in {0, 1} and y = 0, and alpha = beta, included;
+    the tight policy keeps the dropped Poisson mass below 1e-14."""
+    entry = corpus_lookup(name)
+    f, derivs = entry.function, entry.derivative_provider
+    xs, ys = np.array([0.0, 0.25, 0.6, 1.0]), np.array([0.0, 0.4, 1.7, 3.0])
+    points = [(0.0, 0.0), (1.0, 0.0), (0.0, 2.5), (1.0, 1.3), (0.37, 0.0), (0.62, 3.1)]
+    for r in range(POLYNOMIAL_DEGREES[name], 4):
+        for params in (StancuParams(), StancuParams(0.5, 0.5, 1.5, 1.5),
+                       StancuParams(0.3, 1.2, 0.0, 2.0)):
+            for m, n in ((1, 1), (7, 12), (60, 40)):
+                got = apply_rth_on_grid(derivs, params, m, n, r, xs, ys, TIGHT)
+                want = evaluate(f, xs[:, None], ys[None, :])
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want))
+                for x, y in points:
+                    got = apply_rth(derivs, params, m, n, r, Point2D(x, y), TIGHT)
+                    want = float(evaluate(f, x, y))
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_constant_and_zero_partials_build_no_node_table():
+    """f = 1 at r = 3: one constant partial and nine zero ones, each called
+    once, and no array the size of the point's node table is allocated."""
+    calls = []
+    const = corpus_lookup("const1").derivative_provider
+
+    def counted(i, j, x, y):
+        calls.append((i, j))
+        return const.eval(i, j, x, y)
+
+    derivs = PartialDerivativeSet(order=3, eval=counted, source="counted")
+    p = Point2D(0.37, 5.0)
+    m = n = 2000  # a band of 558 x 1,912 nodes: an 8 MB node table
+    apply_rth(derivs, StancuParams(), m, n, 3, p)  # warm up
+    calls.clear()
+    tracemalloc.start()
+    try:
+        value = apply_rth(derivs, StancuParams(), m, n, 3, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(calls) == sorted((h - j, j) for h in range(4) for j in range(h + 1))
+    assert abs(value - 1.0) <= 1e-11
+    assert peak < 2**20
+
+
+def test_provider_result_that_does_not_broadcast_is_named():
+    for wrong in (lambda x, y: np.ones(1000),  # matches no band axis
+                  lambda x, y: np.ones((2,) + np.broadcast(x, y).shape)):
+        derivs = PartialDerivativeSet(
+            order=2, eval=lambda i, j, x, y: wrong(x, y) if (i, j) == (1, 0) else 0.0,
+            source="wrong_shape")
+        for call in (
+            lambda: apply_rth(derivs, StancuParams(), 10, 10, 2, Point2D(0.3, 0.7)),
+            lambda: apply_rth_on_grid(derivs, StancuParams(), 10, 10, 2,
+                                      [0.0, 1.0], [0.0, 2.0]),
+        ):
+            with pytest.raises(RuntimeError, match=r"^evaluation of partial \(1, 0\) "
+                                                   r"of wrong_shape failed on shape"):
+                call()
 
 
 def test_fd_stencil_weights_classical():
