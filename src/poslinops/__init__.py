@@ -13,9 +13,6 @@ from .basis import (
     DomainError,
     TruncationError,
     TruncationPolicy,
-    WeightVector,
-    bernstein_weights,
-    szasz_weights,
 )
 from .operators import (
     CompactRegion,

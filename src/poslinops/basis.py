@@ -13,11 +13,12 @@ L = ln(2^60 / tail_tol) and var = m x(1 - x) (Bernstein) or ny (Poisson):
 by Bernstein's inequality the mass on either side of it is at most
 e^-L = tail_tol * 2^-60.  A Poisson row is built up to the window's right
 edge W, where the Chernoff bound P(X >= W) <= exp(-ny h(W/(ny) - 1)),
-h(u) = (1 + u) ln(1 + u) - u, joins the mass dropped past K in
-``tail_bound``.  The band builders cover only the union of their rows'
-windows (for Bernstein rows, less its columns of zeros: a row at x = 0 or 1
-has one nonzero weight).  Weights below the smallest normal float are set to
-0: subnormal operands slow the matrix products several-fold.
+h(u) = (1 + u) ln(1 + u) - u, joins the mass dropped past K in the row's
+tail bound.  Rows are built only as bands, by the two band builders: the
+union of their rows' windows (for Bernstein rows, less its columns of zeros:
+a row at x = 0 or 1 has one nonzero weight).  Weights below the smallest
+normal float are set to 0: subnormal operands slow the matrix products
+several-fold.
 """
 
 from __future__ import annotations
@@ -63,21 +64,6 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 _TINY = np.finfo(float).tiny
-_BLOCK = 128
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Non-negative weights w[k] for k = 0, 1, ...
-
-    ``tail_bound`` bounds the probability mass dropped by truncation.
-    """
-
-    values: np.ndarray
-    tail_bound: float = 0.0
-
-    def __len__(self):
-        return len(self.values)
 
 
 def _mode_rows(a, b, lo, hi, widths=None):
@@ -100,33 +86,23 @@ def _mode_rows(a, b, lo, hi, widths=None):
     return rows
 
 
-def _row_sums(rows):
-    """Row sums whose bits do not depend on how many zero columns pad a row.
-
-    Pairwise sums of _BLOCK-column blocks, then a pairwise sum of the block
-    sums zero-padded to a power-of-two count."""
-    blocks = rows.reshape(len(rows), -1, _BLOCK).sum(axis=2)
-    padded = np.zeros((len(rows), max(8, 1 << (blocks.shape[1] - 1).bit_length())))
-    padded[:, : blocks.shape[1]] = blocks
-    return padded.sum(axis=1)
-
-
 def _window(mean, var, tol):
     """Each row's window edges: at most tol * 2^-60 of its mass on each side.
 
     Bernstein's inequality P(|X - mean| >= t) <= exp(-t^2 / (2 (var + t/3)))
     on each side, for sums of independent variables within 1 of their means.
     """
-    L = math.log(2.0**60 / tol)
+    L = 60 * math.log(2.0) - math.log(tol)  # 2^60 / tol overflows for tiny tol
     s = np.sqrt(L * L / 9 + 2 * L * var)
     return mean - L / 3 - s, mean + L / 3 + s
 
 
-def _bernstein_rows(m, xs, band_tol=None):
-    """Bernstein rows over columns [lo, hi), and lo.
+def bernstein_band_matrix(m, xs, policy=DEFAULT_POLICY):
+    """Weights C(m, v) x^v (1-x)^(m-v) over their band [lo, hi), one row per
+    x in xs, and lo.
 
-    The range is [0, m + 1), or with ``band_tol`` the union of the rows'
-    windows for that tolerance.
+    The band is the union of the rows' windows, less its columns of zeros;
+    each row drops at most policy.tail_tol * 2^-60 of its mass on each side.
     """
     if m < 1:
         raise DomainError(f"degree m must be >= 1, got {m}")
@@ -135,53 +111,41 @@ def _bernstein_rows(m, xs, band_tol=None):
     if not (x_min >= 0.0 and x_max <= 1.0):
         bad = next(v for v in x[:, 0] if not 0.0 <= v <= 1.0)
         raise DomainError(f"x must be in [0, 1], got {bad}")
-    lo, hi = 0, m + 1
-    if band_tol is not None:
-        # A left window edge grows with x where it is >= 0, and a right edge
-        # where it is <= m: the rows at x_min and x_max bound the union.
-        left = _window(m * x_min, m * x_min * (1.0 - x_min), band_tol)[0]
-        right = _window(m * x_max, m * x_max * (1.0 - x_max), band_tol)[1]
-        lo, hi = max(math.floor(left), 0), min(math.ceil(right), m + 1)
+    # A left window edge grows with x where it is >= 0, and a right edge
+    # where it is <= m: the rows at x_min and x_max bound the union.
+    left = _window(m * x_min, m * x_min * (1.0 - x_min), policy.tail_tol)[0]
+    right = _window(m * x_max, m * x_max * (1.0 - x_max), policy.tail_tol)[1]
+    lo, hi = max(math.floor(left), 0), min(math.ceil(right), m + 1)
     b = (1.0 - x) * (np.arange(lo + 1.0, hi) / np.arange(m - lo, m - hi + 1.0, -1))
     rows = _mode_rows(x, b, 0, hi - lo - 1)
     rows /= rows.sum(axis=1, keepdims=True)
     rows[rows < _TINY] = 0.0
-    return rows, lo
-
-
-def bernstein_weight_matrix(m, xs):
-    """Weights C(m, v) x^v (1-x)^(m-v), v = 0..m, one row per x in xs."""
-    return _bernstein_rows(m, xs)[0]
-
-
-def bernstein_band_matrix(m, xs, policy=DEFAULT_POLICY):
-    """Bernstein rows over their band [lo, hi), and lo.
-
-    The band is the union of the rows' windows, less its columns of zeros;
-    each row drops at most policy.tail_tol * 2^-60 of its mass on each side.
-    """
-    rows, lo = _bernstein_rows(m, xs, policy.tail_tol)
     nonzero = rows.any(axis=0)
     a, b = int(nonzero.argmax()), len(nonzero) - int(nonzero[::-1].argmax())
     return rows[:, a:b], lo + a
 
 
-def bernstein_weights(m, x):
-    """The Bernstein weight row at one point x."""
-    return WeightVector(bernstein_weight_matrix(m, [x])[0])
-
-
-def _szasz_rows(n, ys, policy, band=False):
-    """Truncated Poisson rows, one per y, their tail bounds and first column.
+def szasz_band_matrix(n, ys, policy=DEFAULT_POLICY):
+    """Truncated Poisson weights e^(-ny) (ny)^k / k!, one row per y in ys, from
+    the leftmost window edge lo on; their tail bounds; and lo.
 
     Row i ends at K_i, the smallest index at or beyond ceil(ny) (0 when ny is
     below the smallest normal float) whose dropped mass, counted inside the
     window plus the Chernoff bound past it, is at most tail_tol; the matrix
-    is as wide as the widest row.  Rows start at column 0, or with ``band``
-    at the leftmost window edge.
+    is as wide as the widest row.  tail[i] bounds the mass past K_i, and each
+    row drops at most policy.tail_tol * 2^-60 of its mass left of its window.
+    One y gets a row built from scalars, several a matrix built at once; a
+    weight of one may differ from the other's by rounding.
     """
     if n < 1:
         raise DomainError(f"degree n must be >= 1, got {n}")
+    if len(ys) == 1:
+        return _szasz_row(n, float(ys[0]), policy)
+    return _szasz_rows(n, ys, policy)
+
+
+def _szasz_rows(n, ys, policy):
+    """szasz_band_matrix for several ys, built as one matrix."""
     ys = np.asarray(ys, dtype=float)
     y_min, y_max = float(ys.min()), float(ys.max())
     if not (y_min >= 0.0 and n * y_max < math.inf):
@@ -204,13 +168,14 @@ def _szasz_rows(n, ys, policy, band=False):
 
     # The mode floor(rate) is exact (b[k] = k + 1 >= rate past it), so rows
     # start from the lowest mode and stop the backward product at the highest.
-    # Local column c is global column start + c.
-    start = max(math.floor(left.min()), 0) if band else 0
+    # Local column c is global column start + c; one column past the widest
+    # row leaves room for its cut.
+    start = max(math.floor(left.min()), 0)
     lo, hi = int(n * y_min) - start, int(n * y_max) - start
-    cols = ((widths.max() - start) // _BLOCK + 1) * _BLOCK
+    cols = widths.max() + 1 - start
     rows = _mode_rows(rate[:, None], np.arange(start + 1.0, start + cols), lo, hi,
                       widths - start)
-    total = _row_sums(rows)
+    total = rows.sum(axis=1)
     # K_i lies in [low_i, widths_i): sum the mass past each column there only
     g = np.arange(len(rows))
     at = (g[:, None], np.minimum(low[:, None] - start
@@ -228,11 +193,7 @@ def _szasz_rows(n, ys, policy, band=False):
 
 
 def _szasz_row(n, y, policy):
-    """szasz_band_matrix(n, [y], policy), its tail bound and lo, from scalars:
-    the row is built alone and summed directly (not in blocks), so a weight
-    may differ from the band row's by rounding."""
-    if n < 1:
-        raise DomainError(f"degree n must be >= 1, got {n}")
+    """szasz_band_matrix for one y, built from scalars."""
     rate, tol = n * y, policy.tail_tol
     if not (y >= 0.0 and rate < math.inf):
         raise DomainError(f"y must be >= 0 with n*y finite, got y = {y} (n = {n})")
@@ -254,30 +215,4 @@ def _szasz_row(n, y, policy):
     tail = (float(after[K]) if K < len(after) else 0.0) + chernoff
     row = row[None, : low + K + 1 - start] / total
     row[row < _TINY] = 0.0
-    return row, tail, start
-
-
-def szasz_weight_matrix(n, ys, policy=DEFAULT_POLICY):
-    """Truncated Poisson weights e^(-ny) (ny)^k / k!, one zero-padded row per y."""
-    return _szasz_rows(n, ys, policy)[0]
-
-
-def szasz_band_matrix(n, ys, policy=DEFAULT_POLICY):
-    """szasz_weight_matrix from the leftmost window edge lo on, and lo.
-
-    Each row drops at most policy.tail_tol * 2^-60 of its mass left of its
-    window, besides the truncated tail past K.
-    """
-    W, _, start = _szasz_rows(n, ys, policy, band=True)
-    return W, start
-
-
-def szasz_weights(n, y, policy=DEFAULT_POLICY):
-    """Truncated Poisson weights e^(-ny) (ny)^k / k!, k = 0..K.
-
-    K is the smallest index at or beyond the Poisson mode ceil(ny) such that
-    the accumulated mass reaches 1 - tail_tol, capped at policy.max_terms;
-    ``tail_bound`` bounds the mass past K (ny when 0 < ny is subnormal: K = 0).
-    """
-    W, tail, _ = _szasz_rows(n, [y], policy)
-    return WeightVector(W[0], tail_bound=float(tail[0]))
+    return row, np.array([tail]), start

@@ -18,7 +18,6 @@ import numpy as np
 from .basis import (
     DEFAULT_POLICY,
     DomainError,
-    _szasz_row,
     bernstein_band_matrix,
     require_positive,
     szasz_band_matrix,
@@ -184,18 +183,16 @@ def weights_and_nodes(params, m, n, xs, ys, policy=DEFAULT_POLICY,
     holds all but at most policy.tail_tol * 2^-60 of its mass on each side of
     its window (``basis``), and a Szasz row still ends at its truncation
     index K.  For one point the band is the point's own; on a lattice, which
-    holds x = 0, x = 1 and y = 0, it is every column, as with the full rows.
+    holds x = 0, x = 1 and y = 0, it is every column up to the widest row's K.
     Rows are normalized over the band, which moves an operator value by at
     most 4 * tail_tol * 2^-60 * (sup f - inf f) over the full node lattice,
     beyond rounding.
     """
     WX, a = bernstein_band_matrix(m, xs, policy)
-    if family is not KernelFamily.BERNSTEIN_SZASZ:
-        WY, b = bernstein_band_matrix(n, ys, policy)
-    elif len(ys) == 1:  # one point: its own row, built directly
-        WY, _, b = _szasz_row(n, float(ys[0]), policy)
+    if family is KernelFamily.BERNSTEIN_SZASZ:
+        WY, _, b = szasz_band_matrix(n, ys, policy)
     else:
-        WY, b = szasz_band_matrix(n, ys, policy)
+        WY, b = bernstein_band_matrix(n, ys, policy)
     tx = (np.arange(a, a + WX.shape[1]) + params.alpha1) / (m + params.beta1)
     ty = (np.arange(b, b + WY.shape[1]) + params.alpha2) / (n + params.beta2)
     return WX, WY, tx, ty
@@ -224,27 +221,25 @@ def apply(f, params, m, n, p, policy=DEFAULT_POLICY,
 
 
 def _moment_t(params, m, x):
-    return (m * np.asarray(x, dtype=float) + params.alpha1) / (m + params.beta1)
+    return (m * x + params.alpha1) / (m + params.beta1)
 
 
 def _moment_tau(params, n, y):
-    return (n * np.asarray(y, dtype=float) + params.alpha2) / (n + params.beta2)
+    return (n * y + params.alpha2) / (n + params.beta2)
 
 
 def _moment_t2(params, m, x):
-    x = np.asarray(x, dtype=float)
     a, b = params.alpha1, params.beta1
     return ((m * m - m) * x * x + (2 * a + 1) * m * x + a * a) / (m + b) ** 2
 
 
 def _moment_tau2(params, n, y):
-    y = np.asarray(y, dtype=float)
     a, b = params.alpha2, params.beta2
     return (n * n * y * y + (2 * a + 1) * n * y + a * a) / (n + b) ** 2
 
 
 def _finite_in_y(value, n, p):
-    if not np.isfinite(value):
+    if not -np.inf < value < np.inf:
         raise DomainError(f"y must give finite moments, got y = {p.y} (n = {n})")
     return value
 
@@ -256,11 +251,10 @@ def moments_closed_form(params, m, n, p):
     against the direct double-summation oracle.  Raises DomainError naming y
     when a moment is not finite.
     """
-    with np.errstate(over="ignore"):
-        tau = float(_moment_tau(params, n, p.y))
-        tau2 = float(_moment_t2(params, m, p.x) + _moment_tau2(params, n, p.y))
-    return MomentSet(one=1.0, t=float(_moment_t(params, m, p.x)),
-                     tau=_finite_in_y(tau, n, p),
+    x, y = float(p.x), float(p.y)
+    tau2 = _moment_t2(params, m, x) + _moment_tau2(params, n, y)
+    return MomentSet(one=1.0, t=_moment_t(params, m, x),
+                     tau=_finite_in_y(_moment_tau(params, n, y), n, p),
                      t2_plus_tau2=_finite_in_y(tau2, n, p))
 
 

@@ -23,6 +23,7 @@ from .operators import (
     second_central_moment_grid,
     _moment_t2,
     _moment_tau2,
+    _require_finite,
 )
 from .reporting import CAVEAT_FROZEN_WEIGHTED_MODULUS, BoundReport
 
@@ -69,12 +70,16 @@ def operator_rho_norm_bound(params, m, n, strip, grid_points=201):
 
     1 + sup over the full domain of |L(t^2 + tau^2) - x^2 - y^2| / rho, the
     sup estimated as the max of a strip grid value and the analytic y -> inf
-    limit |n^2 / (n + beta2)^2 - 1|.
+    limit |n^2 / (n + beta2)^2 - 1|.  Raises RuntimeError when a ratio is not
+    finite: past S ~ 1e154, y^2 overflows and the ratio is inf / inf.
     """
     xs, ys = lattice(strip.S, grid_points)
-    gx = _moment_t2(params, m, xs) - xs * xs
-    gy = _moment_tau2(params, n, ys) - ys * ys
-    ratio = np.abs(gx[:, None] + gy[None, :]) / rho(xs[:, None], ys[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx = _moment_t2(params, m, xs) - xs * xs
+        gy = _moment_tau2(params, n, ys) - ys * ys
+        ratio = np.abs(gx[:, None] + gy[None, :]) / rho(xs[:, None], ys[None, :])
+    _require_finite("the rho-norm bound's ratio", ratio,
+                    f"strip lattice points on [0,1]x[0,S] (S = {strip.S})")
     tail_limit = abs(n * n / (n + params.beta2) ** 2 - 1.0)
     return 1.0 + max(float(ratio.max()), tail_limit)
 

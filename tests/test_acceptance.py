@@ -22,7 +22,6 @@ from poslinops import (
     WeightSpec,
     apply,
     apply_rth,
-    bernstein_weights,
     check_theorem_3_3,
     check_theorem_5_2,
     corpus_lookup,
@@ -30,11 +29,11 @@ from poslinops import (
     korovkin_gaps,
     moments_closed_form,
     operator_rho_norm_bound,
-    szasz_weights,
     theorem_4_1_bound,
 )
 from poslinops import cli
 from poslinops.cli import main as cli_main
+from poslinops.basis import bernstein_band_matrix, szasz_band_matrix
 from poslinops.taylor import PartialDerivativeSet
 
 TIGHT = TruncationPolicy(1e-14)
@@ -174,7 +173,8 @@ def test_criterion_4_rth_reduction_and_exactness():
             m = int(rng.integers(2, 51))
             n = int(rng.integers(2, 51))
             p = Point2D(float(rng.random()), float(rng.random() * 2.0))
-            K = len(szasz_weights(n, p.y, policy)) - 1
+            band, _, lo = szasz_band_matrix(n, [p.y], policy)
+            K = lo + band.shape[1] - 1
             tol = 10 * policy.tail_tol * (1.0 + (K / n + 1.0) ** 3)
             got = apply_rth(d, params, m, n, r, p, policy)
             ok &= abs(got - p.x**ax * p.y**by) <= tol
@@ -241,21 +241,20 @@ def test_criterion_8_basis_certification():
     for _ in range(1000):
         n = int(rng.integers(1, 101))
         y = float(rng.random()) * (1e4 / n)
-        w = szasz_weights(n, y, policy)
-        ok &= w.tail_bound <= policy.tail_tol
+        w, tail, lo = szasz_band_matrix(n, [y], policy)
+        ok &= tail[0] <= policy.tail_tol
         # re-summing in a different order costs a few ulp of extra deficit
-        ok &= 1.0 - w.values.sum() <= policy.tail_tol + 1e-14
-        cases.append((n, y, w))
-    for n, y, w in cases[::50]:  # 20 spot checks against mpmath
-        K = len(w) - 1
+        ok &= 1.0 - w.sum() <= policy.tail_tol + 1e-14
+        cases.append((n, y, tail[0], lo + w.shape[1] - 1))
+    for n, y, tail, K in cases[::50]:  # 20 spot checks against mpmath
         with mpmath.workdps(50):
             rate = mpmath.mpf(n) * mpmath.mpf(y)
             cdf = mpmath.gammainc(K + 1, rate, mpmath.inf, regularized=True)
             exact_tail = float(1 - cdf)
-        ok &= abs(w.tail_bound - exact_tail) <= 1e-11
+        ok &= abs(tail - exact_tail) <= 1e-11
     for m in (1, 10, 100, 500):
         for x in np.linspace(0.0, 1.0, 21):
-            ok &= abs(bernstein_weights(m, float(x)).values.sum() - 1.0) <= 1e-12
+            ok &= abs(bernstein_band_matrix(m, [float(x)])[0].sum() - 1.0) <= 1e-12
     report(8, ok, "Szasz truncation deficit certified against an "
                   "extended-precision Poisson CDF; Bernstein partition "
                   "of unity up to m = 500")

@@ -3,7 +3,8 @@
 A row's window [mean - t, mean + t] leaves at most tail_tol * 2^-60 of the
 row's mass on each side (Bernstein's inequality).  The operator builds its
 weight rows and evaluates f only on its band: the union of its rows'
-windows, less the columns where every row is 0.
+windows, less the columns where every row is 0.  The rows are checked
+against exact ones: scipy's binomial pmf and the Poisson pmf below.
 """
 
 import math
@@ -13,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln
+from scipy.stats import binom
 
 from poslinops import (
     DEFAULT_POLICY,
@@ -31,16 +34,14 @@ from poslinops.basis import (
     _szasz_rows,
     _window,
     bernstein_band_matrix,
-    bernstein_weight_matrix,
     szasz_band_matrix,
-    szasz_weight_matrix,
-    szasz_weights,
 )
 from poslinops.operators import weights_and_nodes
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
 DROP = DEFAULT_POLICY.tail_tol * 2.0**-60  # mass bound on each side of a window
+RTOL = 1e-12  # a built weight against the exact one
 
 unit_x = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 # 1.1e-308 is below the smallest normal float: its weight at k = 1 is flushed
@@ -49,37 +50,96 @@ BAND_SETTINGS = settings(derandomize=True, deadline=None, database=None,
                          max_examples=200)
 
 
-def assert_band_row(band, lo, full, left, right):
-    """The band lies in the window [left, right) and holds the full row's
-    nonzero weights there, up to the row's normalization."""
+def bernstein_pmf(m, x):
+    """C(m, v) x^v (1-x)^(m-v), v = 0..m, a row per x: scipy's binomial pmf,
+    or for x < 1e-300, where it overflows, the terms v <= 1 (the rest is 0)."""
+    x = np.asarray(x, dtype=float)[..., None]
+    v = np.arange(m + 1)
+    tiny = x < 1e-300
+    direct = np.where(v == 0, 1.0, np.where(v == 1, m * x, 0.0))
+    return np.where(tiny, direct, binom.pmf(v, m, np.where(tiny, 0.5, x)))
+
+
+def _stirlerr(k):
+    """ln(k!) - ln(sqrt(2 pi k) (k/e)^k) for k >= 1."""
+    small = np.minimum(k, 15.0)
+    direct = gammaln(small + 1) - (small + 0.5) * np.log(small) + small
+    k2 = k * k
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * k2)) / k2)
+                        / k2) / k2) / k
+    return np.where(k <= 15, direct - 0.5 * math.log(2 * math.pi), series)
+
+
+def _bd0(k, rate):
+    """k ln(k / rate) + rate - k, summed as a series of positive terms near
+    k = rate, where the direct formula cancels."""
+    v = (k - rate) / (k + rate)
+    near, term = (k - rate) * v, 2 * k * v
+    for j in range(1, 60):
+        term = term * v * v
+        near = near + term / (2 * j + 1)
+    with np.errstate(over="ignore"):
+        direct = k * np.log(k / rate) + rate - k
+    return np.where(np.abs(v) < 0.5, near, direct)
+
+
+def poisson_pmf(k, rate):
+    """e^-rate rate^k / k! for k = 0, 1, ..., to about 2e-14 relative.
+
+    Loader's saddle-point form exp(-stirlerr(k) - bd0(k, rate)) / sqrt(2 pi k):
+    ln(rate^k / k!) - rate cancels to 1e-10 relative at rate 1e5."""
+    k = np.asarray(k, dtype=float)
+    if rate == 0.0:
+        return (k == 0).astype(float)
+    kk = np.maximum(k, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        p = np.exp(-_stirlerr(kk) - _bd0(kk, rate)) / np.sqrt(2 * math.pi * kk)
+    return np.where(k == 0, math.exp(-rate), p)
+
+
+def test_poisson_pmf_against_mpmath():
+    for rate in (1e-3, 0.5, 30.0, 1234.5, 99999.3):
+        k = np.arange(max(0, int(rate - 8 * rate**0.5)), int(rate + 8 * rate**0.5) + 20)
+        with mpmath.workdps(40):
+            r = mpmath.mpf(rate)
+            exact = [mpmath.exp(j * mpmath.log(r) - r - mpmath.loggamma(j + 1))
+                     for j in k.tolist()]
+        assert np.allclose(poisson_pmf(k, rate), np.array(exact, dtype=float),
+                           rtol=5e-14, atol=0.0)
+
+
+def assert_band_row(band, lo, exact, left, right):
+    """The band lies in the window [left, right) and holds the exact row's
+    weights there; the window's columns off the band hold only flushed
+    weights."""
     hi = lo + len(band)
-    left, right = max(math.floor(left), 0), min(math.ceil(right), len(full))
+    left, right = max(math.floor(left), 0), min(math.ceil(right), len(exact))
     assert left <= lo < hi <= right
-    assert not full[left:lo].any() and not full[hi:right].any()
-    assert np.all(np.abs(band - full[lo:hi]) <= 8 * EPS * full[lo:hi] + TINY)
+    assert np.all(exact[left:lo] < 2 * TINY) and np.all(exact[hi:right] < 2 * TINY)
+    assert np.all(np.abs(band - exact[lo:hi]) <= RTOL * exact[lo:hi] + TINY)
 
 
 @BAND_SETTINGS
 @given(m=st.integers(1, 5000), x=unit_x)
 def test_bernstein_band_is_the_window(m, x):
-    full = bernstein_weight_matrix(m, [x])[0]
+    exact = bernstein_pmf(m, x)
     band, lo = bernstein_band_matrix(m, [x])
     left, right = _window(m * x, m * x * (1.0 - x), DEFAULT_POLICY.tail_tol)
-    assert full[: max(math.floor(left), 0)].sum() <= DROP
-    assert full[math.ceil(right):].sum() <= DROP
-    assert left <= np.argmax(full) < right
-    assert_band_row(band[0], lo, full, left, right)
+    assert exact[: max(math.floor(left), 0)].sum() <= DROP
+    assert exact[math.ceil(right) :].sum() <= DROP
+    assert left <= np.argmax(exact) < right
+    assert_band_row(band[0], lo, exact, left, right)
 
 
 @BAND_SETTINGS
 @given(m=st.integers(1, 5000), xs=st.lists(unit_x, min_size=2, max_size=5))
 def test_bernstein_band_is_the_union_of_windows(m, xs):
-    full = bernstein_weight_matrix(m, xs)
     band, lo = bernstein_band_matrix(m, xs)
     x = np.asarray(xs)
+    exact = bernstein_pmf(m, x)
     left, right = _window(m * x, m * x * (1.0 - x), DEFAULT_POLICY.tail_tol)
     for i in range(len(xs)):
-        assert_band_row(band[i], lo, full[i], left.min(), right.max())
+        assert_band_row(band[i], lo, exact[i], left.min(), right.max())
     assert band[:, 0].any() and band[:, -1].any()
 
 
@@ -88,36 +148,60 @@ def test_bernstein_band_is_the_union_of_windows(m, xs):
 def test_szasz_band_is_the_window(n, r):
     y = r / n
     rate = n * y
-    full = szasz_weight_matrix(n, [y])[0]
-    band, lo = szasz_band_matrix(n, [y])
+    band, tail, lo = szasz_band_matrix(n, [y])
     left, right = _window(rate, rate, DEFAULT_POLICY.tail_tol)
-    assert full[: max(math.floor(left), 0)].sum() <= DROP
-    # the full row is truncated before the right edge: take the exact tail
     with mpmath.workdps(30):
+        if left >= 1:  # P(X < floor(left)) is the upper regularized gamma
+            assert mpmath.gammainc(math.floor(left), rate, mpmath.inf,
+                                   regularized=True) <= DROP
         assert mpmath.gammainc(math.ceil(right), 0, rate, regularized=True) <= DROP
     assert left <= int(rate) < right  # the mode floor(ny)
-    assert_band_row(band[0], lo, full, left, right)
-    # both rows end at the full row's K, its last nonzero weight
-    assert full[-1] > 0.0 and lo + band.shape[1] == len(full)
-    if len(full) == 1:  # K = 0: all the mass past k = 0 is dropped
-        assert szasz_weights(n, y).tail_bound >= -math.expm1(-rate)
+    # the row ends at K = hi - 1 inside the window, at its last nonzero
+    # weight; tail bounds the mass past K (all of it past k = 0 when K = 0)
+    hi = lo + band.shape[1]
+    assert hi <= math.ceil(right) and band[0, -1] > 0.0
+    assert_band_row(band[0], lo, poisson_pmf(np.arange(hi), rate), left, right)
+    assert tail[0] <= DEFAULT_POLICY.tail_tol
+    with mpmath.workdps(30):
+        dropped = float(mpmath.gammainc(hi, 0, rate, regularized=True))
+    assert tail[0] >= dropped * (1 - RTOL)
+    if hi == 1:
+        assert tail[0] >= -math.expm1(-rate)
 
 
 @BAND_SETTINGS
 @given(n=st.integers(1, 5000), r=rates)
 def test_one_row_builder_matches_the_band_row(n, r):
-    """A single point's Szasz row, built directly, has the band row's lo and K;
-    its weights and tail bound differ from the band row's by rounding only."""
+    """A single point's Szasz row, built from scalars, has the matrix
+    builder's lo and K; its weights and tail bound differ from the matrix
+    builder's by rounding only."""
     y = r / n
-    band, lo = szasz_band_matrix(n, [y])
-    _, band_tail, _ = _szasz_rows(n, [y], DEFAULT_POLICY, band=True)
+    band, band_tail, lo = _szasz_rows(n, [y], DEFAULT_POLICY)
     row, tail, start = _szasz_row(n, y, DEFAULT_POLICY)
     assert start == lo and row.shape == band.shape
     assert np.all(np.abs(row - band) <= 8 * EPS * band + TINY)
-    assert abs(tail - band_tail[0]) <= 4 * EPS * band_tail[0] + TINY
-    # a single point's operator builds exactly this row
-    WY = weights_and_nodes(StancuParams(), 3, n, [0.5], [y])[1]
-    assert np.array_equal(WY, row)
+    assert abs(tail[0] - band_tail[0]) <= 4 * EPS * band_tail[0] + TINY
+    # one y gets this row, and so does a single point's operator
+    for W in (szasz_band_matrix(n, [y])[0],
+              weights_and_nodes(StancuParams(), 3, n, [0.5], [y])[1]):
+        assert np.array_equal(W, row)
+
+
+@BAND_SETTINGS
+@given(n=st.integers(1, 5000), rs=st.lists(rates, min_size=2, max_size=5))
+def test_matrix_rows_match_the_one_row_builder(n, rs):
+    """Each row of a several-y matrix is that y's own row: the same first
+    column and K, weights within 8 eps, tail bound within 4 eps; left of the
+    row's own first column it holds at most its window's dropped mass."""
+    ys = [r / n for r in rs]
+    W, tail, lo = szasz_band_matrix(n, ys)
+    for i, y in enumerate(ys):
+        row, row_tail, start = szasz_band_matrix(n, [y])
+        a, b = start - lo, start - lo + row.shape[1]
+        assert 0 <= a and W[i, b - 1] > 0.0 and not W[i, b:].any()
+        assert W[i, :a].sum() <= DROP
+        assert np.all(np.abs(W[i, a:b] - row[0]) <= 8 * EPS * row[0] + TINY)
+        assert abs(tail[i] - row_tail[0]) <= 4 * EPS * row_tail[0] + TINY
 
 
 @BAND_SETTINGS
@@ -129,7 +213,7 @@ def test_one_row_builder_truncates_as_the_band_row(n, r, frac):
     right = _window(n * y, n * y, DEFAULT_POLICY.tail_tol)[1]
     policy = TruncationPolicy(max_terms=1 + int(frac * (math.ceil(right) - 2)))
     try:
-        band, lo = szasz_band_matrix(n, [y], policy)
+        band, _, lo = _szasz_rows(n, [y], policy)
     except TruncationError as want:
         with pytest.raises(TruncationError) as got:
             _szasz_row(n, y, policy)
@@ -149,7 +233,7 @@ def test_one_row_builder_truncates_as_the_band_row(n, r, frac):
 ])
 def test_one_row_builder_domain_errors(n, y, message):
     with pytest.raises(DomainError, match=message):
-        _szasz_row(n, y, DEFAULT_POLICY)
+        szasz_band_matrix(n, [y], DEFAULT_POLICY)
 
 
 def test_point_with_infinite_rate_names_y():
@@ -182,15 +266,17 @@ def operator_cases(draw):
 
 
 def full_table_oracle(f, family, params, m, n, p):
-    """WX_full @ F @ WY_full.T over every node column."""
-    WX = bernstein_weight_matrix(m, [p.x])
+    """wx @ F @ wy over every node column, with exact weight rows; the
+    Poisson row ends where the operator truncates it, at K."""
+    wx = bernstein_pmf(m, p.x)
     if family is KernelFamily.BERNSTEIN_SZASZ:
-        WY = szasz_weight_matrix(n, [p.y])
+        band, _, lo = szasz_band_matrix(n, [p.y])
+        wy = poisson_pmf(np.arange(lo + band.shape[1]), n * p.y)
     else:
-        WY = bernstein_weight_matrix(n, [p.y])
-    tx = (np.arange(WX.shape[1]) + params.alpha1) / (m + params.beta1)
-    ty = (np.arange(WY.shape[1]) + params.alpha2) / (n + params.beta2)
-    return float((WX @ f(tx[:, None], ty[None, :]) @ WY.T)[0, 0]), tx, ty
+        wy = bernstein_pmf(n, p.y)
+    tx = (np.arange(len(wx)) + params.alpha1) / (m + params.beta1)
+    ty = (np.arange(len(wy)) + params.alpha2) / (n + params.beta2)
+    return float(wx @ f(tx[:, None], ty[None, :]) @ wy), tx, ty
 
 
 @BAND_SETTINGS

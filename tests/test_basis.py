@@ -1,4 +1,4 @@
-"""Tests for the Bernstein and Szasz weight vectors."""
+"""Tests for the Bernstein and Szasz weight rows, as the band builders give them."""
 
 import math
 from fractions import Fraction
@@ -13,38 +13,49 @@ from poslinops import (
     DomainError,
     TruncationError,
     TruncationPolicy,
-    bernstein_weights,
-    szasz_weights,
 )
-from poslinops.basis import bernstein_weight_matrix, szasz_weight_matrix
+from poslinops.basis import bernstein_band_matrix, szasz_band_matrix
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
+DROP = DEFAULT_POLICY.tail_tol * 2.0**-60  # mass bound on each side of a window
+
+
+def bernstein_row(m, x):
+    """The band row at x, zero-filled to all m + 1 columns."""
+    band, lo = bernstein_band_matrix(m, [x])
+    row = np.zeros(m + 1)
+    row[lo : lo + band.shape[1]] = band[0]
+    return row
+
+
+def szasz_row(n, y, policy=DEFAULT_POLICY):
+    """The band row at y, zero-filled from column 0 to K, and its tail bound."""
+    band, tail, lo = szasz_band_matrix(n, [y], policy)
+    return np.concatenate((np.zeros(lo), band[0])), float(tail[0])
 
 
 def test_bernstein_m2_half():
-    w = bernstein_weights(2, 0.5)
-    assert np.allclose(w.values, [0.25, 0.5, 0.25], atol=1e-15)
-    assert w.tail_bound == 0.0
+    assert np.allclose(bernstein_row(2, 0.5), [0.25, 0.5, 0.25], atol=1e-15)
 
 
 def test_bernstein_endpoints():
-    w = bernstein_weights(5, 0.0)
-    assert np.array_equal(w.values, [1, 0, 0, 0, 0, 0])
-    w = bernstein_weights(5, 1.0)
-    assert np.array_equal(w.values, [0, 0, 0, 0, 0, 1])
+    # a row at x = 0 or 1 has one nonzero weight, and its band one column
+    for x, lo in ((0.0, 0), (1.0, 5)):
+        band, start = bernstein_band_matrix(5, [x])
+        assert band.tolist() == [[1.0]] and start == lo
 
 
 @pytest.mark.parametrize("m", [1, 3, 17, 64, 65, 200, 500])
 def test_bernstein_partition_of_unity(m):
     for x in np.linspace(0.0, 1.0, 101):
-        assert abs(bernstein_weights(m, float(x)).values.sum() - 1.0) <= 1e-12
+        assert abs(bernstein_row(m, float(x)).sum() - 1.0) <= 1e-12
 
 
 def test_bernstein_nonnegative():
     for m in (2, 64, 200):
         for x in (0.01, 0.37, 0.99):
-            assert (bernstein_weights(m, x).values >= 0.0).all()
+            assert (bernstein_row(m, x) >= 0.0).all()
 
 
 @pytest.mark.parametrize("m", [3, 10, 20])
@@ -53,8 +64,7 @@ def test_bernstein_exact_rational(m):
     exact = [
         math.comb(m, v) * x**v * (1 - x) ** (m - v) for v in range(m + 1)
     ]
-    w = bernstein_weights(m, float(x))
-    for got, want in zip(w.values, exact):
+    for got, want in zip(bernstein_row(m, float(x)), exact):
         assert got == pytest.approx(float(want), rel=1e-13)
 
 
@@ -72,70 +82,70 @@ def test_bernstein_log_direct_agreement():
                 + nu * math.log(x) + (m - nu) * math.log1p(-x)
             )
             ref = np.exp(logs)
-            got = bernstein_weights(m, x).values
-            assert np.allclose(got, ref, rtol=1e-13)
+            assert np.allclose(bernstein_row(m, x), ref, rtol=1e-13)
 
 
 def test_bernstein_domain_errors():
     with pytest.raises(DomainError):
-        bernstein_weights(0, 0.5)
+        bernstein_band_matrix(0, [0.5])
     with pytest.raises(DomainError):
-        bernstein_weights(3, -0.1)
+        bernstein_band_matrix(3, [-0.1])
     with pytest.raises(DomainError):
-        bernstein_weights(3, 1.1)
+        bernstein_band_matrix(3, [0.5, 1.1])
 
 
 def test_szasz_rate_zero():
-    w = szasz_weights(1, 0.0)
-    assert np.array_equal(w.values, [1.0])
-    assert w.tail_bound == 0.0
+    band, tail, lo = szasz_band_matrix(1, [0.0])
+    assert band.tolist() == [[1.0]] and tail.tolist() == [0.0] and lo == 0
 
 
 def test_szasz_rate_one_closed_form():
-    w = szasz_weights(10, 0.1, TruncationPolicy(1e-12))
-    for k, v in enumerate(w.values):
+    row, tail = szasz_row(10, 0.1, TruncationPolicy(1e-12))
+    for k, v in enumerate(row):
         assert v == pytest.approx(math.exp(-1.0) / math.factorial(k), rel=1e-13)
-    assert w.tail_bound < 1e-12
+    assert tail < 1e-12
 
 
 def test_szasz_tail_against_extended_precision_cdf():
     policy = TruncationPolicy(1e-10)
-    w = szasz_weights(50, 2.0, policy)
-    K = len(w) - 1
+    row, tail = szasz_row(50, 2.0, policy)
+    K = len(row) - 1
     with mpmath.workdps(50):
         rate = mpmath.mpf(100)
         cdf = sum(
             mpmath.exp(-rate) * rate**k / mpmath.factorial(k) for k in range(K + 1)
         )
         exact_tail = float(1 - cdf)
-    assert abs(w.tail_bound - exact_tail) <= 1e-12
+    assert abs(tail - exact_tail) <= 1e-12
 
 
 def test_szasz_mass_control():
     policy = TruncationPolicy(1e-12)
     for n, y in [(1, 0.3), (10, 0.1), (50, 2.0), (100, 100.0), (7, 1234.5)]:
-        w = szasz_weights(n, y, policy)
-        assert 1.0 - w.values.sum() <= policy.tail_tol
-        assert (w.values >= 0.0).all()
-        assert w.values.sum() <= 1.0 + 1e-12
+        row, _ = szasz_row(n, y, policy)
+        assert 1.0 - row.sum() <= policy.tail_tol
+        assert (row >= 0.0).all()
+        assert row.sum() <= 1.0 + 1e-12
 
 
 def test_szasz_truncation_failure_carries_tail():
-    with pytest.raises(TruncationError) as exc:
-        szasz_weights(100, 50.0, TruncationPolicy(1e-12, max_terms=100))
-    assert 0.0 < exc.value.tail <= 1.0
+    policy = TruncationPolicy(1e-12, max_terms=100)
+    for ys in ([50.0], [0.1, 50.0]):  # the one-row and the matrix builder
+        with pytest.raises(TruncationError) as exc:
+            szasz_band_matrix(100, ys, policy)
+        assert 0.0 < exc.value.tail <= 1.0
 
 
 def test_szasz_domain_errors():
     with pytest.raises(DomainError):
-        szasz_weights(0, 1.0)
+        szasz_band_matrix(0, [1.0])
     with pytest.raises(DomainError):
-        szasz_weights(5, -0.5)
+        szasz_band_matrix(5, [-0.5])
     for y in (float("nan"), float("inf"), 1e308):  # 1e308: n*y overflows
         with pytest.raises(DomainError, match="^y must be"):
-            szasz_weights(10, y)
+            szasz_band_matrix(10, [y])
     with pytest.raises(DomainError, match="^y must be"):
-        szasz_weight_matrix(10, [0.5, float("nan")])
+        szasz_band_matrix(10, [0.5, float("nan")])
 
 
 def test_policy_validation():
@@ -147,8 +157,8 @@ def test_policy_validation():
         TruncationPolicy(max_terms=0)
 
 
-# Rows share one algorithm: the exact ratio recurrence run outward from the
-# mode and divided by the row sum.  x includes the edges; n*y covers [0, 1e4].
+# Rows of several points, built as one matrix over the union of their
+# windows.  x includes the edges; n*y covers [0, 1e4].
 unit_x = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 rates = st.one_of(st.just(0.0), st.floats(0.0, 1e4))
 ROW_SETTINGS = settings(derandomize=True, deadline=None, database=None,
@@ -158,32 +168,31 @@ ROW_SETTINGS = settings(derandomize=True, deadline=None, database=None,
 @ROW_SETTINGS
 @given(m=st.integers(1, 2000), xs=st.lists(unit_x, min_size=1, max_size=4))
 def test_bernstein_rows_properties(m, xs):
-    W = bernstein_weight_matrix(m, xs)
-    assert W.shape == (len(xs), m + 1)
+    W, lo = bernstein_band_matrix(m, xs)
+    assert W.shape[0] == len(xs) and 0 <= lo and lo + W.shape[1] <= m + 1
     assert (W >= 0.0).all()
     assert not ((0.0 < W) & (W < TINY)).any()  # subnormals slow the BLAS products
     assert np.all(np.abs(W.sum(axis=1) - 1.0) <= 4 * EPS)
-    for i, x in enumerate(xs):
-        assert W[i].tobytes() == bernstein_weights(m, x).values.tobytes()
 
 
 @ROW_SETTINGS
 @given(n=st.integers(1, 2000), rs=st.lists(rates, min_size=1, max_size=4))
 def test_szasz_rows_properties(n, rs):
     ys = [r / n for r in rs]
-    W = szasz_weight_matrix(n, ys)
+    W, tail, lo = szasz_band_matrix(n, ys)
+    assert (W >= 0.0).all()
+    assert not ((0.0 < W) & (W < TINY)).any()
+    assert W[:, -1].any()  # as wide as the widest row
     for i, y in enumerate(ys):
-        w = szasz_weights(n, y)
-        K = len(w) - 1
-        assert W[i, : K + 1].tobytes() == w.values.tobytes()
-        assert not W[i, K + 1 :].any()
-        assert (w.values >= 0.0).all()
-        assert not ((0.0 < w.values) & (w.values < TINY)).any()
-        assert abs(w.values.sum() - (1.0 - w.tail_bound)) <= 4 * EPS
-        assert w.tail_bound <= DEFAULT_POLICY.tail_tol
+        K = lo + np.flatnonzero(W[i])[-1]  # the row's last nonzero weight
+        assert abs(W[i].sum() - (1.0 - tail[i])) <= 4 * EPS
+        assert tail[i] <= DEFAULT_POLICY.tail_tol
         with mpmath.workdps(50):
-            dropped = mpmath.gammainc(K + 1, 0, mpmath.mpf(n * y), regularized=True)
-        assert w.tail_bound >= float(dropped) - 1e-15
+            rate = mpmath.mpf(n * y)
+            dropped = mpmath.gammainc(K + 1, 0, rate, regularized=True)
+            left = mpmath.gammainc(lo, rate, mpmath.inf, regularized=True) if lo else 0
+        assert tail[i] >= float(dropped) - 1e-15
+        assert left <= DROP  # the mass left of the band
 
 
 def _mp_row(first, ratio, length):
@@ -200,26 +209,32 @@ def _assert_rel(got, exact, rtol, floor=1e-280):
             assert abs(got[k] - want) <= rtol * want, (k, got[k], float(want))
 
 
-# Against 50-digit mpmath the weights hold 1e-12 relative on every entry of
-# at least 1e-280 (the Poisson rate is n*y as a float, as the builder gets it).
+# Against 50-digit mpmath the band weights hold 1e-12 relative on every entry
+# of at least 1e-280, and the band drops at most DROP of the mass on each side
+# (the Poisson rate is n*y as a float, as the builder gets it).
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
 @given(m=st.integers(1, 2000), x=st.floats(0.0, 1.0, exclude_min=True,
                                            exclude_max=True))
 def test_bernstein_weights_against_mpmath(m, x):
-    got = bernstein_weights(m, x).values
+    got, lo = bernstein_band_matrix(m, [x])
+    hi = lo + got.shape[1]
     with mpmath.workdps(50):
         xm = mpmath.mpf(x)
         exact = _mp_row((1 - xm) ** m,
                         lambda k: (m - k) * xm / ((k + 1) * (1 - xm)), m + 1)
-    _assert_rel(got, exact, 1e-12)
+        assert sum(exact[:lo]) <= DROP and sum(exact[hi:]) <= DROP
+    _assert_rel(got[0], exact[lo:hi], 1e-12)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
 @given(n=st.integers(1, 2000), r=st.floats(1e-3, 1e4))
 def test_szasz_weights_against_mpmath(n, r):
     y = r / n
-    got = szasz_weights(n, y).values
+    got, _, lo = szasz_band_matrix(n, [y])
     with mpmath.workdps(50):
         rate = mpmath.mpf(n * y)
-        exact = _mp_row(mpmath.exp(-rate), lambda k: rate / (k + 1), len(got))
-    _assert_rel(got, exact, 1e-12)
+        first = mpmath.exp(lo * mpmath.log(rate) - rate - mpmath.loggamma(lo + 1))
+        exact = _mp_row(first, lambda k: rate / (lo + k + 1), got.shape[1])
+        if lo:
+            assert mpmath.gammainc(lo, rate, mpmath.inf, regularized=True) <= DROP
+    _assert_rel(got[0], exact, 1e-12)

@@ -161,6 +161,30 @@ def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "--tail-tol", "1e-300", "--y", "3"],
+    ["converge", "--tail-tol", "1e-320", "--schedule", "10", "--grid", "11"],
+])
+def test_tiny_tail_tol_runs(tmp_path, args):
+    """The window's ln(2^60 / tail_tol) is taken as a difference of logs:
+    2^60 / tail_tol overflows for tail_tol below about 6.4e-291."""
+    code, out = run(tmp_path, *args)
+    assert code == 0
+    _, rows = read_csv(out)
+    assert all(np.isfinite(float(v)) for v in rows[0])
+
+
+def test_weighted_overflowing_strip_exits_2(tmp_path):
+    # y^2 overflows on the strip, so the rho-norm bound's ratio is inf / inf
+    code, out = run(tmp_path, "weighted", "--S", "1e200")
+    assert code == 2
+    error = sidecar(out)["error"]
+    assert error["type"] == "RuntimeError"
+    assert error["message"].startswith("the rho-norm bound's ratio is not finite")
+    assert "S = 1e+200" in error["message"]
+    assert not out.exists()
+
+
 class PrivateMemoryError(MemoryError):
     """Like numpy's allocation failure, a subclass of MemoryError."""
 
