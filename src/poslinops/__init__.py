@@ -28,17 +28,13 @@ from .operators import (
     sample_lattice,
     second_central_moment,
     second_central_moment_grid,
-    stancu_node,
 )
 from .moduli import (
     LipschitzWitness,
     ModulusEstimate,
-    full_modulus,
     lattice_moduli,
     lipschitz_ratio,
     modulus_subadditivity_check,
-    partial_moduli,
-    weighted_modulus,
 )
 from .bounds import (
     DeltaTriple,
@@ -48,7 +44,6 @@ from .bounds import (
     corollary_3_5_bound,
     deltas,
     sup_distance_power_operator,
-    sup_error_on_grid,
     theorem_4_1_bound,
 )
 from .reporting import BoundReport
@@ -61,11 +56,8 @@ from .taylor import (
     finite_difference_derivs,
 )
 from .weighted import (
-    TruncatedStrip,
-    WeightSpec,
     check_theorem_5_2,
     check_theorem_5_3,
     operator_rho_norm_bound,
-    weighted_norm,
 )
 from .corpus import CorpusEntry, CorpusLookupError, corpus_lookup, corpus_names

@@ -158,13 +158,15 @@ def _szasz_rows(n, ys, policy):
     chernoff = np.exp(widths - rate + widths * np.log(np.maximum(rate, _TINY) / widths))
     # A rate below the smallest normal float flushes every weight past column
     # 0 to 0, so such a row stops at K = 0 and its tail bound is ny.
-    low = np.where(rate < _TINY, 0.0, np.ceil(rate)).astype(np.intp)
+    # Checked in floats: past 2^63 a cast to intp wraps.
+    low = np.where(rate < _TINY, 0.0, np.ceil(rate))
     fail = (chernoff > tol) | (low >= widths)
     if fail.any():
         i = np.flatnonzero(fail)[0]
         raise TruncationError(f"mass target 1 - {tol} not reached within "
                               f"{policy.max_terms} terms (rate {rate[i]})",
                               tail=float(chernoff[i]) if widths[i] > rate[i] else 1.0)
+    low = low.astype(np.intp)
 
     # The mode floor(rate) is exact (b[k] = k + 1 >= rate past it), so rows
     # start from the lowest mode and stop the backward product at the highest.

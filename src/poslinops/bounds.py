@@ -45,14 +45,6 @@ def deltas(m, n, params, region):
     return DeltaTriple(delta_m, delta_n, delta_mn)
 
 
-def sup_error_on_grid(f, params, m, n, region, grid_points=201,
-                      policy=DEFAULT_POLICY):
-    """Grid sup of |L(f) - f| over R_A."""
-    xs, ys, F = sample_lattice(f, region, grid_points)
-    L = apply_on_grid(f, params, m, n, xs, ys, policy)
-    return float(np.max(lattice_error(f, L, F)))
-
-
 def check_theorem_3_3(f, params, m, n, region, grid_points=201,
                       policy=DEFAULT_POLICY, moduli_source="closed_form",
                       closed_form_moduli=None):

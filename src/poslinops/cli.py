@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .basis import TruncationPolicy
+from .basis import TruncationPolicy, require_positive
 from .bounds import check_theorem_3_3, deltas, theorem_4_1_bound
 from .corpus import CorpusLookupError, corpus_lookup
 from .moduli import lattice_moduli
@@ -32,13 +32,7 @@ from .operators import (
 )
 from .reporting import CAVEAT_GRID_ESTIMATE, CAVEAT_NONE
 from .taylor import apply_rth, f_rth_lipschitz_estimate, finite_difference_derivs
-from .weighted import (
-    TruncatedStrip,
-    WeightSpec,
-    check_theorem_5_2,
-    check_theorem_5_3,
-    rho_norm_bounds,
-)
+from .weighted import check_theorem_5_2, check_theorem_5_3, rho_norm_bounds
 
 COMMANDS = (
     "eval", "moments", "modulus", "check-thm33", "rth", "check-thm41",
@@ -140,7 +134,8 @@ def _run(cfg):
         rows = [[cfg["mode"], m, n, cfg["r"], cfg["gamma"], M, rep.lhs, rep.rhs,
                  rep.margin, rep.holds, rep.caveat]]
     elif command == "weighted":
-        strip = TruncatedStrip(cfg["S"])
+        require_positive("S", cfg["S"])
+        strip = CompactRegion(cfg["S"])
         rated = f.growth == "rho_dominated"
         bounds = rho_norm_bounds(params, [(m, n)] + (schedule if rated else []),
                                  strip, G)
@@ -148,10 +143,9 @@ def _run(cfg):
         rows = [["rho_norm_bound", m, n, bounds[m, n], "", CAVEAT_GRID_ESTIMATE]]
         if rated:
             # one strip sample and one bound per (m, n) serve both theorems
-            sample = sample_lattice(f, CompactRegion(strip.S), G)
-            w1 = WeightSpec("rho1_power", cfg["epsilon"])
-            ests = check_theorem_5_2(f, params, schedule, w1, strip, G, policy,
-                                     sample, bounds)
+            sample = sample_lattice(f, strip, G)
+            ests = check_theorem_5_2(f, params, schedule, cfg["epsilon"], strip, G,
+                                     policy, sample, bounds)
             for (mm, nn), v in zip(schedule, ests):
                 rows.append(["thm52_estimate", mm, nn, v, "", CAVEAT_GRID_ESTIMATE])
             rep = check_theorem_5_3(f, params, m, n, cfg["s"], G, policy, strip,

@@ -29,14 +29,7 @@ import math
 import numpy as np
 
 from .basis import DomainError, require_positive
-from .operators import (
-    CompactRegion,
-    Point2D,
-    _require_finite,
-    evaluate,
-    lattice,
-    sample_lattice,
-)
+from .operators import Point2D, _require_finite, evaluate, lattice
 from .reporting import BoundReport
 
 
@@ -57,8 +50,9 @@ class LipschitzWitness:
 
 
 def _radius(delta, h, G):
-    """Lattice steps of length h within delta, at most G - 1."""
-    return min(int(math.floor(delta / h * (1.0 + 1e-12))), G - 1)
+    """Lattice steps of length h within delta, at most G - 1 (clamped before
+    the int conversion: delta / h may overflow to inf)."""
+    return int(min(float(delta) / float(h) * (1.0 + 1e-12), G - 1))
 
 
 def _radii(delta, hx, hy, G):
@@ -154,41 +148,37 @@ def lattice_moduli(F, region, full=None, partial_x=None, partial_y=None,
     return out
 
 
-def full_modulus(f, region, delta, grid_points=201):
-    """Largest |f(p1) - f(p2)| over lattice pairs at distance <= delta."""
-    F = sample_lattice(f, region, grid_points)[2]
-    return lattice_moduli(F, region, full=delta)["full"]
-
-
-def partial_moduli(f, region, delta, grid_points=201):
-    """Moduli along the x axis and the y axis, as a pair."""
-    F = sample_lattice(f, region, grid_points)[2]
-    est = lattice_moduli(F, region, partial_x=delta, partial_y=delta)
-    return est["partial_x"], est["partial_y"]
+def _segments(gamma, region, samples, seed):
+    """Seeded random segments (x1, y1) -> (x2, y2) in R_A for a Hoelder ratio
+    of exponent gamma, as x1, y1, x2, y2 and the length u >= 1e-9 of each."""
+    if not 0.0 < gamma <= 1.0:
+        raise DomainError(f"gamma must be in (0, 1], got {gamma}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    draws = np.random.default_rng(seed).random((samples, 4))
+    x1, x2 = draws[:, 0], draws[:, 1]
+    y1, y2 = draws[:, 2] * region.A, draws[:, 3] * region.A
+    u = np.hypot(x2 - x1, y2 - y1)
+    keep = u >= 1e-9
+    return x1[keep], y1[keep], x2[keep], y2[keep], u[keep]
 
 
 def lipschitz_ratio(f, gamma, region, sample_pairs=10000, seed=0):
     """Max of |f(p1) - f(p2)| / dist^gamma over seeded random pairs."""
-    if not 0.0 < gamma <= 1.0:
-        raise DomainError(f"gamma must be in (0, 1], got {gamma}")
-    rng = np.random.default_rng(seed)
-    u = rng.random((sample_pairs, 4))
-    x1, x2 = u[:, 0], u[:, 2]
-    y1, y2 = u[:, 1] * region.A, u[:, 3] * region.A
-    dist = np.hypot(x1 - x2, y1 - y2)
-    keep = dist > 1e-12
-    x1, y1, x2, y2, dist = x1[keep], y1[keep], x2[keep], y2[keep], dist[keep]
-    ratio = np.abs(evaluate(f, x1, y1) - evaluate(f, x2, y2)) / dist**gamma
-    return _largest_ratio(gamma, ratio, x1, y1, x2, y2, getattr(f, "name", "f"),
-                          "random point pairs")
+    segments = _segments(gamma, region, sample_pairs, seed)
+    x1, y1, x2, y2, _ = segments
+    return _largest_ratio(gamma, evaluate(f, x2, y2) - evaluate(f, x1, y1), segments,
+                          getattr(f, "name", "f"), "random point pairs")
 
 
-def _largest_ratio(gamma, ratio, x1, y1, x2, y2, label, where):
-    """Witness of the largest ratio and its pair (x1, y1), (x2, y2), or M = 0
-    without pairs.  Raises RuntimeError naming label when a ratio is not finite."""
-    if ratio.size == 0:
+def _largest_ratio(gamma, diff, segments, label, where):
+    """Witness of the largest |diff| / u^gamma over the segments and its pair,
+    or M = 0 without segments.  Raises RuntimeError naming label when a ratio
+    is not finite."""
+    x1, y1, x2, y2, u = segments
+    if u.size == 0:
         return LipschitzWitness(gamma, 0.0, (Point2D(0.0, 0.0), Point2D(0.0, 0.0)))
-    _require_finite(label, ratio, where)
+    ratio = _require_finite(label, np.abs(diff) / u**gamma, where)
     i = int(np.argmax(ratio))
     pair = (Point2D(float(x1[i]), float(y1[i])), Point2D(float(x2[i]), float(y2[i])))
     return LipschitzWitness(gamma, float(ratio[i]), pair)
@@ -198,22 +188,6 @@ def rho(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return 1.0 + x * x + y * y
-
-
-def weighted_modulus(f, delta, S, grid_points=201):
-    """Weighted modulus on the strip [0,1] x [0,S].
-
-    Maximizes |f(p1) - f(p2)| / min(rho(p1), rho(p2)) over lattice pairs at
-    distance <= delta.  Taking the smaller weight in the denominator makes the
-    estimate an upper bound for both orientations of the pair.
-    """
-    if f.growth != "rho_dominated":
-        raise DomainError(
-            f"weighted modulus requires rho_dominated growth, got {f.growth!r}"
-        )
-    region = CompactRegion(S)
-    F = sample_lattice(f, region, grid_points)[2]
-    return lattice_moduli(F, region, weighted=delta)["weighted"]
 
 
 def modulus_subadditivity_check(w_exact, lam, delta):

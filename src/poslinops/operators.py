@@ -96,15 +96,6 @@ class MomentSet:
     t2_plus_tau2: float
 
 
-def stancu_node(index, degree, alpha, beta):
-    """The shifted node (index + alpha) / (degree + beta)."""
-    if not 0.0 <= alpha <= beta:
-        raise DomainError(f"need 0 <= alpha <= beta, got ({alpha}, {beta})")
-    if index < 0 or degree < 1:
-        raise DomainError(f"need index >= 0 and degree >= 1, got ({index}, {degree})")
-    return (index + alpha) / (degree + beta)
-
-
 def _evaluate(f, x, y):
     """evaluate(f, x, y) unexpanded, and x and y's broadcast shape."""
     shape = np.broadcast(x, y).shape
@@ -228,14 +219,41 @@ def _moment_tau(params, n, y):
     return (n * y + params.alpha2) / (n + params.beta2)
 
 
+def _scale2(degree, beta, axis):
+    """(degree + beta)^2, the denominator of the axis's second moments.
+
+    Raises DomainError naming beta when it overflows (a Python float's **
+    raises there; a numpy beta is converted, as its ** would give inf).
+    """
+    try:
+        return float(degree + beta) ** 2
+    except OverflowError:
+        raise DomainError(f"beta{axis} must give finite moments, got beta{axis} = "
+                          f"{beta} ({'mn'[axis - 1]} = {degree})") from None
+
+
 def _moment_t2(params, m, x):
     a, b = params.alpha1, params.beta1
-    return ((m * m - m) * x * x + (2 * a + 1) * m * x + a * a) / (m + b) ** 2
+    return ((m * m - m) * x * x + (2 * a + 1) * m * x + a * a) / _scale2(m, b, 1)
 
 
 def _moment_tau2(params, n, y):
     a, b = params.alpha2, params.beta2
-    return (n * n * y * y + (2 * a + 1) * n * y + a * a) / (n + b) ** 2
+    return (n * n * y * y + (2 * a + 1) * n * y + a * a) / _scale2(n, b, 2)
+
+
+def _central_t(params, m, x):
+    """The x axis's variance plus squared bias: (m x(1-x) + (alpha1 - beta1 x)^2)
+    / (m + beta1)^2; no digits cancel.  d * d, not d ** 2: on a float, ** raises
+    where numpy gives inf."""
+    d = params.alpha1 - params.beta1 * x
+    return (m * x * (1.0 - x) + d * d) / _scale2(m, params.beta1, 1)
+
+
+def _central_tau(params, n, y):
+    """_central_t for the y axis, with variance n y."""
+    d = params.alpha2 - params.beta2 * y
+    return (n * y + d * d) / _scale2(n, params.beta2, 2)
 
 
 def _finite_in_y(value, n, p):
@@ -260,23 +278,14 @@ def moments_closed_form(params, m, n, p):
 
 def second_central_moment(params, m, n, p):
     """Operator value on (t - x)^2 + (tau - y)^2 at the point p."""
-    with np.errstate(over="ignore"):
-        value = float(second_central_moment_grid(params, m, n, [p.x], [p.y])[0, 0])
-    return _finite_in_y(value, n, p)
+    x, y = float(p.x), float(p.y)
+    return _finite_in_y(_central_t(params, m, x) + _central_tau(params, n, y), n, p)
 
 
 def second_central_moment_grid(params, m, n, xs, ys):
-    """Operator value on (t - x)^2 + (tau - y)^2 on the tensor grid xs x ys.
-
-    Each axis is its variance plus its squared bias, so no digits cancel:
-    (m x(1-x) + (alpha1 - beta1 x)^2) / (m + beta1)^2 + the same in y with
-    variance n y.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    a1, b1, a2, b2 = params.alpha1, params.beta1, params.alpha2, params.beta2
-    cx = (m * xs * (1.0 - xs) + (a1 - b1 * xs) ** 2) / (m + b1) ** 2
-    cy = (n * ys + (a2 - b2 * ys) ** 2) / (n + b2) ** 2
+    """Operator value on (t - x)^2 + (tau - y)^2 on the tensor grid xs x ys."""
+    cx = _central_t(params, m, np.asarray(xs, dtype=float))
+    cy = _central_tau(params, n, np.asarray(ys, dtype=float))
     return cx[:, None] + cy[None, :]
 
 

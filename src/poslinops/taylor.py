@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError, require_positive
-from .moduli import _largest_ratio
+from .moduli import _largest_ratio, _segments
 from .operators import (Function2D, KernelFamily, Point2D, _evaluate, evaluate,
                         weights_and_nodes)
 
@@ -201,19 +201,10 @@ def f_rth_lipschitz_estimate(derivs, r, gamma, region, samples=2000, seed=0):
     |F^(r)(u) - F^(r)(0)| / u^gamma, F^(r) taken along the segment at its
     endpoints.  Raises RuntimeError when a ratio is not finite.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise DomainError(f"gamma must be in (0, 1], got {gamma}")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    segments = _segments(gamma, region, samples, seed)
     _require_order(derivs, r)
-    draws = np.random.default_rng(seed).random((samples, 4))
-    x1, x2 = draws[:, 0], draws[:, 1]
-    y1, y2 = draws[:, 2] * region.A, draws[:, 3] * region.A
-    u = np.hypot(x2 - x1, y2 - y1)
-    keep = u >= 1e-9
-    x1, y1, x2, y2, u = x1[keep], y1[keep], x2[keep], y2[keep], u[keep]
+    x1, y1, x2, y2, u = segments
     a, b = (x2 - x1) / u, (y2 - y1) / u
-    ratio = np.abs(_directional(derivs, r, x2, y2, a, b)
-                   - _directional(derivs, r, x1, y1, a, b)) / u**gamma
-    return _largest_ratio(gamma, ratio, x1, y1, x2, y2,
-                          f"F^({r}) of {derivs.source}", "sampled segments")
+    diff = _directional(derivs, r, x2, y2, a, b) - _directional(derivs, r, x1, y1, a, b)
+    return _largest_ratio(gamma, diff, segments, f"F^({r}) of {derivs.source}",
+                          "sampled segments")

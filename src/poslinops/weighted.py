@@ -6,7 +6,6 @@ certificate that exploits the monotone decay of rho / rho1 in y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -28,43 +27,6 @@ from .operators import (
 from .reporting import CAVEAT_FROZEN_WEIGHTED_MODULUS, BoundReport
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """rho = 1 + x^2 + y^2, or the power family rho^(1+epsilon)."""
-
-    kind: str = "rho"  # "rho" | "rho1_power"
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("rho", "rho1_power"):
-            raise DomainError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "rho1_power":
-            require_positive("epsilon", self.epsilon)
-
-    def __call__(self, x, y):
-        base = rho(x, y)
-        if self.kind == "rho":
-            return base
-        return base ** (1.0 + self.epsilon)
-
-
-@dataclass(frozen=True)
-class TruncatedStrip:
-    """The strip [0, 1] x [0, S]."""
-
-    S: float
-
-    def __post_init__(self):
-        require_positive("S", self.S)
-
-
-def weighted_norm(g, weight, strip, grid_points=201):
-    """Grid max of |g| / weight over the strip (lower estimate of the sup)."""
-    xs, ys, G = sample_lattice(g, CompactRegion(strip.S), grid_points)
-    W = weight(xs[:, None], ys[None, :])
-    return float(np.max(np.abs(G) / W))
-
-
 def operator_rho_norm_bound(params, m, n, strip, grid_points=201):
     """Surrogate for the uniform operator norm on the rho-weighted space.
 
@@ -73,13 +35,13 @@ def operator_rho_norm_bound(params, m, n, strip, grid_points=201):
     limit |n^2 / (n + beta2)^2 - 1|.  Raises RuntimeError when a ratio is not
     finite: past S ~ 1e154, y^2 overflows and the ratio is inf / inf.
     """
-    xs, ys = lattice(strip.S, grid_points)
+    xs, ys = lattice(strip.A, grid_points)
     with np.errstate(over="ignore", invalid="ignore"):
         gx = _moment_t2(params, m, xs) - xs * xs
         gy = _moment_tau2(params, n, ys) - ys * ys
         ratio = np.abs(gx[:, None] + gy[None, :]) / rho(xs[:, None], ys[None, :])
     _require_finite("the rho-norm bound's ratio", ratio,
-                    f"strip lattice points on [0,1]x[0,S] (S = {strip.S})")
+                    f"strip lattice points on [0,1]x[0,S] (S = {strip.A})")
     tail_limit = abs(n * n / (n + params.beta2) ** 2 - 1.0)
     return 1.0 + max(float(ratio.max()), tail_limit)
 
@@ -90,9 +52,11 @@ def rho_norm_bounds(params, pairs, strip, grid_points=201):
             for mn in dict.fromkeys(pairs)}
 
 
-def check_theorem_5_2(f, params, schedule, weight1, strip, grid_points=201,
+def check_theorem_5_2(f, params, schedule, epsilon, strip, grid_points=201,
                       policy=DEFAULT_POLICY, sample=None, bounds=None):
-    """Certified ||Lf - f||_rho1 estimates along an (m, n) schedule.
+    """Certified ||Lf - f||_rho1 estimates along an (m, n) schedule, with the
+    weight rho1 = rho^(1 + epsilon), epsilon > 0, and strip the rectangle
+    [0, 1] x [0, S] as a CompactRegion.
 
     Each entry is a strip grid estimate plus a tail certificate for y > S:
     |Lf - f| <= M_f (||L|| + 1) rho there, and rho / rho1 <= (1 + S^2)^-eps.
@@ -101,15 +65,14 @@ def check_theorem_5_2(f, params, schedule, weight1, strip, grid_points=201,
     """
     if f.growth != "rho_dominated" or f.m_f is None:
         raise DomainError("check_theorem_5_2 needs rho_dominated growth with m_f")
-    if weight1.kind != "rho1_power":
-        raise DomainError("weight1 must be a rho1_power weight")
+    require_positive("epsilon", epsilon)
     if sample is None:
-        sample = sample_lattice(f, CompactRegion(strip.S), grid_points)
+        sample = sample_lattice(f, strip, grid_points)
     if bounds is None:
         bounds = rho_norm_bounds(params, schedule, strip, grid_points)
     xs, ys, F = sample
-    R1 = weight1(xs[:, None], ys[None, :])
-    decay = (1.0 + strip.S**2) ** (-weight1.epsilon)
+    R1 = rho(xs[:, None], ys[None, :]) ** (1.0 + epsilon)
+    decay = (1.0 + strip.A**2) ** (-epsilon)
     out = []
     for m, n in schedule:
         L = apply_on_grid(f, params, m, n, xs, ys, policy)
@@ -134,12 +97,11 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
         raise DomainError("check_theorem_5_3 needs rho_dominated growth")
     require_positive("s", s)
     if strip is None:
-        strip = TruncatedStrip(max(50.0, 2.0 * s))
+        strip = CompactRegion(max(50.0, 2.0 * s))
 
     # one strip sample gives the rho-norm, the unit-norm sample and its modulus
-    sregion = CompactRegion(strip.S)
     if sample is None:
-        sample = sample_lattice(f, sregion, grid_points)
+        sample = sample_lattice(f, strip, grid_points)
     sx, sy, Fs = sample
     R = rho(sx[:, None], sy[None, :])
     norm = float(np.max(np.abs(Fs) / R))
@@ -167,6 +129,6 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
     if M is None:
         M = operator_rho_norm_bound(params, m, n, strip, grid_points)
     c = 1.0 + s * s  # sup of rho on the disc
-    w = lattice_moduli(Fs / norm, sregion, weighted=delta)["weighted"]
+    w = lattice_moduli(Fs / norm, strip, weighted=delta)["weighted"]
     rhs = c * c * (1.0 + M) * w.value
     return BoundReport(lhs=lhs, rhs=rhs, caveat=CAVEAT_FROZEN_WEIGHTED_MODULUS)

@@ -17,18 +17,17 @@ from poslinops import (
     Function2D,
     Point2D,
     StancuParams,
-    TruncatedStrip,
     TruncationPolicy,
-    WeightSpec,
     apply,
     apply_rth,
     check_theorem_3_3,
     check_theorem_5_2,
     corpus_lookup,
-    full_modulus,
     korovkin_gaps,
+    lattice_moduli,
     moments_closed_form,
     operator_rho_norm_bound,
+    sample_lattice,
     theorem_4_1_bound,
 )
 from poslinops import cli
@@ -202,7 +201,7 @@ def test_criterion_5_theorem_4_1_inequality():
 
 
 def test_criterion_6_uniform_operator_norm_bound():
-    strip = TruncatedStrip(100.0)
+    strip = CompactRegion(100.0)
     shifted = StancuParams(1, 2, 1, 2)
     plain = StancuParams()
     ok = True
@@ -224,8 +223,7 @@ def test_criterion_7_weighted_convergence():
     params = StancuParams(3, 3, 3, 3)
     sched = [(m, m) for m in (10, 20, 40, 80, 160)]
     ests = check_theorem_5_2(
-        f, params, sched, WeightSpec("rho1_power", 0.5),
-        TruncatedStrip(50.0), 201, TruncationPolicy(1e-13),
+        f, params, sched, 0.5, CompactRegion(50.0), 201, TruncationPolicy(1e-13),
     )
     ok = all(a > b for a, b in zip(ests, ests[1:]))
     ok &= ests[-1] < ests[0] / 4.0
@@ -266,7 +264,7 @@ def test_criterion_9_modulus_estimator_convergence():
     target = 0.1 * math.sqrt(2.0)
     ok = True
     for G in (101, 201, 401):
-        est = full_modulus(f, region, 0.1, grid_points=G)
+        est = lattice_moduli(sample_lattice(f, region, G)[2], region, full=0.1)["full"]
         step = 1.0 / (G - 1)
         ok &= abs(est.value - target) <= 2.0 * step * math.sqrt(2.0)
         ok &= est.value <= target + 1e-12  # grid value never overshoots

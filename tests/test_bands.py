@@ -224,6 +224,18 @@ def test_one_row_builder_truncates_as_the_band_row(n, r, frac):
         assert start == lo and row.shape == band.shape
 
 
+@pytest.mark.parametrize("rate", [2.0**63, 1e21, 1e300])
+def test_matrix_builder_truncates_rates_past_intp(rate):
+    """ceil(ny) is checked against the term cap before its cast to intp,
+    which wraps past 2^63: both builders raise the same TruncationError."""
+    with pytest.raises(TruncationError) as want:
+        _szasz_row(10, rate / 10, DEFAULT_POLICY)
+    with pytest.raises(TruncationError) as got:
+        _szasz_rows(10, [0.0, rate / 10], DEFAULT_POLICY)
+    assert str(got.value) == str(want.value)
+    assert got.value.tail == want.value.tail == 1.0
+
+
 @pytest.mark.parametrize("n, y, message", [
     (0, 1.0, "^degree n must be >= 1"),
     (10, -1e-3, "^y must be >= 0"),

@@ -19,10 +19,9 @@ from poslinops import (
     corollary_3_5_bound,
     corpus_lookup,
     deltas,
-    full_modulus,
-    partial_moduli,
+    lattice_moduli,
+    sample_lattice,
     sup_distance_power_operator,
-    sup_error_on_grid,
     theorem_4_1_bound,
 )
 from poslinops.operators import lattice, weights_and_nodes
@@ -63,8 +62,9 @@ def test_deltas_vanish():
 
 def test_sup_error_constant_zero():
     f = corpus_lookup("const1").function
-    err = sup_error_on_grid(f, StancuParams(), 10, 10, R1, 51, TIGHT)
-    assert err <= 1e-12
+    ra, _ = check_theorem_3_3(f, StancuParams(), 10, 10, R1, 51, TIGHT,
+                              moduli_source="grid")
+    assert ra.lhs <= 1e-12
 
 
 def test_check_theorem_3_3_closed_form_linear():
@@ -106,13 +106,14 @@ def test_check_theorem_3_3_grid_samples_lattice_once():
                                policy=TIGHT, moduli_source="grid")
     # one call on the lattice and one on the operator's node grid
     assert len(calls) == 2 and calls.count((61, 61)) == 1
-    # the same numbers as the separate estimators, each sampling f itself
+    # the same numbers as the moduli of a separate sample of f
     d = deltas(m, n, params, R1)
-    w1 = partial_moduli(base, R1, d.delta_m, 61)[0].value
-    w2 = partial_moduli(base, R1, d.delta_n, 61)[1].value
-    assert ra.lhs == rb.lhs == sup_error_on_grid(base, params, m, n, R1, 61, TIGHT)
+    F = sample_lattice(base, R1, 61)[2]
+    w1 = lattice_moduli(F, R1, partial_x=d.delta_m)["partial_x"].value
+    w2 = lattice_moduli(F, R1, partial_y=d.delta_n)["partial_y"].value
+    assert ra.lhs == rb.lhs
     assert ra.rhs == 1.5 * (w1 + w2)
-    assert rb.rhs == 1.5 * full_modulus(base, R1, d.delta_mn, 61).value
+    assert rb.rhs == 1.5 * lattice_moduli(F, R1, full=d.delta_mn)["full"].value
 
 
 def test_check_theorem_3_3_missing_moduli():
@@ -147,7 +148,8 @@ def test_corollary_3_4_dominates_for_lipschitz_corpus():
     gamma, M_of_A = entry.lipschitz_data
     params = StancuParams(1, 2, 1, 2)
     for m in (10, 40):
-        err = sup_error_on_grid(entry.function, params, m, m, R1, 101, TIGHT)
+        err = check_theorem_3_3(entry.function, params, m, m, R1, 101, TIGHT,
+                                closed_form_moduli=entry.closed_form_moduli)[0].lhs
         d = deltas(m, m, params, R1)
         assert err <= corollary_3_4_bound(M_of_A(1.0), gamma, d.delta_mn)
 

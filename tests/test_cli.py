@@ -13,8 +13,6 @@ from poslinops import (
     CorpusEntry,
     Function2D,
     StancuParams,
-    TruncatedStrip,
-    WeightSpec,
     __version__,
     check_theorem_5_2,
     check_theorem_5_3,
@@ -96,6 +94,16 @@ def test_modulus_delta_past_lattice(tmp_path):
     }
 
 
+def test_modulus_delta_past_float_range(tmp_path):
+    # delta / h overflows to inf: the radii clamp to the lattice side
+    code, out = run(tmp_path, "modulus", "--function", "smooth", "--delta", "1e306")
+    assert code == 0
+    F = sample_lattice(corpus_lookup("smooth").function, CompactRegion(1.0), 201)[2]
+    _, rows = read_csv(out)
+    assert [float(r[2]) for r in rows] == [
+        F.max() - F.min(), np.ptp(F, axis=0).max(), np.ptp(F, axis=1).max()]
+
+
 @pytest.mark.parametrize("extra", [["--m", "2", "--n", "2"],
                                    ["--m", "40", "--n", "40", "--A", "0.05"]])
 def test_check_thm33_grid_delta_past_lattice(tmp_path, extra):
@@ -151,6 +159,13 @@ def test_non_finite_function_exits_2(tmp_path, monkeypatch, command):
     (["rth", "--y", "1e308"], "y must be >= 0 with n*y finite"),
     (["moments", "--y", "1e308"], "y must give finite moments"),
     (["check-thm41", "--seed", "-1"], "seed must be a non-negative integer"),
+    (["weighted", "--S", "nan"], "S must be finite"),
+    (["weighted", "--function", "rho_growth", "--epsilon", "0"],
+     "epsilon must be finite"),
+    (["moments", "--alpha1", "1e300", "--beta1", "1e300"],
+     "beta1 must give finite moments"),
+    (["weighted", "--function", "rho_growth", "--alpha2", "1e300", "--beta2", "1e300"],
+     "beta2 must give finite moments"),
 ])
 def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
     code, out = run(tmp_path, *args)
@@ -158,6 +173,20 @@ def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
     error = sidecar(out)["error"]
     assert error["type"] == "DomainError"
     assert error["message"].startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["converge", "--A", "1e20", "--grid", "2", "--schedule", "10"],
+    ["check-thm33", "--A", "1e100", "--grid", "11"],
+])
+def test_rate_past_the_term_cap_exits_2(tmp_path, args):
+    code, out = run(tmp_path, *args)
+    assert code == 2
+    error = sidecar(out)["error"]
+    assert error["type"] == "TruncationError"
+    assert error["message"].startswith(
+        "mass target 1 - 1e-12 not reached within 1000000 terms")
     assert not out.exists()
 
 
@@ -327,10 +356,10 @@ def test_weighted_computes_each_input_once(tmp_path, monkeypatch):
     assert calls.count(50.0) == 1  # the strip [0, 1] x [0, 50]
 
     # the values the checks give when each computes its own inputs
-    params, strip = StancuParams(), TruncatedStrip(50.0)
+    params, strip = StancuParams(), CompactRegion(50.0)
     schedule = [(v, v) for v in (10, 20, 40, 80, 160)]
     want = [bound(params, 40, 40, strip, 51), *check_theorem_5_2(
-        base, params, schedule, WeightSpec("rho1_power", 0.5), strip, 51),
+        base, params, schedule, 0.5, strip, 51),
         check_theorem_5_3(base, params, 40, 40, 2.0, 51, strip=strip).margin]
     assert [row[3] for row in read_csv(out)[1]] == [cli._fmt(v) for v in want]
 

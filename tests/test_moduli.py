@@ -10,15 +10,15 @@ from poslinops import (
     CompactRegion,
     DomainError,
     Function2D,
-    full_modulus,
+    corpus_lookup,
+    f_rth_lipschitz_estimate,
     lattice_moduli,
     lipschitz_ratio,
     modulus_subadditivity_check,
-    partial_moduli,
     sample_lattice,
-    weighted_modulus,
 )
 from poslinops.moduli import _radius, rho
+from poslinops.operators import lattice
 
 R1 = CompactRegion(1.0)
 
@@ -35,11 +35,12 @@ PROD = f2(lambda x, y: np.asarray(x, float) * np.asarray(y, float))
 
 
 def test_full_modulus_constant():
-    assert full_modulus(CONST, R1, 0.1).value == 0.0
+    F = sample_lattice(CONST, R1, 201)[2]
+    assert lattice_moduli(F, R1, full=0.1)["full"].value == 0.0
 
 
 def test_full_modulus_linear():
-    est = full_modulus(LINEAR, R1, 0.1, grid_points=201)
+    est = lattice_moduli(sample_lattice(LINEAR, R1, 201)[2], R1, full=0.1)["full"]
     step = 1.0 / 200
     assert est.value <= 0.1 * math.sqrt(2.0) + 1e-12
     assert est.value >= 0.1 * math.sqrt(2.0) - 2 * step * math.sqrt(2.0)
@@ -47,47 +48,53 @@ def test_full_modulus_linear():
 
 
 def test_full_modulus_coordinate():
-    est = full_modulus(COORD_X, R1, 0.05, grid_points=201)
+    est = lattice_moduli(sample_lattice(COORD_X, R1, 201)[2], R1, full=0.05)["full"]
     assert abs(est.value - 0.05) <= 1.0 / 200
 
 
 def test_partial_moduli_coordinate():
-    ex, ey = partial_moduli(COORD_Y, R1, 0.1, grid_points=201)
+    F = sample_lattice(COORD_Y, R1, 201)[2]
+    est = lattice_moduli(F, R1, partial_x=0.1, partial_y=0.1)
+    ex, ey = est["partial_x"], est["partial_y"]
     assert ex.value == 0.0
     assert abs(ey.value - 0.1) <= 1.0 / 200
 
 
 def test_partial_moduli_product():
     region = CompactRegion(2.0)
-    ex, ey = partial_moduli(PROD, region, 0.1, grid_points=201)
+    F = sample_lattice(PROD, region, 201)[2]
+    est = lattice_moduli(F, region, partial_x=0.1, partial_y=0.1)
+    ex, ey = est["partial_x"], est["partial_y"]
     # sup over y <= 2 of y * delta, up to lattice rounding
     assert abs(ex.value - 0.2) <= 2 * (2.0 / 200) * 2.0
     assert abs(ey.value - 0.1) <= 2 * (2.0 / 200)
 
 
 def test_partial_moduli_constant():
-    ex, ey = partial_moduli(CONST, R1, 0.3)
-    assert ex.value == 0.0 and ey.value == 0.0
+    F = sample_lattice(CONST, R1, 201)[2]
+    est = lattice_moduli(F, R1, partial_x=0.3, partial_y=0.3)
+    assert est["partial_x"].value == 0.0 and est["partial_y"].value == 0.0
 
 
 def test_modulus_monotone_in_delta():
-    vals = [full_modulus(PROD, R1, d, grid_points=101).value for d in (0.05, 0.1, 0.2)]
+    F = sample_lattice(PROD, R1, 101)[2]
+    vals = [lattice_moduli(F, R1, full=d)["full"].value for d in (0.05, 0.1, 0.2)]
     assert vals == sorted(vals)
 
 
 def test_full_dominates_partials():
+    F = sample_lattice(PROD, R1, 101)[2]
     for d in (0.05, 0.15):
-        full = full_modulus(PROD, R1, d, grid_points=101).value
-        ex, ey = partial_moduli(PROD, R1, d, grid_points=101)
-        assert full >= max(ex.value, ey.value) - 1e-15
+        est = lattice_moduli(F, R1, full=d, partial_x=d, partial_y=d)
+        assert est["full"].value >= max(est["partial_x"].value,
+                                        est["partial_y"].value) - 1e-15
 
 
 def test_closed_form_dominates_grid_estimate():
     # for x + y the analytic modulus is delta * sqrt(2)
+    F = sample_lattice(LINEAR, R1, 201)[2]
     for d in (0.05, 0.1):
-        assert full_modulus(LINEAR, R1, d, grid_points=201).value <= d * math.sqrt(
-            2.0
-        ) + 1e-12
+        assert lattice_moduli(F, R1, full=d)["full"].value <= d * math.sqrt(2.0) + 1e-12
 
 
 def test_pointwise_modulus_inequality():
@@ -130,23 +137,33 @@ def test_lipschitz_ratio_monotone_in_samples():
     assert vals == sorted(vals)
 
 
-def test_weighted_modulus_requires_growth():
-    with pytest.raises(DomainError):
-        weighted_modulus(LINEAR, 0.1, 10.0)
+def test_lipschitz_ratio_draws_the_taylor_segments():
+    # at r = 0, F^(0) along a segment is f itself: one sampler, one witness
+    entry = corpus_lookup("prod")
+    region = CompactRegion(2.0)
+    for seed in (0, 7):
+        assert lipschitz_ratio(entry.function, 0.5, region, 3000, seed) == (
+            f_rth_lipschitz_estimate(entry.derivative_provider, 0, 0.5, region,
+                                     3000, seed))
+    with pytest.raises(DomainError, match="^seed must be a non-negative integer"):
+        lipschitz_ratio(entry.function, 0.5, region, seed=-1)
 
 
 def test_weighted_modulus_constant():
     f = f2(lambda x, y: 1.0 + 0.0 * np.asarray(x) + 0.0 * np.asarray(y),
            growth="rho_dominated", m_f=1.0)
-    assert weighted_modulus(f, 0.1, 10.0, grid_points=101).value == 0.0
+    region = CompactRegion(10.0)
+    F = sample_lattice(f, region, 101)[2]
+    assert lattice_moduli(F, region, weighted=0.1)["weighted"].value == 0.0
 
 
 def test_weighted_modulus_of_rho_finite_and_monotone():
     f = f2(lambda x, y: 1.0 + np.asarray(x, float) ** 2 + np.asarray(y, float) ** 2,
            growth="rho_dominated", m_f=1.0)
-    vals = [
-        weighted_modulus(f, d, 20.0, grid_points=201).value for d in (0.05, 0.1, 0.2)
-    ]
+    region = CompactRegion(20.0)
+    F = sample_lattice(f, region, 201)[2]
+    vals = [lattice_moduli(F, region, weighted=d)["weighted"].value
+            for d in (0.05, 0.1, 0.2)]
     assert all(np.isfinite(v) for v in vals)
     assert vals == sorted(vals)
     assert vals[0] > 0.0
@@ -197,11 +214,6 @@ def pair_loop_oracle(F, offsets, R=None):
     return best
 
 
-def table(F, name="table"):
-    """A function whose lattice sample is the array F."""
-    return f2(lambda x, y: F, name=name, growth="rho_dominated", m_f=1.0)
-
-
 @st.composite
 def lattice_cases(draw):
     G = draw(st.integers(2, 40))
@@ -226,19 +238,18 @@ def lattice_cases(draw):
 def test_window_moduli_equal_pair_loop(case):
     G, A, delta, F = case
     region = CompactRegion(A)
-    xs, ys, _ = sample_lattice(table(F), region, G)
+    xs, ys = lattice(A, G)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     full = pair_loop_oracle(F, _offsets(delta, hx, hy, G))
     along_x = pair_loop_oracle(
         F, [(di, 0) for di in range(1, _radius(delta, hx, G) + 1)])
     along_y = pair_loop_oracle(
         F, [(0, dj) for dj in range(1, _radius(delta, hy, G) + 1)])
-    assert full_modulus(table(F), region, delta, G).value == full
-    ex, ey = partial_moduli(table(F), region, delta, G)
-    assert (ex.value, ey.value) == (along_x, along_y)
     weighted = pair_loop_oracle(F, _offsets(delta, hx, hy, G),
                                 rho(xs[:, None], ys[None, :]))
-    assert weighted_modulus(table(F), delta, A, G).value == weighted
+    est = lattice_moduli(F, region, full=delta, partial_x=delta, partial_y=delta,
+                         weighted=delta)
+    assert [e.value for e in est.values()] == [full, along_x, along_y, weighted]
 
 
 def test_delta_past_lattice_takes_all_pairs():
@@ -247,24 +258,25 @@ def test_delta_past_lattice_takes_all_pairs():
     assert est["full"].value == F.max() - F.min()
     assert est["partial_x"].value == np.ptp(F, axis=0).max()
     assert est["partial_y"].value == np.ptp(F, axis=1).max()
-    f = f2(lambda x, y: 1.0 + 0.0 * np.asarray(x) + np.asarray(y, float),
-           growth="rho_dominated", m_f=1.0)
-    assert weighted_modulus(f, 100.0, 2.0, grid_points=5).value == 2.0
+    f = f2(lambda x, y: 1.0 + 0.0 * np.asarray(x) + np.asarray(y, float))
+    region = CompactRegion(2.0)
+    F = sample_lattice(f, region, 5)[2]
+    assert lattice_moduli(F, region, weighted=100.0)["weighted"].value == 2.0
 
 
 def test_lattice_moduli_kinds_and_deltas():
     F = sample_lattice(PROD, R1, 51)[2]
     est = lattice_moduli(F, R1, full=0.3, partial_y=0.1)
     assert list(est) == ["full", "partial_y"]
-    assert est["full"] == full_modulus(PROD, R1, 0.3, grid_points=51)
-    assert est["partial_y"] == partial_moduli(PROD, R1, 0.1, grid_points=51)[1]
+    assert est["full"] == lattice_moduli(F, R1, full=0.3)["full"]
+    assert est["partial_y"] == lattice_moduli(F, R1, partial_y=0.1)["partial_y"]
     with pytest.raises(DomainError):
         lattice_moduli(F, R1, partial_x=0.0)
 
 
 def test_lattice_needs_two_points():
     with pytest.raises(DomainError):
-        full_modulus(PROD, R1, 0.1, grid_points=1)
+        lattice_moduli(np.zeros((1, 1)), R1, full=0.1)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -273,11 +285,7 @@ def test_non_finite_sample_raises_naming_f(value):
                                  value, 1.0),
            name="bad_corner", growth="rho_dominated", m_f=1.0)
     with pytest.raises(RuntimeError, match="bad_corner is not finite"):
-        full_modulus(f, R1, 0.1, grid_points=21)
-    with pytest.raises(RuntimeError, match="bad_corner is not finite"):
-        partial_moduli(f, R1, 0.1, grid_points=21)
-    with pytest.raises(RuntimeError, match="bad_corner is not finite"):
-        weighted_modulus(f, 0.1, 2.0, grid_points=21)
+        sample_lattice(f, R1, 21)
     with np.errstate(invalid="ignore"), pytest.raises(
             RuntimeError, match="bad_corner is not finite"):
         lipschitz_ratio(f, 1.0, R1, sample_pairs=1000)

@@ -18,9 +18,8 @@ from poslinops import (
     korovkin_gaps,
     moments_closed_form,
     second_central_moment,
+    check_theorem_3_3,
     second_central_moment_grid,
-    stancu_node,
-    sup_error_on_grid,
 )
 from poslinops.operators import apply_on_grid, eval_grid, evaluate
 
@@ -34,17 +33,6 @@ def f2(expr, name="f", **kw):
 def random_params(rng, cap=3.0):
     b1, b2 = rng.random(2) * cap
     return StancuParams(rng.random() * b1, b1, rng.random() * b2, b2)
-
-
-def test_stancu_node_examples():
-    assert stancu_node(5, 10, 0.0, 0.0) == 0.5
-    assert stancu_node(5, 10, 1.0, 2.0) == 0.5
-    assert stancu_node(0, 7, 0.5, 1.0) == 0.0625
-
-
-def test_stancu_node_ordering_error():
-    with pytest.raises(DomainError):
-        stancu_node(1, 5, 2.0, 1.0)
 
 
 def test_apply_constant_is_one():
@@ -161,6 +149,36 @@ def test_second_central_moment_without_cancellation(m, n, x, y):
     assert abs(got - want) <= 1e-14 * want
     grid = second_central_moment_grid(StancuParams(), m, n, [0.25, x], [y, 2.0])
     assert grid[1, 0] == got
+
+
+def test_second_central_moment_point_equals_grid_bits():
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        params = random_params(rng)
+        m, n = (int(v) for v in rng.integers(1, 5001, 2))
+        p = Point2D(float(rng.random()), float(10.0 ** rng.uniform(-3.0, 160.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = second_central_moment_grid(params, m, n, [p.x], [p.y])[0, 0]
+        if np.isfinite(grid):
+            assert second_central_moment(params, m, n, p) == grid
+        else:
+            with np.errstate(over="ignore"), pytest.raises(
+                    DomainError, match="^y must give finite moments"):
+                second_central_moment(params, m, n, p)
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_overflowing_beta_raises_naming_it(axis):
+    # (m + beta)^2 overflows past beta ~ 1.3e154
+    params = StancuParams(**{f"alpha{axis}": 1e300, f"beta{axis}": 1e300})
+    p = Point2D(0.5, 1.0)
+    for moment in (lambda: moments_closed_form(params, 10, 10, p),
+                   lambda: second_central_moment(params, 10, 10, p),
+                   lambda: second_central_moment_grid(params, 10, 10, [0.5], [1.0]),
+                   lambda: korovkin_gaps(params, 10, 10, CompactRegion(1.0), 5)):
+        with np.errstate(over="ignore"), pytest.raises(
+                DomainError, match=f"^beta{axis} must give finite moments"):
+            moment()
 
 
 def test_second_central_moment_nonnegative():
@@ -297,7 +315,8 @@ def test_apply_on_grid_names_failing_function():
     with pytest.raises(RuntimeError, match="sqrt_shifted"):
         apply_on_grid(f, StancuParams(), 4, 4, [0.0, 0.5], [0.0, 1.0])
     with pytest.raises(RuntimeError, match="sqrt_shifted"):
-        sup_error_on_grid(f, StancuParams(), 4, 4, CompactRegion(1.0), 5)
+        check_theorem_3_3(f, StancuParams(), 4, 4, CompactRegion(1.0), 5,
+                          moduli_source="grid")
 
 
 def test_failing_function_is_called_once():

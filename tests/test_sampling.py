@@ -11,45 +11,41 @@ from poslinops import (
     Function2D,
     Point2D,
     StancuParams,
-    TruncatedStrip,
-    WeightSpec,
     check_theorem_3_3,
     check_theorem_5_2,
     check_theorem_5_3,
     corpus_lookup,
-    full_modulus,
     korovkin_gaps,
     lattice_moduli,
     operator_rho_norm_bound,
-    partial_moduli,
+    sample_lattice,
     sup_distance_power_operator,
-    sup_error_on_grid,
     theorem_4_1_bound,
-    weighted_modulus,
-    weighted_norm,
 )
+from poslinops.cli import _run, resolve_config
 
 P = StancuParams()
 R1 = CompactRegion(1.0)
-STRIP = TruncatedStrip(5.0)
+STRIP = CompactRegion(5.0)
 LINEAR_DERIVS = corpus_lookup("linear").derivative_provider
 
 # Each checker as a call of (f, grid_points); f is ignored by those that
 # take no function.
 CHECKERS = {
-    "sup_error_on_grid": lambda f, G: sup_error_on_grid(f, P, 10, 10, R1, G),
     "check_theorem_3_3": lambda f, G: check_theorem_3_3(
         f, P, 10, 10, R1, G, moduli_source="grid"),
     "theorem_4_1_bound": lambda f, G: theorem_4_1_bound(
         LINEAR_DERIVS, f, P, 10, 10, 1, 1.0, 1.0, R1, G),
-    "weighted_norm": lambda f, G: weighted_norm(f, WeightSpec("rho"), STRIP, G),
     "check_theorem_5_2": lambda f, G: check_theorem_5_2(
-        f, P, [(10, 10)], WeightSpec("rho1_power", 0.5), STRIP, G),
+        f, P, [(10, 10)], 0.5, STRIP, G),
     "check_theorem_5_3": lambda f, G: check_theorem_5_3(
         f, P, 10, 10, 2.0, G, strip=STRIP),
-    "weighted_modulus": lambda f, G: weighted_modulus(f, 0.1, STRIP.S, G),
-    "full_modulus": lambda f, G: full_modulus(f, R1, 0.1, G),
-    "partial_moduli": lambda f, G: partial_moduli(f, R1, 0.1, G),
+    "weighted_modulus": lambda f, G: lattice_moduli(
+        sample_lattice(f, STRIP, G)[2], STRIP, weighted=0.1),
+    "full_modulus": lambda f, G: lattice_moduli(
+        sample_lattice(f, R1, G)[2], R1, full=0.1),
+    "partial_moduli": lambda f, G: lattice_moduli(
+        sample_lattice(f, R1, G)[2], R1, partial_x=0.1, partial_y=0.1),
 }
 LATTICE_ONLY = {
     "sup_distance_power_operator": lambda f, G: sup_distance_power_operator(
@@ -85,7 +81,7 @@ def test_grid_checker_rejects_non_finite_sample(checker):
         CHECKERS[checker](NAN_CORNER, 21)
 
 
-@pytest.mark.parametrize("checker", ["sup_error_on_grid", "check_theorem_3_3"])
+@pytest.mark.parametrize("checker", ["check_theorem_3_3"])
 def test_non_finite_operator_values_raise_naming_f(checker):
     # finite on [0, 1]^2, infinite at the Szasz node y = 2 of n = 10
     def recip(x, y):
@@ -100,10 +96,12 @@ def test_non_finite_operator_values_raise_naming_f(checker):
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("message, make", [
     ("^A must be finite", CompactRegion),
-    ("^S must be finite", TruncatedStrip),
-    ("^epsilon must be finite", lambda v: WeightSpec("rho1_power", v)),
-    ("^delta must be finite", lambda v: full_modulus(QUAD, R1, v, 11)),
-    ("^delta must be finite", lambda v: weighted_modulus(QUAD, v, 2.0, 11)),
+    ("^S must be finite", lambda v: _run(resolve_config(["weighted", "--S", str(v)]))),
+    ("^epsilon must be finite",
+     lambda v: check_theorem_5_2(QUAD, P, [(10, 10)], v, STRIP, 11)),
+    ("^delta must be finite", lambda v: lattice_moduli(np.zeros((11, 11)), R1, full=v)),
+    ("^delta must be finite",
+     lambda v: lattice_moduli(np.zeros((11, 11)), STRIP, weighted=v)),
     ("^s must be finite", lambda v: check_theorem_5_3(QUAD, P, 10, 10, v, 11)),
     ("^y must be finite", lambda v: Point2D(0.5, v)),
     ("alpha1 <= beta1 < inf", lambda v: StancuParams(v, v)),

@@ -7,51 +7,28 @@ import numpy as np
 import pytest
 
 from poslinops import (
+    CompactRegion,
     DomainError,
-    Function2D,
     StancuParams,
-    TruncatedStrip,
     TruncationPolicy,
-    WeightSpec,
     check_theorem_5_2,
     check_theorem_5_3,
     corpus_lookup,
     operator_rho_norm_bound,
-    weighted_norm,
 )
 
 TIGHT = TruncationPolicy(1e-13)
-STRIP = TruncatedStrip(50.0)
-
-
-def test_weight_spec_values():
-    w = WeightSpec("rho")
-    assert w(0.0, 0.0) == 1.0
-    assert w(1.0, 2.0) == 6.0
-    w1 = WeightSpec("rho1_power", 0.5)
-    assert w1(1.0, 2.0) == pytest.approx(6.0**1.5)
+STRIP = CompactRegion(50.0)
 
 
 def test_weight_spec_validation():
+    # the weight rho^(1 + epsilon) needs epsilon > 0
+    f = corpus_lookup("rho_growth").function
+    for epsilon in (0.0, -0.5):
+        with pytest.raises(DomainError, match="^epsilon must be finite and > 0"):
+            check_theorem_5_2(f, StancuParams(), [(10, 10)], epsilon, STRIP, 11)
     with pytest.raises(DomainError):
-        WeightSpec("bogus")
-    with pytest.raises(DomainError):
-        WeightSpec("rho1_power", 0.0)
-    with pytest.raises(DomainError):
-        TruncatedStrip(0.0)
-
-
-def test_weighted_norm_of_rho_is_one():
-    f = corpus_lookup("rho_growth").function  # x^2 + y^2 <= rho
-    val = weighted_norm(f, WeightSpec("rho"), STRIP, 201)
-    assert val <= 1.0
-    assert val >= 1.0 - 1e-3  # approached as y -> S
-
-
-def test_weighted_norm_constant():
-    f = Function2D(eval=lambda x, y: 3.0 + 0.0 * np.asarray(x) + 0.0 * np.asarray(y),
-                   name="c3")
-    assert weighted_norm(f, WeightSpec("rho"), STRIP, 101) == pytest.approx(3.0)
+        CompactRegion(0.0)
 
 
 def test_operator_rho_norm_bound_unshifted_closed_form():
@@ -66,7 +43,7 @@ def test_operator_rho_norm_bound_unshifted_closed_form():
 def test_operator_rho_norm_bound_includes_tail_limit():
     # at large S the y -> inf limit |n^2/(n+b2)^2 - 1| dominates the grid part
     params = StancuParams(0, 0, 0, 3)
-    b = operator_rho_norm_bound(params, 100, 1, TruncatedStrip(1.0), 51)
+    b = operator_rho_norm_bound(params, 100, 1, CompactRegion(1.0), 51)
     tail = abs(1.0 / (1 + 3.0) ** 2 - 1.0)
     assert b >= 1.0 + tail
 
@@ -81,18 +58,17 @@ def test_operator_rho_norm_bound_decreases():
 def test_check_theorem_5_2_requires_growth_metadata():
     f = corpus_lookup("quad").function  # same formula, no growth tag
     with pytest.raises(DomainError):
-        check_theorem_5_2(f, StancuParams(), [(10, 10)],
-                          WeightSpec("rho1_power", 0.5), STRIP)
-    g = corpus_lookup("rho_growth").function
+        check_theorem_5_2(f, StancuParams(), [(10, 10)], 0.5, STRIP)
+    g = dataclasses.replace(corpus_lookup("rho_growth").function, m_f=None)
     with pytest.raises(DomainError):
-        check_theorem_5_2(g, StancuParams(), [(10, 10)], WeightSpec("rho"), STRIP)
+        check_theorem_5_2(g, StancuParams(), [(10, 10)], 0.5, STRIP)
 
 
 def test_check_theorem_5_2_estimates_decrease():
     f = corpus_lookup("rho_growth").function
     sched = [(m, m) for m in (10, 20, 40, 80, 160)]
-    ests = check_theorem_5_2(f, StancuParams(3, 3, 3, 3), sched,
-                             WeightSpec("rho1_power", 0.5), STRIP, 201, TIGHT)
+    ests = check_theorem_5_2(f, StancuParams(3, 3, 3, 3), sched, 0.5, STRIP, 201,
+                             TIGHT)
     assert all(v > 0 for v in ests)
     assert all(a > b for a, b in zip(ests, ests[1:]))
 
@@ -101,9 +77,8 @@ def test_check_theorem_5_2_tail_floor():
     # with a fixed strip the tail certificate keeps every entry above
     # m_f * 2 * (1 + S^2)^(-eps); the estimates cannot be driven to zero
     f = corpus_lookup("rho_growth").function
-    ests = check_theorem_5_2(f, StancuParams(), [(200, 200)],
-                             WeightSpec("rho1_power", 0.5), STRIP, 101, TIGHT)
-    floor = 2.0 * (1.0 + STRIP.S**2) ** -0.5
+    ests = check_theorem_5_2(f, StancuParams(), [(200, 200)], 0.5, STRIP, 101, TIGHT)
+    floor = 2.0 * (1.0 + STRIP.A**2) ** -0.5
     assert ests[0] >= floor
 
 
