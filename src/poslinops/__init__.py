@@ -29,13 +29,7 @@ from .operators import (
     second_central_moment,
     second_central_moment_grid,
 )
-from .moduli import (
-    LipschitzWitness,
-    ModulusEstimate,
-    lattice_moduli,
-    lipschitz_ratio,
-    modulus_subadditivity_check,
-)
+from .moduli import lattice_moduli
 from .bounds import (
     DeltaTriple,
     beta_func,
@@ -48,10 +42,9 @@ from .bounds import (
 )
 from .reporting import BoundReport
 from .taylor import (
-    DirectionalFrame,
+    LipschitzWitness,
     PartialDerivativeSet,
     apply_rth,
-    directional_rth_derivative,
     f_rth_lipschitz_estimate,
     finite_difference_derivs,
 )

@@ -39,6 +39,13 @@ def require_positive(name, value):
         raise DomainError(f"{name} must be finite and > 0, got {value}")
 
 
+def require_degree(**degrees):
+    """Raise DomainError naming the first degree, by keyword, that is not >= 1."""
+    for name, value in degrees.items():
+        if not value >= 1:
+            raise DomainError(f"degree {name} must be >= 1, got {value}")
+
+
 class TruncationError(RuntimeError):
     """The term cap was reached before the requested tail mass was attained."""
 
@@ -104,8 +111,7 @@ def bernstein_band_matrix(m, xs, policy=DEFAULT_POLICY):
     The band is the union of the rows' windows, less its columns of zeros;
     each row drops at most policy.tail_tol * 2^-60 of its mass on each side.
     """
-    if m < 1:
-        raise DomainError(f"degree m must be >= 1, got {m}")
+    require_degree(m=m)
     x = np.asarray(xs, dtype=float)[:, None]
     x_min, x_max = float(x.min()), float(x.max())
     if not (x_min >= 0.0 and x_max <= 1.0):
@@ -137,8 +143,7 @@ def szasz_band_matrix(n, ys, policy=DEFAULT_POLICY):
     One y gets a row built from scalars, several a matrix built at once; a
     weight of one may differ from the other's by rounding.
     """
-    if n < 1:
-        raise DomainError(f"degree n must be >= 1, got {n}")
+    require_degree(n=n)
     if len(ys) == 1:
         return _szasz_row(n, float(ys[0]), policy)
     return _szasz_rows(n, ys, policy)

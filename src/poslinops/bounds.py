@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .basis import DEFAULT_POLICY, DomainError
+from .basis import DEFAULT_POLICY, DomainError, require_degree
 from .moduli import lattice_moduli
 from .operators import (
     apply_on_grid,
@@ -38,6 +38,7 @@ class DeltaTriple:
 
 def deltas(m, n, params, region):
     """The rate quantities delta_m, delta_n and their combination."""
+    require_degree(m=m, n=n)
     b1, b2, A = params.beta1, params.beta2, region.A
     delta_m = math.sqrt(4.0 * b1 * b1 + m) / (m + b1)
     delta_n = math.sqrt(b2 * b2 * A * A + n * A) / (n + b2)
@@ -66,8 +67,7 @@ def check_theorem_3_3(f, params, m, n, region, grid_points=201,
     if moduli_source == "grid":
         est = lattice_moduli(F, region, full=d.delta_mn, partial_x=d.delta_m,
                              partial_y=d.delta_n)
-        w1, w2 = est["partial_x"].value, est["partial_y"].value
-        w = est["full"].value
+        w1, w2, w = est["partial_x"], est["partial_y"], est["full"]
         caveat = CAVEAT_RHS_GRID_LOWER_BOUND
     else:
         w1 = closed_form_moduli["partial_x"](d.delta_m, region.A)

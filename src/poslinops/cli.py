@@ -100,8 +100,9 @@ def _run(cfg):
         delta = cfg["delta"]
         ests = lattice_moduli(sample_lattice(f, region, G)[2], region, full=delta,
                               partial_x=delta, partial_y=delta)
+        grid = f"{G}x{G} uniform on [0,1]x[0,{region.A}]"
         header = ["kind", "delta", "value", "grid"]
-        rows = [[e.kind, e.delta, e.value, e.grid_spec] for e in ests.values()]
+        rows = [[kind, delta, value, grid] for kind, value in ests.items()]
     elif command == "check-thm33":
         reports += check_theorem_3_3(
             f, params, m, n, region, G, policy,
@@ -136,7 +137,7 @@ def _run(cfg):
     elif command == "weighted":
         require_positive("S", cfg["S"])
         strip = CompactRegion(cfg["S"])
-        rated = f.growth == "rho_dominated"
+        rated = f.m_f is not None
         bounds = rho_norm_bounds(params, [(m, n)] + (schedule if rated else []),
                                  strip, G)
         header = ["row", "m", "n", "value", "holds", "caveat"]

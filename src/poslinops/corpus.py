@@ -145,8 +145,7 @@ _register(
 _register(
     "rho_growth",
     CorpusEntry(
-        function=Function2D(eval=_quad, name="rho_growth", growth="rho_dominated",
-                            m_f=1.0),
+        function=Function2D(eval=_quad, name="rho_growth", m_f=1.0),
         derivative_provider=PartialDerivativeSet(order=10, eval=_quad_deriv),
     ),
 )

@@ -1,4 +1,4 @@
-"""Grid estimators for moduli of continuity and Lipschitz constants.
+"""Grid estimators for moduli of continuity.
 
 All estimators maximize over a finite sample of point pairs, so every value
 is a lower estimate of the corresponding supremum.
@@ -23,30 +23,10 @@ below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-import math
-
 import numpy as np
 
-from .basis import DomainError, require_positive
-from .operators import Point2D, _require_finite, evaluate, lattice
-from .reporting import BoundReport
-
-
-@dataclass(frozen=True)
-class ModulusEstimate:
-    delta: float
-    value: float
-    kind: str  # full | partial_x | partial_y | weighted
-    grid_spec: str
-    is_lower_bound: bool = True
-
-
-@dataclass(frozen=True)
-class LipschitzWitness:
-    gamma: float
-    M_estimate: float
-    argmax_pair: tuple
+from .basis import require_positive
+from .operators import lattice
 
 
 def _radius(delta, h, G):
@@ -120,14 +100,13 @@ def lattice_moduli(F, region, full=None, partial_x=None, partial_y=None,
                    weighted=None):
     """Moduli of the lattice sample F of ``sample_lattice``, each at its own delta.
 
-    Returns a dict from kind to ModulusEstimate with one entry per delta
-    given, in the order full, partial_x, partial_y, weighted.  Deltas past
-    the lattice give the maximum over all lattice pairs.
+    Returns a dict from kind to its value, a lower estimate, with one entry
+    per delta given, in the order full, partial_x, partial_y, weighted.
+    Deltas past the lattice give the maximum over all lattice pairs.
     """
     G = len(F)
     xs, ys = lattice(region.A, G)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    spec = f"{G}x{G} uniform on [0,1]x[0,{region.A}]"
     out = {}
     for kind, delta in (("full", full), ("partial_x", partial_x),
                         ("partial_y", partial_y), ("weighted", weighted)):
@@ -135,53 +114,16 @@ def lattice_moduli(F, region, full=None, partial_x=None, partial_y=None,
             continue
         require_positive("delta", delta)
         if kind == "full":
-            value = _window_max(F, _radii(delta, hx, hy, G))
+            out[kind] = _window_max(F, _radii(delta, hx, hy, G))
         elif kind == "partial_x":
-            value = _window_max(F, [_radius(delta, hx, G)])
+            out[kind] = _window_max(F, [_radius(delta, hx, G)])
         elif kind == "partial_y":
-            value = _window_max(F.T, [_radius(delta, hy, G)])
+            out[kind] = _window_max(F.T, [_radius(delta, hy, G)])
         else:
             radii, R = _radii(delta, hx, hy, G), rho(xs[:, None], ys[None, :])
-            value = max(_window_max(F, radii, R),
-                        _window_max(F[:, ::-1], radii, R[:, ::-1]))
-        out[kind] = ModulusEstimate(delta, value, kind, spec)
+            out[kind] = max(_window_max(F, radii, R),
+                            _window_max(F[:, ::-1], radii, R[:, ::-1]))
     return out
-
-
-def _segments(gamma, region, samples, seed):
-    """Seeded random segments (x1, y1) -> (x2, y2) in R_A for a Hoelder ratio
-    of exponent gamma, as x1, y1, x2, y2 and the length u >= 1e-9 of each."""
-    if not 0.0 < gamma <= 1.0:
-        raise DomainError(f"gamma must be in (0, 1], got {gamma}")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
-    draws = np.random.default_rng(seed).random((samples, 4))
-    x1, x2 = draws[:, 0], draws[:, 1]
-    y1, y2 = draws[:, 2] * region.A, draws[:, 3] * region.A
-    u = np.hypot(x2 - x1, y2 - y1)
-    keep = u >= 1e-9
-    return x1[keep], y1[keep], x2[keep], y2[keep], u[keep]
-
-
-def lipschitz_ratio(f, gamma, region, sample_pairs=10000, seed=0):
-    """Max of |f(p1) - f(p2)| / dist^gamma over seeded random pairs."""
-    segments = _segments(gamma, region, sample_pairs, seed)
-    x1, y1, x2, y2, _ = segments
-    return _largest_ratio(gamma, evaluate(f, x2, y2) - evaluate(f, x1, y1), segments,
-                          getattr(f, "name", "f"), "random point pairs")
-
-
-def _largest_ratio(gamma, diff, segments, label, where):
-    """Witness of the largest |diff| / u^gamma over the segments and its pair,
-    or M = 0 without segments.  Raises RuntimeError naming label when a ratio
-    is not finite."""
-    x1, y1, x2, y2, u = segments
-    if u.size == 0:
-        return LipschitzWitness(gamma, 0.0, (Point2D(0.0, 0.0), Point2D(0.0, 0.0)))
-    ratio = _require_finite(label, np.abs(diff) / u**gamma, where)
-    i = int(np.argmax(ratio))
-    pair = (Point2D(float(x1[i]), float(y1[i])), Point2D(float(x2[i]), float(y2[i])))
-    return LipschitzWitness(gamma, float(ratio[i]), pair)
 
 
 def rho(x, y):
@@ -189,9 +131,3 @@ def rho(x, y):
     y = np.asarray(y, dtype=float)
     return 1.0 + x * x + y * y
 
-
-def modulus_subadditivity_check(w_exact, lam, delta):
-    """Check w(lam * delta) <= (1 + floor(lam)) * w(delta) on a closed form."""
-    lhs = float(w_exact(lam * delta))
-    rhs = (1.0 + math.floor(lam)) * float(w_exact(delta))
-    return BoundReport(lhs=lhs, rhs=rhs)

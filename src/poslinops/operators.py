@@ -19,6 +19,7 @@ from .basis import (
     DEFAULT_POLICY,
     DomainError,
     bernstein_band_matrix,
+    require_degree,
     require_positive,
     szasz_band_matrix,
 )
@@ -75,13 +76,12 @@ class Function2D:
     """Evaluation contract for f on [0, 1] x [0, inf).
 
     ``eval(x, y)`` must broadcast over numpy arrays (see ``evaluate``); wrap
-    a scalar-only f in ``np.vectorize``.  ``m_f`` is the growth constant for
-    rho-dominated functions: |f| <= m_f * (1 + x^2 + y^2).
+    a scalar-only f in ``np.vectorize``.  ``m_f`` marks a rho-dominated f:
+    |f| <= m_f * (1 + x^2 + y^2); None for any other f.
     """
 
     eval: Callable
     name: str = "f"
-    growth: str = "bounded_on_compacts"
     m_f: Optional[float] = None
 
     def __call__(self, x, y):
@@ -269,6 +269,7 @@ def moments_closed_form(params, m, n, p):
     against the direct double-summation oracle.  Raises DomainError naming y
     when a moment is not finite.
     """
+    require_degree(m=m, n=n)
     x, y = float(p.x), float(p.y)
     tau2 = _moment_t2(params, m, x) + _moment_tau2(params, n, y)
     return MomentSet(one=1.0, t=_moment_t(params, m, x),
@@ -278,12 +279,14 @@ def moments_closed_form(params, m, n, p):
 
 def second_central_moment(params, m, n, p):
     """Operator value on (t - x)^2 + (tau - y)^2 at the point p."""
+    require_degree(m=m, n=n)
     x, y = float(p.x), float(p.y)
     return _finite_in_y(_central_t(params, m, x) + _central_tau(params, n, y), n, p)
 
 
 def second_central_moment_grid(params, m, n, xs, ys):
     """Operator value on (t - x)^2 + (tau - y)^2 on the tensor grid xs x ys."""
+    require_degree(m=m, n=n)
     cx = _central_t(params, m, np.asarray(xs, dtype=float))
     cy = _central_tau(params, n, np.asarray(ys, dtype=float))
     return cx[:, None] + cy[None, :]
@@ -291,6 +294,7 @@ def second_central_moment_grid(params, m, n, xs, ys):
 
 def korovkin_gaps(params, m, n, region, grid_points=201):
     """Sup-norm gaps of the four Korovkin test functions over R_A (grid max)."""
+    require_degree(m=m, n=n)
     xs, ys = lattice(region.A, grid_points)
     gap_one = 0.0  # L(1) = 1 exactly
     gap_t = float(np.max(np.abs(_moment_t(params, m, xs) - xs)))

@@ -2,7 +2,9 @@
 
 The nodal value f(node) is replaced by the degree-r Taylor polynomial of f at
 the node, evaluated at the target point.  Partial derivatives come either from
-closed forms or from second-order finite differences.
+closed forms or from second-order finite differences.  The sampled Lipschitz
+constant of F^(r), the r-th derivative of f along a segment, estimates the M
+of the order-r bound.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import math
 import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError, require_positive
-from .moduli import _largest_ratio, _segments
-from .operators import (Function2D, KernelFamily, Point2D, _evaluate, evaluate,
+from .operators import (Function2D, Point2D, _evaluate, _require_finite, evaluate,
                         weights_and_nodes)
 
 _MAX_FD_ORDER = 4
@@ -36,23 +37,13 @@ class PartialDerivativeSet:
 
 
 @dataclass(frozen=True)
-class DirectionalFrame:
-    """A base point, a unit direction and an offset u along it."""
-
-    base: Point2D
-    direction: tuple
-    u: float = 0.0
-
-    def __post_init__(self):
-        a, b = self.direction
-        if abs(a * a + b * b - 1.0) > 1e-14:
-            raise DomainError(f"direction must be a unit vector, got {self.direction}")
-        if self.u < 0.0:
-            raise DomainError(f"u must be >= 0, got {self.u}")
+class LipschitzWitness:
+    gamma: float
+    M_estimate: float
+    argmax_pair: tuple
 
 
-def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY,
-                      family=KernelFamily.BERNSTEIN_SZASZ):
+def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY):
     """Order-r operator values on the tensor grid xs x ys.
 
     For each monomial (i, j) of the Taylor expansion the double node sum is
@@ -62,7 +53,7 @@ def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY,
     """
     _require_order(derivs, r)
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy, family)
+    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy)
     dx, dy = xs[:, None] - tx[None, :], ys[:, None] - ty[None, :]
     U = [WX * dx**i for i in range(r + 1)]
     V = [WY * dy**j for j in range(r + 1)]
@@ -77,11 +68,9 @@ def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY,
     return out
 
 
-def apply_rth(derivs, params, m, n, r, p, policy=DEFAULT_POLICY,
-              family=KernelFamily.BERNSTEIN_SZASZ):
+def apply_rth(derivs, params, m, n, r, p, policy=DEFAULT_POLICY):
     """Order-r operator value at a single point."""
-    return float(apply_rth_on_grid(derivs, params, m, n, r, [p.x], [p.y], policy,
-                                   family)[0, 0])
+    return float(apply_rth_on_grid(derivs, params, m, n, r, [p.x], [p.y], policy)[0, 0])
 
 
 def fd_stencil_weights(z, xs, k):
@@ -183,28 +172,32 @@ def _directional(derivs, r, x, y, a, b):
     return total
 
 
-def directional_rth_derivative(derivs, frame, r):
-    """r-th derivative of u -> f(base + u * direction) at the frame's u."""
-    _require_order(derivs, r)
-    a, b = frame.direction
-    x = frame.base.x + frame.u * a
-    y = frame.base.y + frame.u * b
-    if not (0.0 <= x <= 1.0) or y < 0.0:
-        raise DomainError(f"point ({x}, {y}) leaves the operator domain")
-    return float(_directional(derivs, r, x, y, a, b))
-
-
 def f_rth_lipschitz_estimate(derivs, r, gamma, region, samples=2000, seed=0):
-    """Lower estimate of the Lipschitz constant of u -> F^(r)(u).
+    """Lower estimate of the Hoelder constant of exponent gamma of u -> F^(r)(u).
 
-    Random segments in R_A, of length u >= 1e-9, maximize
-    |F^(r)(u) - F^(r)(0)| / u^gamma, F^(r) taken along the segment at its
-    endpoints.  Raises RuntimeError when a ratio is not finite.
+    Seeded random segments (x1, y1) -> (x2, y2) in R_A, of length u >= 1e-9,
+    maximize |F^(r)(u) - F^(r)(0)| / u^gamma, F^(r) taken along the segment
+    at its endpoints.  The witness holds the largest ratio and its pair, or
+    M = 0 without segments.  At r = 0, F^(0) is f itself.  Raises
+    RuntimeError when a ratio is not finite.
     """
-    segments = _segments(gamma, region, samples, seed)
+    if not 0.0 < gamma <= 1.0:
+        raise DomainError(f"gamma must be in (0, 1], got {gamma}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     _require_order(derivs, r)
-    x1, y1, x2, y2, u = segments
+    draws = np.random.default_rng(seed).random((samples, 4))
+    x1, x2 = draws[:, 0], draws[:, 1]
+    y1, y2 = draws[:, 2] * region.A, draws[:, 3] * region.A
+    u = np.hypot(x2 - x1, y2 - y1)
+    keep = u >= 1e-9
+    x1, y1, x2, y2, u = x1[keep], y1[keep], x2[keep], y2[keep], u[keep]
+    if u.size == 0:
+        return LipschitzWitness(gamma, 0.0, (Point2D(0.0, 0.0), Point2D(0.0, 0.0)))
     a, b = (x2 - x1) / u, (y2 - y1) / u
     diff = _directional(derivs, r, x2, y2, a, b) - _directional(derivs, r, x1, y1, a, b)
-    return _largest_ratio(gamma, diff, segments, f"F^({r}) of {derivs.source}",
-                          "sampled segments")
+    ratio = _require_finite(f"F^({r}) of {derivs.source}", np.abs(diff) / u**gamma,
+                            "sampled segments")
+    i = int(np.argmax(ratio))
+    pair = (Point2D(float(x1[i]), float(y1[i])), Point2D(float(x2[i]), float(y2[i])))
+    return LipschitzWitness(gamma, float(ratio[i]), pair)

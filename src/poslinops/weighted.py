@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .basis import DEFAULT_POLICY, DomainError, require_positive
+from .basis import DEFAULT_POLICY, DomainError, require_degree, require_positive
 from .moduli import lattice_moduli, rho
 from .operators import (
     CompactRegion,
@@ -35,6 +35,7 @@ def operator_rho_norm_bound(params, m, n, strip, grid_points=201):
     limit |n^2 / (n + beta2)^2 - 1|.  Raises RuntimeError when a ratio is not
     finite: past S ~ 1e154, y^2 overflows and the ratio is inf / inf.
     """
+    require_degree(m=m, n=n)
     xs, ys = lattice(strip.A, grid_points)
     with np.errstate(over="ignore", invalid="ignore"):
         gx = _moment_t2(params, m, xs) - xs * xs
@@ -63,8 +64,8 @@ def check_theorem_5_2(f, params, schedule, epsilon, strip, grid_points=201,
     ``sample`` (f on the strip lattice, as sample_lattice returns it) and
     ``bounds`` (rho_norm_bounds over the schedule) are computed if not given.
     """
-    if f.growth != "rho_dominated" or f.m_f is None:
-        raise DomainError("check_theorem_5_2 needs rho_dominated growth with m_f")
+    if f.m_f is None:
+        raise DomainError("check_theorem_5_2 needs a rho-dominated f with m_f")
     require_positive("epsilon", epsilon)
     if sample is None:
         sample = sample_lattice(f, strip, grid_points)
@@ -93,8 +94,8 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
     definition, flagged by a caveat.  ``sample`` (f on the strip lattice)
     and ``rho_norm_bound`` (M) are computed if not given.
     """
-    if f.growth != "rho_dominated":
-        raise DomainError("check_theorem_5_3 needs rho_dominated growth")
+    if f.m_f is None:
+        raise DomainError("check_theorem_5_3 needs a rho-dominated f with m_f")
     require_positive("s", s)
     if strip is None:
         strip = CompactRegion(max(50.0, 2.0 * s))
@@ -110,7 +111,6 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
     fhat = Function2D(
         eval=lambda x, y, _f=f.eval, _c=norm: np.asarray(_f(x, y)) / _c,
         name=f.name + "_unit_rho",
-        growth="rho_dominated",
         m_f=1.0,
     )
 
@@ -120,8 +120,10 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
     disc = (xs[:, None] ** 2 + ys[None, :] ** 2) <= s * s
     lhs = float(np.max(lattice_error(fhat, L, F)[disc]))
 
-    central = second_central_moment_grid(params, m, n, sx, sy)
-    ratio = central / R
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = second_central_moment_grid(params, m, n, sx, sy) / R
+    _require_finite("the second central moment's ratio", ratio,
+                    f"strip lattice points on [0,1]x[0,S] (S = {strip.A})")
     tail_limit = params.beta2**2 / (n + params.beta2) ** 2
     delta = math.sqrt(max(float(ratio.max()), tail_limit))
 
@@ -130,5 +132,5 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
         M = operator_rho_norm_bound(params, m, n, strip, grid_points)
     c = 1.0 + s * s  # sup of rho on the disc
     w = lattice_moduli(Fs / norm, strip, weighted=delta)["weighted"]
-    rhs = c * c * (1.0 + M) * w.value
+    rhs = c * c * (1.0 + M) * w
     return BoundReport(lhs=lhs, rhs=rhs, caveat=CAVEAT_FROZEN_WEIGHTED_MODULUS)

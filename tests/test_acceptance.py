@@ -266,8 +266,8 @@ def test_criterion_9_modulus_estimator_convergence():
     for G in (101, 201, 401):
         est = lattice_moduli(sample_lattice(f, region, G)[2], region, full=0.1)["full"]
         step = 1.0 / (G - 1)
-        ok &= abs(est.value - target) <= 2.0 * step * math.sqrt(2.0)
-        ok &= est.value <= target + 1e-12  # grid value never overshoots
+        ok &= abs(est - target) <= 2.0 * step * math.sqrt(2.0)
+        ok &= est <= target + 1e-12  # grid value never overshoots
     report(9, ok, "grid modulus estimate for x + y converges to "
                   "delta * sqrt(2) at the lattice rate")
 

@@ -109,11 +109,11 @@ def test_check_theorem_3_3_grid_samples_lattice_once():
     # the same numbers as the moduli of a separate sample of f
     d = deltas(m, n, params, R1)
     F = sample_lattice(base, R1, 61)[2]
-    w1 = lattice_moduli(F, R1, partial_x=d.delta_m)["partial_x"].value
-    w2 = lattice_moduli(F, R1, partial_y=d.delta_n)["partial_y"].value
+    w1 = lattice_moduli(F, R1, partial_x=d.delta_m)["partial_x"]
+    w2 = lattice_moduli(F, R1, partial_y=d.delta_n)["partial_y"]
     assert ra.lhs == rb.lhs
     assert ra.rhs == 1.5 * (w1 + w2)
-    assert rb.rhs == 1.5 * lattice_moduli(F, R1, full=d.delta_mn)["full"].value
+    assert rb.rhs == 1.5 * lattice_moduli(F, R1, full=d.delta_mn)["full"]
 
 
 def test_check_theorem_3_3_missing_moduli():

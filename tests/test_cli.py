@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -77,8 +78,13 @@ def test_modulus_command(tmp_path):
                     "--delta", "0.1", "--grid", "201")
     assert code == 0
     header, rows = read_csv(out)
+    assert header == ["kind", "delta", "value", "grid"]
     kinds = [r[0] for r in rows]
     assert kinds == ["full", "partial_x", "partial_y"]
+    for line in out.read_text().splitlines()[1:]:
+        _, delta, _, grid = line.split(",", 3)
+        assert (delta, grid) == ("0.10000000000000001",
+                                 "201x201 uniform on [0,1]x[0,1.0]")
 
 
 def test_modulus_delta_past_lattice(tmp_path):
@@ -166,6 +172,12 @@ def test_non_finite_function_exits_2(tmp_path, monkeypatch, command):
      "beta1 must give finite moments"),
     (["weighted", "--function", "rho_growth", "--alpha2", "1e300", "--beta2", "1e300"],
      "beta2 must give finite moments"),
+    (["moments", "--m", "-1"], "degree m must be >= 1, got -1"),
+    (["moments", "--m", "0"], "degree m must be >= 1, got 0"),
+    (["moments", "--n", "0"], "degree n must be >= 1, got 0"),
+    (["check-thm33", "--m", "0"], "degree m must be >= 1, got 0"),
+    (["weighted", "--function", "rho_growth", "--m", "0"],
+     "degree m must be >= 1, got 0"),
 ])
 def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
     code, out = run(tmp_path, *args)
@@ -173,6 +185,22 @@ def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
     error = sidecar(out)["error"]
     assert error["type"] == "DomainError"
     assert error["message"].startswith(message)
+    assert not out.exists()
+
+
+def test_overflowing_central_moment_exits_2_naming_it(tmp_path):
+    # (alpha2 - beta2 y)^2 overflows on the strip once beta2 S passes ~1.3e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no RuntimeWarning on the way
+        code, out = run(tmp_path, "weighted", "--function", "rho_growth",
+                        "--beta2", "1e153")
+    assert code == 2
+    error = sidecar(out)["error"]
+    assert error["type"] == "RuntimeError"
+    assert error["message"].startswith(
+        "the second central moment's ratio is not finite at ")
+    assert error["message"].endswith(
+        "strip lattice points on [0,1]x[0,S] (S = 50.0)")
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Tests for the modulus-of-continuity and Lipschitz estimators."""
 
+import itertools
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -10,11 +11,11 @@ from poslinops import (
     CompactRegion,
     DomainError,
     Function2D,
+    PartialDerivativeSet,
     corpus_lookup,
+    corpus_names,
     f_rth_lipschitz_estimate,
     lattice_moduli,
-    lipschitz_ratio,
-    modulus_subadditivity_check,
     sample_lattice,
 )
 from poslinops.moduli import _radius, rho
@@ -27,6 +28,13 @@ def f2(expr, name="f", **kw):
     return Function2D(eval=expr, name=name, **kw)
 
 
+def holder_ratio(f, gamma, region, samples, seed=0):
+    """The sampled Hoelder constant of f: the r = 0 Lipschitz estimate, as
+    F^(0) along a segment is f itself."""
+    derivs = PartialDerivativeSet(0, lambda i, j, x, y: f(x, y), source=f.name)
+    return f_rth_lipschitz_estimate(derivs, 0, gamma, region, samples, seed)
+
+
 CONST = f2(lambda x, y: 0.0 * np.asarray(x) + 0.0 * np.asarray(y) + 4.2)
 LINEAR = f2(lambda x, y: np.asarray(x, float) + np.asarray(y, float))
 COORD_X = f2(lambda x, y: np.asarray(x, float) + 0.0 * np.asarray(y))
@@ -36,28 +44,27 @@ PROD = f2(lambda x, y: np.asarray(x, float) * np.asarray(y, float))
 
 def test_full_modulus_constant():
     F = sample_lattice(CONST, R1, 201)[2]
-    assert lattice_moduli(F, R1, full=0.1)["full"].value == 0.0
+    assert lattice_moduli(F, R1, full=0.1)["full"] == 0.0
 
 
 def test_full_modulus_linear():
     est = lattice_moduli(sample_lattice(LINEAR, R1, 201)[2], R1, full=0.1)["full"]
     step = 1.0 / 200
-    assert est.value <= 0.1 * math.sqrt(2.0) + 1e-12
-    assert est.value >= 0.1 * math.sqrt(2.0) - 2 * step * math.sqrt(2.0)
-    assert est.is_lower_bound
+    assert est <= 0.1 * math.sqrt(2.0) + 1e-12
+    assert est >= 0.1 * math.sqrt(2.0) - 2 * step * math.sqrt(2.0)
 
 
 def test_full_modulus_coordinate():
     est = lattice_moduli(sample_lattice(COORD_X, R1, 201)[2], R1, full=0.05)["full"]
-    assert abs(est.value - 0.05) <= 1.0 / 200
+    assert abs(est - 0.05) <= 1.0 / 200
 
 
 def test_partial_moduli_coordinate():
     F = sample_lattice(COORD_Y, R1, 201)[2]
     est = lattice_moduli(F, R1, partial_x=0.1, partial_y=0.1)
     ex, ey = est["partial_x"], est["partial_y"]
-    assert ex.value == 0.0
-    assert abs(ey.value - 0.1) <= 1.0 / 200
+    assert ex == 0.0
+    assert abs(ey - 0.1) <= 1.0 / 200
 
 
 def test_partial_moduli_product():
@@ -66,19 +73,19 @@ def test_partial_moduli_product():
     est = lattice_moduli(F, region, partial_x=0.1, partial_y=0.1)
     ex, ey = est["partial_x"], est["partial_y"]
     # sup over y <= 2 of y * delta, up to lattice rounding
-    assert abs(ex.value - 0.2) <= 2 * (2.0 / 200) * 2.0
-    assert abs(ey.value - 0.1) <= 2 * (2.0 / 200)
+    assert abs(ex - 0.2) <= 2 * (2.0 / 200) * 2.0
+    assert abs(ey - 0.1) <= 2 * (2.0 / 200)
 
 
 def test_partial_moduli_constant():
     F = sample_lattice(CONST, R1, 201)[2]
     est = lattice_moduli(F, R1, partial_x=0.3, partial_y=0.3)
-    assert est["partial_x"].value == 0.0 and est["partial_y"].value == 0.0
+    assert est["partial_x"] == 0.0 and est["partial_y"] == 0.0
 
 
 def test_modulus_monotone_in_delta():
     F = sample_lattice(PROD, R1, 101)[2]
-    vals = [lattice_moduli(F, R1, full=d)["full"].value for d in (0.05, 0.1, 0.2)]
+    vals = [lattice_moduli(F, R1, full=d)["full"] for d in (0.05, 0.1, 0.2)]
     assert vals == sorted(vals)
 
 
@@ -86,15 +93,14 @@ def test_full_dominates_partials():
     F = sample_lattice(PROD, R1, 101)[2]
     for d in (0.05, 0.15):
         est = lattice_moduli(F, R1, full=d, partial_x=d, partial_y=d)
-        assert est["full"].value >= max(est["partial_x"].value,
-                                        est["partial_y"].value) - 1e-15
+        assert est["full"] >= max(est["partial_x"], est["partial_y"]) - 1e-15
 
 
 def test_closed_form_dominates_grid_estimate():
     # for x + y the analytic modulus is delta * sqrt(2)
     F = sample_lattice(LINEAR, R1, 201)[2]
     for d in (0.05, 0.1):
-        assert lattice_moduli(F, R1, full=d)["full"].value <= d * math.sqrt(2.0) + 1e-12
+        assert lattice_moduli(F, R1, full=d)["full"] <= d * math.sqrt(2.0) + 1e-12
 
 
 def test_pointwise_modulus_inequality():
@@ -107,12 +113,12 @@ def test_pointwise_modulus_inequality():
 
 
 def test_lipschitz_ratio_constant():
-    w = lipschitz_ratio(CONST, 1.0, R1, sample_pairs=500, seed=1)
+    w = holder_ratio(CONST, 1.0, R1, samples=500, seed=1)
     assert w.M_estimate == 0.0
 
 
 def test_lipschitz_ratio_linear():
-    w = lipschitz_ratio(LINEAR, 1.0, R1, sample_pairs=20000, seed=2)
+    w = holder_ratio(LINEAR, 1.0, R1, samples=20000, seed=2)
     assert w.M_estimate <= math.sqrt(2.0) + 1e-12
     assert w.M_estimate >= math.sqrt(2.0) * 0.97
     # witness is recomputable
@@ -124,62 +130,59 @@ def test_lipschitz_ratio_linear():
 
 def test_lipschitz_ratio_holder_half():
     f = f2(lambda x, y: np.sqrt(np.abs(np.asarray(x, float) - 0.5)) + 0.0 * np.asarray(y))
-    w = lipschitz_ratio(f, 0.5, R1, sample_pairs=20000, seed=3)
+    w = holder_ratio(f, 0.5, R1, samples=20000, seed=3)
     assert w.M_estimate <= 1.0 + 1e-9
     assert w.M_estimate >= 0.9
 
 
 def test_lipschitz_ratio_monotone_in_samples():
     vals = [
-        lipschitz_ratio(PROD, 1.0, R1, sample_pairs=k, seed=4).M_estimate
+        holder_ratio(PROD, 1.0, R1, samples=k, seed=4).M_estimate
         for k in (100, 1000, 5000)
     ]
     assert vals == sorted(vals)
 
 
 def test_lipschitz_ratio_draws_the_taylor_segments():
-    # at r = 0, F^(0) along a segment is f itself: one sampler, one witness
+    # at r = 0 only the (0, 0) partial counts: f alone gives the witness of
+    # the full provider
     entry = corpus_lookup("prod")
     region = CompactRegion(2.0)
     for seed in (0, 7):
-        assert lipschitz_ratio(entry.function, 0.5, region, 3000, seed) == (
+        assert holder_ratio(entry.function, 0.5, region, 3000, seed) == (
             f_rth_lipschitz_estimate(entry.derivative_provider, 0, 0.5, region,
                                      3000, seed))
     with pytest.raises(DomainError, match="^seed must be a non-negative integer"):
-        lipschitz_ratio(entry.function, 0.5, region, seed=-1)
+        holder_ratio(entry.function, 0.5, region, 3000, seed=-1)
 
 
 def test_weighted_modulus_constant():
-    f = f2(lambda x, y: 1.0 + 0.0 * np.asarray(x) + 0.0 * np.asarray(y),
-           growth="rho_dominated", m_f=1.0)
+    f = f2(lambda x, y: 1.0 + 0.0 * np.asarray(x) + 0.0 * np.asarray(y), m_f=1.0)
     region = CompactRegion(10.0)
     F = sample_lattice(f, region, 101)[2]
-    assert lattice_moduli(F, region, weighted=0.1)["weighted"].value == 0.0
+    assert lattice_moduli(F, region, weighted=0.1)["weighted"] == 0.0
 
 
 def test_weighted_modulus_of_rho_finite_and_monotone():
     f = f2(lambda x, y: 1.0 + np.asarray(x, float) ** 2 + np.asarray(y, float) ** 2,
-           growth="rho_dominated", m_f=1.0)
+           m_f=1.0)
     region = CompactRegion(20.0)
     F = sample_lattice(f, region, 201)[2]
-    vals = [lattice_moduli(F, region, weighted=d)["weighted"].value
-            for d in (0.05, 0.1, 0.2)]
+    vals = [lattice_moduli(F, region, weighted=d)["weighted"] for d in (0.05, 0.1, 0.2)]
     assert all(np.isfinite(v) for v in vals)
     assert vals == sorted(vals)
     assert vals[0] > 0.0
 
 
 def test_subadditivity_closed_forms():
-    r = modulus_subadditivity_check(lambda d: d * math.sqrt(2.0), 2.5, 0.1)
-    assert r.lhs == pytest.approx(0.25 * math.sqrt(2.0))
-    assert r.rhs == pytest.approx(3 * 0.1 * math.sqrt(2.0))
-    assert r.holds
-    r = modulus_subadditivity_check(lambda d: d * math.sqrt(2.0), 1.0, 0.1)
-    assert r.holds and r.rhs == pytest.approx(2 * r.lhs)
-    r = modulus_subadditivity_check(lambda d: math.sqrt(d), 4.0, 0.01)
-    assert r.lhs == pytest.approx(0.2)
-    assert r.rhs == pytest.approx(0.5)
-    assert r.holds
+    # the corpus's closed-form moduli satisfy w(lam delta) <= (1 + floor(lam)) w(delta)
+    moduli = [corpus_lookup(name).closed_form_moduli for name in corpus_names()]
+    kinds = [w for ws in moduli if ws for w in ws.values()]
+    assert kinds
+    for w, A, delta, lam in itertools.product(
+            kinds, (1.0, 3.0), (1e-3, 0.05, 0.1, 0.7),
+            (0.5, 1.0, 1.5, 2.0, 2.5, 4.0, 10.0)):
+        assert w(lam * delta, A) <= (1.0 + math.floor(lam)) * w(delta, A)
 
 
 def _offsets(delta, hx, hy, G):
@@ -249,19 +252,19 @@ def test_window_moduli_equal_pair_loop(case):
                                 rho(xs[:, None], ys[None, :]))
     est = lattice_moduli(F, region, full=delta, partial_x=delta, partial_y=delta,
                          weighted=delta)
-    assert [e.value for e in est.values()] == [full, along_x, along_y, weighted]
+    assert list(est.values()) == [full, along_x, along_y, weighted]
 
 
 def test_delta_past_lattice_takes_all_pairs():
     F = np.random.default_rng(8).standard_normal((9, 9))
     est = lattice_moduli(F, R1, full=5.0, partial_x=5.0, partial_y=5.0)
-    assert est["full"].value == F.max() - F.min()
-    assert est["partial_x"].value == np.ptp(F, axis=0).max()
-    assert est["partial_y"].value == np.ptp(F, axis=1).max()
+    assert est["full"] == F.max() - F.min()
+    assert est["partial_x"] == np.ptp(F, axis=0).max()
+    assert est["partial_y"] == np.ptp(F, axis=1).max()
     f = f2(lambda x, y: 1.0 + 0.0 * np.asarray(x) + np.asarray(y, float))
     region = CompactRegion(2.0)
     F = sample_lattice(f, region, 5)[2]
-    assert lattice_moduli(F, region, weighted=100.0)["weighted"].value == 2.0
+    assert lattice_moduli(F, region, weighted=100.0)["weighted"] == 2.0
 
 
 def test_lattice_moduli_kinds_and_deltas():
@@ -283,9 +286,9 @@ def test_lattice_needs_two_points():
 def test_non_finite_sample_raises_naming_f(value):
     f = f2(lambda x, y: np.where((np.asarray(x) > 0.5) & (np.asarray(y) > 0.5),
                                  value, 1.0),
-           name="bad_corner", growth="rho_dominated", m_f=1.0)
+           name="bad_corner", m_f=1.0)
     with pytest.raises(RuntimeError, match="bad_corner is not finite"):
         sample_lattice(f, R1, 21)
     with np.errstate(invalid="ignore"), pytest.raises(
             RuntimeError, match="bad_corner is not finite"):
-        lipschitz_ratio(f, 1.0, R1, sample_pairs=1000)
+        holder_ratio(f, 1.0, R1, samples=1000)

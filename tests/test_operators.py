@@ -15,11 +15,13 @@ from poslinops import (
     StancuParams,
     TruncationPolicy,
     apply,
+    deltas,
     korovkin_gaps,
     moments_closed_form,
     second_central_moment,
     check_theorem_3_3,
     second_central_moment_grid,
+    operator_rho_norm_bound,
 )
 from poslinops.operators import apply_on_grid, eval_grid, evaluate
 
@@ -179,6 +181,23 @@ def test_overflowing_beta_raises_naming_it(axis):
         with np.errstate(over="ignore"), pytest.raises(
                 DomainError, match=f"^beta{axis} must give finite moments"):
             moment()
+
+
+@pytest.mark.parametrize("m, n, name", [(0, 10, "m"), (-1, 10, "m"), (-3, 5, "m"),
+                                        (10, 0, "n"), (10, -2, "n")])
+def test_closed_forms_reject_degrees_below_one(m, n, name):
+    # below 1 the closed forms divide by zero or give a negative moment
+    p, region, params = Point2D(0.5, 1.0), CompactRegion(1.0), StancuParams()
+    degree = m if name == "m" else n
+    for closed_form in (lambda: moments_closed_form(params, m, n, p),
+                        lambda: second_central_moment(params, m, n, p),
+                        lambda: second_central_moment_grid(params, m, n, [0.5], [1.0]),
+                        lambda: korovkin_gaps(params, m, n, region, 5),
+                        lambda: deltas(m, n, params, region),
+                        lambda: operator_rho_norm_bound(params, m, n, region, 5)):
+        with pytest.raises(DomainError,
+                           match=f"^degree {name} must be >= 1, got {degree}$"):
+            closed_form()
 
 
 def test_second_central_moment_nonnegative():

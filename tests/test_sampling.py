@@ -58,7 +58,7 @@ LATTICE_ONLY = {
 
 
 def with_name(name, expr):
-    return Function2D(eval=expr, name=name, growth="rho_dominated", m_f=1.0)
+    return Function2D(eval=expr, name=name, m_f=1.0)
 
 
 QUAD = with_name("quad", lambda x, y: np.asarray(x, float) ** 2

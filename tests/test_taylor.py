@@ -9,7 +9,6 @@ from scipy.stats import binom, poisson
 
 from poslinops import (
     CompactRegion,
-    DirectionalFrame,
     DomainError,
     Function2D,
     Point2D,
@@ -18,13 +17,12 @@ from poslinops import (
     apply,
     apply_rth,
     corpus_lookup,
-    directional_rth_derivative,
     f_rth_lipschitz_estimate,
     finite_difference_derivs,
 )
 from poslinops.basis import szasz_band_matrix
 from poslinops.operators import evaluate
-from poslinops.taylor import (PartialDerivativeSet, apply_rth_on_grid,
+from poslinops.taylor import (PartialDerivativeSet, _directional, apply_rth_on_grid,
                               fd_stencil_weights)
 
 TIGHT = TruncationPolicy(1e-14)
@@ -277,25 +275,22 @@ def test_fd_convergence_order():
 
 
 def test_directional_derivative_linear():
+    # F'(u) = a + b along every segment: a constant, so M = 0
     d = corpus_lookup("linear").derivative_provider
-    frame = DirectionalFrame(Point2D(0.2, 0.5), (1.0, 0.0), 0.3)
-    assert directional_rth_derivative(d, frame, 1) == pytest.approx(1.0)
+    for gamma, A in ((1.0, 1.0), (0.5, 3.0)):
+        w = f_rth_lipschitz_estimate(d, 1, gamma, CompactRegion(A), 400, seed=9)
+        assert w.M_estimate == pytest.approx(0.0, abs=1e-12)
 
 
 def test_directional_derivative_quad():
+    # F'(u) = 2 (a x + b y) changes by exactly 2 u along a unit segment, and
+    # F''(u) = 2 (a^2 + b^2) = 2 in every direction
     d = corpus_lookup("quad").derivative_provider
-    s = 1.0 / math.sqrt(2.0)
-    u = math.sqrt(2.0) * 0.3
-    frame = DirectionalFrame(Point2D(0.0, 0.0), (s, s), u)
-    assert directional_rth_derivative(d, frame, 1) == pytest.approx(
-        0.6 * math.sqrt(2.0)
-    )
-    # second derivative is 2 in every direction
-    rng = np.random.default_rng(9)
-    for _ in range(3):
-        th = rng.random() * math.pi / 2
-        frame = DirectionalFrame(Point2D(0.3, 0.4), (math.cos(th), math.sin(th)), 0.1)
-        assert directional_rth_derivative(d, frame, 2) == pytest.approx(2.0)
+    region = CompactRegion(2.0)
+    w = f_rth_lipschitz_estimate(d, 1, 1.0, region, 400, seed=9)
+    assert w.M_estimate == pytest.approx(2.0, abs=1e-12)
+    w = f_rth_lipschitz_estimate(d, 2, 1.0, region, 400, seed=9)
+    assert w.M_estimate == pytest.approx(0.0, abs=1e-12)
 
 
 def no_x_partials(i, j, x, y):
@@ -311,21 +306,13 @@ def test_failing_provider_is_named_with_its_partial():
                                            r"scalar_only failed on shape \(11, "):
         apply_rth(scalar_only, StancuParams(), 10, 10, 1, Point2D(0.3, 0.7))
     broken = PartialDerivativeSet(order=1, eval=no_x_partials, source="no_x")
-    frame = DirectionalFrame(Point2D(0.2, 0.5), (1.0, 0.0), 0.3)
     for call in (
         lambda: apply_rth(broken, StancuParams(), 10, 10, 1, Point2D(0.3, 0.7)),
-        lambda: directional_rth_derivative(broken, frame, 1),
         lambda: f_rth_lipschitz_estimate(broken, 1, 1.0, CompactRegion(1.0)),
     ):
         with pytest.raises(RuntimeError, match=r"partial \(1, 0\) of no_x") as info:
             call()
         assert isinstance(info.value.__cause__, ArithmeticError)
-
-
-def test_directional_derivative_domain_error():
-    d = corpus_lookup("quad").derivative_provider
-    with pytest.raises(DomainError):
-        directional_rth_derivative(d, DirectionalFrame(Point2D(0.9, 0.0), (1.0, 0.0), 0.5), 1)
 
 
 def test_taylor_matches_directional_maclaurin():
@@ -340,9 +327,7 @@ def test_taylor_matches_directional_maclaurin():
     got = taylor_poly(e.derivative_provider, node, p, r)
     want = 0.0
     for h in range(r + 1):
-        fh = directional_rth_derivative(
-            e.derivative_provider, DirectionalFrame(node, d, 0.0), h
-        ) if h > 0 else e.function.eval(node.x, node.y)
+        fh = _directional(e.derivative_provider, h, node.x, node.y, *d)
         want += fh * u**h / math.factorial(h)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -358,8 +343,3 @@ def test_f_rth_lipschitz_quad():
     d = corpus_lookup("quad").derivative_provider
     w = f_rth_lipschitz_estimate(d, 1, 1.0, CompactRegion(1.0), samples=500, seed=1)
     assert w.M_estimate == pytest.approx(2.0, abs=1e-9)
-
-
-def test_frame_validation():
-    with pytest.raises(DomainError):
-        DirectionalFrame(Point2D(0.0, 0.0), (1.0, 1.0), 0.1)

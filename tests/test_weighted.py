@@ -56,12 +56,13 @@ def test_operator_rho_norm_bound_decreases():
 
 
 def test_check_theorem_5_2_requires_growth_metadata():
-    f = corpus_lookup("quad").function  # same formula, no growth tag
-    with pytest.raises(DomainError):
+    # m_f marks a rho-dominated f; without it neither weighted theorem applies
+    f = corpus_lookup("quad").function  # the formula of rho_growth, no m_f
+    assert corpus_lookup("rho_growth").function.m_f == 1.0
+    with pytest.raises(DomainError, match="needs a rho-dominated f with m_f"):
         check_theorem_5_2(f, StancuParams(), [(10, 10)], 0.5, STRIP)
-    g = dataclasses.replace(corpus_lookup("rho_growth").function, m_f=None)
-    with pytest.raises(DomainError):
-        check_theorem_5_2(g, StancuParams(), [(10, 10)], 0.5, STRIP)
+    with pytest.raises(DomainError, match="needs a rho-dominated f with m_f"):
+        check_theorem_5_3(f, StancuParams(), 10, 10, 2.0, 11)
 
 
 def test_check_theorem_5_2_estimates_decrease():
