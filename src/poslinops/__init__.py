@@ -28,6 +28,7 @@ from .operators import (
     sample_lattice,
     second_central_moment,
     second_central_moment_grid,
+    square_gap_grid,
 )
 from .moduli import lattice_moduli
 from .bounds import (

@@ -46,6 +46,14 @@ def require_degree(**degrees):
             raise DomainError(f"degree {name} must be >= 1, got {value}")
 
 
+def require_finite(label, values, where):
+    """Return values; raise RuntimeError counting the entries that are not finite."""
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise RuntimeError(f"{label} is not finite at {bad} of {values.size} {where}")
+    return values
+
+
 class TruncationError(RuntimeError):
     """The term cap was reached before the requested tail mass was attained."""
 

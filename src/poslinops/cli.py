@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import io
 import json
 import os
 import sys
@@ -32,7 +34,7 @@ from .operators import (
 )
 from .reporting import CAVEAT_GRID_ESTIMATE, CAVEAT_NONE
 from .taylor import apply_rth, f_rth_lipschitz_estimate, finite_difference_derivs
-from .weighted import check_theorem_5_2, check_theorem_5_3, rho_norm_bounds
+from .weighted import check_theorem_5_2, check_theorem_5_3, operator_rho_norm_bound
 
 COMMANDS = (
     "eval", "moments", "modulus", "check-thm33", "rth", "check-thm41",
@@ -101,8 +103,9 @@ def _run(cfg):
         ests = lattice_moduli(sample_lattice(f, region, G)[2], region, full=delta,
                               partial_x=delta, partial_y=delta)
         grid = f"{G}x{G} uniform on [0,1]x[0,{region.A}]"
-        header = ["kind", "delta", "value", "grid"]
-        rows = [[kind, delta, value, grid] for kind, value in ests.items()]
+        header = ["kind", "delta", "value", "grid", "caveat"]
+        rows = [[kind, delta, value, grid, CAVEAT_GRID_ESTIMATE]
+                for kind, value in ests.items()]
     elif command == "check-thm33":
         reports += check_theorem_3_3(
             f, params, m, n, region, G, policy,
@@ -137,30 +140,26 @@ def _run(cfg):
     elif command == "weighted":
         require_positive("S", cfg["S"])
         strip = CompactRegion(cfg["S"])
-        rated = f.m_f is not None
-        bounds = rho_norm_bounds(params, [(m, n)] + (schedule if rated else []),
-                                 strip, G)
+        bound = operator_rho_norm_bound(params, m, n, strip, G)
         header = ["row", "m", "n", "value", "holds", "caveat"]
-        rows = [["rho_norm_bound", m, n, bounds[m, n], "", CAVEAT_GRID_ESTIMATE]]
-        if rated:
-            # one strip sample and one bound per (m, n) serve both theorems
-            sample = sample_lattice(f, strip, G)
+        rows = [["rho_norm_bound", m, n, bound, "", CAVEAT_GRID_ESTIMATE]]
+        if f.m_f is not None:
             ests = check_theorem_5_2(f, params, schedule, cfg["epsilon"], strip, G,
-                                     policy, sample, bounds)
+                                     policy)
             for (mm, nn), v in zip(schedule, ests):
                 rows.append(["thm52_estimate", mm, nn, v, "", CAVEAT_GRID_ESTIMATE])
-            rep = check_theorem_5_3(f, params, m, n, cfg["s"], G, policy, strip,
-                                    sample, bounds[m, n])
+            rep = check_theorem_5_3(f, params, m, n, cfg["s"], G, policy, strip)
             reports.append(rep)
             rows.append(["thm53_margin", m, n, rep.margin, rep.holds, rep.caveat])
     else:  # converge: one lattice sample of f serves every schedule entry
         xs, ys, F = sample_lattice(f, region, G)
-        header = ["m", "n", "sup_error", "delta_mn"]
+        header = ["m", "n", "sup_error", "delta_mn", "caveat"]
         rows = []
         for mm, nn in schedule:
             L = apply_on_grid(f, params, mm, nn, xs, ys, policy)
             err = float(lattice_error(f, L, F).max())
-            rows.append([mm, nn, err, deltas(mm, nn, params, region).delta_mn])
+            rows.append([mm, nn, err, deltas(mm, nn, params, region).delta_mn,
+                         CAVEAT_GRID_ESTIMATE])
 
     return header, rows, reports
 
@@ -213,8 +212,10 @@ def main(argv=None):
     try:
         header, rows, reports = _run(cfg)
         hold = all(rep.holds for rep in reports)
-        lines = [",".join(_fmt(v) for v in row) for row in [header, *rows]]
-        _write_atomic(cfg["out"], "\n".join(lines) + "\n")
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(
+            [_fmt(v) for v in row] for row in [header, *rows])
+        _write_atomic(cfg["out"], text.getvalue())
         caveats = {row[-1] for row in rows if header[-1] == "caveat"} - {CAVEAT_NONE}
         _sidecar(cfg, caveats, hold, None)
         return 0 if hold else 1

@@ -20,6 +20,7 @@ from .basis import (
     DomainError,
     bernstein_band_matrix,
     require_degree,
+    require_finite,
     require_positive,
     szasz_band_matrix,
 )
@@ -96,8 +97,12 @@ class MomentSet:
     t2_plus_tau2: float
 
 
-def _evaluate(f, x, y):
-    """evaluate(f, x, y) unexpanded, and x and y's broadcast shape."""
+def evaluate(f, x, y):
+    """f(x, y), called once, as a float array broadcasting to x and y's shape.
+
+    The result is not expanded: a constant stays 0-d.  Raises RuntimeError
+    naming f when f raises, MemoryError aside, or its result does not broadcast.
+    """
     shape = np.broadcast(x, y).shape
     try:
         out = np.asarray(f(x, y), dtype=float)
@@ -109,29 +114,14 @@ def _evaluate(f, x, y):
         raise RuntimeError(
             f"evaluation of {getattr(f, 'name', 'f')} failed on shape {shape}"
         ) from exc
-    return out, shape
-
-
-def evaluate(f, x, y):
-    """f(x, y), called once, as a float array of x and y's broadcast shape.
-
-    A result broadcasting to it (a constant, say) is expanded.  Raises RuntimeError
-    naming f when f raises, MemoryError aside, or its result does not broadcast.
-    """
-    out, shape = _evaluate(f, x, y)
-    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+    return out
 
 
 def eval_grid(f, tx, ty):
-    """f on the tensor grid tx x ty, shape (len(tx), len(ty)); see evaluate."""
-    return evaluate(f, tx[:, None], ty[None, :])
-
-
-def _require_finite(label, values, where):
-    bad = values.size - np.count_nonzero(np.isfinite(values))
-    if bad:
-        raise RuntimeError(f"{label} is not finite at {bad} of {values.size} {where}")
-    return values
+    """f on the tensor grid tx x ty, expanded to shape (len(tx), len(ty))."""
+    out = evaluate(f, tx[:, None], ty[None, :])
+    shape = (len(tx), len(ty))
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 def lattice(side, grid_points):
@@ -152,8 +142,8 @@ def sample_lattice(f, region, grid_points=201):
     """
     xs, ys = lattice(region.A, grid_points)
     F = eval_grid(f, xs, ys)
-    return xs, ys, _require_finite(getattr(f, "name", "f"), F,
-                                   f"lattice points on [0,1]x[0,{region.A}]")
+    return xs, ys, require_finite(getattr(f, "name", "f"), F,
+                                  f"lattice points on [0,1]x[0,{region.A}]")
 
 
 def lattice_error(f, L, F):
@@ -163,7 +153,7 @@ def lattice_error(f, L, F):
     the lattice and not at the operator's nodes beyond it.
     """
     label = f"L({getattr(f, 'name', 'f')})"
-    return np.abs(_require_finite(label, L, "lattice points") - F)
+    return np.abs(require_finite(label, L, "lattice points") - F)
 
 
 def weights_and_nodes(params, m, n, xs, ys, policy=DEFAULT_POLICY,
@@ -292,14 +282,20 @@ def second_central_moment_grid(params, m, n, xs, ys):
     return cx[:, None] + cy[None, :]
 
 
+def square_gap_grid(params, m, n, xs, ys):
+    """L(t^2 + tau^2) - (x^2 + y^2) on the tensor grid xs x ys."""
+    require_degree(m=m, n=n)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    gx = _moment_t2(params, m, xs) - xs * xs
+    gy = _moment_tau2(params, n, ys) - ys * ys
+    return gx[:, None] + gy[None, :]
+
+
 def korovkin_gaps(params, m, n, region, grid_points=201):
     """Sup-norm gaps of the four Korovkin test functions over R_A (grid max)."""
-    require_degree(m=m, n=n)
     xs, ys = lattice(region.A, grid_points)
+    gap_sq = float(np.max(np.abs(square_gap_grid(params, m, n, xs, ys))))
     gap_one = 0.0  # L(1) = 1 exactly
     gap_t = float(np.max(np.abs(_moment_t(params, m, xs) - xs)))
     gap_tau = float(np.max(np.abs(_moment_tau(params, n, ys) - ys)))
-    gx = _moment_t2(params, m, xs) - xs * xs
-    gy = _moment_tau2(params, n, ys) - ys * ys
-    gap_sq = float(np.max(np.abs(gx[:, None] + gy[None, :])))
     return gap_one, gap_t, gap_tau, gap_sq

@@ -15,9 +15,8 @@ import math
 
 import numpy as np
 
-from .basis import DEFAULT_POLICY, DomainError, require_positive
-from .operators import (Function2D, Point2D, _evaluate, _require_finite, evaluate,
-                        weights_and_nodes)
+from .basis import DEFAULT_POLICY, DomainError, require_finite, require_positive
+from .operators import Function2D, Point2D, evaluate, weights_and_nodes
 
 _MAX_FD_ORDER = 4
 
@@ -60,9 +59,9 @@ def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY):
     out = np.zeros((len(xs), len(ys)))
     for i, j in ((h - j, j) for h in range(r + 1) for j in range(h + 1)):
         scale = math.factorial(i) * math.factorial(j)
-        c, shape = _evaluate(_partial(derivs, i, j), tx[:, None], ty[None, :])
+        c = evaluate(_partial(derivs, i, j), tx[:, None], ty[None, :])
         if c.ndim:
-            out += U[i] @ np.divide(c, scale, out=np.empty(shape)) @ V[j].T
+            out += U[i] @ np.divide(c, scale, out=np.empty((len(tx), len(ty)))) @ V[j].T
         elif c:
             out += c / scale * np.outer(U[i].sum(axis=1), V[j].sum(axis=1))
     return out
@@ -196,8 +195,8 @@ def f_rth_lipschitz_estimate(derivs, r, gamma, region, samples=2000, seed=0):
         return LipschitzWitness(gamma, 0.0, (Point2D(0.0, 0.0), Point2D(0.0, 0.0)))
     a, b = (x2 - x1) / u, (y2 - y1) / u
     diff = _directional(derivs, r, x2, y2, a, b) - _directional(derivs, r, x1, y1, a, b)
-    ratio = _require_finite(f"F^({r}) of {derivs.source}", np.abs(diff) / u**gamma,
-                            "sampled segments")
+    ratio = require_finite(f"F^({r}) of {derivs.source}", np.abs(diff) / u**gamma,
+                           "sampled segments")
     i = int(np.argmax(ratio))
     pair = (Point2D(float(x1[i]), float(y1[i])), Point2D(float(x2[i]), float(y2[i])))
     return LipschitzWitness(gamma, float(ratio[i]), pair)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .basis import DEFAULT_POLICY, DomainError, require_degree, require_positive
+from .basis import DEFAULT_POLICY, DomainError, require_finite, require_positive
 from .moduli import lattice_moduli, rho
 from .operators import (
     CompactRegion,
@@ -20,9 +20,7 @@ from .operators import (
     lattice_error,
     sample_lattice,
     second_central_moment_grid,
-    _moment_t2,
-    _moment_tau2,
-    _require_finite,
+    square_gap_grid,
 )
 from .reporting import CAVEAT_FROZEN_WEIGHTED_MODULUS, BoundReport
 
@@ -35,64 +33,50 @@ def operator_rho_norm_bound(params, m, n, strip, grid_points=201):
     limit |n^2 / (n + beta2)^2 - 1|.  Raises RuntimeError when a ratio is not
     finite: past S ~ 1e154, y^2 overflows and the ratio is inf / inf.
     """
-    require_degree(m=m, n=n)
     xs, ys = lattice(strip.A, grid_points)
     with np.errstate(over="ignore", invalid="ignore"):
-        gx = _moment_t2(params, m, xs) - xs * xs
-        gy = _moment_tau2(params, n, ys) - ys * ys
-        ratio = np.abs(gx[:, None] + gy[None, :]) / rho(xs[:, None], ys[None, :])
-    _require_finite("the rho-norm bound's ratio", ratio,
-                    f"strip lattice points on [0,1]x[0,S] (S = {strip.A})")
+        gap = square_gap_grid(params, m, n, xs, ys)
+        ratio = np.abs(gap) / rho(xs[:, None], ys[None, :])
+    require_finite("the rho-norm bound's ratio", ratio,
+                   f"strip lattice points on [0,1]x[0,S] (S = {strip.A})")
     tail_limit = abs(n * n / (n + params.beta2) ** 2 - 1.0)
     return 1.0 + max(float(ratio.max()), tail_limit)
 
 
-def rho_norm_bounds(params, pairs, strip, grid_points=201):
-    """operator_rho_norm_bound once per distinct (m, n) in pairs, as a dict."""
-    return {mn: operator_rho_norm_bound(params, *mn, strip, grid_points)
-            for mn in dict.fromkeys(pairs)}
-
-
 def check_theorem_5_2(f, params, schedule, epsilon, strip, grid_points=201,
-                      policy=DEFAULT_POLICY, sample=None, bounds=None):
+                      policy=DEFAULT_POLICY):
     """Certified ||Lf - f||_rho1 estimates along an (m, n) schedule, with the
     weight rho1 = rho^(1 + epsilon), epsilon > 0, and strip the rectangle
     [0, 1] x [0, S] as a CompactRegion.
 
     Each entry is a strip grid estimate plus a tail certificate for y > S:
-    |Lf - f| <= M_f (||L|| + 1) rho there, and rho / rho1 <= (1 + S^2)^-eps.
-    ``sample`` (f on the strip lattice, as sample_lattice returns it) and
-    ``bounds`` (rho_norm_bounds over the schedule) are computed if not given.
+    |Lf - f| <= M_f (||L|| + 1) rho there, and rho / rho1 <= (1 + S^2)^-eps,
+    with ||L|| from operator_rho_norm_bound.
     """
     if f.m_f is None:
         raise DomainError("check_theorem_5_2 needs a rho-dominated f with m_f")
     require_positive("epsilon", epsilon)
-    if sample is None:
-        sample = sample_lattice(f, strip, grid_points)
-    if bounds is None:
-        bounds = rho_norm_bounds(params, schedule, strip, grid_points)
-    xs, ys, F = sample
+    xs, ys, F = sample_lattice(f, strip, grid_points)
     R1 = rho(xs[:, None], ys[None, :]) ** (1.0 + epsilon)
     decay = (1.0 + strip.A**2) ** (-epsilon)
     out = []
     for m, n in schedule:
         L = apply_on_grid(f, params, m, n, xs, ys, policy)
         strip_part = float(np.max(lattice_error(f, L, F) / R1))
-        tail_part = (f.m_f * bounds[m, n] + f.m_f) * decay
-        out.append(strip_part + tail_part)
+        M = operator_rho_norm_bound(params, m, n, strip, grid_points)
+        out.append(strip_part + (f.m_f * M + f.m_f) * decay)
     return out
 
 
 def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY,
-                      strip=None, sample=None, rho_norm_bound=None):
+                      strip=None):
     """Weighted-modulus rate bound on the disc x^2 + y^2 <= s^2.
 
     f is rescaled to unit rho-norm.  delta^2 is the rho-weighted sup of the
     second central moment (strip grid max plus analytic tail limit); the
     constant is c^2 (1 + M) with c = sup of rho on the disc and M the uniform
     operator-norm surrogate.  The weighted modulus uses the frozen grid
-    definition, flagged by a caveat.  ``sample`` (f on the strip lattice)
-    and ``rho_norm_bound`` (M) are computed if not given.
+    definition, flagged by a caveat.
     """
     if f.m_f is None:
         raise DomainError("check_theorem_5_3 needs a rho-dominated f with m_f")
@@ -101,9 +85,7 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
         strip = CompactRegion(max(50.0, 2.0 * s))
 
     # one strip sample gives the rho-norm, the unit-norm sample and its modulus
-    if sample is None:
-        sample = sample_lattice(f, strip, grid_points)
-    sx, sy, Fs = sample
+    sx, sy, Fs = sample_lattice(f, strip, grid_points)
     R = rho(sx[:, None], sy[None, :])
     norm = float(np.max(np.abs(Fs) / R))
     if norm == 0.0:
@@ -122,14 +104,12 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
 
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = second_central_moment_grid(params, m, n, sx, sy) / R
-    _require_finite("the second central moment's ratio", ratio,
-                    f"strip lattice points on [0,1]x[0,S] (S = {strip.A})")
+    require_finite("the second central moment's ratio", ratio,
+                   f"strip lattice points on [0,1]x[0,S] (S = {strip.A})")
     tail_limit = params.beta2**2 / (n + params.beta2) ** 2
     delta = math.sqrt(max(float(ratio.max()), tail_limit))
 
-    M = rho_norm_bound
-    if M is None:
-        M = operator_rho_norm_bound(params, m, n, strip, grid_points)
+    M = operator_rho_norm_bound(params, m, n, strip, grid_points)
     c = 1.0 + s * s  # sup of rho on the disc
     w = lattice_moduli(Fs / norm, strip, weighted=delta)["weighted"]
     rhs = c * c * (1.0 + M) * w

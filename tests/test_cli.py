@@ -1,6 +1,6 @@
 """Tests for the experiment harness: configs, CSV/JSON output, exit codes."""
 
-import dataclasses
+import csv
 import json
 import os
 import warnings
@@ -18,9 +18,10 @@ from poslinops import (
     check_theorem_5_2,
     check_theorem_5_3,
     corpus_lookup,
+    operator_rho_norm_bound,
     sample_lattice,
 )
-from poslinops import cli, weighted
+from poslinops import cli
 from poslinops.cli import main, resolve_config
 
 
@@ -31,9 +32,8 @@ def run(tmp_path, *args):
 
 
 def read_csv(path):
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
     return header, rows
 
 
@@ -78,13 +78,15 @@ def test_modulus_command(tmp_path):
                     "--delta", "0.1", "--grid", "201")
     assert code == 0
     header, rows = read_csv(out)
-    assert header == ["kind", "delta", "value", "grid"]
+    assert header == ["kind", "delta", "value", "grid", "caveat"]
     kinds = [r[0] for r in rows]
     assert kinds == ["full", "partial_x", "partial_y"]
-    for line in out.read_text().splitlines()[1:]:
-        _, delta, _, grid = line.split(",", 3)
-        assert (delta, grid) == ("0.10000000000000001",
-                                 "201x201 uniform on [0,1]x[0,1.0]")
+    for row in rows:
+        assert len(row) == len(header)
+        _, delta, _, grid, caveat = row
+        assert (delta, grid, caveat) == ("0.10000000000000001",
+                                         "201x201 uniform on [0,1]x[0,1.0]",
+                                         "value_is_grid_estimate")
 
 
 def test_modulus_delta_past_lattice(tmp_path):
@@ -227,8 +229,9 @@ def test_tiny_tail_tol_runs(tmp_path, args):
     2^60 / tail_tol overflows for tail_tol below about 6.4e-291."""
     code, out = run(tmp_path, *args)
     assert code == 0
-    _, rows = read_csv(out)
-    assert all(np.isfinite(float(v)) for v in rows[0])
+    header, rows = read_csv(out)
+    assert all(np.isfinite(float(v)) for col, v in zip(header, rows[0])
+               if col != "caveat")
 
 
 def test_weighted_overflowing_strip_exits_2(tmp_path):
@@ -362,34 +365,31 @@ def test_weighted_estimate_rows_carry_no_verdict(tmp_path):
     assert row[0] == "rho_norm_bound" and row[4:] == ["", "value_is_grid_estimate"]
 
 
-def test_weighted_computes_each_input_once(tmp_path, monkeypatch):
-    """One strip sample and one rho-norm bound per (m, n); same CSV values."""
-    base = corpus_lookup("rho_growth").function
-    calls = []
-    entry = CorpusEntry(function=dataclasses.replace(
-        base, eval=lambda x, y: calls.append(np.max(y)) or base.eval(x, y)))
-    monkeypatch.setattr(cli, "corpus_lookup", lambda name: entry)
-    bound_args = []
-    bound = weighted.operator_rho_norm_bound
-
-    def counted_bound(params, m, n, strip, grid_points=201):
-        bound_args.append((m, n))
-        return bound(params, m, n, strip, grid_points)
-
-    monkeypatch.setattr(weighted, "operator_rho_norm_bound", counted_bound)
+def test_weighted_rows_equal_the_library_checks(tmp_path):
+    """The CLI rows are the three weighted functions called with plain inputs."""
     code, out = run(tmp_path, "weighted", "--function", "rho_growth",
                     "--m", "40", "--n", "40", "--grid", "51")
     assert code == 0
-    assert sorted(bound_args) == [(10, 10), (20, 20), (40, 40), (80, 80), (160, 160)]
-    assert calls.count(50.0) == 1  # the strip [0, 1] x [0, 50]
-
-    # the values the checks give when each computes its own inputs
+    f = corpus_lookup("rho_growth").function
     params, strip = StancuParams(), CompactRegion(50.0)
     schedule = [(v, v) for v in (10, 20, 40, 80, 160)]
-    want = [bound(params, 40, 40, strip, 51), *check_theorem_5_2(
-        base, params, schedule, 0.5, strip, 51),
-        check_theorem_5_3(base, params, 40, 40, 2.0, 51, strip=strip).margin]
+    want = [operator_rho_norm_bound(params, 40, 40, strip, 51),
+            *check_theorem_5_2(f, params, schedule, 0.5, strip, 51),
+            check_theorem_5_3(f, params, 40, 40, 2.0, 51, strip=strip).margin]
     assert [row[3] for row in read_csv(out)[1]] == [cli._fmt(v) for v in want]
+
+
+@pytest.mark.parametrize("args", [["converge", "--schedule", "10,20", "--grid", "21"],
+                                  ["modulus", "--grid", "21"]])
+def test_lattice_maxima_carry_the_grid_estimate_caveat(tmp_path, args):
+    """converge's sup_error and modulus's value are lattice maxima: lower
+    estimates of a sup, flagged in a trailing caveat column and the sidecar."""
+    code, out = run(tmp_path, *args)
+    assert code == 0
+    header, rows = read_csv(out)
+    assert header[-1] == "caveat"
+    assert {row[-1] for row in rows} == {"value_is_grid_estimate"}
+    assert sidecar(out)["caveats"] == ["value_is_grid_estimate"]
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -22,8 +22,10 @@ from poslinops import (
     check_theorem_3_3,
     second_central_moment_grid,
     operator_rho_norm_bound,
+    square_gap_grid,
 )
-from poslinops.operators import apply_on_grid, eval_grid, evaluate
+from poslinops.basis import szasz_band_matrix
+from poslinops.operators import apply_on_grid, eval_grid, evaluate, lattice
 
 TIGHT = TruncationPolicy(1e-14)
 
@@ -177,6 +179,7 @@ def test_overflowing_beta_raises_naming_it(axis):
     for moment in (lambda: moments_closed_form(params, 10, 10, p),
                    lambda: second_central_moment(params, 10, 10, p),
                    lambda: second_central_moment_grid(params, 10, 10, [0.5], [1.0]),
+                   lambda: square_gap_grid(params, 10, 10, [0.5], [1.0]),
                    lambda: korovkin_gaps(params, 10, 10, CompactRegion(1.0), 5)):
         with np.errstate(over="ignore"), pytest.raises(
                 DomainError, match=f"^beta{axis} must give finite moments"):
@@ -192,6 +195,7 @@ def test_closed_forms_reject_degrees_below_one(m, n, name):
     for closed_form in (lambda: moments_closed_form(params, m, n, p),
                         lambda: second_central_moment(params, m, n, p),
                         lambda: second_central_moment_grid(params, m, n, [0.5], [1.0]),
+                        lambda: square_gap_grid(params, m, n, [0.5], [1.0]),
                         lambda: korovkin_gaps(params, m, n, region, 5),
                         lambda: deltas(m, n, params, region),
                         lambda: operator_rho_norm_bound(params, m, n, region, 5)):
@@ -221,6 +225,34 @@ def test_korovkin_gaps_classical_params():
 def test_korovkin_gap_t_closed_form():
     gaps = korovkin_gaps(StancuParams(1, 2, 1, 2), 160, 160, CompactRegion(1.0))
     assert gaps[1] == pytest.approx(1.0 / 162.0, rel=1e-12)
+
+
+SQUARE_GAP_PARAMS = (StancuParams(), StancuParams(0.5, 0.5, 1.5, 1.5),
+                     StancuParams(0.3, 1.2, 0.7, 2.0), StancuParams(1, 2, 1, 2))
+
+
+def test_square_gap_grid_is_korovkin_gaps_fourth_gap():
+    for params in SQUARE_GAP_PARAMS:
+        for m, n, A, G in ((1, 1, 1.0, 5), (20, 20, 1.0, 201), (160, 40, 3.0, 51)):
+            gap = square_gap_grid(params, m, n, *lattice(A, G))
+            assert float(np.max(np.abs(gap))) == korovkin_gaps(
+                params, m, n, CompactRegion(A), G)[3]
+
+
+def test_square_gap_grid_matches_the_operator_on_quad():
+    """L(t^2 + tau^2) - (x^2 + y^2) from apply_on_grid, within the Poisson
+    tail: a row that drops mass tail past its last node tau_K moves L(quad)
+    by about tail * tau_K^2 (10x that is allowed), plus rounding."""
+    quad = f2(lambda t, tau: t * t + tau * tau, name="quad")
+    xs, ys = lattice(3.0, 7)
+    for params in SQUARE_GAP_PARAMS:
+        for m, n in ((1, 1), (7, 12), (60, 40), (300, 500)):
+            got = apply_on_grid(quad, params, m, n, xs, ys)
+            got -= xs[:, None] ** 2 + ys[None, :] ** 2
+            W, tail, lo = szasz_band_matrix(n, ys)
+            tau_K = (lo + W.shape[1] - 1 + params.alpha2) / (n + params.beta2)
+            tol = 10 * tail * (1 + tau_K**2) + 1e-13 * (1 + ys**2)
+            assert np.all(np.abs(got - square_gap_grid(params, m, n, xs, ys)) <= tol)
 
 
 def test_korovkin_gaps_decrease():
@@ -363,8 +395,11 @@ def test_result_must_broadcast_to_the_grid():
     wrong = f2(lambda t, tau: np.ones((4, 3)), name="transposed")
     with pytest.raises(RuntimeError, match="transposed"):
         eval_grid(wrong, tx, ty)
-    # a constant, or a result constant along one axis, broadcasts
-    assert np.array_equal(eval_grid(f2(lambda t, tau: 2.0), tx, ty), np.full((3, 4), 2.0))
+    # a constant, or a result constant along one axis, broadcasts: evaluate
+    # keeps it unexpanded and eval_grid expands it to the full table
+    const = f2(lambda t, tau: 2.0)
+    assert evaluate(const, tx[:, None], ty[None, :]).shape == ()
+    assert np.array_equal(eval_grid(const, tx, ty), np.full((3, 4), 2.0))
     assert np.array_equal(eval_grid(f2(lambda t, tau: t), tx, ty),
                           np.repeat(tx[:, None], 4, axis=1))
     out = evaluate(f2(lambda t, tau: tau), 0.5, ty)
