@@ -23,7 +23,6 @@ from .operators import (
     StancuParams,
     apply,
     apply_on_grid,
-    korovkin_gaps,
     moments_closed_form,
     sample_lattice,
     second_central_moment,
@@ -33,10 +32,7 @@ from .operators import (
 from .moduli import lattice_moduli
 from .bounds import (
     DeltaTriple,
-    beta_func,
     check_theorem_3_3,
-    corollary_3_4_bound,
-    corollary_3_5_bound,
     deltas,
     sup_distance_power_operator,
     theorem_4_1_bound,

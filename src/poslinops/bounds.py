@@ -1,8 +1,8 @@
 """Explicit error-bound formulas and inequality checkers on R_A.
 
 Covers the delta quantities of the rate theorem, the full/partial-modulus
-rate bounds, the Lipschitz-class corollaries and the order-r bound with its
-auxiliary distance-power function.
+rate bounds and the order-r bound of Theorem 4.1 with its constant
+gamma M / prod_{k=0}^{r} (gamma + k) and its distance-power function.
 """
 
 from __future__ import annotations
@@ -79,33 +79,6 @@ def check_theorem_3_3(f, params, m, n, region, grid_points=201,
     return report_a, report_b
 
 
-def corollary_3_4_bound(M1, gamma, delta_mn):
-    """Rate bound for f in Lip_M1(gamma): (3/2) M1 delta_mn^gamma."""
-    if not 0.0 < gamma <= 1.0:
-        raise DomainError(f"gamma must be in (0, 1], got {gamma}")
-    return 1.5 * M1 * delta_mn**gamma
-
-
-def corollary_3_5_bound(M2, alpha, M3, beta, delta_m, delta_n):
-    """Rate bound for axis-wise Lipschitz conditions."""
-    for g in (alpha, beta):
-        if not 0.0 < g <= 1.0:
-            raise DomainError(f"Lipschitz exponents must be in (0, 1], got {g}")
-    return 1.5 * M2 * delta_m**alpha + 1.5 * M3 * (2.0 * delta_n) ** beta
-
-
-def beta_func(gamma, r):
-    """Euler beta B(gamma, r) for integer r >= 1, by the exact product form."""
-    if gamma <= 0.0:
-        raise DomainError(f"gamma must be > 0, got {gamma}")
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
-    denom = 1.0
-    for k in range(r):
-        denom *= gamma + k
-    return math.factorial(r - 1) / denom
-
-
 _SLACK, _FLOOR = 1e-9, 2.0**-1000  # rounding, L(1) = 1 to ulps; underflow
 
 
@@ -160,10 +133,11 @@ def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
     Lr = apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy)
     lhs = float(np.max(lattice_error(f, Lr, F)))
 
-    prefactor = (gamma * M / (gamma + r)) * beta_func(gamma, r) / math.factorial(r - 1)
+    # gamma M B(gamma, r) / ((gamma + r) (r - 1)!), B(gamma, r) in product form
+    constant = gamma * M / math.prod(gamma + k for k in range(r + 1))
     p_exp = r + gamma
     if mode == "moment":
-        rhs = prefactor * sup_distance_power_operator(
+        distance = sup_distance_power_operator(
             params, m, n, p_exp, region, grid_points, policy
         )
     elif mode == "modulus":
@@ -171,19 +145,12 @@ def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
         diam = math.sqrt(1.0 + region.A**2)
         # exact modulus of dist(., c)^p on a convex region of diameter diam
         w_g = diam**p_exp - max(diam - d.delta_mn, 0.0) ** p_exp
-        rhs = prefactor * 1.5 * w_g
+        distance = 1.5 * w_g
     elif mode == "lipschitz":
         d = deltas(m, n, params, region)
-        rhs = (
-            M
-            * (1.0 + region.A**2) ** (r / 2.0)
-            / math.factorial(r - 1)
-            * (gamma / (gamma + r))
-            * beta_func(gamma, r)
-            * d.delta_mn**gamma
-        )
+        distance = (1.0 + region.A**2) ** (r / 2.0) * d.delta_mn**gamma
     else:
         raise DomainError(f"unknown mode {mode!r}")
     caveat = CAVEAT_RHS_GRID_LOWER_BOUND if mode == "moment" else CAVEAT_NONE
-    return BoundReport(lhs=lhs, rhs=rhs, caveat=caveat)
+    return BoundReport(lhs=lhs, rhs=constant * distance, caveat=caveat)
 

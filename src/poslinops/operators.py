@@ -201,14 +201,6 @@ def apply(f, params, m, n, p, policy=DEFAULT_POLICY,
     return float(apply_on_grid(f, params, m, n, [p.x], [p.y], policy, family)[0, 0])
 
 
-def _moment_t(params, m, x):
-    return (m * x + params.alpha1) / (m + params.beta1)
-
-
-def _moment_tau(params, n, y):
-    return (n * y + params.alpha2) / (n + params.beta2)
-
-
 def _scale2(degree, beta, axis):
     """(degree + beta)^2, the denominator of the axis's second moments.
 
@@ -220,16 +212,6 @@ def _scale2(degree, beta, axis):
     except OverflowError:
         raise DomainError(f"beta{axis} must give finite moments, got beta{axis} = "
                           f"{beta} ({'mn'[axis - 1]} = {degree})") from None
-
-
-def _moment_t2(params, m, x):
-    a, b = params.alpha1, params.beta1
-    return ((m * m - m) * x * x + (2 * a + 1) * m * x + a * a) / _scale2(m, b, 1)
-
-
-def _moment_tau2(params, n, y):
-    a, b = params.alpha2, params.beta2
-    return (n * n * y * y + (2 * a + 1) * n * y + a * a) / _scale2(n, b, 2)
 
 
 def _central_t(params, m, x):
@@ -244,6 +226,19 @@ def _central_tau(params, n, y):
     """_central_t for the y axis, with variance n y."""
     d = params.alpha2 - params.beta2 * y
     return (n * y + d * d) / _scale2(n, params.beta2, 2)
+
+
+def _gap_t(params, m, x):
+    """The x axis's L(t^2) - x^2 = variance + e (e + 2x), with the bias
+    e = (alpha1 - beta1 x) / (m + beta1) = E t - x; no digits cancel."""
+    e = (params.alpha1 - params.beta1 * x) / (m + params.beta1)
+    return m * x * (1.0 - x) / _scale2(m, params.beta1, 1) + e * (e + 2.0 * x)
+
+
+def _gap_tau(params, n, y):
+    """_gap_t for the y axis, with variance n y."""
+    e = (params.alpha2 - params.beta2 * y) / (n + params.beta2)
+    return n * y / _scale2(n, params.beta2, 2) + e * (e + 2.0 * y)
 
 
 def _finite_in_y(value, n, p):
@@ -261,10 +256,11 @@ def moments_closed_form(params, m, n, p):
     """
     require_degree(m=m, n=n)
     x, y = float(p.x), float(p.y)
-    tau2 = _moment_t2(params, m, x) + _moment_tau2(params, n, y)
-    return MomentSet(one=1.0, t=_moment_t(params, m, x),
-                     tau=_finite_in_y(_moment_tau(params, n, y), n, p),
-                     t2_plus_tau2=_finite_in_y(tau2, n, p))
+    t2_plus_tau2 = _gap_t(params, m, x) + _gap_tau(params, n, y) + (x * x + y * y)
+    tau = (n * y + params.alpha2) / (n + params.beta2)
+    return MomentSet(one=1.0, t=(m * x + params.alpha1) / (m + params.beta1),
+                     tau=_finite_in_y(tau, n, p),
+                     t2_plus_tau2=_finite_in_y(t2_plus_tau2, n, p))
 
 
 def second_central_moment(params, m, n, p):
@@ -285,17 +281,6 @@ def second_central_moment_grid(params, m, n, xs, ys):
 def square_gap_grid(params, m, n, xs, ys):
     """L(t^2 + tau^2) - (x^2 + y^2) on the tensor grid xs x ys."""
     require_degree(m=m, n=n)
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    gx = _moment_t2(params, m, xs) - xs * xs
-    gy = _moment_tau2(params, n, ys) - ys * ys
+    gx = _gap_t(params, m, np.asarray(xs, dtype=float))
+    gy = _gap_tau(params, n, np.asarray(ys, dtype=float))
     return gx[:, None] + gy[None, :]
-
-
-def korovkin_gaps(params, m, n, region, grid_points=201):
-    """Sup-norm gaps of the four Korovkin test functions over R_A (grid max)."""
-    xs, ys = lattice(region.A, grid_points)
-    gap_sq = float(np.max(np.abs(square_gap_grid(params, m, n, xs, ys))))
-    gap_one = 0.0  # L(1) = 1 exactly
-    gap_t = float(np.max(np.abs(_moment_t(params, m, xs) - xs)))
-    gap_tau = float(np.max(np.abs(_moment_tau(params, n, ys) - ys)))
-    return gap_one, gap_t, gap_tau, gap_sq

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 CAVEAT_NONE = "none"
 CAVEAT_RHS_GRID_LOWER_BOUND = "rhs_is_grid_lower_bound"
@@ -16,7 +17,11 @@ _HOLD_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class BoundReport:
-    """LHS/RHS of an inequality, its margin and whether it holds."""
+    """LHS/RHS of an inequality, its margin and whether it holds.
+
+    Raises RuntimeError naming a side that is not finite: an infinite RHS
+    would pass any check, and a NaN would fail it as if the bound were false.
+    """
 
     lhs: float
     rhs: float
@@ -25,6 +30,9 @@ class BoundReport:
     holds: bool = field(init=False)
 
     def __post_init__(self):
+        for side, value in (("lhs", self.lhs), ("rhs", self.rhs)):
+            if not math.isfinite(value):
+                raise RuntimeError(f"the bound's {side} is not finite, got {value}")
         margin = self.rhs - self.lhs
         object.__setattr__(self, "margin", margin)
         object.__setattr__(

@@ -14,7 +14,6 @@ from .basis import DEFAULT_POLICY, DomainError, require_finite, require_positive
 from .moduli import lattice_moduli, rho
 from .operators import (
     CompactRegion,
-    Function2D,
     apply_on_grid,
     lattice,
     lattice_error,
@@ -25,22 +24,29 @@ from .operators import (
 from .reporting import CAVEAT_FROZEN_WEIGHTED_MODULUS, BoundReport
 
 
+def _rho_weighted_sup(moment, limit, params, m, n, strip, grid_points, label):
+    """sup over [0, 1] x [0, inf) of |moment(params, m, n, xs, ys)| / rho: the
+    max of the strip lattice value and the y -> inf limit(), called after the
+    table so that the table's checks speak first.  Raises RuntimeError naming
+    label when a ratio is not finite."""
+    xs, ys = lattice(strip.A, grid_points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.abs(moment(params, m, n, xs, ys)) / rho(xs[:, None], ys[None, :])
+    require_finite(label, ratio, f"strip lattice points on [0,1]x[0,S] (S = {strip.A})")
+    return max(float(ratio.max()), limit())
+
+
 def operator_rho_norm_bound(params, m, n, strip, grid_points=201):
     """Surrogate for the uniform operator norm on the rho-weighted space.
 
     1 + sup over the full domain of |L(t^2 + tau^2) - x^2 - y^2| / rho, the
     sup estimated as the max of a strip grid value and the analytic y -> inf
     limit |n^2 / (n + beta2)^2 - 1|.  Raises RuntimeError when a ratio is not
-    finite: past S ~ 1e154, y^2 overflows and the ratio is inf / inf.
+    finite: with beta2 > 0, past S ~ 1e154 it is inf / inf.
     """
-    xs, ys = lattice(strip.A, grid_points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = square_gap_grid(params, m, n, xs, ys)
-        ratio = np.abs(gap) / rho(xs[:, None], ys[None, :])
-    require_finite("the rho-norm bound's ratio", ratio,
-                   f"strip lattice points on [0,1]x[0,S] (S = {strip.A})")
-    tail_limit = abs(n * n / (n + params.beta2) ** 2 - 1.0)
-    return 1.0 + max(float(ratio.max()), tail_limit)
+    return 1.0 + _rho_weighted_sup(
+        square_gap_grid, lambda: abs(n * n / (n + params.beta2) ** 2 - 1.0),
+        params, m, n, strip, grid_points, "the rho-norm bound's ratio")
 
 
 def check_theorem_5_2(f, params, schedule, epsilon, strip, grid_points=201,
@@ -72,11 +78,12 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
                       strip=None):
     """Weighted-modulus rate bound on the disc x^2 + y^2 <= s^2.
 
-    f is rescaled to unit rho-norm.  delta^2 is the rho-weighted sup of the
-    second central moment (strip grid max plus analytic tail limit); the
-    constant is c^2 (1 + M) with c = sup of rho on the disc and M the uniform
-    operator-norm surrogate.  The weighted modulus uses the frozen grid
-    definition, flagged by a caveat.
+    The LHS is that of f / ||f||_rho, which L's linearity turns into the
+    disc max of |L f - f| divided by the rho-norm.  delta^2 is the
+    rho-weighted sup of the second central moment (strip grid max plus
+    analytic tail limit); the constant is c^2 (1 + M) with c = sup of rho on
+    the disc and M the uniform operator-norm surrogate.  The weighted modulus
+    uses the frozen grid definition, flagged by a caveat.
     """
     if f.m_f is None:
         raise DomainError("check_theorem_5_3 needs a rho-dominated f with m_f")
@@ -84,30 +91,21 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
     if strip is None:
         strip = CompactRegion(max(50.0, 2.0 * s))
 
-    # one strip sample gives the rho-norm, the unit-norm sample and its modulus
+    # one strip sample gives the rho-norm and the unit-norm sample's modulus
     sx, sy, Fs = sample_lattice(f, strip, grid_points)
-    R = rho(sx[:, None], sy[None, :])
-    norm = float(np.max(np.abs(Fs) / R))
+    norm = float(np.max(np.abs(Fs) / rho(sx[:, None], sy[None, :])))
     if norm == 0.0:
         raise DomainError("f vanishes on the sampling strip; cannot normalize")
-    fhat = Function2D(
-        eval=lambda x, y, _f=f.eval, _c=norm: np.asarray(_f(x, y)) / _c,
-        name=f.name + "_unit_rho",
-        m_f=1.0,
-    )
 
     # LHS: sup over the part of the disc inside the domain
-    xs, ys, F = sample_lattice(fhat, CompactRegion(s), grid_points)
-    L = apply_on_grid(fhat, params, m, n, xs, ys, policy)
+    xs, ys, F = sample_lattice(f, CompactRegion(s), grid_points)
+    L = apply_on_grid(f, params, m, n, xs, ys, policy)
     disc = (xs[:, None] ** 2 + ys[None, :] ** 2) <= s * s
-    lhs = float(np.max(lattice_error(fhat, L, F)[disc]))
+    lhs = float(np.max(lattice_error(f, L, F)[disc])) / norm
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = second_central_moment_grid(params, m, n, sx, sy) / R
-    require_finite("the second central moment's ratio", ratio,
-                   f"strip lattice points on [0,1]x[0,S] (S = {strip.A})")
-    tail_limit = params.beta2**2 / (n + params.beta2) ** 2
-    delta = math.sqrt(max(float(ratio.max()), tail_limit))
+    delta = math.sqrt(_rho_weighted_sup(
+        second_central_moment_grid, lambda: params.beta2**2 / (n + params.beta2) ** 2,
+        params, m, n, strip, grid_points, "the second central moment's ratio"))
 
     M = operator_rho_norm_bound(params, m, n, strip, grid_points)
     c = 1.0 + s * s  # sup of rho on the disc

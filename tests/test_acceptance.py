@@ -23,7 +23,6 @@ from poslinops import (
     check_theorem_3_3,
     check_theorem_5_2,
     corpus_lookup,
-    korovkin_gaps,
     lattice_moduli,
     moments_closed_form,
     operator_rho_norm_bound,
@@ -34,6 +33,8 @@ from poslinops import cli
 from poslinops.cli import main as cli_main
 from poslinops.basis import bernstein_band_matrix, szasz_band_matrix
 from poslinops.taylor import PartialDerivativeSet
+
+from paper_formulas import korovkin_gaps
 
 TIGHT = TruncationPolicy(1e-14)
 

@@ -9,14 +9,12 @@ import pytest
 from scipy.special import beta as scipy_beta
 
 from poslinops import (
+    BoundReport,
     CompactRegion,
     DomainError,
     StancuParams,
     TruncationPolicy,
-    beta_func,
     check_theorem_3_3,
-    corollary_3_4_bound,
-    corollary_3_5_bound,
     corpus_lookup,
     deltas,
     lattice_moduli,
@@ -26,6 +24,8 @@ from poslinops import (
 )
 from poslinops.operators import lattice, weights_and_nodes
 from poslinops.reporting import CAVEAT_RHS_GRID_LOWER_BOUND
+
+from paper_formulas import corollary_3_4_bound, corollary_3_5_bound
 
 R1 = CompactRegion(1.0)
 TIGHT = TruncationPolicy(1e-14)
@@ -130,6 +130,14 @@ def test_check_theorem_3_3_unknown_source():
                           moduli_source="bogus")
 
 
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_bound_report_rejects_a_non_finite_side(side, value):
+    sides = {"lhs": 0.5, "rhs": 1.0, side: value}
+    with pytest.raises(RuntimeError, match=f"^the bound's {side} is not finite"):
+        BoundReport(**sides)
+
+
 def test_corollary_bounds_arithmetic():
     assert corollary_3_4_bound(2.0, 1.0, 0.3) == pytest.approx(0.9)
     assert corollary_3_4_bound(1.0, 0.5, 0.04) == pytest.approx(0.3)
@@ -154,30 +162,41 @@ def test_corollary_3_4_dominates_for_lipschitz_corpus():
         assert err <= corollary_3_4_bound(M_of_A(1.0), gamma, d.delta_mn)
 
 
-def test_beta_func_examples():
-    assert beta_func(1.0, 1) == pytest.approx(1.0)
-    assert beta_func(1.0, 2) == pytest.approx(0.5)
-    assert beta_func(0.5, 1) == pytest.approx(2.0)
-    assert beta_func(2.0, 3) == pytest.approx(2.0 / (2 * 3 * 4))
-    with pytest.raises(DomainError):
-        beta_func(0.0, 1)
-    with pytest.raises(DomainError):
-        beta_func(1.0, 0)
-
-
-def beta_func_loggamma(gamma, r):
-    """Log-gamma route for B(gamma, r); cross-check for beta_func."""
+def beta_loggamma(gamma, r):
+    """Euler's B(gamma, r) by the log-gamma route."""
     return math.exp(math.lgamma(gamma) + math.lgamma(r) - math.lgamma(gamma + r))
 
 
-def test_beta_func_routes_agree():
+def test_beta_oracle_examples():
+    for beta in (beta_loggamma, scipy_beta):
+        assert beta(1.0, 1) == pytest.approx(1.0)
+        assert beta(1.0, 2) == pytest.approx(0.5)
+        assert beta(0.5, 1) == pytest.approx(2.0)
+        assert beta(2.0, 3) == pytest.approx(2.0 / (2 * 3 * 4))
+
+
+def test_theorem_4_1_lipschitz_rhs_is_the_papers_constant():
+    """RHS = gamma M B(gamma, r) / ((gamma + r) (r - 1)!) (1 + A^2)^(r/2)
+    delta_mn^gamma, with B from log-gamma and from scipy."""
+    entry = corpus_lookup("quad")
+    params, region, M = StancuParams(1, 2, 0.5, 1), CompactRegion(1.5), 2.5
+    delta_mn = deltas(10, 12, params, region).delta_mn
     for gamma in (0.1, 0.25, 0.5, 0.75, 1.0):
-        for r in (1, 2, 5, 10, 20):
-            a = beta_func(gamma, r)
-            b = beta_func_loggamma(gamma, r)
-            c = float(scipy_beta(gamma, r))
-            assert abs(a - b) <= 1e-12 * a
-            assert abs(a - c) <= 1e-12 * a
+        for r in range(1, 11):
+            rhs = theorem_4_1_bound(entry.derivative_provider, entry.function,
+                                    params, 10, 12, r, gamma, M, region, 5, TIGHT,
+                                    mode="lipschitz").rhs
+            for beta in (beta_loggamma(gamma, r), float(scipy_beta(gamma, r))):
+                want = (gamma * M * beta / ((gamma + r) * math.factorial(r - 1))
+                        * (1.0 + region.A**2) ** (r / 2.0) * delta_mn**gamma)
+                assert abs(rhs - want) <= 1e-12 * want
+    # the constant is formed before the distance term, so M = 1e308 gives
+    # the finite RHS (1e308 / 6) * 2 delta_mn, not inf
+    rep = theorem_4_1_bound(entry.derivative_provider, entry.function,
+                            StancuParams(), 10, 10, 2, 1.0, 1e308, R1, 5, TIGHT,
+                            mode="lipschitz")
+    assert rep.rhs == pytest.approx(1e308 / 6 * 2 * deltas(10, 10, StancuParams(),
+                                                           R1).delta_mn, rel=1e-12)
 
 
 def test_sup_distance_power_p2_matches_central_moment():

@@ -190,6 +190,17 @@ def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
     assert not out.exists()
 
 
+def test_non_finite_bound_exits_2_naming_the_side(tmp_path):
+    # (1e308 / 6) (1 + 10^2) delta_mn overflows: an infinite RHS would hold
+    code, out = run(tmp_path, "check-thm41", "--function", "quad", "--r", "2",
+                    "--M", "1e308", "--A", "10", "--mode", "lipschitz")
+    assert code == 2
+    error = sidecar(out)["error"]
+    assert error["type"] == "RuntimeError"
+    assert error["message"] == "the bound's rhs is not finite, got inf"
+    assert not out.exists()
+
+
 def test_overflowing_central_moment_exits_2_naming_it(tmp_path):
     # (alpha2 - beta2 y)^2 overflows on the strip once beta2 S passes ~1.3e154
     with warnings.catch_warnings():
@@ -235,14 +246,28 @@ def test_tiny_tail_tol_runs(tmp_path, args):
 
 
 def test_weighted_overflowing_strip_exits_2(tmp_path):
-    # y^2 overflows on the strip, so the rho-norm bound's ratio is inf / inf
-    code, out = run(tmp_path, "weighted", "--S", "1e200")
+    # with beta2 > 0 the square gap's bias term and y^2 overflow on the
+    # strip, so the rho-norm bound's ratio is -inf / inf
+    code, out = run(tmp_path, "weighted", "--S", "1e200", "--beta2", "1")
     assert code == 2
     error = sidecar(out)["error"]
     assert error["type"] == "RuntimeError"
     assert error["message"].startswith("the rho-norm bound's ratio is not finite")
     assert "S = 1e+200" in error["message"]
     assert not out.exists()
+
+
+def test_weighted_huge_strip_runs(tmp_path):
+    """At alpha = beta = 0 the square gap is x(1-x)/m + y/n, which does not
+    overflow, and past y ~ 1e154 its ratio to rho is 0: the sup is the y = 0
+    row's, max over the lattice's x of x(1-x) / (10 (1 + x^2))."""
+    code, out = run(tmp_path, "weighted", "--S", "1e200")
+    assert code == 0
+    header, rows = read_csv(out)
+    assert rows[0][:3] == ["rho_norm_bound", "10", "10"]
+    xs = np.linspace(0.0, 1.0, 201)
+    want = 1.0 + float(np.max(xs * (1.0 - xs) / 10.0 / (1.0 + xs * xs)))
+    assert float(rows[0][3]) == pytest.approx(want, rel=1e-15)
 
 
 class PrivateMemoryError(MemoryError):

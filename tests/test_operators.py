@@ -1,5 +1,6 @@
 """Tests for the bivariate operator, its 1-D edge cases and moments."""
 
+from fractions import Fraction
 import math
 
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +17,6 @@ from poslinops import (
     TruncationPolicy,
     apply,
     deltas,
-    korovkin_gaps,
     moments_closed_form,
     second_central_moment,
     check_theorem_3_3,
@@ -27,7 +27,10 @@ from poslinops import (
 from poslinops.basis import szasz_band_matrix
 from poslinops.operators import apply_on_grid, eval_grid, evaluate, lattice
 
+from paper_formulas import korovkin_gaps
+
 TIGHT = TruncationPolicy(1e-14)
+EPS = Fraction(2) ** -52
 
 
 def f2(expr, name="f", **kw):
@@ -179,8 +182,7 @@ def test_overflowing_beta_raises_naming_it(axis):
     for moment in (lambda: moments_closed_form(params, 10, 10, p),
                    lambda: second_central_moment(params, 10, 10, p),
                    lambda: second_central_moment_grid(params, 10, 10, [0.5], [1.0]),
-                   lambda: square_gap_grid(params, 10, 10, [0.5], [1.0]),
-                   lambda: korovkin_gaps(params, 10, 10, CompactRegion(1.0), 5)):
+                   lambda: square_gap_grid(params, 10, 10, [0.5], [1.0])):
         with np.errstate(over="ignore"), pytest.raises(
                 DomainError, match=f"^beta{axis} must give finite moments"):
             moment()
@@ -196,7 +198,6 @@ def test_closed_forms_reject_degrees_below_one(m, n, name):
                         lambda: second_central_moment(params, m, n, p),
                         lambda: second_central_moment_grid(params, m, n, [0.5], [1.0]),
                         lambda: square_gap_grid(params, m, n, [0.5], [1.0]),
-                        lambda: korovkin_gaps(params, m, n, region, 5),
                         lambda: deltas(m, n, params, region),
                         lambda: operator_rho_norm_bound(params, m, n, region, 5)):
         with pytest.raises(DomainError,
@@ -232,11 +233,44 @@ SQUARE_GAP_PARAMS = (StancuParams(), StancuParams(0.5, 0.5, 1.5, 1.5),
 
 
 def test_square_gap_grid_is_korovkin_gaps_fourth_gap():
+    # the oracle subtracts x^2 + y^2 from the raw second moments, so it is
+    # off by a few ulps of 1 + A^2
     for params in SQUARE_GAP_PARAMS:
         for m, n, A, G in ((1, 1, 1.0, 5), (20, 20, 1.0, 201), (160, 40, 3.0, 51)):
             gap = square_gap_grid(params, m, n, *lattice(A, G))
-            assert float(np.max(np.abs(gap))) == korovkin_gaps(
-                params, m, n, CompactRegion(A), G)[3]
+            want = korovkin_gaps(params, m, n, CompactRegion(A), G)[3]
+            assert abs(float(np.max(np.abs(gap))) - want) <= 8e-16 * (1.0 + A * A)
+
+
+def exact_axis_gap(var, v, alpha, beta, degree):
+    """L(t^2) - v^2 on one axis in exact arithmetic, and the sum of the
+    magnitudes of its two terms var/(degree + beta)^2 and e (e + 2v)."""
+    v, alpha, beta = Fraction(v), Fraction(alpha), Fraction(beta)
+    e = (alpha - beta * v) / (degree + beta)
+    terms = (var(v) / (degree + beta) ** 2, e * (e + 2 * v))
+    mean = (degree * v + alpha) / (degree + beta)
+    raw = var(v) / (degree + beta) ** 2 + mean * mean - v * v
+    assert raw == sum(terms)
+    return raw, abs(terms[0]) + abs(terms[1])
+
+
+@pytest.mark.parametrize("params", SQUARE_GAP_PARAMS)
+@pytest.mark.parametrize("m, n", [(10, 10), (1000, 1000), (1, 7), (300, 1)])
+def test_square_gap_grid_is_exact_to_rounding(params, m, n):
+    """Each axis's gap is var/(deg + beta)^2 + e (e + 2v), e = E t - v: no
+    digits cancel, so the error is a few ulps of its terms, up to y = 1e15
+    (at alpha = beta = 0 that is x(1-x)/m + y/n, which the raw moments lost
+    to cancellation: 2.81e14 for 1.0e14 at m = n = 10, x = 0.5, y = 1e15)."""
+    xs = [0.0, 0.1, 0.5, 0.75, 1.0]
+    ys = [0.0, 1e-3, 0.5, 1.0, 7.0, 1e4, 1e8, 1e10, 1e12, 1e15]
+    got = square_gap_grid(params, m, n, xs, ys)
+    for i, x in enumerate(xs):
+        gx, sx = exact_axis_gap(lambda v: m * v * (1 - v), x, params.alpha1,
+                                params.beta1, m)
+        for j, y in enumerate(ys):
+            gy, sy = exact_axis_gap(lambda v: n * v, y, params.alpha2,
+                                    params.beta2, n)
+            assert abs(Fraction(got[i, j]) - (gx + gy)) <= 8 * EPS * (sx + sy)
 
 
 def test_square_gap_grid_matches_the_operator_on_quad():

@@ -15,7 +15,6 @@ from poslinops import (
     check_theorem_5_2,
     check_theorem_5_3,
     corpus_lookup,
-    korovkin_gaps,
     lattice_moduli,
     operator_rho_norm_bound,
     sample_lattice,
@@ -23,6 +22,8 @@ from poslinops import (
     theorem_4_1_bound,
 )
 from poslinops.cli import _run, resolve_config
+
+from paper_formulas import korovkin_gaps
 
 P = StancuParams()
 R1 = CompactRegion(1.0)

@@ -9,6 +9,7 @@ import pytest
 from poslinops import (
     CompactRegion,
     DomainError,
+    Function2D,
     StancuParams,
     TruncationPolicy,
     check_theorem_5_2,
@@ -16,6 +17,8 @@ from poslinops import (
     corpus_lookup,
     operator_rho_norm_bound,
 )
+from poslinops.moduli import rho
+from poslinops.operators import apply_on_grid, lattice_error, sample_lattice
 
 TIGHT = TruncationPolicy(1e-13)
 STRIP = CompactRegion(50.0)
@@ -116,6 +119,33 @@ def test_check_theorem_5_3_samples_strip_once():
     # the strip lattice, the disc lattice and the operator's node grid
     assert len(calls) == 3 and calls.count((61, 61)) == 2
     assert rep.holds
+
+
+def unit_rho_lhs(f, params, m, n, s, grid_points, policy, strip):
+    """Theorem 5.3's LHS as stated, the disc max of |L fhat - fhat| for the
+    rescaled fhat = f / ||f||_rho (||f||_rho from the strip lattice), and the
+    disc max of |L fhat| + |fhat|, the size of what that difference cancels."""
+    sx, sy, Fs = sample_lattice(f, strip, grid_points)
+    norm = float(np.max(np.abs(Fs) / rho(sx[:, None], sy[None, :])))
+    fhat = Function2D(eval=lambda x, y: np.asarray(f(x, y)) / norm, name="fhat")
+    xs, ys, F = sample_lattice(fhat, CompactRegion(s), grid_points)
+    L = apply_on_grid(fhat, params, m, n, xs, ys, policy)
+    disc = (xs[:, None] ** 2 + ys[None, :] ** 2) <= s * s
+    return (float(np.max(lattice_error(fhat, L, F)[disc])),
+            float(np.max((np.abs(L) + np.abs(F))[disc])))
+
+
+@pytest.mark.parametrize("params", [StancuParams(1, 1, 2, 2), StancuParams(0.5, 2, 1, 3)])
+@pytest.mark.parametrize("m, n, s", [(12, 9, 2.0), (40, 40, 5.0), (7, 60, 1.0),
+                                     (40, 40, 2.0)])
+def test_check_theorem_5_3_lhs_is_that_of_f_over_its_rho_norm(params, m, n, s):
+    """L is linear, so max |L f - f| / ||f||_rho is the rescaled f's LHS, up to
+    the rounding of L and f: 4 ulps of |L fhat| + |fhat| (the difference
+    cancels, so up to 34 ulps of the LHS itself at m = n = 40, s = 2)."""
+    f = corpus_lookup("rho_growth").function
+    rep = check_theorem_5_3(f, params, m, n, s, 61, TIGHT, STRIP)
+    want, size = unit_rho_lhs(f, params, m, n, s, 61, TIGHT, STRIP)
+    assert abs(rep.lhs - want) <= 4 * np.spacing(size)
 
 
 def test_check_theorem_5_3_validation():
