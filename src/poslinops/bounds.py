@@ -86,10 +86,17 @@ def sup_distance_power_operator(params, m, n, p_exp, region, grid_points=101,
                                 policy=DEFAULT_POLICY):
     """Lattice max over (x, y) of L(((t-x)^2 + (tau-y)^2)^(p_exp/2); x, y).
 
-    With h = ceil(p_exp/2), Lyapunov's inequality and L(1) = 1 bound each
-    point's value by L(|d|^2h)^(p_exp/2h), a binomial sum of products of 1-D
-    even moments.  Rows are swept by descending bound, and the operator is
-    evaluated only at points whose bound is not below the best value so far.
+    Each point's value M_q, q = p_exp, is bracketed by closed forms in the
+    even moments E_k = L(|d|^2k), binomial sums of products of 1-D moments.
+    With h = ceil(q/2), Hoelder gives M_q <= E_(h-1)^theta E_h^(1-theta),
+    theta = (2h - q)/2, for any non-negative weights (E_0 = L(1)).  For
+    q >= 2, Jensen gives M_q >= E_k^(q/2k), k = floor(q/2), for weights that
+    sum to at most 1.  Rows are swept by descending upper bound, and the
+    operator is evaluated only at points whose upper bound is not below the
+    best value so far nor the largest finite lower bound.  Both bounds carry
+    slack for rounding and underflow.  The result is the largest value
+    evaluated, which is the max of the full lattice sweep bit for bit: each
+    point is reduced on its own, so its bits do not depend on the others.
     """
     if not 0.0 < p_exp < math.inf:
         raise DomainError(f"p_exp must be finite and > 0, got {p_exp}")
@@ -100,17 +107,34 @@ def sup_distance_power_operator(params, m, n, p_exp, region, grid_points=101,
     h = math.ceil(p_exp / 2.0)
     mx = [(WX * dx2**j).sum(axis=1) for j in range(h + 1)]
     my = [(WY * dy2**j).sum(axis=1) for j in range(h + 1)]
-    even = sum(math.comb(h, j) * np.outer(mx[j], my[h - j]) for j in range(h + 1))
-    bound = (1.0 + _SLACK) * (even + _FLOOR) ** (p_exp / (2 * h))
+    E = [sum(math.comb(k, j) * np.outer(mx[j], my[k - j]) for j in range(k + 1))
+         for k in range(h + 1)]
+    theta = (2 * h - p_exp) / 2.0
+    bound = ((1.0 + _SLACK) * (E[h - 1] + _FLOOR) ** theta
+             * (E[h] + _FLOOR) ** (1.0 - theta))
+    seed = 0.0
+    if p_exp >= 2.0:
+        k = math.floor(p_exp / 2.0)
+        low = E[k] ** (p_exp / (2 * k))
+        seed = (1.0 - _SLACK) * float(low[np.isfinite(low)].max(initial=0.0)) - _FLOOR
     top, best = bound.max(axis=1), 0.0
     for a in np.argsort(top)[::-1]:  # NaN sorts last, so its rows come first
-        if top[a] < best:
+        cut = max(best, seed)
+        if top[a] < cut:
             break
-        keep = ~(bound[a] < best)  # "not below" keeps NaN and inf points
-        M = (dx2[a][None, :, None] + dy2[keep][:, None, :]) ** (0.5 * p_exp)
-        vals = np.einsum("v,bvk,bk->b", WX[a], M, WY[keep])
+        keep = ~(bound[a] < cut)  # "not below" keeps NaN and inf points
+        vals = _distance_power_row(WX[a], dx2[a], WY[keep], dy2[keep], p_exp)
         best = max(best, float(vals.max()))
     return best
+
+
+def _distance_power_row(wx, dx2, WY, dy2, p_exp):
+    """L(|d|^p_exp) at points of one lattice row: x's weights wx and squared
+    distances dx2, and one row of WY and dy2 per point.  Each point is reduced
+    on its own, so its bits do not depend on the other points of the call."""
+    M = (dx2[None, :, None] + dy2[:, None, :]) ** (0.5 * p_exp)
+    M *= WY[:, None, :]
+    return (M.sum(axis=2) * wx).sum(axis=1)
 
 
 def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,

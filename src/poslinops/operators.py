@@ -138,10 +138,13 @@ def sample_lattice(f, region, grid_points=201):
     """f on the lattice of R_A = [0, 1] x [0, region.A], as (xs, ys, F).
 
     Raises RuntimeError naming f when a sample is not finite: a NaN would
-    drop out of every maximum and an infinity would give inf - inf.
+    drop out of every maximum and an infinity would give inf - inf.  That
+    error is the report, so numpy's overflow and invalid-value warnings are
+    silenced while f is sampled.
     """
     xs, ys = lattice(region.A, grid_points)
-    F = eval_grid(f, xs, ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = eval_grid(f, xs, ys)
     return xs, ys, require_finite(getattr(f, "name", "f"), F,
                                   f"lattice points on [0,1]x[0,{region.A}]")
 

@@ -22,6 +22,7 @@ from poslinops import (
     sup_distance_power_operator,
     theorem_4_1_bound,
 )
+from poslinops import bounds
 from poslinops.operators import lattice, weights_and_nodes
 from poslinops.reporting import CAVEAT_RHS_GRID_LOWER_BOUND
 
@@ -222,7 +223,10 @@ def test_sup_distance_power_power_mean_ordering():
 
 
 def distance_power_table(params, m, n, p_exp, region, grid_points, policy):
-    """L(|d|^p_exp) at every lattice point by the full einsum sweep."""
+    """L(|d|^p_exp) at every lattice point by the full sweep.
+
+    Each point is reduced on its own, as in the pruned sweep, so a value's
+    bits do not depend on which points are evaluated with it."""
     xs, ys = lattice(region.A, grid_points)
     WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy)
     half = 0.5 * p_exp
@@ -231,7 +235,7 @@ def distance_power_table(params, m, n, p_exp, region, grid_points, policy):
         dx2 = (tx - x) ** 2  # (m+1,)
         dy2 = (ys[:, None] - ty[None, :]) ** 2  # (G, K)
         M = (dx2[None, :, None] + dy2[:, None, :]) ** half
-        rows.append(np.einsum("v,bvk,bk->b", WX[a], M, WY))
+        rows.append(((M * WY[:, None, :]).sum(axis=2) * WX[a]).sum(axis=1))
     return np.array(rows)
 
 
@@ -249,16 +253,19 @@ def even_moment_table(params, m, n, h, region, grid_points, policy):
 
 @st.composite
 def sweep_cases(draw):
-    """Unshifted or Stancu-shifted (alpha = beta included) lattice sweeps."""
+    """Unshifted or Stancu-shifted lattice sweeps, alpha = beta included.
+
+    With alpha2 = 0 and alpha1 in {0, beta1} the value vanishes at a corner
+    of the lattice."""
     if draw(st.booleans()):
         b1, b2 = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
-        a1 = draw(st.one_of(st.just(b1), st.floats(0.0, b1)))
-        a2 = draw(st.one_of(st.just(b2), st.floats(0.0, b2)))
+        a1 = draw(st.one_of(st.just(b1), st.just(0.0), st.floats(0.0, b1)))
+        a2 = draw(st.one_of(st.just(b2), st.just(0.0), st.floats(0.0, b2)))
         params = StancuParams(a1, b1, a2, b2)
     else:
         params = StancuParams()
     m, n = draw(st.integers(1, 60)), draw(st.integers(1, 60))
-    p_exp = draw(st.one_of(st.sampled_from([2.0, 4.0]), st.floats(0.5, 4.5)))
+    p_exp = draw(st.one_of(st.sampled_from([2.0, 4.0, 6.0]), st.floats(0.5, 7.5)))
     region = CompactRegion(draw(st.floats(0.0, 5.0, exclude_min=True)))
     return params, m, n, p_exp, region, draw(st.integers(2, 41))
 
@@ -271,29 +278,37 @@ def test_sup_distance_power_is_the_full_sweep_max(case):
     # bit for bit: a skipped point's value lies below the best one seen
     got = sup_distance_power_operator(params, m, n, p_exp, region, G, TIGHT)
     assert got == max(0.0, float(table.max()))
-    # the skipping rests on Lyapunov's L(|d|^p) <= L(|d|^2h)^(p/2h), with
-    # slack for rounding and L(1) = 1 up to ulps, and a floor for underflow
+    # the skipping rests on Hoelder's L(|d|^p) <= E_(h-1)^theta E_h^(1-theta),
+    # E_k = L(|d|^2k), with slack for rounding and a floor for underflow
     h = math.ceil(p_exp / 2.0)
-    even = even_moment_table(params, m, n, h, region, G, TIGHT)
+    below, even = (even_moment_table(params, m, n, k, region, G, TIGHT)
+                   for k in (h - 1, h))
     assert np.allclose(even, distance_power_table(params, m, n, 2.0 * h, region,
                                                   G, TIGHT), rtol=1e-12, atol=0.0)
-    assert np.all((1.0 + 1e-9) * (even + 2.0**-1000) ** (p_exp / (2 * h)) >= table)
+    theta, floor = (2 * h - p_exp) / 2.0, 2.0**-1000
+    upper = (1.0 + 1e-9) * (below + floor) ** theta * (even + floor) ** (1.0 - theta)
+    assert np.all(upper >= table)
+    # and on Jensen's L(|d|^p) >= E_k^(p/2k), k = floor(p/2), for p >= 2
+    if p_exp >= 2.0:
+        k = math.floor(p_exp / 2.0)
+        low = even_moment_table(params, m, n, k, region, G, TIGHT) ** (p_exp / (2 * k))
+        assert (1.0 - 1e-9) * low[np.isfinite(low)].max(initial=0.0) <= table.max()
 
 
 def test_sup_distance_power_skips_most_points(monkeypatch):
-    einsum, evaluated = np.einsum, []
+    row, evaluated = bounds._distance_power_row, []
 
-    def counted(spec, *operands):
-        evaluated.append(operands[1].shape[0])
-        return einsum(spec, *operands)
+    def counted(wx, dx2, WY, dy2, p_exp):
+        evaluated.append(WY.shape[0])
+        return row(wx, dx2, WY, dy2, p_exp)
 
-    monkeypatch.setattr(np, "einsum", counted)
-    # even p: the bound is L(|d|^p) itself, so only the top row is swept
+    monkeypatch.setattr(bounds, "_distance_power_row", counted)
+    # even p: the bounds meet at L(|d|^p) itself, so only its max is evaluated
     sup_distance_power_operator(StancuParams(), 10, 10, 2.0, R1, 201, TIGHT)
-    assert evaluated == [201]
+    assert evaluated == [1]
     evaluated.clear()
     sup_distance_power_operator(StancuParams(1, 2, 1, 2), 20, 20, 3.0, R1, 101, TIGHT)
-    assert sum(evaluated) <= 0.25 * 101**2
+    assert sum(evaluated) <= 0.05 * 101**2
 
 
 @pytest.mark.parametrize("p_exp", [0.0, -1.0, math.nan, math.inf])

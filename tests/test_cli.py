@@ -257,6 +257,21 @@ def test_weighted_overflowing_strip_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_overflowing_function_exits_2_with_one_error_line(tmp_path, capsys):
+    # rho_growth's x^2 + y^2 overflows on most of [0,1]x[0,1e160]: the named
+    # error is the whole of stderr, with no numpy warning ahead of it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, "weighted", "--function", "rho_growth",
+                        "--s", "1e160")
+    assert code == 2
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "error: rho_growth is not finite at 40200 of 40401 lattice points on "
+        "[0,1]x[0,1e+160]\n")
+    assert not out.exists()
+
+
 def test_weighted_huge_strip_runs(tmp_path):
     """At alpha = beta = 0 the square gap is x(1-x)/m + y/n, which does not
     overflow, and past y ~ 1e154 its ratio to rho is 0: the sup is the y = 0
