@@ -231,6 +231,16 @@ def test_rate_past_the_term_cap_exits_2(tmp_path, args):
     assert not out.exists()
 
 
+def test_converge_past_the_term_cap_prints_one_line(tmp_path, capsys):
+    """The lattice is built in blocks; the row that misses the target is
+    still the first in lattice order, named with its rate."""
+    code, out = run(tmp_path, "converge", "--A", "1e6")
+    assert code == 2
+    assert capsys.readouterr().err == ("error: mass target 1 - 1e-12 not reached "
+                                       "within 1000000 terms (rate 1000000.0)\n")
+    assert sidecar(out)["error"]["type"] == "TruncationError"
+
+
 @pytest.mark.parametrize("args", [
     ["eval", "--tail-tol", "1e-300", "--y", "3"],
     ["converge", "--tail-tol", "1e-320", "--schedule", "10", "--grid", "11"],

@@ -24,8 +24,17 @@ from poslinops import (
     operator_rho_norm_bound,
     square_gap_grid,
 )
-from poslinops.basis import szasz_band_matrix
-from poslinops.operators import apply_on_grid, eval_grid, evaluate, lattice
+from poslinops.basis import TruncationError, szasz_band_matrix
+from poslinops.operators import (
+    _BLOCK as B,
+    apply_on_grid,
+    eval_grid,
+    evaluate,
+    lattice,
+    lattice_error,
+    sample_lattice,
+    weights_and_nodes,
+)
 
 from paper_formulas import korovkin_gaps
 
@@ -392,6 +401,110 @@ def test_apply_on_grid_matches_pointwise():
             assert grid[i, j] == pytest.approx(
                 apply(f, params, 8, 9, Point2D(x, y), TIGHT), abs=1e-12
             )
+
+
+WAVY = f2(lambda t, tau: np.sin(5.0 * t) * np.cos(tau) + t * tau / (1.0 + tau),
+         name="wavy")
+
+
+def single_band(f, params, m, n, xs, ys, family):
+    """The operator on xs x ys with each axis's weights built as one band."""
+    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, family=family)
+    F = eval_grid(f, tx, ty)
+    return WX @ F @ WY.T, float(np.max(np.abs(F)))
+
+
+@st.composite
+def lattice_cases(draw):
+    """A family, parameters, degrees up to 600 with n*A <= 3000, and G points
+    per axis: the lattice of [0, 1] x [0, A] or points drawn in any order."""
+    family = draw(st.sampled_from(list(KernelFamily)))
+    m, n = draw(st.integers(1, 600)), draw(st.integers(1, 600))
+    b1, b2 = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+    a1 = draw(st.one_of(st.just(b1), st.floats(0.0, b1)))
+    a2 = draw(st.one_of(st.just(b2), st.floats(0.0, b2)))
+    A = 1.0
+    if family is KernelFamily.BERNSTEIN_SZASZ:
+        A = draw(st.floats(1e-3, 3000.0 / n))
+    G = draw(st.sampled_from([1, 2, B, B + 1, 2 * B + 3, 201]))
+    if G >= 2 and draw(st.booleans()):
+        xs, ys = lattice(A, G)
+    else:
+        xs = np.array(draw(st.lists(unit_x, min_size=G, max_size=G)))
+        ys = A * np.array(draw(st.lists(unit_x, min_size=G, max_size=G)))
+    return family, StancuParams(a1, b1, a2, b2), m, n, A, xs, ys
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(case=lattice_cases())
+@example(case=(KernelFamily.BERNSTEIN_SZASZ, StancuParams(), 600, 600, 4.0,
+               *lattice(4.0, 201)))
+@example(case=(KernelFamily.BERNSTEIN_BERNSTEIN, StancuParams(1, 2, 0.5, 1.5), 600,
+               600, 1.0, *lattice(1.0, 2 * B + 3)))
+def test_blocked_lattice_agrees_with_the_single_band(case):
+    """Blocks of at most B points, each normalized over its own band, agree
+    with one band per axis to 1e-14 relative plus a few eps * sup|f| on the
+    nodes; an axis of at most B points is one block and the same bits."""
+    family, params, m, n, A, xs, ys = case
+    got = apply_on_grid(WAVY, params, m, n, xs, ys, family=family)
+    want, sup_f = single_band(WAVY, params, m, n, xs, ys, family)
+    assert got.shape == (len(xs), len(ys))
+    if len(xs) <= B:
+        assert np.array_equal(got, want)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + 8 * eps * sup_f)
+    if len(xs) >= 2 and family is KernelFamily.BERNSTEIN_SZASZ:
+        lx, ly, F = sample_lattice(WAVY, CompactRegion(A), len(xs))
+        L = apply_on_grid(WAVY, params, m, n, lx, ly)
+        assert F.shape == L.shape == lattice_error(WAVY, L, F).shape == (len(xs),) * 2
+
+
+@OPERATOR_SETTINGS
+@given(case=operator_points())
+def test_apply_is_the_single_band_bit_for_bit(case):
+    family, params, m, n, p = case
+    want, _ = single_band(WAVY, params, m, n, [p.x], [p.y], family)
+    assert apply(WAVY, params, m, n, p, family=family) == float(want[0, 0])
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return info.value
+
+
+def bad_x():
+    xs, ys = lattice(1.0, 201)
+    xs[40], xs[190] = 1.1, -0.5  # the first bad x is named
+    return xs, ys, TruncationPolicy()
+
+
+def bad_y():
+    xs, ys = lattice(1.0, 201)
+    ys[150], ys[190] = np.nan, -1.0
+    return xs, ys, TruncationPolicy()
+
+
+def rate_past_the_cap():
+    # n = 100: every row's window ends below column 420 but the last one's,
+    # whose rate is 400; that row alone misses the target, by the Chernoff
+    # bound past column 420
+    xs, ys = lattice(1.0, 201)
+    ys[-1] = 4.0
+    return xs, ys, TruncationPolicy(max_terms=420)
+
+
+
+@pytest.mark.parametrize("points, kind", [(bad_x, DomainError), (bad_y, DomainError),
+                                          (rate_past_the_cap, TruncationError)])
+def test_bad_point_in_a_later_block_raises_as_the_single_band(points, kind):
+    xs, ys, policy = points()
+    got = raised(lambda: apply_on_grid(WAVY, StancuParams(), 100, 100, xs, ys, policy))
+    want = raised(lambda: weights_and_nodes(StancuParams(), 100, 100, xs, ys, policy))
+    assert type(got) is type(want) is kind
+    assert str(got) == str(want)
+    if kind is TruncationError:
+        assert 0.0 < got.tail == want.tail < 1.0
 
 
 def test_apply_on_grid_names_failing_function():
