@@ -14,13 +14,7 @@ import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError, require_degree
 from .moduli import lattice_moduli
-from .operators import (
-    apply_on_grid,
-    lattice,
-    lattice_error,
-    sample_lattice,
-    weights_and_nodes,
-)
+from .operators import apply_on_grid, lattice_error, sample_lattice, weights_and_nodes
 from .reporting import (
     CAVEAT_NONE,
     CAVEAT_RHS_GRID_LOWER_BOUND,
@@ -65,7 +59,7 @@ def check_theorem_3_3(f, params, m, n, region, grid_points=201,
     L = apply_on_grid(f, params, m, n, xs, ys, policy)
     lhs = float(np.max(lattice_error(f, L, F)))
     if moduli_source == "grid":
-        est = lattice_moduli(F, region, full=d.delta_mn, partial_x=d.delta_m,
+        est = lattice_moduli(xs, ys, F, full=d.delta_mn, partial_x=d.delta_m,
                              partial_y=d.delta_n)
         w1, w2, w = est["partial_x"], est["partial_y"], est["full"]
         caveat = CAVEAT_RHS_GRID_LOWER_BOUND
@@ -82,9 +76,8 @@ def check_theorem_3_3(f, params, m, n, region, grid_points=201,
 _SLACK, _FLOOR = 1e-9, 2.0**-1000  # rounding, L(1) = 1 to ulps; underflow
 
 
-def sup_distance_power_operator(params, m, n, p_exp, region, grid_points=101,
-                                policy=DEFAULT_POLICY):
-    """Lattice max over (x, y) of L(((t-x)^2 + (tau-y)^2)^(p_exp/2); x, y).
+def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLICY):
+    """Max over the tensor grid xs x ys of L(((t-x)^2 + (tau-y)^2)^(p_exp/2); x, y).
 
     Each point's value M_q, q = p_exp, is bracketed by closed forms in the
     even moments E_k = L(|d|^2k), binomial sums of products of 1-D moments.
@@ -100,7 +93,7 @@ def sup_distance_power_operator(params, m, n, p_exp, region, grid_points=101,
     """
     if not 0.0 < p_exp < math.inf:
         raise DomainError(f"p_exp must be finite and > 0, got {p_exp}")
-    xs, ys = lattice(region.A, grid_points)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy)
     dx2 = (tx[None, :] - xs[:, None]) ** 2  # (G, m+1)
     dy2 = (ys[:, None] - ty[None, :]) ** 2  # (G, K)
@@ -161,9 +154,7 @@ def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
     constant = gamma * M / math.prod(gamma + k for k in range(r + 1))
     p_exp = r + gamma
     if mode == "moment":
-        distance = sup_distance_power_operator(
-            params, m, n, p_exp, region, grid_points, policy
-        )
+        distance = sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy)
     elif mode == "modulus":
         d = deltas(m, n, params, region)
         diam = math.sqrt(1.0 + region.A**2)

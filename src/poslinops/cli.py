@@ -62,10 +62,17 @@ def _fmt(v):
 
 
 def _write_atomic(path, text):
+    """Write text to path through path + ".tmp", which a failed write removes;
+    the OSError names path, not the temporary file."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _sidecar(cfg, caveats, hold, error):
@@ -100,7 +107,7 @@ def _run(cfg):
         rows = [[m, n, p.x, p.y, mom.one, mom.t, mom.tau, mom.t2_plus_tau2, central]]
     elif command == "modulus":
         delta = cfg["delta"]
-        ests = lattice_moduli(sample_lattice(f, region, G)[2], region, full=delta,
+        ests = lattice_moduli(*sample_lattice(f, region, G), full=delta,
                               partial_x=delta, partial_y=delta)
         grid = f"{G}x{G} uniform on [0,1]x[0,{region.A}]"
         header = ["kind", "delta", "value", "grid", "caveat"]
@@ -148,7 +155,7 @@ def _run(cfg):
                                      policy)
             for (mm, nn), v in zip(schedule, ests):
                 rows.append(["thm52_estimate", mm, nn, v, "", CAVEAT_GRID_ESTIMATE])
-            rep = check_theorem_5_3(f, params, m, n, cfg["s"], G, policy, strip)
+            rep = check_theorem_5_3(f, params, m, n, cfg["s"], strip, G, policy)
             reports.append(rep)
             rows.append(["thm53_margin", m, n, rep.margin, rep.holds, rep.caveat])
     else:  # converge: one lattice sample of f serves every schedule entry
@@ -164,6 +171,16 @@ def _run(cfg):
     return header, rows, reports
 
 
+def _schedule(text):
+    """--schedule's type: comma-separated integers, returned unchanged."""
+    try:
+        [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    return text
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="poslinops",
@@ -172,8 +189,9 @@ def build_parser():
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="JSON config file; flags override it")
     for key, default in _DEFAULTS.items():
+        kind = float if default is None else type(default)
         parser.add_argument("--" + key.replace("_", "-"), default=default,
-                            type=float if default is None else type(default))
+                            type=_schedule if key == "schedule" else kind)
     return parser
 
 

@@ -68,20 +68,12 @@ def _smooth_deriv(i, j, x, y):
     return np.exp(x) * np.real(z)
 
 
-_REGISTRY = {}
-
-
-def _register(name, entry):
-    _REGISTRY[name] = entry
-
-
 def _zero_modulus(delta, A):
     return 0.0
 
 
-_register(
-    "const1",
-    CorpusEntry(
+_REGISTRY = {
+    "const1": CorpusEntry(
         function=Function2D(eval=lambda x, y: 1.0, name="const1"),
         closed_form_moduli={
             "full": _zero_modulus,
@@ -89,13 +81,9 @@ _register(
             "partial_y": _zero_modulus,
         },
         lipschitz_data=(1.0, lambda A: 0.0),
-        derivative_provider=PartialDerivativeSet(order=10, eval=_const_deriv),
+        derivative_provider=PartialDerivativeSet(_const_deriv),
     ),
-)
-
-_register(
-    "linear",
-    CorpusEntry(
+    "linear": CorpusEntry(
         function=Function2D(eval=np.add, name="linear"),
         closed_form_moduli={
             "full": lambda delta, A: delta * math.sqrt(2.0),
@@ -103,52 +91,32 @@ _register(
             "partial_y": lambda delta, A: delta,
         },
         lipschitz_data=(1.0, lambda A: math.sqrt(2.0)),
-        derivative_provider=PartialDerivativeSet(order=10, eval=_linear_deriv),
+        derivative_provider=PartialDerivativeSet(_linear_deriv),
     ),
-)
-
-_register(
-    "prod",
-    CorpusEntry(
+    "prod": CorpusEntry(
         function=Function2D(eval=np.multiply, name="prod"),
         lipschitz_data=(1.0, lambda A: math.sqrt(1.0 + A * A)),
-        derivative_provider=PartialDerivativeSet(order=10, eval=_prod_deriv),
+        derivative_provider=PartialDerivativeSet(_prod_deriv),
     ),
-)
-
-_register(
-    "quad",
-    CorpusEntry(
+    "quad": CorpusEntry(
         function=Function2D(eval=_quad, name="quad"),
         lipschitz_data=(1.0, lambda A: 2.0 * math.sqrt(1.0 + A * A)),
-        derivative_provider=PartialDerivativeSet(order=10, eval=_quad_deriv),
+        derivative_provider=PartialDerivativeSet(_quad_deriv),
     ),
-)
-
-_register(
-    "holder_half",
-    CorpusEntry(
+    "holder_half": CorpusEntry(
         function=Function2D(eval=lambda x, y: np.sqrt(
             np.abs(np.asarray(x, float) - 0.5)), name="holder_half"),
         lipschitz_data=(0.5, lambda A: 1.0),
     ),
-)
-
-_register(
-    "smooth",
-    CorpusEntry(
+    "smooth": CorpusEntry(
         function=Function2D(eval=_smooth, name="smooth"),
-        derivative_provider=PartialDerivativeSet(order=10, eval=_smooth_deriv),
+        derivative_provider=PartialDerivativeSet(_smooth_deriv),
     ),
-)
-
-_register(
-    "rho_growth",
-    CorpusEntry(
+    "rho_growth": CorpusEntry(
         function=Function2D(eval=_quad, name="rho_growth", m_f=1.0),
-        derivative_provider=PartialDerivativeSet(order=10, eval=_quad_deriv),
+        derivative_provider=PartialDerivativeSet(_quad_deriv),
     ),
-)
+}
 
 
 def corpus_names():

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import require_positive
-from .operators import lattice
+from .basis import DomainError, require_positive
 
 
 def _radius(delta, h, G):
@@ -96,16 +95,20 @@ def _largest(W, divisor):
     return float(W.max())
 
 
-def lattice_moduli(F, region, full=None, partial_x=None, partial_y=None,
+def lattice_moduli(xs, ys, F, full=None, partial_x=None, partial_y=None,
                    weighted=None):
-    """Moduli of the lattice sample F of ``sample_lattice``, each at its own delta.
+    """Moduli of f from its sample (xs, ys, F) on a uniform G x G lattice, as
+    ``sample_lattice`` returns it, each at its own delta.
 
     Returns a dict from kind to its value, a lower estimate, with one entry
     per delta given, in the order full, partial_x, partial_y, weighted.
-    Deltas past the lattice give the maximum over all lattice pairs.
+    Deltas past the lattice give the maximum over all lattice pairs.  Raises
+    DomainError unless G >= 2 and F has shape (G, G).
     """
-    G = len(F)
-    xs, ys = lattice(region.A, G)
+    G = len(xs)
+    if G < 2 or len(ys) != G or np.shape(F) != (G, G):
+        raise DomainError(f"need a G x G lattice sample, G >= 2, got {len(xs)} x "
+                          f"{len(ys)} points and F of shape {np.shape(F)}")
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     out = {}
     for kind, delta in (("full", full), ("partial_x", partial_x),

@@ -2,9 +2,9 @@
 
 The operator averages f over a product lattice of shifted nodes
 (v + alpha1)/(m + beta1) in x and (k + alpha2)/(n + beta2) in y, with
-Bernstein weights in x and (truncated) Poisson weights in y.  Setting the
-y-family to Bernstein gives the bivariate generalized Bernstein polynomials
-on [0, 1]^2.
+Bernstein weights in x and (truncated) Poisson weights in y.  Setting
+``apply_on_grid``'s y-family to Bernstein gives the bivariate generalized
+Bernstein polynomials on [0, 1]^2.
 """
 
 from __future__ import annotations
@@ -179,8 +179,7 @@ def _nodes(lo, hi, alpha, beta, degree):
     return (np.arange(lo, hi) + alpha) / (degree + beta)
 
 
-def weights_and_nodes(params, m, n, xs, ys, policy=DEFAULT_POLICY,
-                      family=KernelFamily.BERNSTEIN_SZASZ):
+def weights_and_nodes(params, m, n, xs, ys, policy=DEFAULT_POLICY):
     """Weight matrices WX, WY (one row per point) and their nodes tx, ty.
 
     Each matrix covers only its band, the union of its rows' windows: a row
@@ -194,7 +193,7 @@ def weights_and_nodes(params, m, n, xs, ys, policy=DEFAULT_POLICY,
     rounding.
     """
     WX, a = bernstein_band_matrix(m, xs, policy)
-    WY, b = _y_band(n, ys, policy, family)
+    WY, _, b = szasz_band_matrix(n, ys, policy)
     return (WX, WY, _nodes(a, a + WX.shape[1], params.alpha1, params.beta1, m),
             _nodes(b, b + WY.shape[1], params.alpha2, params.beta2, n))
 
@@ -242,15 +241,14 @@ def apply_on_grid(f, params, m, n, xs, ys, policy=DEFAULT_POLICY,
     return L
 
 
-def apply(f, params, m, n, p, policy=DEFAULT_POLICY,
-          family=KernelFamily.BERNSTEIN_SZASZ):
+def apply(f, params, m, n, p, policy=DEFAULT_POLICY):
     """Apply the operator to f at the point p.
 
     With alpha2 = 0, on the edge y = 0 this is the 1-D Stancu operator of
     f(., 0) (Bernstein for alpha1 = beta1 = 0); with alpha1 = 0, on the edge
     x = 0 it is the truncated 1-D Szasz-Stancu operator of f(0, .).
     """
-    return float(apply_on_grid(f, params, m, n, [p.x], [p.y], policy, family)[0, 0])
+    return float(apply_on_grid(f, params, m, n, [p.x], [p.y], policy)[0, 0])
 
 
 def _scale2(degree, beta, axis):
@@ -266,31 +264,26 @@ def _scale2(degree, beta, axis):
                           f"{beta} ({'mn'[axis - 1]} = {degree})") from None
 
 
-def _central_t(params, m, x):
-    """The x axis's variance plus squared bias: (m x(1-x) + (alpha1 - beta1 x)^2)
-    / (m + beta1)^2; no digits cancel.  d * d, not d ** 2: on a float, ** raises
-    where numpy gives inf."""
-    d = params.alpha1 - params.beta1 * x
-    return (m * x * (1.0 - x) + d * d) / _scale2(m, params.beta1, 1)
+def _central(degree, alpha, beta, v, var, axis):
+    """An axis's variance var plus squared bias: (var + d d) / (degree + beta)^2
+    with d = alpha - beta v; no digits cancel.  d * d, not d ** 2: on a float,
+    ** raises where numpy gives inf."""
+    d = alpha - beta * v
+    return (var + d * d) / _scale2(degree, beta, axis)
 
 
-def _central_tau(params, n, y):
-    """_central_t for the y axis, with variance n y."""
-    d = params.alpha2 - params.beta2 * y
-    return (n * y + d * d) / _scale2(n, params.beta2, 2)
+def _gap(degree, alpha, beta, v, var, axis):
+    """An axis's L(s^2) - v^2 = var / (degree + beta)^2 + e (e + 2v), with the
+    bias e = (alpha - beta v) / (degree + beta) = E s - v; no digits cancel."""
+    e = (alpha - beta * v) / (degree + beta)
+    return var / _scale2(degree, beta, axis) + e * (e + 2.0 * v)
 
 
-def _gap_t(params, m, x):
-    """The x axis's L(t^2) - x^2 = variance + e (e + 2x), with the bias
-    e = (alpha1 - beta1 x) / (m + beta1) = E t - x; no digits cancel."""
-    e = (params.alpha1 - params.beta1 * x) / (m + params.beta1)
-    return m * x * (1.0 - x) / _scale2(m, params.beta1, 1) + e * (e + 2.0 * x)
-
-
-def _gap_tau(params, n, y):
-    """_gap_t for the y axis, with variance n y."""
-    e = (params.alpha2 - params.beta2 * y) / (n + params.beta2)
-    return n * y / _scale2(n, params.beta2, 2) + e * (e + 2.0 * y)
+def _axes(formula, params, m, n, x, y):
+    """formula on the x axis (variance m x (1 - x)), then on the y axis
+    (variance n y)."""
+    return (formula(m, params.alpha1, params.beta1, x, m * x * (1.0 - x), 1),
+            formula(n, params.alpha2, params.beta2, y, n * y, 2))
 
 
 def _finite_in_y(value, n, p):
@@ -308,7 +301,8 @@ def moments_closed_form(params, m, n, p):
     """
     require_degree(m=m, n=n)
     x, y = float(p.x), float(p.y)
-    t2_plus_tau2 = _gap_t(params, m, x) + _gap_tau(params, n, y) + (x * x + y * y)
+    gx, gy = _axes(_gap, params, m, n, x, y)
+    t2_plus_tau2 = gx + gy + (x * x + y * y)
     tau = (n * y + params.alpha2) / (n + params.beta2)
     return MomentSet(one=1.0, t=(m * x + params.alpha1) / (m + params.beta1),
                      tau=_finite_in_y(tau, n, p),
@@ -319,20 +313,23 @@ def second_central_moment(params, m, n, p):
     """Operator value on (t - x)^2 + (tau - y)^2 at the point p."""
     require_degree(m=m, n=n)
     x, y = float(p.x), float(p.y)
-    return _finite_in_y(_central_t(params, m, x) + _central_tau(params, n, y), n, p)
+    cx, cy = _axes(_central, params, m, n, x, y)
+    return _finite_in_y(cx + cy, n, p)
+
+
+def _on_grid(formula, params, m, n, xs, ys):
+    """formula's x-axis value plus its y-axis value on the tensor grid xs x ys."""
+    require_degree(m=m, n=n)
+    gx, gy = _axes(formula, params, m, n, np.asarray(xs, dtype=float),
+                   np.asarray(ys, dtype=float))
+    return gx[:, None] + gy[None, :]
 
 
 def second_central_moment_grid(params, m, n, xs, ys):
     """Operator value on (t - x)^2 + (tau - y)^2 on the tensor grid xs x ys."""
-    require_degree(m=m, n=n)
-    cx = _central_t(params, m, np.asarray(xs, dtype=float))
-    cy = _central_tau(params, n, np.asarray(ys, dtype=float))
-    return cx[:, None] + cy[None, :]
+    return _on_grid(_central, params, m, n, xs, ys)
 
 
 def square_gap_grid(params, m, n, xs, ys):
     """L(t^2 + tau^2) - (x^2 + y^2) on the tensor grid xs x ys."""
-    require_degree(m=m, n=n)
-    gx = _gap_t(params, m, np.asarray(xs, dtype=float))
-    gy = _gap_tau(params, n, np.asarray(ys, dtype=float))
-    return gx[:, None] + gy[None, :]
+    return _on_grid(_gap, params, m, n, xs, ys)

@@ -23,15 +23,16 @@ _MAX_FD_ORDER = 4
 
 @dataclass(frozen=True)
 class PartialDerivativeSet:
-    """Provider of the partials d^(i+j) f / dx^i dy^j for i + j <= order.
+    """Provider of the partials d^(i+j) f / dx^i dy^j for i + j <= order,
+    every order by default.
 
     ``eval(i, j, x, y)`` returns the derivative values and, like
     ``Function2D.eval``, must broadcast over numpy arrays; wrap a scalar-only
     provider in ``np.vectorize``.
     """
 
-    order: int
     eval: object
+    order: float = math.inf
     source: str = "closed_form"
 
 
@@ -154,6 +155,8 @@ def _partial(derivs, i, j):
 
 
 def _require_order(derivs, r):
+    if r > 169:  # past it (r + 1)! overflows, as would Theorem 4.1's constant
+        raise DomainError(f"r must be <= 169, got r={r}")
     if derivs.order < r:
         raise DomainError(
             f"derivative provider of order {derivs.order} insufficient for r={r}"

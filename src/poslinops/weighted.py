@@ -74,9 +74,10 @@ def check_theorem_5_2(f, params, schedule, epsilon, strip, grid_points=201,
     return out
 
 
-def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY,
-                      strip=None):
-    """Weighted-modulus rate bound on the disc x^2 + y^2 <= s^2.
+def check_theorem_5_3(f, params, m, n, s, strip, grid_points=201,
+                      policy=DEFAULT_POLICY):
+    """Weighted-modulus rate bound on the disc x^2 + y^2 <= s^2, with strip the
+    sampling rectangle [0, 1] x [0, S] as a CompactRegion.
 
     The LHS is that of f / ||f||_rho, which L's linearity turns into the
     disc max of |L f - f| divided by the rho-norm.  delta^2 is the
@@ -88,8 +89,6 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
     if f.m_f is None:
         raise DomainError("check_theorem_5_3 needs a rho-dominated f with m_f")
     require_positive("s", s)
-    if strip is None:
-        strip = CompactRegion(max(50.0, 2.0 * s))
 
     # one strip sample gives the rho-norm and the unit-norm sample's modulus
     sx, sy, Fs = sample_lattice(f, strip, grid_points)
@@ -109,6 +108,6 @@ def check_theorem_5_3(f, params, m, n, s, grid_points=201, policy=DEFAULT_POLICY
 
     M = operator_rho_norm_bound(params, m, n, strip, grid_points)
     c = 1.0 + s * s  # sup of rho on the disc
-    w = lattice_moduli(Fs / norm, strip, weighted=delta)["weighted"]
+    w = lattice_moduli(sx, sy, Fs / norm, weighted=delta)["weighted"]
     rhs = c * c * (1.0 + M) * w
     return BoundReport(lhs=lhs, rhs=rhs, caveat=CAVEAT_FROZEN_WEIGHTED_MODULUS)

@@ -162,7 +162,7 @@ def test_criterion_4_rth_reduction_and_exactness():
                 return np.zeros(np.broadcast_shapes(x.shape, y.shape))
             return falling(ax, i) * falling(by, j) * x ** (ax - i) * y ** (by - j)
 
-        return PartialDerivativeSet(order=10, eval=ev)
+        return PartialDerivativeSet(ev)
 
     policy = TruncationPolicy(1e-12)
     for r in (1, 2, 3):
@@ -265,7 +265,7 @@ def test_criterion_9_modulus_estimator_convergence():
     target = 0.1 * math.sqrt(2.0)
     ok = True
     for G in (101, 201, 401):
-        est = lattice_moduli(sample_lattice(f, region, G)[2], region, full=0.1)["full"]
+        est = lattice_moduli(*sample_lattice(f, region, G), full=0.1)["full"]
         step = 1.0 / (G - 1)
         ok &= abs(est - target) <= 2.0 * step * math.sqrt(2.0)
         ok &= est <= target + 1e-12  # grid value never overshoots

@@ -27,6 +27,7 @@ from poslinops import (
     TruncationError,
     TruncationPolicy,
     apply,
+    apply_on_grid,
     corpus_lookup,
 )
 from poslinops.basis import (
@@ -52,11 +53,19 @@ BAND_SETTINGS = settings(derandomize=True, deadline=None, database=None,
 
 def bernstein_pmf(m, x):
     """C(m, v) x^v (1-x)^(m-v), v = 0..m, a row per x: scipy's binomial pmf,
-    or for x < 1e-300, where it overflows, the terms v <= 1 (the rest is 0)."""
+    or for x < 1e-13 (1-x)^m times the running product of the term ratios
+    (m - v + 1)/v * x/(1-x) for v <= 60, a few ulps per term.  scipy's
+    relative error grows like |ln x| eps there (9e-14 at x = 4e-273; it
+    overflows below 1e-300); for m <= 5000 the terms past v = 60 are 0."""
     x = np.asarray(x, dtype=float)[..., None]
     v = np.arange(m + 1)
-    tiny = x < 1e-300
-    direct = np.where(v == 0, 1.0, np.where(v == 1, m * x, 0.0))
+    tiny = x < 1e-13
+    xt = np.where(tiny, x, 0.0)
+    direct = np.zeros(x.shape[:-1] + (m + 1,))
+    direct[..., :1] = np.exp(m * np.log1p(-xt))
+    k = v[1:61]
+    ratios = (m - k + 1) / k * (xt / (1.0 - xt))
+    direct[..., 1:61] = direct[..., :1] * np.cumprod(ratios, axis=-1)
     return np.where(tiny, direct, binom.pmf(v, m, np.where(tiny, 0.5, x)))
 
 
@@ -297,14 +306,14 @@ def test_apply_matches_full_table(case):
     family, params, m, n, p = case
     f = Function2D(eval=bounded, name="bounded")
     want, tx, ty = full_table_oracle(bounded, family, params, m, n, p)
-    got = apply(f, params, m, n, p, family=family)
+    got = float(apply_on_grid(f, params, m, n, [p.x], [p.y], family=family)[0, 0])
     assert abs(got - want) <= 1e-13 * abs(want)
 
     # f = 1 off the band and 0 on it: L_band f = 0, and the bound on
     # |L_band f - L_full f| is 4 * DROP * (sup f - inf f)
     nodes = []
     counted = Function2D(eval=lambda t, tau: nodes.append((t, tau)) or bounded(t, tau))
-    apply(counted, params, m, n, p, family=family)
+    apply_on_grid(counted, params, m, n, [p.x], [p.y], family=family)
     bx, by = nodes[0][0][:, 0], nodes[0][1][0]
     on_band = (np.isin(tx, bx)[:, None] & np.isin(ty, by)[None, :]).astype(float)
     outside, _, _ = full_table_oracle(lambda t, tau: 1.0 - on_band, family,

@@ -109,12 +109,12 @@ def test_check_theorem_3_3_grid_samples_lattice_once():
     assert len(calls) == 2 and calls.count((61, 61)) == 1
     # the same numbers as the moduli of a separate sample of f
     d = deltas(m, n, params, R1)
-    F = sample_lattice(base, R1, 61)[2]
-    w1 = lattice_moduli(F, R1, partial_x=d.delta_m)["partial_x"]
-    w2 = lattice_moduli(F, R1, partial_y=d.delta_n)["partial_y"]
+    sample = sample_lattice(base, R1, 61)
+    w1 = lattice_moduli(*sample, partial_x=d.delta_m)["partial_x"]
+    w2 = lattice_moduli(*sample, partial_y=d.delta_n)["partial_y"]
     assert ra.lhs == rb.lhs
     assert ra.rhs == 1.5 * (w1 + w2)
-    assert rb.rhs == 1.5 * lattice_moduli(F, R1, full=d.delta_mn)["full"]
+    assert rb.rhs == 1.5 * lattice_moduli(*sample, full=d.delta_mn)["full"]
 
 
 def test_check_theorem_3_3_missing_moduli():
@@ -205,7 +205,7 @@ def test_sup_distance_power_p2_matches_central_moment():
 
     params = StancuParams(1, 1, 2, 2)
     m = n = 15
-    got = sup_distance_power_operator(params, m, n, 2.0, R1, 41, TIGHT)
+    got = sup_distance_power_operator(params, m, n, 2.0, *lattice(1.0, 41), TIGHT)
     xs = np.linspace(0.0, 1.0, 41)
     ys = np.linspace(0.0, 1.0, 41)
     want = float(second_central_moment_grid(params, m, n, xs, ys).max())
@@ -216,9 +216,9 @@ def test_sup_distance_power_power_mean_ordering():
     # Jensen: L(d^p) <= L(d^2)^(p/2) for p < 2, so the sups are ordered
     params = StancuParams(1, 2, 1, 2)
     m = n = 20
-    s2 = sup_distance_power_operator(params, m, n, 2.0, R1, 21, TIGHT)
+    s2 = sup_distance_power_operator(params, m, n, 2.0, *lattice(1.0, 21), TIGHT)
     for p in (1.0, 1.5):
-        sp = sup_distance_power_operator(params, m, n, p, R1, 21, TIGHT)
+        sp = sup_distance_power_operator(params, m, n, p, *lattice(1.0, 21), TIGHT)
         assert sp <= s2 ** (p / 2.0) + 1e-12
 
 
@@ -276,7 +276,8 @@ def test_sup_distance_power_is_the_full_sweep_max(case):
     params, m, n, p_exp, region, G = case
     table = distance_power_table(params, m, n, p_exp, region, G, TIGHT)
     # bit for bit: a skipped point's value lies below the best one seen
-    got = sup_distance_power_operator(params, m, n, p_exp, region, G, TIGHT)
+    got = sup_distance_power_operator(params, m, n, p_exp, *lattice(region.A, G),
+                                      TIGHT)
     assert got == max(0.0, float(table.max()))
     # the skipping rests on Hoelder's L(|d|^p) <= E_(h-1)^theta E_h^(1-theta),
     # E_k = L(|d|^2k), with slack for rounding and a floor for underflow
@@ -304,17 +305,18 @@ def test_sup_distance_power_skips_most_points(monkeypatch):
 
     monkeypatch.setattr(bounds, "_distance_power_row", counted)
     # even p: the bounds meet at L(|d|^p) itself, so only its max is evaluated
-    sup_distance_power_operator(StancuParams(), 10, 10, 2.0, R1, 201, TIGHT)
+    sup_distance_power_operator(StancuParams(), 10, 10, 2.0, *lattice(1.0, 201), TIGHT)
     assert evaluated == [1]
     evaluated.clear()
-    sup_distance_power_operator(StancuParams(1, 2, 1, 2), 20, 20, 3.0, R1, 101, TIGHT)
+    sup_distance_power_operator(StancuParams(1, 2, 1, 2), 20, 20, 3.0,
+                                *lattice(1.0, 101), TIGHT)
     assert sum(evaluated) <= 0.05 * 101**2
 
 
 @pytest.mark.parametrize("p_exp", [0.0, -1.0, math.nan, math.inf])
 def test_sup_distance_power_rejects_bad_exponent(p_exp):
     with pytest.raises(DomainError, match="p_exp must be finite and > 0"):
-        sup_distance_power_operator(StancuParams(), 10, 10, p_exp, R1, 11)
+        sup_distance_power_operator(StancuParams(), 10, 10, p_exp, *lattice(1.0, 11))
 
 
 def test_theorem_4_1_linear_exact():

@@ -180,6 +180,9 @@ def test_non_finite_function_exits_2(tmp_path, monkeypatch, command):
     (["check-thm33", "--m", "0"], "degree m must be >= 1, got 0"),
     (["weighted", "--function", "rho_growth", "--m", "0"],
      "degree m must be >= 1, got 0"),
+    (["rth", "--function", "smooth", "--r", "171"], "r must be <= 169, got r=171"),
+    (["check-thm41", "--function", "smooth", "--r", "170", "--mode", "lipschitz"],
+     "r must be <= 169, got r=170"),
 ])
 def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
     code, out = run(tmp_path, *args)
@@ -378,6 +381,19 @@ def test_rth_and_thm41(tmp_path):
     assert rows[0][header.index("holds")] == "true"
 
 
+@pytest.mark.parametrize("function, tol", [("quad", 1e-14), ("smooth", 1e-8)])
+def test_rth_closed_form_providers_serve_every_order(tmp_path, function, tol):
+    """The corpus's closed-form partials are exact at every order, so r = 11
+    runs; for quad each node's Taylor polynomial is f itself, and the tight
+    tail leaves L_11 f = x^2 + y^2 to rounding."""
+    code, out = run(tmp_path, "rth", "--function", function, "--r", "11",
+                    "--x", "0.3", "--y", "0.7", "--tail-tol", "1e-15")
+    assert code == 0
+    value = float(read_csv(out)[1][0][-1])
+    want = float(corpus_lookup(function).function(0.3, 0.7))
+    assert abs(value - want) <= tol * abs(want)
+
+
 def test_weighted_command(tmp_path):
     code, out = run(tmp_path, "weighted", "--function", "rho_growth",
                     "--m", "40", "--n", "40", "--grid", "101",
@@ -425,7 +441,7 @@ def test_weighted_rows_equal_the_library_checks(tmp_path):
     schedule = [(v, v) for v in (10, 20, 40, 80, 160)]
     want = [operator_rho_norm_bound(params, 40, 40, strip, 51),
             *check_theorem_5_2(f, params, schedule, 0.5, strip, 51),
-            check_theorem_5_3(f, params, 40, 40, 2.0, 51, strip=strip).margin]
+            check_theorem_5_3(f, params, 40, 40, 2.0, strip, 51).margin]
     assert [row[3] for row in read_csv(out)[1]] == [cli._fmt(v) for v in want]
 
 
@@ -484,6 +500,7 @@ def exit_code(argv):
     pytest.param('{"grid": 50.5}', [], id="grid 50.5"),
     pytest.param('{"A": "wide"}', [], id="A wide"),
     pytest.param("{}", ["--out", "missing/r.csv"], id="out in a missing directory"),
+    pytest.param('{"schedule": "10,x"}', [], id="schedule 10,x"),
 ])
 def test_configuration_error_exits_2(tmp_path, monkeypatch, capsys, text, extra):
     monkeypatch.chdir(tmp_path)
@@ -492,6 +509,31 @@ def test_configuration_error_exits_2(tmp_path, monkeypatch, capsys, text, extra)
     assert exit_code(["eval", "--config", "cfg.json", *extra]) == 2
     assert "error: " in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command, schedule", [
+    ("eval", "x"), ("converge", "10,,20"), ("converge", "2.5"), ("weighted", ""),
+])
+def test_bad_schedule_exits_2_naming_the_flag(tmp_path, capsys, command, schedule):
+    out = tmp_path / "r.csv"
+    assert exit_code([command, "--schedule", schedule, "--out", str(out)]) == 2
+    assert ("error: argument --schedule: expected comma-separated integers, "
+            f"got {schedule!r}\n") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_out_is_named(tmp_path, capsys):
+    """The CSV goes through a temporary file beside --out; the error names
+    --out, not the temporary file, and leaves no temporary file behind."""
+    out = tmp_path / "missing" / "r.csv"
+    assert main(["eval", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{out}'\n")
+    out = tmp_path / "a_directory"
+    out.mkdir()
+    assert main(["eval", "--out", str(out)]) == 2
+    assert f"'{out}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_sidecar_config_reruns_byte_identical(tmp_path):

@@ -31,7 +31,7 @@ def f2(expr, name="f", **kw):
 def holder_ratio(f, gamma, region, samples, seed=0):
     """The sampled Hoelder constant of f: the r = 0 Lipschitz estimate, as
     F^(0) along a segment is f itself."""
-    derivs = PartialDerivativeSet(0, lambda i, j, x, y: f(x, y), source=f.name)
+    derivs = PartialDerivativeSet(lambda i, j, x, y: f(x, y), 0, f.name)
     return f_rth_lipschitz_estimate(derivs, 0, gamma, region, samples, seed)
 
 
@@ -43,25 +43,25 @@ PROD = f2(lambda x, y: np.asarray(x, float) * np.asarray(y, float))
 
 
 def test_full_modulus_constant():
-    F = sample_lattice(CONST, R1, 201)[2]
-    assert lattice_moduli(F, R1, full=0.1)["full"] == 0.0
+    xs, ys, F = sample_lattice(CONST, R1, 201)
+    assert lattice_moduli(xs, ys, F, full=0.1)["full"] == 0.0
 
 
 def test_full_modulus_linear():
-    est = lattice_moduli(sample_lattice(LINEAR, R1, 201)[2], R1, full=0.1)["full"]
+    est = lattice_moduli(*sample_lattice(LINEAR, R1, 201), full=0.1)["full"]
     step = 1.0 / 200
     assert est <= 0.1 * math.sqrt(2.0) + 1e-12
     assert est >= 0.1 * math.sqrt(2.0) - 2 * step * math.sqrt(2.0)
 
 
 def test_full_modulus_coordinate():
-    est = lattice_moduli(sample_lattice(COORD_X, R1, 201)[2], R1, full=0.05)["full"]
+    est = lattice_moduli(*sample_lattice(COORD_X, R1, 201), full=0.05)["full"]
     assert abs(est - 0.05) <= 1.0 / 200
 
 
 def test_partial_moduli_coordinate():
-    F = sample_lattice(COORD_Y, R1, 201)[2]
-    est = lattice_moduli(F, R1, partial_x=0.1, partial_y=0.1)
+    xs, ys, F = sample_lattice(COORD_Y, R1, 201)
+    est = lattice_moduli(xs, ys, F, partial_x=0.1, partial_y=0.1)
     ex, ey = est["partial_x"], est["partial_y"]
     assert ex == 0.0
     assert abs(ey - 0.1) <= 1.0 / 200
@@ -69,8 +69,8 @@ def test_partial_moduli_coordinate():
 
 def test_partial_moduli_product():
     region = CompactRegion(2.0)
-    F = sample_lattice(PROD, region, 201)[2]
-    est = lattice_moduli(F, region, partial_x=0.1, partial_y=0.1)
+    xs, ys, F = sample_lattice(PROD, region, 201)
+    est = lattice_moduli(xs, ys, F, partial_x=0.1, partial_y=0.1)
     ex, ey = est["partial_x"], est["partial_y"]
     # sup over y <= 2 of y * delta, up to lattice rounding
     assert abs(ex - 0.2) <= 2 * (2.0 / 200) * 2.0
@@ -78,29 +78,29 @@ def test_partial_moduli_product():
 
 
 def test_partial_moduli_constant():
-    F = sample_lattice(CONST, R1, 201)[2]
-    est = lattice_moduli(F, R1, partial_x=0.3, partial_y=0.3)
+    xs, ys, F = sample_lattice(CONST, R1, 201)
+    est = lattice_moduli(xs, ys, F, partial_x=0.3, partial_y=0.3)
     assert est["partial_x"] == 0.0 and est["partial_y"] == 0.0
 
 
 def test_modulus_monotone_in_delta():
-    F = sample_lattice(PROD, R1, 101)[2]
-    vals = [lattice_moduli(F, R1, full=d)["full"] for d in (0.05, 0.1, 0.2)]
+    xs, ys, F = sample_lattice(PROD, R1, 101)
+    vals = [lattice_moduli(xs, ys, F, full=d)["full"] for d in (0.05, 0.1, 0.2)]
     assert vals == sorted(vals)
 
 
 def test_full_dominates_partials():
-    F = sample_lattice(PROD, R1, 101)[2]
+    xs, ys, F = sample_lattice(PROD, R1, 101)
     for d in (0.05, 0.15):
-        est = lattice_moduli(F, R1, full=d, partial_x=d, partial_y=d)
+        est = lattice_moduli(xs, ys, F, full=d, partial_x=d, partial_y=d)
         assert est["full"] >= max(est["partial_x"], est["partial_y"]) - 1e-15
 
 
 def test_closed_form_dominates_grid_estimate():
     # for x + y the analytic modulus is delta * sqrt(2)
-    F = sample_lattice(LINEAR, R1, 201)[2]
+    xs, ys, F = sample_lattice(LINEAR, R1, 201)
     for d in (0.05, 0.1):
-        assert lattice_moduli(F, R1, full=d)["full"] <= d * math.sqrt(2.0) + 1e-12
+        assert lattice_moduli(xs, ys, F, full=d)["full"] <= d * math.sqrt(2.0) + 1e-12
 
 
 def test_pointwise_modulus_inequality():
@@ -159,16 +159,17 @@ def test_lipschitz_ratio_draws_the_taylor_segments():
 def test_weighted_modulus_constant():
     f = f2(lambda x, y: 1.0 + 0.0 * np.asarray(x) + 0.0 * np.asarray(y), m_f=1.0)
     region = CompactRegion(10.0)
-    F = sample_lattice(f, region, 101)[2]
-    assert lattice_moduli(F, region, weighted=0.1)["weighted"] == 0.0
+    xs, ys, F = sample_lattice(f, region, 101)
+    assert lattice_moduli(xs, ys, F, weighted=0.1)["weighted"] == 0.0
 
 
 def test_weighted_modulus_of_rho_finite_and_monotone():
     f = f2(lambda x, y: 1.0 + np.asarray(x, float) ** 2 + np.asarray(y, float) ** 2,
            m_f=1.0)
     region = CompactRegion(20.0)
-    F = sample_lattice(f, region, 201)[2]
-    vals = [lattice_moduli(F, region, weighted=d)["weighted"] for d in (0.05, 0.1, 0.2)]
+    xs, ys, F = sample_lattice(f, region, 201)
+    vals = [lattice_moduli(xs, ys, F, weighted=d)["weighted"]
+            for d in (0.05, 0.1, 0.2)]
     assert all(np.isfinite(v) for v in vals)
     assert vals == sorted(vals)
     assert vals[0] > 0.0
@@ -240,7 +241,6 @@ def lattice_cases(draw):
 @given(lattice_cases())
 def test_window_moduli_equal_pair_loop(case):
     G, A, delta, F = case
-    region = CompactRegion(A)
     xs, ys = lattice(A, G)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     full = pair_loop_oracle(F, _offsets(delta, hx, hy, G))
@@ -250,36 +250,49 @@ def test_window_moduli_equal_pair_loop(case):
         F, [(0, dj) for dj in range(1, _radius(delta, hy, G) + 1)])
     weighted = pair_loop_oracle(F, _offsets(delta, hx, hy, G),
                                 rho(xs[:, None], ys[None, :]))
-    est = lattice_moduli(F, region, full=delta, partial_x=delta, partial_y=delta,
+    est = lattice_moduli(xs, ys, F, full=delta, partial_x=delta, partial_y=delta,
                          weighted=delta)
     assert list(est.values()) == [full, along_x, along_y, weighted]
 
 
 def test_delta_past_lattice_takes_all_pairs():
+    xs, ys = lattice(1.0, 9)
     F = np.random.default_rng(8).standard_normal((9, 9))
-    est = lattice_moduli(F, R1, full=5.0, partial_x=5.0, partial_y=5.0)
+    est = lattice_moduli(xs, ys, F, full=5.0, partial_x=5.0, partial_y=5.0)
     assert est["full"] == F.max() - F.min()
     assert est["partial_x"] == np.ptp(F, axis=0).max()
     assert est["partial_y"] == np.ptp(F, axis=1).max()
     f = f2(lambda x, y: 1.0 + 0.0 * np.asarray(x) + np.asarray(y, float))
     region = CompactRegion(2.0)
-    F = sample_lattice(f, region, 5)[2]
-    assert lattice_moduli(F, region, weighted=100.0)["weighted"] == 2.0
+    xs, ys, F = sample_lattice(f, region, 5)
+    assert lattice_moduli(xs, ys, F, weighted=100.0)["weighted"] == 2.0
 
 
 def test_lattice_moduli_kinds_and_deltas():
-    F = sample_lattice(PROD, R1, 51)[2]
-    est = lattice_moduli(F, R1, full=0.3, partial_y=0.1)
+    xs, ys, F = sample_lattice(PROD, R1, 51)
+    est = lattice_moduli(xs, ys, F, full=0.3, partial_y=0.1)
     assert list(est) == ["full", "partial_y"]
-    assert est["full"] == lattice_moduli(F, R1, full=0.3)["full"]
-    assert est["partial_y"] == lattice_moduli(F, R1, partial_y=0.1)["partial_y"]
+    assert est["full"] == lattice_moduli(xs, ys, F, full=0.3)["full"]
+    assert est["partial_y"] == lattice_moduli(xs, ys, F, partial_y=0.1)["partial_y"]
     with pytest.raises(DomainError):
-        lattice_moduli(F, R1, partial_x=0.0)
+        lattice_moduli(xs, ys, F, partial_x=0.0)
 
 
 def test_lattice_needs_two_points():
     with pytest.raises(DomainError):
-        lattice_moduli(np.zeros((1, 1)), R1, full=0.1)
+        lattice_moduli(np.zeros(1), np.zeros(1), np.zeros((1, 1)), full=0.1)
+
+
+@pytest.mark.parametrize("gx, gy, shape", [
+    (11, 11, (11, 12)), (11, 11, (12, 12)), (11, 11, (11,)), (11, 12, (11, 12)),
+    (11, 12, (11, 11)), (12, 11, (11, 11)),
+])
+def test_lattice_moduli_rejects_a_mismatched_sample(gx, gy, shape):
+    """The lattice must be square and F its sample: the estimator reads its
+    steps from xs and ys and takes its windows on F."""
+    xs, ys = np.linspace(0.0, 1.0, gx), np.linspace(0.0, 2.0, gy)
+    with pytest.raises(DomainError, match="^need a G x G lattice sample"):
+        lattice_moduli(xs, ys, np.zeros(shape), full=0.1)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

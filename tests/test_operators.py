@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from poslinops import (
+    DEFAULT_POLICY,
     CompactRegion,
     DomainError,
     Function2D,
@@ -24,7 +25,7 @@ from poslinops import (
     operator_rho_norm_bound,
     square_gap_grid,
 )
-from poslinops.basis import TruncationError, szasz_band_matrix
+from poslinops.basis import TruncationError, bernstein_band_matrix, szasz_band_matrix
 from poslinops.operators import (
     _BLOCK as B,
     apply_on_grid,
@@ -263,6 +264,37 @@ def exact_axis_gap(var, v, alpha, beta, degree):
     return raw, abs(terms[0]) + abs(terms[1])
 
 
+def exact_axis_central(var, v, alpha, beta, degree):
+    """L((s - v)^2) on one axis in exact arithmetic, from the raw moments of
+    the node index k, E k = degree v and E k^2 = var(v) + (degree v)^2, with
+    the node s = (k + alpha) / (degree + beta)."""
+    v, alpha, beta = Fraction(v), Fraction(alpha), Fraction(beta)
+    mean_k = degree * v
+    mean_s = (mean_k + alpha) / (degree + beta)
+    mean_s2 = (var(v) + mean_k * mean_k + 2 * alpha * mean_k + alpha * alpha) / (
+        degree + beta) ** 2
+    return mean_s2 - 2 * v * mean_s + v * v
+
+
+@pytest.mark.parametrize("params", SQUARE_GAP_PARAMS)
+@pytest.mark.parametrize("m, n", [(10, 10), (1000, 1000), (1, 7), (300, 1)])
+def test_second_central_moment_is_exact_to_rounding(params, m, n):
+    """Each axis's central moment is (var + d^2)/(deg + beta)^2, d = alpha -
+    beta v, a sum of non-negative terms: a few ulps of the exact value on both
+    axes, alpha = beta included, up to y = 1e15; the point value is the grid's."""
+    xs = [0.0, 0.1, 0.5, 0.75, 1.0]
+    ys = [0.0, 1e-3, 0.5, 1.0, 7.0, 1e4, 1e8, 1e10, 1e12, 1e15]
+    got = second_central_moment_grid(params, m, n, xs, ys)
+    for i, x in enumerate(xs):
+        cx = exact_axis_central(lambda v: m * v * (1 - v), x, params.alpha1,
+                                params.beta1, m)
+        for j, y in enumerate(ys):
+            cy = exact_axis_central(lambda v: n * v, y, params.alpha2,
+                                    params.beta2, n)
+            assert abs(Fraction(got[i, j]) - (cx + cy)) <= 8 * EPS * (cx + cy)
+            assert second_central_moment(params, m, n, Point2D(x, y)) == got[i, j]
+
+
 @pytest.mark.parametrize("params", SQUARE_GAP_PARAMS)
 @pytest.mark.parametrize("m, n", [(10, 10), (1000, 1000), (1, 7), (300, 1)])
 def test_square_gap_grid_is_exact_to_rounding(params, m, n):
@@ -332,6 +364,12 @@ def operator_points(draw):
     return family, StancuParams(a1, b1, a2, b2), m, n, Point2D(x, y)
 
 
+def apply_in(family, f, params, m, n, p, policy=TIGHT):
+    """The operator of the given y-family at the point p: apply_on_grid on the
+    one-point grid, which is what apply computes for the Szasz family."""
+    return float(apply_on_grid(f, params, m, n, [p.x], [p.y], policy, family)[0, 0])
+
+
 FIXED_POINT = (KernelFamily.BERNSTEIN_SZASZ, StancuParams(0.5, 1.0, 0.5, 1.0), 15, 15,
                Point2D(0.4, 0.8))
 
@@ -348,10 +386,10 @@ def test_linearity(case, a, b):
     f = f2(lambda t, tau: np.sin(3 * t) + tau)
     g = f2(lambda t, tau: t * tau + 1.0)
     h = f2(lambda t, tau: a * (np.sin(3 * t) + tau) + b * (t * tau + 1))
-    vf, vg = (apply(k, params, m, n, p, TIGHT, family=family) for k in (f, g))
+    vf, vg = (apply_in(family, k, params, m, n, p) for k in (f, g))
     # f >= -1 and g >= 1, so |a| L|f| + |b| L|g| <= |a| (L f + 2) + |b| L g
     scale = abs(a) * (abs(vf) + 2.0) + abs(b) * abs(vg)
-    got = apply(h, params, m, n, p, TIGHT, family=family)
+    got = apply_in(family, h, params, m, n, p)
     assert abs(got - (a * vf + b * vg)) <= 1e-11 * scale
 
 
@@ -365,8 +403,8 @@ def test_positivity_and_monotonicity(case, c, s, d, e):
     family, params, m, n, p = case
     f = f2(lambda t, tau: t * t + c + s * np.sin(3 * tau) ** 2)
     g = f2(lambda t, tau: t * t + c + s * np.sin(3 * tau) ** 2 + d + e * t * tau)
-    vf = apply(f, params, m, n, p, TIGHT, family=family)
-    vg = apply(g, params, m, n, p, TIGHT, family=family)
+    vf = apply_in(family, f, params, m, n, p)
+    vg = apply_in(family, g, params, m, n, p)
     assert vf >= 0.0
     assert vf <= vg + 1e-12 * max(1.0, vg)
 
@@ -377,16 +415,15 @@ def test_constant_one_loses_at_most_the_tail(case):
     """L(1) in [1 - tail_tol - 4 eps, 1 + 4 eps]: only truncation drops mass."""
     family, params, m, n, p = case
     eps = np.finfo(float).eps
-    one = apply(f2(lambda t, tau: 1.0), params, m, n, p, TIGHT, family=family)
+    one = apply_in(family, f2(lambda t, tau: 1.0), params, m, n, p)
     assert 1.0 - TIGHT.tail_tol - 4 * eps <= one <= 1.0 + 4 * eps
 
 
 def test_bernstein_bernstein_family_reduces():
     f = f2(lambda t, tau: tau + 0.0 * t)
     params = StancuParams(1, 2, 0, 0)
-    val = apply(
-        f, params, 9, 11, Point2D(0.2, 0.7), family=KernelFamily.BERNSTEIN_BERNSTEIN
-    )
+    val = apply_in(KernelFamily.BERNSTEIN_BERNSTEIN, f, params, 9, 11,
+                   Point2D(0.2, 0.7), DEFAULT_POLICY)
     assert val == pytest.approx(0.7, abs=1e-14)
 
 
@@ -409,7 +446,10 @@ WAVY = f2(lambda t, tau: np.sin(5.0 * t) * np.cos(tau) + t * tau / (1.0 + tau),
 
 def single_band(f, params, m, n, xs, ys, family):
     """The operator on xs x ys with each axis's weights built as one band."""
-    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, family=family)
+    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys)
+    if family is KernelFamily.BERNSTEIN_BERNSTEIN:
+        WY, b = bernstein_band_matrix(n, ys)
+        ty = (np.arange(b, b + WY.shape[1]) + params.alpha2) / (n + params.beta2)
     F = eval_grid(f, tx, ty)
     return WX @ F @ WY.T, float(np.max(np.abs(F)))
 
@@ -464,7 +504,9 @@ def test_blocked_lattice_agrees_with_the_single_band(case):
 def test_apply_is_the_single_band_bit_for_bit(case):
     family, params, m, n, p = case
     want, _ = single_band(WAVY, params, m, n, [p.x], [p.y], family)
-    assert apply(WAVY, params, m, n, p, family=family) == float(want[0, 0])
+    assert apply_in(family, WAVY, params, m, n, p, DEFAULT_POLICY) == float(want[0, 0])
+    if family is KernelFamily.BERNSTEIN_SZASZ:
+        assert apply(WAVY, params, m, n, p) == float(want[0, 0])
 
 
 def raised(call):

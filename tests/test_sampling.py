@@ -22,6 +22,7 @@ from poslinops import (
     theorem_4_1_bound,
 )
 from poslinops.cli import _run, resolve_config
+from poslinops.operators import lattice
 
 from paper_formulas import korovkin_gaps
 
@@ -39,22 +40,21 @@ CHECKERS = {
         LINEAR_DERIVS, f, P, 10, 10, 1, 1.0, 1.0, R1, G),
     "check_theorem_5_2": lambda f, G: check_theorem_5_2(
         f, P, [(10, 10)], 0.5, STRIP, G),
-    "check_theorem_5_3": lambda f, G: check_theorem_5_3(
-        f, P, 10, 10, 2.0, G, strip=STRIP),
+    "check_theorem_5_3": lambda f, G: check_theorem_5_3(f, P, 10, 10, 2.0, STRIP, G),
     "weighted_modulus": lambda f, G: lattice_moduli(
-        sample_lattice(f, STRIP, G)[2], STRIP, weighted=0.1),
-    "full_modulus": lambda f, G: lattice_moduli(
-        sample_lattice(f, R1, G)[2], R1, full=0.1),
+        *sample_lattice(f, STRIP, G), weighted=0.1),
+    "full_modulus": lambda f, G: lattice_moduli(*sample_lattice(f, R1, G), full=0.1),
     "partial_moduli": lambda f, G: lattice_moduli(
-        sample_lattice(f, R1, G)[2], R1, partial_x=0.1, partial_y=0.1),
+        *sample_lattice(f, R1, G), partial_x=0.1, partial_y=0.1),
 }
 LATTICE_ONLY = {
     "sup_distance_power_operator": lambda f, G: sup_distance_power_operator(
-        P, 10, 10, 2.0, R1, G),
+        P, 10, 10, 2.0, *lattice(R1.A, G)),
     "korovkin_gaps": lambda f, G: korovkin_gaps(P, 10, 10, R1, G),
     "operator_rho_norm_bound": lambda f, G: operator_rho_norm_bound(
         P, 10, 10, STRIP, G),
-    "lattice_moduli": lambda f, G: lattice_moduli(np.zeros((G, G)), R1, full=0.1),
+    "lattice_moduli": lambda f, G: lattice_moduli(
+        *lattice(R1.A, G), np.zeros((G, G)), full=0.1),
 }
 
 
@@ -100,10 +100,11 @@ def test_non_finite_operator_values_raise_naming_f(checker):
     ("^S must be finite", lambda v: _run(resolve_config(["weighted", "--S", str(v)]))),
     ("^epsilon must be finite",
      lambda v: check_theorem_5_2(QUAD, P, [(10, 10)], v, STRIP, 11)),
-    ("^delta must be finite", lambda v: lattice_moduli(np.zeros((11, 11)), R1, full=v)),
     ("^delta must be finite",
-     lambda v: lattice_moduli(np.zeros((11, 11)), STRIP, weighted=v)),
-    ("^s must be finite", lambda v: check_theorem_5_3(QUAD, P, 10, 10, v, 11)),
+     lambda v: lattice_moduli(*lattice(1.0, 11), np.zeros((11, 11)), full=v)),
+    ("^delta must be finite",
+     lambda v: lattice_moduli(*lattice(STRIP.A, 11), np.zeros((11, 11)), weighted=v)),
+    ("^s must be finite", lambda v: check_theorem_5_3(QUAD, P, 10, 10, v, STRIP, 11)),
     ("^y must be finite", lambda v: Point2D(0.5, v)),
     ("alpha1 <= beta1 < inf", lambda v: StancuParams(v, v)),
 ])

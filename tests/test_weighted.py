@@ -65,7 +65,7 @@ def test_check_theorem_5_2_requires_growth_metadata():
     with pytest.raises(DomainError, match="needs a rho-dominated f with m_f"):
         check_theorem_5_2(f, StancuParams(), [(10, 10)], 0.5, STRIP)
     with pytest.raises(DomainError, match="needs a rho-dominated f with m_f"):
-        check_theorem_5_3(f, StancuParams(), 10, 10, 2.0, 11)
+        check_theorem_5_3(f, StancuParams(), 10, 10, 2.0, STRIP, 11)
 
 
 def test_check_theorem_5_2_estimates_decrease():
@@ -88,7 +88,7 @@ def test_check_theorem_5_2_tail_floor():
 
 def test_check_theorem_5_3_holds():
     f = corpus_lookup("rho_growth").function
-    rep = check_theorem_5_3(f, StancuParams(1, 1, 2, 2), 40, 40, 2.0,
+    rep = check_theorem_5_3(f, StancuParams(1, 1, 2, 2), 40, 40, 2.0, STRIP,
                             grid_points=101, policy=TIGHT)
     assert rep.holds
     assert rep.caveat == "rhs_uses_frozen_weighted_modulus"
@@ -98,7 +98,7 @@ def test_check_theorem_5_3_holds():
 def test_check_theorem_5_3_lhs_shrinks():
     f = corpus_lookup("rho_growth").function
     lhs = [
-        check_theorem_5_3(f, StancuParams(), m, m, 1.5,
+        check_theorem_5_3(f, StancuParams(), m, m, 1.5, STRIP,
                           grid_points=101, policy=TIGHT).lhs
         for m in (10, 40, 160)
     ]
@@ -114,7 +114,7 @@ def test_check_theorem_5_3_samples_strip_once():
         return base.eval(x, y)
 
     f = dataclasses.replace(base, eval=counted)
-    rep = check_theorem_5_3(f, StancuParams(1, 1, 2, 2), 12, 9, 2.0,
+    rep = check_theorem_5_3(f, StancuParams(1, 1, 2, 2), 12, 9, 2.0, STRIP,
                             grid_points=61, policy=TIGHT)
     # the strip lattice, the disc lattice and the operator's node grid
     assert len(calls) == 3 and calls.count((61, 61)) == 2
@@ -143,7 +143,7 @@ def test_check_theorem_5_3_lhs_is_that_of_f_over_its_rho_norm(params, m, n, s):
     the rounding of L and f: 4 ulps of |L fhat| + |fhat| (the difference
     cancels, so up to 34 ulps of the LHS itself at m = n = 40, s = 2)."""
     f = corpus_lookup("rho_growth").function
-    rep = check_theorem_5_3(f, params, m, n, s, 61, TIGHT, STRIP)
+    rep = check_theorem_5_3(f, params, m, n, s, STRIP, 61, TIGHT)
     want, size = unit_rho_lhs(f, params, m, n, s, 61, TIGHT, STRIP)
     assert abs(rep.lhs - want) <= 4 * np.spacing(size)
 
@@ -152,6 +152,6 @@ def test_check_theorem_5_3_validation():
     f = corpus_lookup("rho_growth").function
     with pytest.raises(DomainError):
         check_theorem_5_3(corpus_lookup("quad").function, StancuParams(),
-                          10, 10, 1.0)
+                          10, 10, 1.0, STRIP)
     with pytest.raises(DomainError):
-        check_theorem_5_3(f, StancuParams(), 10, 10, 0.0)
+        check_theorem_5_3(f, StancuParams(), 10, 10, 0.0, STRIP)
