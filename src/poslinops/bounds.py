@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError, require_degree
 from .moduli import lattice_moduli
-from .operators import apply_on_grid, lattice_error, sample_lattice, weights_and_nodes
+from .operators import apply_on_grid, blocked_bands, lattice_error, sample_lattice
 from .reporting import (
     CAVEAT_NONE,
     CAVEAT_RHS_GRID_LOWER_BOUND,
@@ -87,19 +87,23 @@ def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLI
     sum to at most 1.  Rows are swept by descending upper bound, and the
     operator is evaluated only at points whose upper bound is not below the
     best value so far nor the largest finite lower bound.  Both bounds carry
-    slack for rounding and underflow.  The result is the largest value
-    evaluated, which is the max of the full lattice sweep bit for bit: each
-    point is reduced on its own, so its bits do not depend on the others.
+    slack for rounding and underflow.  Sums and points are taken block by
+    block of ``blocked_bands``.  The result is the largest value evaluated,
+    the max of the full sweep over the same blocks bit for bit: each point is
+    reduced on its own, so its bits do not depend on the others.
     """
     if not 0.0 < p_exp < math.inf:
         raise DomainError(f"p_exp must be finite and > 0, got {p_exp}")
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy)
-    dx2 = (tx[None, :] - xs[:, None]) ** 2  # (G, m+1)
-    dy2 = (ys[:, None] - ty[None, :]) ** 2  # (G, K)
+    (xb, tx), (yb, ty) = blocked_bands(params, m, n, xs, ys, policy)
+    xd = [(rows, W, (tx[None, o : o + W.shape[1]] - xs[rows, None]) ** 2)
+          for rows, W, o in xb]
+    yd = [(cols, W, (ys[cols, None] - ty[None, o : o + W.shape[1]]) ** 2)
+          for cols, W, o in yb]
     h = math.ceil(p_exp / 2.0)
-    mx = [(WX * dx2**j).sum(axis=1) for j in range(h + 1)]
-    my = [(WY * dy2**j).sum(axis=1) for j in range(h + 1)]
+    mx, my = ([np.concatenate([(W * d2**j).sum(axis=1) for _, W, d2 in blocks])
+               for j in range(h + 1)] for blocks in (xd, yd))
+    xrows = [row for _, W, d2 in xd for row in zip(W, d2)]  # (wx, dx2) per x
     E = [sum(math.comb(k, j) * np.outer(mx[j], my[k - j]) for j in range(k + 1))
          for k in range(h + 1)]
     theta = (2 * h - p_exp) / 2.0
@@ -116,8 +120,11 @@ def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLI
         if top[a] < cut:
             break
         keep = ~(bound[a] < cut)  # "not below" keeps NaN and inf points
-        vals = _distance_power_row(WX[a], dx2[a], WY[keep], dy2[keep], p_exp)
-        best = max(best, float(vals.max()))
+        for cols, W, d2 in yd:
+            if keep[cols].any():
+                vals = _distance_power_row(*xrows[a], W[keep[cols]], d2[keep[cols]],
+                                           p_exp)
+                best = max(best, float(vals.max()))
     return best
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .basis import (
     DEFAULT_POLICY,
     DomainError,
+    band_blocks,
     bernstein_band_matrix,
     require_degree,
     require_finite,
@@ -159,86 +160,64 @@ def lattice_error(f, L, F):
     return np.abs(require_finite(label, L, "lattice points") - F)
 
 
-# Lattice points per weight block of apply_on_grid.  A block's rows are built
-# and multiplied over the block's own band, a fraction of the lattice's; each
-# block pays one builder call.  32, 48 and 64 points timed alike on `converge`
-# schedules up to m = n = 1280 at G = 201; 16 was slower at small m.
-_BLOCK = 32
+def blocked_bands(params, m, n, xs, ys, policy=DEFAULT_POLICY,
+                  family=KernelFamily.BERNSTEIN_SZASZ):
+    """The x axis, then the y axis, of the grid xs x ys, cut by ``band_blocks``,
+    as ([(rows, W, offset)], nodes): W holds the weights of points[rows] over
+    their block's band, offset columns into the union of the bands, whose
+    Stancu nodes are nodes.  A block's band moves an operator value by at most
+    4 * tail_tol * 2^-60 * (sup f - inf f); a bad point raises as in one band."""
+    p, ny, axes = params, family is KernelFamily.BERNSTEIN_SZASZ, []
+    for degree, points, alpha, beta, poisson in ((m, xs, p.alpha1, p.beta1, False),
+                                                 (n, ys, p.alpha2, p.beta2, ny)):
+        build = szasz_band_matrix if poisson else bernstein_band_matrix
+        bands, first, last = [], np.inf, 0
+        for rows in band_blocks(degree, points, policy, poisson):
+            W, *_, lo = build(degree, points[rows], policy)  # Szasz: W, tail, lo
+            bands.append((rows, W, lo))
+            first, last = min(first, lo), max(last, lo + W.shape[1])
+        axes.append(([(rows, W, lo - first) for rows, W, lo in bands],
+                     (np.arange(first, last) + alpha) / (degree + beta)))
+    return axes
 
 
-def _y_band(n, ys, policy, family):
-    """The y weight matrix over its band, and the band's first column."""
-    if family is KernelFamily.BERNSTEIN_SZASZ:
-        W, _, lo = szasz_band_matrix(n, ys, policy)
-        return W, lo
-    return bernstein_band_matrix(n, ys, policy)
-
-
-def _nodes(lo, hi, alpha, beta, degree):
-    """The Stancu nodes (k + alpha) / (degree + beta) of columns k in [lo, hi)."""
-    return (np.arange(lo, hi) + alpha) / (degree + beta)
-
-
-def weights_and_nodes(params, m, n, xs, ys, policy=DEFAULT_POLICY):
-    """Weight matrices WX, WY (one row per point) and their nodes tx, ty.
-
-    Each matrix covers only its band, the union of its rows' windows: a row
-    holds all but at most policy.tail_tol * 2^-60 of its mass on each side of
-    its window (``basis``), and a Szasz row still ends at its truncation
-    index K.  For one point the band is the point's own; on a lattice, which
-    holds x = 0, x = 1 and y = 0, it is every column up to the widest row's K
-    (``apply_on_grid`` builds a lattice in blocks instead).  Rows are
-    normalized over the band, which moves an operator value by at most
-    4 * tail_tol * 2^-60 * (sup f - inf f) over the full node lattice, beyond
-    rounding.
-    """
-    WX, a = bernstein_band_matrix(m, xs, policy)
-    WY, _, b = szasz_band_matrix(n, ys, policy)
-    return (WX, WY, _nodes(a, a + WX.shape[1], params.alpha1, params.beta1, m),
-            _nodes(b, b + WY.shape[1], params.alpha2, params.beta2, n))
-
-
-def _blocks(build, points):
-    """build's band (W, lo) for each slice ``rows`` of at most _BLOCK
-    consecutive points, in order, as [(rows, W, lo)]; and the union [lo, hi)
-    of the bands."""
-    g, bands, first, last = len(points), [], np.inf, 0
-    k = -(-g // _BLOCK) or 1
-    for i in range(k):
-        rows = slice(i * g // k, (i + 1) * g // k)
-        W, lo = build(points[rows])
-        bands.append((rows, W, lo))
-        first, last = min(first, lo), max(last, lo + W.shape[1])
-    return bands, first, last
+def blocked_sweep(terms, params, m, n, xs, ys, policy=DEFAULT_POLICY,
+                  family=KernelFamily.BERNSTEIN_SZASZ, weigh=lambda W, x, t: [W]):
+    """Sum over terms (g, i, j), in order, of X_i @ G @ Y_j.T on the grid xs x ys:
+    [X_0, X_1, ...] = weigh(W, points, nodes) per block of ``blocked_bands``,
+    and G is g's table on the union of the bands, evaluated once.  A constant
+    g = c adds c * outer(X_i.sum(1), Y_j.sum(1)) and builds no table."""
+    (xb, tx), (yb, ty) = blocked_bands(params, m, n, xs, ys, policy, family)
+    xb = [(rows, weigh(W, xs[rows], tx[o : o + W.shape[1]]), o) for rows, W, o in xb]
+    yb = [(cols, weigh(W, ys[cols], ty[o : o + W.shape[1]]), o) for cols, W, o in yb]
+    shape, L = (len(tx), len(ty)), None
+    for g, i, j in terms:
+        c = evaluate(g, tx[:, None], ty[None, :])
+        if c.ndim:
+            C = c if c.shape == shape else np.empty(shape)
+            if C is not c:  # expand a table constant along an axis, as eval_grid
+                np.copyto(C, c)
+            T = np.empty((len(xs), len(ty)))
+            for rows, X, a in xb:
+                np.matmul(X[i], C[a : a + X[i].shape[1]], out=T[rows])
+            S = np.empty((len(xs), len(ys)))
+            for cols, Y, b in yb:
+                np.matmul(T[:, b : b + Y[j].shape[1]], Y[j].T, out=S[:, cols])
+        elif c:
+            S = c * np.outer(np.concatenate([X[i].sum(axis=1) for _, X, _ in xb]),
+                             np.concatenate([Y[j].sum(axis=1) for _, Y, _ in yb]))
+        else:
+            continue
+        L = S if L is None else np.add(L, S, out=L)
+    return np.zeros((len(xs), len(ys))) if L is None else L
 
 
 def apply_on_grid(f, params, m, n, xs, ys, policy=DEFAULT_POLICY,
                   family=KernelFamily.BERNSTEIN_SZASZ):
-    """Operator values on the tensor grid xs x ys, shape (len(xs), len(ys)).
-
-    The nodes do not depend on the evaluation point, so f is evaluated once,
-    on the union of the bands, and the grid sweep reduces to two matrix
-    products.  Each axis is cut into blocks of at most 32 consecutive points,
-    whose weight rows are built over their block's own band, the union of the
-    block's windows, and multiplied only with the columns of that band:
-    T = WX @ F block by block in x, then T @ WY.T block by block in y.  An
-    axis of at most 32 points is one block, built exactly as in
-    ``weights_and_nodes``.  A row normalized over its block's band moves an
-    operator value by at most 4 * tail_tol * 2^-60 * (sup f - inf f) over the
-    full node lattice, beyond rounding.  Points are validated block by block
-    in order, so a bad point raises the error the single band would.
-    """
-    xb, a0, a1 = _blocks(lambda blk: bernstein_band_matrix(m, blk, policy), xs)
-    yb, b0, b1 = _blocks(lambda blk: _y_band(n, blk, policy, family), ys)
-    F = eval_grid(f, _nodes(a0, a1, params.alpha1, params.beta1, m),
-                  _nodes(b0, b1, params.alpha2, params.beta2, n))
-    T = np.empty((len(xs), b1 - b0))
-    for rows, W, a in xb:
-        np.matmul(W, F[a - a0 : a - a0 + W.shape[1]], out=T[rows])
-    L = np.empty((len(xs), len(ys)))
-    for cols, W, b in yb:
-        np.matmul(T[:, b - b0 : b - b0 + W.shape[1]], W.T, out=L[:, cols])
-    return L
+    """Operator values on the tensor grid xs x ys, shape (len(xs), len(ys)):
+    f is evaluated once, on the union of the bands, and the sweep is two
+    matrix products by blocks, ``blocked_sweep`` of the one term (f, 0, 0)."""
+    return blocked_sweep([(f, 0, 0)], params, m, n, xs, ys, policy, family)
 
 
 def apply(f, params, m, n, p, policy=DEFAULT_POLICY):

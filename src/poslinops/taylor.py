@@ -10,13 +10,12 @@ of the order-r bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 import math
 
 import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError, require_finite, require_positive
-from .operators import Function2D, Point2D, evaluate, weights_and_nodes
+from .operators import Function2D, Point2D, blocked_sweep, evaluate
 
 _MAX_FD_ORDER = 4
 
@@ -44,28 +43,16 @@ class LipschitzWitness:
 
 
 def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY):
-    """Order-r operator values on the tensor grid xs x ys.
-
-    For each monomial (i, j) of the Taylor expansion the double node sum is
-    U_i @ C @ V_j.T, with U_i = WX * dx^i and V_j = WY * dy^j built once per
-    power and C the nodal table of the partial over i! j!.  A partial that
-    returns a constant c adds c / (i! j!) * outer(U_i.sum(1), V_j.sum(1)).
-    """
+    """Order-r operator values on the tensor grid xs x ys: ``blocked_sweep``
+    of the product U_i C V_j^T for each monomial (i, j) of the Taylor
+    expansion, U_i = WX * dx^i and V_j = WY * dy^j built once per power and
+    block, and C the nodal table of the partial over i! j!."""
     _require_order(derivs, r)
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy)
-    dx, dy = xs[:, None] - tx[None, :], ys[:, None] - ty[None, :]
-    U = [WX * dx**i for i in range(r + 1)]
-    V = [WY * dy**j for j in range(r + 1)]
-    out = np.zeros((len(xs), len(ys)))
-    for i, j in ((h - j, j) for h in range(r + 1) for j in range(h + 1)):
-        scale = math.factorial(i) * math.factorial(j)
-        c = evaluate(_partial(derivs, i, j), tx[:, None], ty[None, :])
-        if c.ndim:
-            out += U[i] @ np.divide(c, scale, out=np.empty((len(tx), len(ty)))) @ V[j].T
-        elif c:
-            out += c / scale * np.outer(U[i].sum(axis=1), V[j].sum(axis=1))
-    return out
+    terms = [(_partial(derivs, h - j, j, math.factorial(h - j) * math.factorial(j)),
+              h - j, j) for h in range(r + 1) for j in range(h + 1)]
+    return blocked_sweep(terms, params, m, n, xs, ys, policy, weigh=lambda W, x, t: [
+        W * (x[:, None] - t[None, :]) ** i if i else W for i in range(r + 1)])
 
 
 def apply_rth(derivs, params, m, n, r, p, policy=DEFAULT_POLICY):
@@ -148,13 +135,15 @@ def finite_difference_derivs(f, r, h=1e-4):
     return PartialDerivativeSet(order=r, eval=ev, source=f"finite_difference(h={h})")
 
 
-def _partial(derivs, i, j):
-    """The provider's partial d^(i+j) f / dx^i dy^j, named for error messages."""
-    return Function2D(functools.partial(derivs.eval, i, j),
+def _partial(derivs, i, j, scale=1):
+    """The provider's partial d^(i+j) f / dx^i dy^j over scale, named for errors."""
+    return Function2D(lambda x, y: np.asarray(derivs.eval(i, j, x, y), float) / scale,
                       name=f"partial ({i}, {j}) of {derivs.source}")
 
 
 def _require_order(derivs, r):
+    if not (isinstance(r, (int, np.integer)) and r >= 0):
+        raise DomainError(f"r must be an integer >= 0, got r={r}")
     if r > 169:  # past it (r + 1)! overflows, as would Theorem 4.1's constant
         raise DomainError(f"r must be <= 169, got r={r}")
     if derivs.order < r:

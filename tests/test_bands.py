@@ -10,7 +10,7 @@ against exact ones: scipy's binomial pmf and the Poisson pmf below.
 import math
 import tracemalloc
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import mpmath
 import numpy as np
 import pytest
@@ -37,7 +37,7 @@ from poslinops.basis import (
     bernstein_band_matrix,
     szasz_band_matrix,
 )
-from poslinops.operators import weights_and_nodes
+from poslinops.operators import blocked_bands
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
@@ -191,8 +191,8 @@ def test_one_row_builder_matches_the_band_row(n, r):
     assert np.all(np.abs(row - band) <= 8 * EPS * band + TINY)
     assert abs(tail[0] - band_tail[0]) <= 4 * EPS * band_tail[0] + TINY
     # one y gets this row, and so does a single point's operator
-    for W in (szasz_band_matrix(n, [y])[0],
-              weights_and_nodes(StancuParams(), 3, n, [0.5], [y])[1]):
+    y_blocks = blocked_bands(StancuParams(), 3, n, [0.5], [y])[1][0]
+    for W in (szasz_band_matrix(n, [y])[0], y_blocks[0][1]):
         assert np.array_equal(W, row)
 
 
@@ -302,6 +302,12 @@ def full_table_oracle(f, family, params, m, n, p):
 
 @BAND_SETTINGS
 @given(case=operator_cases())
+# x = y = 4.3e-273: scipy's binomial pmf is 9e-14 off there, which failed the
+# oracle before it ran the ratio recurrence below x = 1e-13
+@example(case=(KernelFamily.BERNSTEIN_SZASZ, StancuParams(), 8, 2,
+               Point2D(4.3e-273, 4.3e-273)))
+@example(case=(KernelFamily.BERNSTEIN_BERNSTEIN, StancuParams(), 8, 2,
+               Point2D(4.3e-273, 4.3e-273)))
 def test_apply_matches_full_table(case):
     family, params, m, n, p = case
     f = Function2D(eval=bounded, name="bounded")

@@ -3,13 +3,14 @@
 import dataclasses
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.special import beta as scipy_beta
 
 from poslinops import (
     BoundReport,
+    DEFAULT_POLICY,
     CompactRegion,
     DomainError,
     StancuParams,
@@ -23,10 +24,11 @@ from poslinops import (
     theorem_4_1_bound,
 )
 from poslinops import bounds
-from poslinops.operators import lattice, weights_and_nodes
+from poslinops.operators import blocked_bands, lattice
 from poslinops.reporting import CAVEAT_RHS_GRID_LOWER_BOUND
 
 from paper_formulas import corollary_3_4_bound, corollary_3_5_bound
+from single_band import single_band
 
 R1 = CompactRegion(1.0)
 TIGHT = TruncationPolicy(1e-14)
@@ -222,27 +224,28 @@ def test_sup_distance_power_power_mean_ordering():
         assert sp <= s2 ** (p / 2.0) + 1e-12
 
 
-def distance_power_table(params, m, n, p_exp, region, grid_points, policy):
-    """L(|d|^p_exp) at every lattice point by the full sweep.
+def distance_power_table(params, m, n, p_exp, xs, ys, policy):
+    """L(|d|^p_exp) at every point of xs x ys by the full sweep over the
+    blocks of ``blocked_bands``, which the pruned sweep reads too.
 
     Each point is reduced on its own, as in the pruned sweep, so a value's
     bits do not depend on which points are evaluated with it."""
-    xs, ys = lattice(region.A, grid_points)
-    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy)
-    half = 0.5 * p_exp
-    rows = []
-    for a, x in enumerate(xs):
-        dx2 = (tx - x) ** 2  # (m+1,)
-        dy2 = (ys[:, None] - ty[None, :]) ** 2  # (G, K)
-        M = (dx2[None, :, None] + dy2[:, None, :]) ** half
-        rows.append(((M * WY[:, None, :]).sum(axis=2) * WX[a]).sum(axis=1))
-    return np.array(rows)
+    (xb, tx), (yb, ty) = blocked_bands(params, m, n, xs, ys, policy)
+    out = np.empty((len(xs), len(ys)))
+    for rows, WX, a in xb:
+        dx2 = (tx[None, a : a + WX.shape[1]] - xs[rows, None]) ** 2
+        for cols, WY, b in yb:
+            dy2 = (ys[cols, None] - ty[None, b : b + WY.shape[1]]) ** 2
+            for i, x in enumerate(range(rows.start, rows.stop)):
+                out[x, cols] = bounds._distance_power_row(WX[i], dx2[i], WY, dy2,
+                                                          p_exp)
+    return out
 
 
-def even_moment_table(params, m, n, h, region, grid_points, policy):
-    """L(|d|^2h) at every lattice point, expanded binomially into 1-D moments."""
-    xs, ys = lattice(region.A, grid_points)
-    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys, policy)
+def even_moment_table(params, m, n, h, xs, ys, policy):
+    """L(|d|^2h) at every point of xs x ys, expanded binomially into 1-D
+    moments over one band per axis."""
+    WX, WY, tx, ty = single_band(params, m, n, xs, ys, policy)
     out = np.zeros((len(xs), len(ys)))
     for j in range(h + 1):
         mx = (WX * (tx[None, :] - xs[:, None]) ** (2 * j)).sum(axis=1)
@@ -272,28 +275,42 @@ def sweep_cases(draw):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(case=sweep_cases())
+# m = 160 and n = 60 on 33 points: both axes are cut into two blocks
+@example(case=(StancuParams(1, 2, 0.5, 1.5), 160, 60, 3.0, R1, 33))
 def test_sup_distance_power_is_the_full_sweep_max(case):
     params, m, n, p_exp, region, G = case
-    table = distance_power_table(params, m, n, p_exp, region, G, TIGHT)
+    xs, ys = lattice(region.A, G)
+    table = distance_power_table(params, m, n, p_exp, xs, ys, TIGHT)
     # bit for bit: a skipped point's value lies below the best one seen
-    got = sup_distance_power_operator(params, m, n, p_exp, *lattice(region.A, G),
-                                      TIGHT)
+    got = sup_distance_power_operator(params, m, n, p_exp, xs, ys, TIGHT)
     assert got == max(0.0, float(table.max()))
     # the skipping rests on Hoelder's L(|d|^p) <= E_(h-1)^theta E_h^(1-theta),
     # E_k = L(|d|^2k), with slack for rounding and a floor for underflow
     h = math.ceil(p_exp / 2.0)
-    below, even = (even_moment_table(params, m, n, k, region, G, TIGHT)
-                   for k in (h - 1, h))
-    assert np.allclose(even, distance_power_table(params, m, n, 2.0 * h, region,
-                                                  G, TIGHT), rtol=1e-12, atol=0.0)
+    below, even = (even_moment_table(params, m, n, k, xs, ys, TIGHT) for k in (h - 1, h))
+    assert np.allclose(even, distance_power_table(params, m, n, 2.0 * h, xs, ys, TIGHT),
+                       rtol=1e-12, atol=0.0)
     theta, floor = (2 * h - p_exp) / 2.0, 2.0**-1000
     upper = (1.0 + 1e-9) * (below + floor) ** theta * (even + floor) ** (1.0 - theta)
     assert np.all(upper >= table)
     # and on Jensen's L(|d|^p) >= E_k^(p/2k), k = floor(p/2), for p >= 2
     if p_exp >= 2.0:
         k = math.floor(p_exp / 2.0)
-        low = even_moment_table(params, m, n, k, region, G, TIGHT) ** (p_exp / (2 * k))
+        low = even_moment_table(params, m, n, k, xs, ys, TIGHT) ** (p_exp / (2 * k))
         assert (1.0 - 1e-9) * low[np.isfinite(low)].max(initial=0.0) <= table.max()
+
+
+@pytest.mark.parametrize("p_exp", [2.0, 4.0])
+def test_blocked_sup_agrees_with_the_single_band(p_exp):
+    """At m = n = 600 both axes of the 41-point lattice are cut into two
+    blocks; at even p the sup is the max of E_(p/2) over one band per axis,
+    to 1e-14 relative."""
+    params = StancuParams(0.5, 1.5, 0.25, 1.0)
+    xs, ys = lattice(2.0, 41)
+    got = sup_distance_power_operator(params, 600, 600, p_exp, xs, ys)
+    want = float(even_moment_table(params, 600, 600, int(p_exp) // 2, xs, ys,
+                                   DEFAULT_POLICY).max())
+    assert abs(got - want) <= 1e-14 * want
 
 
 def test_sup_distance_power_skips_most_points(monkeypatch):

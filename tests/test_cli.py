@@ -183,6 +183,7 @@ def test_non_finite_function_exits_2(tmp_path, monkeypatch, command):
     (["rth", "--function", "smooth", "--r", "171"], "r must be <= 169, got r=171"),
     (["check-thm41", "--function", "smooth", "--r", "170", "--mode", "lipschitz"],
      "r must be <= 169, got r=170"),
+    (["rth", "--r", "-1"], "r must be an integer >= 0, got r=-1"),
 ])
 def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
     code, out = run(tmp_path, *args)

@@ -21,23 +21,26 @@ from poslinops import (
     moments_closed_form,
     second_central_moment,
     check_theorem_3_3,
+    corpus_lookup,
     second_central_moment_grid,
     operator_rho_norm_bound,
     square_gap_grid,
 )
-from poslinops.basis import TruncationError, bernstein_band_matrix, szasz_band_matrix
+from poslinops import operators
+from poslinops.basis import _BLOCK as B, TruncationError, szasz_band_matrix
+from poslinops.bounds import sup_distance_power_operator
 from poslinops.operators import (
-    _BLOCK as B,
     apply_on_grid,
     eval_grid,
     evaluate,
     lattice,
     lattice_error,
     sample_lattice,
-    weights_and_nodes,
 )
+from poslinops.taylor import apply_rth_on_grid
 
 from paper_formulas import korovkin_gaps
+from single_band import single_band as single_band_weights
 
 TIGHT = TruncationPolicy(1e-14)
 EPS = Fraction(2) ** -52
@@ -446,10 +449,7 @@ WAVY = f2(lambda t, tau: np.sin(5.0 * t) * np.cos(tau) + t * tau / (1.0 + tau),
 
 def single_band(f, params, m, n, xs, ys, family):
     """The operator on xs x ys with each axis's weights built as one band."""
-    WX, WY, tx, ty = weights_and_nodes(params, m, n, xs, ys)
-    if family is KernelFamily.BERNSTEIN_BERNSTEIN:
-        WY, b = bernstein_band_matrix(n, ys)
-        ty = (np.arange(b, b + WY.shape[1]) + params.alpha2) / (n + params.beta2)
+    WX, WY, tx, ty = single_band_weights(params, m, n, xs, ys, family=family)
     F = eval_grid(f, tx, ty)
     return WX @ F @ WY.T, float(np.max(np.abs(F)))
 
@@ -542,11 +542,37 @@ def rate_past_the_cap():
 def test_bad_point_in_a_later_block_raises_as_the_single_band(points, kind):
     xs, ys, policy = points()
     got = raised(lambda: apply_on_grid(WAVY, StancuParams(), 100, 100, xs, ys, policy))
-    want = raised(lambda: weights_and_nodes(StancuParams(), 100, 100, xs, ys, policy))
+    want = raised(lambda: single_band_weights(StancuParams(), 100, 100, xs, ys, policy))
     assert type(got) is type(want) is kind
     assert str(got) == str(want)
     if kind is TruncationError:
         assert 0.0 < got.tail == want.tail < 1.0
+
+
+SWEEPS = {
+    "apply_on_grid": lambda m, xs, ys: apply_on_grid(WAVY, StancuParams(), m, m, xs, ys),
+    "apply_rth_on_grid": lambda m, xs, ys: apply_rth_on_grid(
+        corpus_lookup("smooth").derivative_provider, StancuParams(), m, m, 1, xs, ys),
+    "sup_distance_power_operator": lambda m, xs, ys: sup_distance_power_operator(
+        StancuParams(), m, m, 2.0, xs, ys),
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+@pytest.mark.parametrize("degree, builds", [(10, 1), (1280, 7)])
+def test_a_sweep_builds_one_band_per_axis_or_a_band_per_block(monkeypatch, sweep,
+                                                               degree, builds):
+    """On the 201-point lattice an axis at m = n = 10 has a band of at most
+    128 columns and is one block; at m = n = 1280 it is cut into seven."""
+    calls = []
+    for name in ("bernstein_band_matrix", "szasz_band_matrix"):
+        def counted(*args, _build=getattr(operators, name), _name=name):
+            calls.append(_name)
+            return _build(*args)
+        monkeypatch.setattr(operators, name, counted)
+    SWEEPS[sweep](degree, *lattice(1.0, 201))
+    assert calls.count("bernstein_band_matrix") == builds
+    assert calls.count("szasz_band_matrix") == builds
 
 
 def test_apply_on_grid_names_failing_function():

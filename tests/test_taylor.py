@@ -15,15 +15,18 @@ from poslinops import (
     StancuParams,
     TruncationPolicy,
     apply,
+    apply_on_grid,
     apply_rth,
     corpus_lookup,
     f_rth_lipschitz_estimate,
     finite_difference_derivs,
 )
 from poslinops.basis import szasz_band_matrix
-from poslinops.operators import evaluate
+from poslinops.operators import evaluate, lattice
 from poslinops.taylor import (PartialDerivativeSet, _directional, apply_rth_on_grid,
                               fd_stencil_weights)
+
+from single_band import single_band
 
 TIGHT = TruncationPolicy(1e-14)
 
@@ -202,6 +205,73 @@ def test_constant_and_zero_partials_build_no_node_table():
     assert sorted(calls) == sorted((h - j, j) for h in range(4) for j in range(h + 1))
     assert abs(value - 1.0) <= 1e-11
     assert peak < 2**20
+    # the operator itself, the order-0 sweep, takes the same path for f = 1
+    f = corpus_lookup("const1").function
+    apply_on_grid(f, StancuParams(), m, n, [p.x], [p.y])  # warm up
+    tracemalloc.start()
+    try:
+        value = apply_on_grid(f, StancuParams(), m, n, [p.x], [p.y])[0, 0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - 1.0) <= 1e-11
+    assert peak < 2**20
+
+
+def order_zero(f):
+    """A provider whose only partial, (0, 0), is f."""
+    return PartialDerivativeSet(eval=lambda i, j, x, y: f.eval(x, y), order=0)
+
+
+@pytest.mark.parametrize("name", ["smooth", "holder_half", "const1"])
+@pytest.mark.parametrize("G", [1, 32, 33, 201])
+def test_order_zero_is_the_operator_bit_for_bit(G, name):
+    """L_0 of the provider of f is the operator of f: the same sweep, with
+    the same blocks (cut past 32 points at m = n = 640), operands and bits."""
+    f = corpus_lookup(name).function
+    params = StancuParams(0.3, 0.9, 0.1, 0.4)
+    xs, ys = lattice(3.0, G) if G > 1 else (np.array([0.37]), np.array([1.3]))
+    want = apply_on_grid(f, params, 640, 640, xs, ys)
+    got = apply_rth_on_grid(order_zero(f), params, 640, 640, 0, xs, ys)
+    assert np.array_equal(got, want)
+
+
+def single_band_rth(derivs, params, m, n, r, xs, ys):
+    """L_r on xs x ys over one band per axis, and the sum over its terms of
+    |U_i| @ |C| @ |V_j|.T, which bounds every partial sum of the terms."""
+    WX, WY, tx, ty = single_band(params, m, n, xs, ys)
+    dx, dy = xs[:, None] - tx[None, :], ys[:, None] - ty[None, :]
+    want, size = np.zeros((len(xs), len(ys))), np.zeros((len(xs), len(ys)))
+    for h in range(r + 1):
+        for j in range(h + 1):
+            i = h - j
+            C = np.broadcast_to(derivs.eval(i, j, tx[:, None], ty[None, :]),
+                                (len(tx), len(ty))) / (math.factorial(i) * math.factorial(j))
+            U, V = WX * dx**i, WY * dy**j
+            want += U @ C @ V.T
+            size += np.abs(U) @ np.abs(C) @ np.abs(V).T
+    return want, size
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_blocked_order_r_agrees_with_the_single_band(r):
+    """At m = n = 640 each axis of the 101-point lattice is cut into four
+    blocks; rows normalized over their block's band agree with one band per
+    axis to 1e-14 relative plus 8 eps times the size of the terms."""
+    derivs = corpus_lookup("smooth").derivative_provider
+    params = StancuParams(0.5, 1.5, 0.25, 1.0)
+    xs, ys = lattice(2.0, 101)
+    got = apply_rth_on_grid(derivs, params, 640, 640, r, xs, ys)
+    want, size = single_band_rth(derivs, params, 640, 640, r, xs, ys)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + 8 * eps * size)
+
+
+@pytest.mark.parametrize("r", [-1, -2, 1.5])
+def test_order_must_be_a_non_negative_integer(r):
+    derivs = corpus_lookup("smooth").derivative_provider
+    with pytest.raises(DomainError, match=f"r must be an integer >= 0, got r={r}"):
+        apply_rth_on_grid(derivs, StancuParams(), 10, 10, r, [0.3], [0.7])
 
 
 def test_provider_result_that_does_not_broadcast_is_named():
