@@ -1,8 +1,8 @@
 """Built-in test functions with analytic metadata.
 
-Each entry carries the function, optional closed-form moduli (callables of
-(delta, A)), optional Lipschitz data and an optional closed-form derivative
-provider for the order-r machinery.
+Each entry carries the function with its factors g(x) h(y), optional
+closed-form moduli (callables of (delta, A)), optional Lipschitz data and an
+optional closed-form derivative provider for the order-r machinery.
 """
 
 from __future__ import annotations
@@ -43,6 +43,17 @@ def _quad(x, y):
     return np.square(x) + np.square(y)
 
 
+def _one(t):
+    return 1.0
+
+
+def _identity(t):
+    return t
+
+
+_SQUARES = ((np.square, _one), (_one, np.square))
+
+
 _const_deriv = _polynomial_deriv({(0, 0): lambda x, y: 1.0})
 _linear_deriv = _polynomial_deriv({
     (0, 0): np.add, (1, 0): lambda x, y: 1.0, (0, 1): lambda x, y: 1.0,
@@ -74,7 +85,8 @@ def _zero_modulus(delta, A):
 
 _REGISTRY = {
     "const1": CorpusEntry(
-        function=Function2D(eval=lambda x, y: 1.0, name="const1"),
+        function=Function2D(eval=lambda x, y: 1.0, name="const1",
+                            factors=((_one, _one),)),
         closed_form_moduli={
             "full": _zero_modulus,
             "partial_x": _zero_modulus,
@@ -84,7 +96,8 @@ _REGISTRY = {
         derivative_provider=PartialDerivativeSet(_const_deriv),
     ),
     "linear": CorpusEntry(
-        function=Function2D(eval=np.add, name="linear"),
+        function=Function2D(eval=np.add, name="linear",
+                            factors=((_identity, _one), (_one, _identity))),
         closed_form_moduli={
             "full": lambda delta, A: delta * math.sqrt(2.0),
             "partial_x": lambda delta, A: delta,
@@ -94,26 +107,30 @@ _REGISTRY = {
         derivative_provider=PartialDerivativeSet(_linear_deriv),
     ),
     "prod": CorpusEntry(
-        function=Function2D(eval=np.multiply, name="prod"),
+        function=Function2D(eval=np.multiply, name="prod",
+                            factors=((_identity, _identity),)),
         lipschitz_data=(1.0, lambda A: math.sqrt(1.0 + A * A)),
         derivative_provider=PartialDerivativeSet(_prod_deriv),
     ),
     "quad": CorpusEntry(
-        function=Function2D(eval=_quad, name="quad"),
+        function=Function2D(eval=_quad, name="quad", factors=_SQUARES),
         lipschitz_data=(1.0, lambda A: 2.0 * math.sqrt(1.0 + A * A)),
         derivative_provider=PartialDerivativeSet(_quad_deriv),
     ),
     "holder_half": CorpusEntry(
         function=Function2D(eval=lambda x, y: np.sqrt(
-            np.abs(np.asarray(x, float) - 0.5)), name="holder_half"),
+            np.abs(np.asarray(x, float) - 0.5)), name="holder_half",
+            factors=((lambda x: np.sqrt(np.abs(x - 0.5)), _one),)),
         lipschitz_data=(0.5, lambda A: 1.0),
     ),
     "smooth": CorpusEntry(
-        function=Function2D(eval=_smooth, name="smooth"),
+        function=Function2D(eval=_smooth, name="smooth", factors=(
+            (np.exp, lambda y: np.cos(y) * np.exp(-y)),)),
         derivative_provider=PartialDerivativeSet(_smooth_deriv),
     ),
     "rho_growth": CorpusEntry(
-        function=Function2D(eval=_quad, name="rho_growth", m_f=1.0),
+        function=Function2D(eval=_quad, name="rho_growth", m_f=1.0,
+                            factors=_SQUARES),
         derivative_provider=PartialDerivativeSet(_quad_deriv),
     ),
 }

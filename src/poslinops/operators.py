@@ -80,11 +80,18 @@ class Function2D:
     ``eval(x, y)`` must broadcast over numpy arrays (see ``evaluate``); wrap
     a scalar-only f in ``np.vectorize``.  ``m_f`` marks a rho-dominated f:
     |f| <= m_f * (1 + x^2 + y^2); None for any other f.
+
+    ``factors`` optionally declares f as a sum of products: pairs (g, h) with
+    f(x, y) = sum_k g_k(x) h_k(y), each g_k and h_k taking a 1-D array (a
+    scalar result broadcasts).  ``eval`` stays the definition of f: the
+    operator applies the factors one axis at a time, and checks them against
+    ``eval`` on the points it returns (see ``blocked_sweep``).
     """
 
     eval: Callable
     name: str = "f"
     m_f: Optional[float] = None
+    factors: tuple = ()
 
     def __call__(self, x, y):
         return self.eval(x, y)
@@ -184,22 +191,30 @@ def blocked_bands(params, m, n, xs, ys, policy=DEFAULT_POLICY,
 def blocked_sweep(terms, params, m, n, xs, ys, policy=DEFAULT_POLICY,
                   family=KernelFamily.BERNSTEIN_SZASZ, weigh=lambda W, x, t: [W]):
     """Sum over terms (g, i, j), in order, of X_i @ G @ Y_j.T on the grid xs x ys:
-    [X_0, X_1, ...] = weigh(W, points, nodes) per block of ``blocked_bands``,
-    and G is g's table on the union of the bands, evaluated once.  A constant
-    g = c adds c * outer(X_i.sum(1), Y_j.sum(1)) and builds no table."""
+    [X_0, X_1, ...] = weigh(W, points, nodes) per block of ``blocked_bands``.
+
+    A g with ``factors`` (g_k, h_k) builds no node table: with the columns
+    G = [g_k(tx)] and H = [h_k(ty)] on the nodes, it adds U @ V.T, where
+    U = X_i @ G and V = Y_j @ H block by block.  Its factors are first checked
+    against g on xs x ys (``_check_factors``).  Any other g is evaluated once,
+    as its table G on the union of the bands; a constant g = c adds
+    c * outer(X_i.sum(1), Y_j.sum(1)) and builds no table."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     (xb, tx), (yb, ty) = blocked_bands(params, m, n, xs, ys, policy, family)
     xb = [(rows, weigh(W, xs[rows], tx[o : o + W.shape[1]]), o) for rows, W, o in xb]
     yb = [(cols, weigh(W, ys[cols], ty[o : o + W.shape[1]]), o) for cols, W, o in yb]
     shape, L = (len(tx), len(ty)), None
     for g, i, j in terms:
-        c = evaluate(g, tx[:, None], ty[None, :])
-        if c.ndim:
+        c = None if getattr(g, "factors", ()) else evaluate(g, tx[:, None], ty[None, :])
+        if c is None:
+            _check_factors(g, xs, ys)
+            S = (_band_sums(xb, i, _factor_columns(g, 0, tx), len(xs))
+                 @ _band_sums(yb, j, _factor_columns(g, 1, ty), len(ys)).T)
+        elif c.ndim:
             C = c if c.shape == shape else np.empty(shape)
             if C is not c:  # expand a table constant along an axis, as eval_grid
                 np.copyto(C, c)
-            T = np.empty((len(xs), len(ty)))
-            for rows, X, a in xb:
-                np.matmul(X[i], C[a : a + X[i].shape[1]], out=T[rows])
+            T = _band_sums(xb, i, C, len(xs))
             S = np.empty((len(xs), len(ys)))
             for cols, Y, b in yb:
                 np.matmul(T[:, b : b + Y[j].shape[1]], Y[j].T, out=S[:, cols])
@@ -212,11 +227,61 @@ def blocked_sweep(terms, params, m, n, xs, ys, policy=DEFAULT_POLICY,
     return np.zeros((len(xs), len(ys))) if L is None else L
 
 
+def _band_sums(blocks, k, T, count):
+    """Each block's weights W[k] times the rows of T in its band, stacked into
+    one row per point: shape (count, T.shape[1])."""
+    out = np.empty((count, T.shape[1]))
+    for rows, W, o in blocks:
+        np.matmul(W[k], T[o : o + W[k].shape[1]], out=out[rows])
+    return out
+
+
+def _factor_columns(f, axis, t):
+    """[g_k(t)] (axis 0) or [h_k(t)] (axis 1), one column per factor pair of
+    f.  Raises RuntimeError naming f when a factor raises, MemoryError aside,
+    or its result does not broadcast to t."""
+    out = np.empty((len(t), len(f.factors)))
+    try:
+        for k, pair in enumerate(f.factors):
+            out[:, k] = pair[axis](t)
+    except MemoryError:
+        raise
+    except Exception as exc:
+        raise RuntimeError(f"evaluation of the factors of {getattr(f, 'name', 'f')} "
+                           f"failed on {len(t)} points") from exc
+    return out
+
+
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+
+def _check_factors(f, xs, ys):
+    """Raise RuntimeError naming f unless its factors give f on xs x ys:
+    |sum_k g_k h_k - f| <= 8 eps (sum_k |g_k| |h_k| + tiny), the tiny floor
+    for products that underflow, or both sides are the same infinity."""
+    G, H = _factor_columns(f, 0, xs), _factor_columns(f, 1, ys)
+    F, gap = evaluate(f, xs[:, None], ys[None, :]), G @ H.T
+    with np.errstate(invalid="ignore"):  # inf - inf, tested below
+        np.abs(np.subtract(gap, F, out=gap), out=gap)
+    tol = np.abs(G) @ np.abs(H).T
+    tol += _TINY
+    tol *= 8 * _EPS
+    ok = gap <= tol
+    if not ok.all():
+        ok |= G @ H.T == F
+        bad = ok.size - np.count_nonzero(ok)
+        if bad:
+            raise RuntimeError(f"the factors of {getattr(f, 'name', 'f')} do not give "
+                               f"it at {bad} of {ok.size} points")
+
+
 def apply_on_grid(f, params, m, n, xs, ys, policy=DEFAULT_POLICY,
                   family=KernelFamily.BERNSTEIN_SZASZ):
     """Operator values on the tensor grid xs x ys, shape (len(xs), len(ys)):
-    f is evaluated once, on the union of the bands, and the sweep is two
-    matrix products by blocks, ``blocked_sweep`` of the one term (f, 0, 0)."""
+    ``blocked_sweep`` of the one term (f, 0, 0), two matrix products by blocks.
+    An f with ``factors`` is applied one axis at a time, after its factors are
+    checked against f on xs x ys; any other f is evaluated once, on the union
+    of the bands."""
     return blocked_sweep([(f, 0, 0)], params, m, n, xs, ys, policy, family)
 
 

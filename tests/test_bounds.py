@@ -103,12 +103,19 @@ def test_check_theorem_3_3_grid_samples_lattice_once():
         calls.append(np.broadcast(x, y).shape)
         return base.eval(x, y)
 
-    f = dataclasses.replace(base, eval=counted)
+    # without factors: one call on the lattice and one on the operator's node grid
+    f = dataclasses.replace(base, eval=counted, factors=())
     params, m, n = StancuParams(1, 2, 0, 1), 12, 9
     ra, rb = check_theorem_3_3(f, params, m, n, R1, grid_points=61,
                                policy=TIGHT, moduli_source="grid")
-    # one call on the lattice and one on the operator's node grid
     assert len(calls) == 2 and calls.count((61, 61)) == 1
+    # with factors no node table: the second call checks them on the lattice
+    calls.clear()
+    fa, fb = check_theorem_3_3(dataclasses.replace(base, eval=counted), params, m, n,
+                               R1, grid_points=61, policy=TIGHT, moduli_source="grid")
+    assert calls == [(61, 61), (61, 61)]
+    assert fa.rhs == ra.rhs and fb.rhs == rb.rhs
+    assert fa.lhs == pytest.approx(ra.lhs, rel=1e-12, abs=1e-15)
     # the same numbers as the moduli of a separate sample of f
     d = deltas(m, n, params, R1)
     sample = sample_lattice(base, R1, 61)

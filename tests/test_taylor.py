@@ -1,5 +1,6 @@
 """Tests for the order-r operator, Taylor polynomials and derivatives."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -226,12 +227,14 @@ def order_zero(f):
 @pytest.mark.parametrize("name", ["smooth", "holder_half", "const1"])
 @pytest.mark.parametrize("G", [1, 32, 33, 201])
 def test_order_zero_is_the_operator_bit_for_bit(G, name):
-    """L_0 of the provider of f is the operator of f: the same sweep, with
-    the same blocks (cut past 32 points at m = n = 640), operands and bits."""
+    """L_0 of the provider of f is the operator of f without its factors: the
+    same table route, with the same blocks (cut past 32 points at
+    m = n = 640), operands and bits.  The provider's partial declares no
+    factors, so L_0 does not take the factored route that f itself takes."""
     f = corpus_lookup(name).function
     params = StancuParams(0.3, 0.9, 0.1, 0.4)
     xs, ys = lattice(3.0, G) if G > 1 else (np.array([0.37]), np.array([1.3]))
-    want = apply_on_grid(f, params, 640, 640, xs, ys)
+    want = apply_on_grid(dataclasses.replace(f, factors=()), params, 640, 640, xs, ys)
     got = apply_rth_on_grid(order_zero(f), params, 640, 640, 0, xs, ys)
     assert np.array_equal(got, want)
 

@@ -113,12 +113,20 @@ def test_check_theorem_5_3_samples_strip_once():
         calls.append(np.broadcast(x, y).shape)
         return base.eval(x, y)
 
-    f = dataclasses.replace(base, eval=counted)
+    # without factors: the strip lattice, the disc lattice and the node grid
+    f = dataclasses.replace(base, eval=counted, factors=())
     rep = check_theorem_5_3(f, StancuParams(1, 1, 2, 2), 12, 9, 2.0, STRIP,
                             grid_points=61, policy=TIGHT)
-    # the strip lattice, the disc lattice and the operator's node grid
     assert len(calls) == 3 and calls.count((61, 61)) == 2
     assert rep.holds
+    # with factors no node grid: the third call checks them on the disc lattice
+    calls.clear()
+    fac = check_theorem_5_3(dataclasses.replace(base, eval=counted),
+                            StancuParams(1, 1, 2, 2), 12, 9, 2.0, STRIP,
+                            grid_points=61, policy=TIGHT)
+    assert calls == [(61, 61)] * 3
+    assert fac.holds and fac.rhs == rep.rhs
+    assert fac.lhs == pytest.approx(rep.lhs, rel=1e-12, abs=1e-15)
 
 
 def unit_rho_lhs(f, params, m, n, s, grid_points, policy, strip):
