@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+import inspect
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,20 +83,41 @@ class Function2D:
     a scalar-only f in ``np.vectorize``.  ``m_f`` marks a rho-dominated f:
     |f| <= m_f * (1 + x^2 + y^2); None for any other f.
 
-    ``factors`` optionally declares f as a sum of products: pairs (g, h) with
-    f(x, y) = sum_k g_k(x) h_k(y), each g_k and h_k taking a 1-D array (a
-    scalar result broadcasts).  ``eval`` stays the definition of f: the
-    operator applies the factors one axis at a time, and checks them against
-    ``eval`` on the points it returns (see ``blocked_sweep``).
+    ``factors`` declares f as a sum of products: pairs (g, h) with
+    f(x, y) = sum_k g_k(x) h_k(y), each g_k and h_k broadcasting like ``eval``.
+    The operator applies them one axis at a time.  Without ``eval``, f is
+    their sum; an ``eval`` given beside them stays the definition of f, and
+    the operator checks them against it (see ``blocked_sweep``).
     """
 
-    eval: Callable
+    eval: Optional[Callable] = None
     name: str = "f"
     m_f: Optional[float] = None
     factors: tuple = ()
 
+    def __post_init__(self):
+        if self.eval is None:
+            if not self.factors:
+                raise DomainError(f"{self.name} needs an eval or factors")
+            object.__setattr__(self, "eval", _FactorSum(self.factors))
+
     def __call__(self, x, y):
         return self.eval(x, y)
+
+
+class _FactorSum:
+    """sum_k g_k(x) h_k(y), the eval of a Function2D declared by its factors
+    alone; added without a start value, so a constant stays a scalar."""
+
+    def __init__(self, factors):
+        self.factors = factors
+
+    def __call__(self, x, y):
+        (g, h), *rest = self.factors
+        out = g(x) * h(y)
+        for g, h in rest:
+            out = out + g(x) * h(y)
+        return out
 
 
 @dataclass(frozen=True)
@@ -195,8 +218,9 @@ def blocked_sweep(terms, params, m, n, xs, ys, policy=DEFAULT_POLICY,
 
     A g with ``factors`` (g_k, h_k) builds no node table: with the columns
     G = [g_k(tx)] and H = [h_k(ty)] on the nodes, it adds U @ V.T, where
-    U = X_i @ G and V = Y_j @ H block by block.  Its factors are first checked
-    against g on xs x ys (``_check_factors``).  Any other g is evaluated once,
+    U = X_i @ G and V = Y_j @ H block by block.  Factors given beside an eval
+    are first checked against it on xs x ys (``_check_factors``); a g declared
+    by its factors alone is never evaluated.  Any other g is evaluated once,
     as its table G on the union of the bands; a constant g = c adds
     c * outer(X_i.sum(1), Y_j.sum(1)) and builds no table."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
@@ -258,7 +282,12 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 def _check_factors(f, xs, ys):
     """Raise RuntimeError naming f unless its factors give f on xs x ys:
     |sum_k g_k h_k - f| <= 8 eps (sum_k |g_k| |h_k| + tiny), the tiny floor
-    for products that underflow, or both sides are the same infinity."""
+    for products that underflow, or both sides are the same infinity or NaN.
+    An f declared by its factors alone, whose eval is their sum (also
+    behind ``functools.wraps`` wrappers), is not checked."""
+    ev = inspect.unwrap(f.eval)
+    if isinstance(ev, _FactorSum) and ev.factors is f.factors:
+        return
     G, H = _factor_columns(f, 0, xs), _factor_columns(f, 1, ys)
     F, gap = evaluate(f, xs[:, None], ys[None, :]), G @ H.T
     with np.errstate(invalid="ignore"):  # inf - inf, tested below
@@ -268,7 +297,8 @@ def _check_factors(f, xs, ys):
     tol *= 8 * _EPS
     ok = gap <= tol
     if not ok.all():
-        ok |= G @ H.T == F
+        GH = G @ H.T
+        ok |= (GH == F) | (np.isnan(GH) & np.isnan(F))
         bad = ok.size - np.count_nonzero(ok)
         if bad:
             raise RuntimeError(f"the factors of {getattr(f, 'name', 'f')} do not give "
@@ -279,9 +309,9 @@ def apply_on_grid(f, params, m, n, xs, ys, policy=DEFAULT_POLICY,
                   family=KernelFamily.BERNSTEIN_SZASZ):
     """Operator values on the tensor grid xs x ys, shape (len(xs), len(ys)):
     ``blocked_sweep`` of the one term (f, 0, 0), two matrix products by blocks.
-    An f with ``factors`` is applied one axis at a time, after its factors are
-    checked against f on xs x ys; any other f is evaluated once, on the union
-    of the bands."""
+    An f with ``factors`` is applied one axis at a time, without calling its
+    eval (an eval given beside them is only checked against them on xs x ys);
+    any other f is evaluated once, on the union of the bands."""
     return blocked_sweep([(f, 0, 0)], params, m, n, xs, ys, policy, family)
 
 
@@ -290,9 +320,14 @@ def apply(f, params, m, n, p, policy=DEFAULT_POLICY):
 
     With alpha2 = 0, on the edge y = 0 this is the 1-D Stancu operator of
     f(., 0) (Bernstein for alpha1 = beta1 = 0); with alpha1 = 0, on the edge
-    x = 0 it is the truncated 1-D Szasz-Stancu operator of f(0, .).
+    x = 0 it is the truncated 1-D Szasz-Stancu operator of f(0, .).  Raises
+    RuntimeError naming L(f) when the value is not finite.
     """
-    return float(apply_on_grid(f, params, m, n, [p.x], [p.y], policy)[0, 0])
+    value = float(apply_on_grid(f, params, m, n, [p.x], [p.y], policy)[0, 0])
+    if not math.isfinite(value):
+        raise RuntimeError(
+            f"L({getattr(f, 'name', 'f')}) is not finite at ({p.x}, {p.y})")
+    return value
 
 
 def _scale2(degree, beta, axis):

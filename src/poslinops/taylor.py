@@ -55,8 +55,12 @@ def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY):
 
 
 def apply_rth(derivs, params, m, n, r, p, policy=DEFAULT_POLICY):
-    """Order-r operator value at a single point."""
-    return float(apply_rth_on_grid(derivs, params, m, n, r, [p.x], [p.y], policy)[0, 0])
+    """Order-r operator value at a single point.  Raises RuntimeError naming
+    L_r when the value is not finite."""
+    value = float(apply_rth_on_grid(derivs, params, m, n, r, [p.x], [p.y], policy)[0, 0])
+    if not math.isfinite(value):
+        raise RuntimeError(f"L_{r}({derivs.source}) is not finite at ({p.x}, {p.y})")
+    return value
 
 
 def fd_stencil_weights(z, xs, k):

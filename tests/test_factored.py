@@ -77,11 +77,13 @@ def test_factored_route_agrees_with_the_table_route(case):
 
 
 def test_subnormal_products_need_the_tiny_floor():
-    """At the second point g h - f exceeds 8 eps |g| |h|, so a purely
-    relative check would reject smooth's correct factors there."""
-    (g, h), = corpus_lookup("smooth").function.factors
+    """e^x cos y e^-y, with its factors e^x and e^-y cos y declared beside it:
+    at the second point g h - f exceeds 8 eps |g| |h|, so a purely relative
+    check would reject these correct factors there."""
+    g, h = np.exp, lambda y: np.cos(y) * np.exp(-y)
+    f = Function2D(eval=lambda x, y: np.exp(x) * np.cos(y) * np.exp(-y),
+                   name="smooth", factors=((g, h),))
     x, y = SUBNORMAL[1]
-    f = corpus_lookup("smooth").function
     assert abs(g(x) * h(y) - f.eval(x, y)) > 8 * EPS * abs(g(x) * h(y))
     for x, y in SUBNORMAL:
         apply(f, StancuParams(), 64, 10, Point2D(x, y))

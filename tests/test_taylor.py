@@ -184,7 +184,8 @@ def test_apply_rth_reproduces_polynomials_at_points_and_on_lattices(name):
 
 def test_constant_and_zero_partials_build_no_node_table():
     """f = 1 at r = 3: one constant partial and nine zero ones, each called
-    once, and no array the size of the point's node table is allocated."""
+    once, and no array the size of the point's node table is allocated.
+    quad at r = 2: its three partials of order 2 are scalars."""
     calls = []
     const = corpus_lookup("const1").derivative_provider
 
@@ -217,6 +218,20 @@ def test_constant_and_zero_partials_build_no_node_table():
         tracemalloc.stop()
     assert abs(value - 1.0) <= 1e-11
     assert peak < 2**20
+    # quad at r = 2: its constant and zero partials are scalars too, (1, 1)
+    # the scalar 0.0, so only (0, 0), (1, 0) and (0, 1) give node tables
+    quad, ndims = corpus_lookup("quad").derivative_provider, []
+
+    def shaped(i, j, x, y):
+        out = quad.eval(i, j, x, y)
+        ndims.append(((i, j), np.ndim(out)))
+        return out
+
+    derivs = PartialDerivativeSet(order=2, eval=shaped, source="shaped")
+    value = apply_rth(derivs, StancuParams(), m, n, 2, p)
+    assert sorted(ndims) == [((0, 0), 2), ((0, 1), 2), ((0, 2), 0), ((1, 0), 2),
+                             ((1, 1), 0), ((2, 0), 0)]
+    assert abs(value - (p.x**2 + p.y**2)) <= 1e-11 * (p.x**2 + p.y**2)
 
 
 def order_zero(f):
