@@ -83,12 +83,11 @@ class Function2D:
     a scalar-only f in ``np.vectorize``.  ``m_f`` marks a rho-dominated f:
     |f| <= m_f * (1 + x^2 + y^2); None for any other f.
 
-    ``factors`` declares f as a sum of products: pairs (g, h) with
-    f(x, y) = sum_k g_k(x) h_k(y), each g_k and h_k broadcasting like ``eval``.
-    The operator applies them one axis at a time.  Without ``eval``, f is
-    their sum; an ``eval`` given beside them stays the definition of f, and
-    the operator checks them against it (see ``blocked_sweep``).
-    """
+    ``factors`` declares f instead, as pairs (g, h) of callables with
+    f(x, y) = sum_k g_k(x) h_k(y), each broadcasting like ``eval``, which is
+    filled in with that sum; the operator applies them one axis at a time.
+    An eval given beside factors is a DomainError naming f, unless it
+    unwraps (``functools.wraps``) to their sum; so is a malformed pair."""
 
     eval: Optional[Callable] = None
     name: str = "f"
@@ -96,10 +95,19 @@ class Function2D:
     factors: tuple = ()
 
     def __post_init__(self):
+        factors = tuple(self.factors)  # a tuple is kept, so is-identity holds
+        if not all(isinstance(p, tuple) and len(p) == 2 and all(map(callable, p))
+                   for p in factors):
+            raise DomainError(f"{self.name}'s factors must be callable pairs (g, h)")
+        object.__setattr__(self, "factors", factors)
         if self.eval is None:
-            if not self.factors:
+            if not factors:
                 raise DomainError(f"{self.name} needs an eval or factors")
-            object.__setattr__(self, "eval", _FactorSum(self.factors))
+            object.__setattr__(self, "eval", _FactorSum(factors))
+        elif factors:
+            ev = inspect.unwrap(self.eval)
+            if not (isinstance(ev, _FactorSum) and ev.factors is factors):
+                raise DomainError(f"{self.name} takes an eval or factors, not both")
 
     def __call__(self, x, y):
         return self.eval(x, y)
@@ -131,12 +139,12 @@ class MomentSet:
 def evaluate(f, x, y):
     """f(x, y), called once, as a float array broadcasting to x and y's shape.
 
-    The result is not expanded: a constant stays 0-d.  Raises RuntimeError
-    naming f when f raises, MemoryError aside, or its result does not broadcast.
+    A constant stays 0-d, not expanded.  Raises RuntimeError naming f when f
+    raises, MemoryError aside, or its result is complex or does not broadcast.
     """
     shape = np.broadcast(x, y).shape
     try:
-        out = np.asarray(f(x, y), dtype=float)
+        out = _real(f(x, y))
         if np.broadcast(out, x, y).shape != shape:
             raise ValueError(f"result of shape {out.shape} does not broadcast")
     except MemoryError:
@@ -146,6 +154,14 @@ def evaluate(f, x, y):
             f"evaluation of {getattr(f, 'name', 'f')} failed on shape {shape}"
         ) from exc
     return out
+
+
+def _real(value):
+    """value as a float array; TypeError if complex, not its real part."""
+    out = np.asarray(value)
+    if out.dtype.kind == "c":
+        raise TypeError(f"result of dtype {out.dtype} is complex: {out!r}")
+    return out.astype(float, copy=False)
 
 
 def eval_grid(f, tx, ty):
@@ -216,13 +232,11 @@ def blocked_sweep(terms, params, m, n, xs, ys, policy=DEFAULT_POLICY,
     """Sum over terms (g, i, j), in order, of X_i @ G @ Y_j.T on the grid xs x ys:
     [X_0, X_1, ...] = weigh(W, points, nodes) per block of ``blocked_bands``.
 
-    A g with ``factors`` (g_k, h_k) builds no node table: with the columns
-    G = [g_k(tx)] and H = [h_k(ty)] on the nodes, it adds U @ V.T, where
-    U = X_i @ G and V = Y_j @ H block by block.  Factors given beside an eval
-    are first checked against it on xs x ys (``_check_factors``); a g declared
-    by its factors alone is never evaluated.  Any other g is evaluated once,
-    as its table G on the union of the bands; a constant g = c adds
-    c * outer(X_i.sum(1), Y_j.sum(1)) and builds no table."""
+    A g with ``factors`` (g_k, h_k) builds no node table and its eval is never
+    called: with the columns G = [g_k(tx)] and H = [h_k(ty)] on the nodes, it
+    adds U @ V.T, where U = X_i @ G and V = Y_j @ H block by block.  Any other
+    g is evaluated once, as its table G on the union of the bands; a constant
+    g = c adds c * outer(X_i.sum(1), Y_j.sum(1)) and builds no table."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     (xb, tx), (yb, ty) = blocked_bands(params, m, n, xs, ys, policy, family)
     xb = [(rows, weigh(W, xs[rows], tx[o : o + W.shape[1]]), o) for rows, W, o in xb]
@@ -231,7 +245,6 @@ def blocked_sweep(terms, params, m, n, xs, ys, policy=DEFAULT_POLICY,
     for g, i, j in terms:
         c = None if getattr(g, "factors", ()) else evaluate(g, tx[:, None], ty[None, :])
         if c is None:
-            _check_factors(g, xs, ys)
             S = (_band_sums(xb, i, _factor_columns(g, 0, tx), len(xs))
                  @ _band_sums(yb, j, _factor_columns(g, 1, ty), len(ys)).T)
         elif c.ndim:
@@ -263,11 +276,11 @@ def _band_sums(blocks, k, T, count):
 def _factor_columns(f, axis, t):
     """[g_k(t)] (axis 0) or [h_k(t)] (axis 1), one column per factor pair of
     f.  Raises RuntimeError naming f when a factor raises, MemoryError aside,
-    or its result does not broadcast to t."""
+    or its result is complex or does not broadcast to t."""
     out = np.empty((len(t), len(f.factors)))
     try:
         for k, pair in enumerate(f.factors):
-            out[:, k] = pair[axis](t)
+            out[:, k] = _real(pair[axis](t))
     except MemoryError:
         raise
     except Exception as exc:
@@ -276,42 +289,12 @@ def _factor_columns(f, axis, t):
     return out
 
 
-_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
-
-
-def _check_factors(f, xs, ys):
-    """Raise RuntimeError naming f unless its factors give f on xs x ys:
-    |sum_k g_k h_k - f| <= 8 eps (sum_k |g_k| |h_k| + tiny), the tiny floor
-    for products that underflow, or both sides are the same infinity or NaN.
-    An f declared by its factors alone, whose eval is their sum (also
-    behind ``functools.wraps`` wrappers), is not checked."""
-    ev = inspect.unwrap(f.eval)
-    if isinstance(ev, _FactorSum) and ev.factors is f.factors:
-        return
-    G, H = _factor_columns(f, 0, xs), _factor_columns(f, 1, ys)
-    F, gap = evaluate(f, xs[:, None], ys[None, :]), G @ H.T
-    with np.errstate(invalid="ignore"):  # inf - inf, tested below
-        np.abs(np.subtract(gap, F, out=gap), out=gap)
-    tol = np.abs(G) @ np.abs(H).T
-    tol += _TINY
-    tol *= 8 * _EPS
-    ok = gap <= tol
-    if not ok.all():
-        GH = G @ H.T
-        ok |= (GH == F) | (np.isnan(GH) & np.isnan(F))
-        bad = ok.size - np.count_nonzero(ok)
-        if bad:
-            raise RuntimeError(f"the factors of {getattr(f, 'name', 'f')} do not give "
-                               f"it at {bad} of {ok.size} points")
-
-
 def apply_on_grid(f, params, m, n, xs, ys, policy=DEFAULT_POLICY,
                   family=KernelFamily.BERNSTEIN_SZASZ):
     """Operator values on the tensor grid xs x ys, shape (len(xs), len(ys)):
     ``blocked_sweep`` of the one term (f, 0, 0), two matrix products by blocks.
     An f with ``factors`` is applied one axis at a time, without calling its
-    eval (an eval given beside them is only checked against them on xs x ys);
-    any other f is evaluated once, on the union of the bands."""
+    eval; any other f is evaluated once, on the union of the bands."""
     return blocked_sweep([(f, 0, 0)], params, m, n, xs, ys, policy, family)
 
 

@@ -20,7 +20,6 @@ from poslinops import (
     corpus_lookup,
     corpus_names,
 )
-from poslinops.operators import lattice
 from poslinops.taylor import PartialDerivativeSet, apply_rth
 
 from corpus_partials import PARTIALS, POLYNOMIALS
@@ -76,8 +75,8 @@ def operator_cases(draw):
 @example(case=("smooth", StancuParams(1, 1, 2, 2), 400, 400,
                np.array([0.0, 1.0]), np.array([0.0, 20.0])))
 def test_the_operator_never_calls_a_factor_only_eval(case):
-    """Neither the operator nor the check of the factors calls the eval of a
-    corpus function, untraced or behind a counting wrapper."""
+    """The operator never calls the eval of a corpus function, untraced or
+    behind a counting wrapper."""
     name, params, m, n, xs, ys = case
     f = corpus_lookup(name).function
     ev, calls = type(f.eval), []
@@ -95,18 +94,22 @@ def test_the_operator_never_calls_a_factor_only_eval(case):
 
 
 def test_an_eval_beside_its_factors_is_checked():
-    off = Function2D(eval=lambda x, y: np.exp(x) * np.cos(y), name="off",
-                     factors=((np.exp, np.sin),))
-    with pytest.raises(RuntimeError, match="factors of off do not give it"):
-        apply(off, StancuParams(), 10, 10, Point2D(0.3, 0.7))
-    wrapped, calls = traced(dataclasses.replace(off, eval=np.multiply))
-    with pytest.raises(RuntimeError, match="factors of off do not give it at 6 of 9"):
-        apply_on_grid(wrapped, StancuParams(), 10, 10, *lattice(1.0, 3))
-    assert len(calls) == 1
+    """An eval beside factors raises when f is built: f has one definition.
+    Only a ``functools.wraps`` wrapper of the sum of these factors passes."""
+    with pytest.raises(DomainError, match="off takes an eval or factors, not both"):
+        Function2D(eval=lambda x, y: np.exp(x) * np.sin(y), name="off",
+                   factors=((np.exp, np.sin),))
     quad = corpus_lookup("quad").function
-    with pytest.raises(RuntimeError, match="factors of quad do not give it at 6 of 9"):
-        apply_on_grid(dataclasses.replace(quad, factors=quad.factors[:1]),
-                      StancuParams(), 10, 10, *lattice(1.0, 3))
+    with pytest.raises(DomainError, match="quad takes an eval or factors, not both"):
+        dataclasses.replace(quad, eval=np.multiply)
+    with pytest.raises(DomainError, match="quad takes an eval or factors, not both"):
+        dataclasses.replace(quad, factors=quad.factors[:1])
+    with pytest.raises(DomainError, match="quad takes an eval or factors, not both"):
+        dataclasses.replace(quad, eval=corpus_lookup("rho_growth").function.eval)
+    wrapped, calls = traced(quad)
+    assert wrapped.factors is quad.factors and wrapped(0.5, 2.0) == quad(0.5, 2.0)
+    assert len(calls) == 1
+    assert dataclasses.replace(traced(wrapped)[0], name="q").factors is quad.factors
 
 
 def root(x, y):
@@ -126,11 +129,10 @@ def test_a_value_that_is_not_finite_raises_naming_L_of_f():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_factors_that_are_nan_where_f_is_agree():
-    """At (0.2, 1.0) f and its factors are both NaN: that is agreement, and
-    the error is the value's."""
-    f = Function2D(root, name="root",
-                   factors=((lambda x: np.sqrt(x - 0.5), lambda y: 1.0),))
+def test_factors_that_are_nan_give_L_of_f_not_finite():
+    """At x < 1/2 the factor sqrt(x - 1/2) is NaN: the value at (0.2, 1.0)
+    averages NaN columns, and the error is the value's."""
+    f = Function2D(name="root", factors=((lambda x: np.sqrt(x - 0.5), lambda y: 1.0),))
     with pytest.raises(RuntimeError, match=r"L\(root\) is not finite"):
         apply(f, StancuParams(), 20, 20, Point2D(0.2, 1.0))
 

@@ -1,5 +1,5 @@
 """The factored route: an f declared as a sum of products g(x) h(y) is applied
-one axis at a time, and its factors are checked against f."""
+one axis at a time, and a malformed declaration raises when f is built."""
 
 import dataclasses
 
@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from poslinops import (
+    CompactRegion,
+    DomainError,
     Function2D,
     Point2D,
     StancuParams,
@@ -16,7 +18,7 @@ from poslinops import (
     corpus_lookup,
     corpus_names,
 )
-from poslinops.operators import lattice
+from poslinops.operators import lattice, sample_lattice
 
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 unit_x = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -48,8 +50,7 @@ def factored_cases(draw):
     return name, StancuParams(a1, b1, a2, b2), m, n, xs, ys
 
 
-# e^-y is subnormal here, so smooth's g h and f differ in absolute, not
-# relative, terms; the second point is one where a purely relative check fails
+# e^-y is subnormal here, so smooth's g h is exact only to a subnormal ulp
 SUBNORMAL = [(0.00766, 731.45), (0.5118216247002567, 712.0840846754289)]
 
 
@@ -76,19 +77,6 @@ def test_factored_route_agrees_with_the_table_route(case):
         assert apply(f, params, m, n, p) == float(got[0, 0])
 
 
-def test_subnormal_products_need_the_tiny_floor():
-    """e^x cos y e^-y, with its factors e^x and e^-y cos y declared beside it:
-    at the second point g h - f exceeds 8 eps |g| |h|, so a purely relative
-    check would reject these correct factors there."""
-    g, h = np.exp, lambda y: np.cos(y) * np.exp(-y)
-    f = Function2D(eval=lambda x, y: np.exp(x) * np.cos(y) * np.exp(-y),
-                   name="smooth", factors=((g, h),))
-    x, y = SUBNORMAL[1]
-    assert abs(g(x) * h(y) - f.eval(x, y)) > 8 * EPS * abs(g(x) * h(y))
-    for x, y in SUBNORMAL:
-        apply(f, StancuParams(), 64, 10, Point2D(x, y))
-
-
 def misdeclared(f):
     """f with its first g scaled by 1 + 1e-9."""
     (g, h), *rest = f.factors
@@ -98,23 +86,68 @@ def misdeclared(f):
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_a_misdeclared_factor_raises_naming_f(name):
-    f = misdeclared(corpus_lookup(name).function)
-    with pytest.raises(RuntimeError, match=f"factors of {name} do not give it"):
-        apply_on_grid(f, StancuParams(), 20, 20, *lattice(1.0, 5))
-    with pytest.raises(RuntimeError, match=f"factors of {name} do not give it"):
-        apply(f, StancuParams(), 20, 20, Point2D(1.0, 1.0))
+    """Other factors beside f's eval, the sum of its old ones, do not define f."""
+    with pytest.raises(DomainError, match=f"{name} takes an eval or factors, not both"):
+        misdeclared(corpus_lookup(name).function)
 
 
 @pytest.mark.parametrize("factor", [lambda t: np.ones(len(t) + 1),
                                     lambda t: float(t)])
 def test_a_failing_factor_raises_naming_f(factor):
-    f = Function2D(eval=np.multiply, name="broken", factors=((factor, lambda t: t),))
+    f = Function2D(name="broken", factors=((factor, lambda t: t),))
     with pytest.raises(RuntimeError, match="factors of broken"):
         apply_on_grid(f, StancuParams(), 8, 8, *lattice(1.0, 3))
 
 
 def test_dropping_a_factor_pair_raises():
     f = corpus_lookup("linear").function
-    f = dataclasses.replace(f, factors=f.factors[:1])
-    with pytest.raises(RuntimeError, match="factors of linear do not give it at 6 of 9"):
-        apply_on_grid(f, StancuParams(), 8, 8, *lattice(2.0, 3))
+    with pytest.raises(DomainError, match="linear takes an eval or factors, not both"):
+        dataclasses.replace(f, factors=f.factors[:1])
+
+
+def is_pair(entry):
+    return isinstance(entry, tuple) and len(entry) == 2 and all(map(callable, entry))
+
+
+entries = st.sampled_from([np.exp, np.cos, 2.0, None, "g"])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(entry=st.one_of(entries, st.lists(entries, max_size=4),
+                       st.lists(entries, max_size=4).map(tuple)).filter(
+                           lambda e: not is_pair(e)))
+@example(entry=(np.exp, np.cos, np.sin))  # its third factor would be dropped
+@example(entry=(np.exp, 2.0))  # it would fail only when applied
+@example(entry=[np.exp, np.cos])
+def test_a_malformed_factor_pair_raises_when_f_is_built(entry):
+    """Every entry of factors must be a tuple of exactly two callables."""
+    with pytest.raises(DomainError, match="bad's factors must be callable pairs"):
+        Function2D(name="bad", factors=((np.exp, np.cos), entry))
+    with pytest.raises(DomainError, match="bad's factors must be callable pairs"):
+        Function2D(np.multiply, name="bad", factors=(entry,))
+
+
+def test_factors_keep_their_identity():
+    """A tuple of pairs is stored as given, so the sum filled in as eval is
+    the sum of these very factors; a list becomes a tuple."""
+    factors = ((np.exp, np.cos),)
+    f = Function2D(factors=factors)
+    assert f.factors is factors and f.eval.factors is factors
+    assert Function2D(factors=list(factors)).factors == factors
+    assert dataclasses.replace(f, name="g").factors is factors
+
+
+@pytest.mark.filterwarnings("error")  # no ComplexWarning either
+@pytest.mark.parametrize("route", ["table", "factored", "sample_lattice"])
+def test_a_complex_value_raises_naming_f(route):
+    """e^(ix) y, whose real part alone would give 0.4727 at (0.3, 0.5)."""
+    g, h = (lambda t: np.exp(1j * t)), (lambda t: t)
+    f = (Function2D(lambda x, y: g(x) * h(y), name="cplx") if route == "table"
+         else Function2D(factors=((g, h),), name="cplx"))
+    with pytest.raises(RuntimeError, match="evaluation of (the factors of )?cplx") as err:
+        if route == "sample_lattice":
+            sample_lattice(f, CompactRegion(1.0), 5)
+        else:
+            apply(f, StancuParams(), 10, 10, Point2D(0.3, 0.5))
+    assert isinstance(err.value.__cause__, TypeError)
+    assert "complex" in str(err.value.__cause__)
