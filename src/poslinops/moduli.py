@@ -3,13 +3,18 @@
 All estimators maximize over a finite sample of point pairs, so every value
 is a lower estimate of the corresponding supremum.
 
-The full and partial moduli take, for each y-offset dj of the delta-disc, the
-running max and min of f over the x-window the disc allows (van Herk 1992;
-Gil & Werman 1993), built from power-of-two windows by doubling.  On a G x G
-lattice with disc radii r_x, r_y (in lattice steps) that costs
-O(G^2 (r_y + log r_x)) instead of one pass per offset, O(G^2 r_x r_y), and
-gives the same values as the pair loop: rounded subtraction is monotone in
-its first operand, so max(W) - F equals the largest rounded difference.
+All four kinds take, for each y-offset dj of the delta-disc, the running max
+of F and of -F over the x-window the disc allows (van Herk 1992; Gil &
+Werman 1993), built from power-of-two windows by doubling, gather it over
+the half-disc of each base point and subtract F once.  On a G x G lattice
+with disc radii r_x, r_y (in lattice steps) that costs O(G^2 (r_y + log r_x))
+instead of one pass per offset, O(G^2 r_x r_y).  Max is exact and rounded
+subtraction is monotone in its first operand, so every value is the pair
+loop's bit for bit.  The sweep reads y-lines: line j holds F[:, j] and
+-F[:, j], each followed by r_x cells of -inf, as one row of a row-major
+buffer, so each doubling level and each offset's two window reads are one
+contiguous 1-D range.  The lines go in strips that fit in _STRIP bytes, each
+with the r_y lines above it, so that a strip's buffers stay in cache.
 
 The weighted modulus divides each pair's difference by the smaller rho of
 the two points, which is the larger of the difference over rho at either
@@ -18,14 +23,16 @@ at p over rho(p), and rounded division is monotone too.  As the base point
 sets the divisor, each pair counts in both orders: the windows of y-offsets
 dj >= 0 cover the pairs whose second point lies at or above the base, and
 the same pass over F[:, ::-1], where an offset -dj becomes +dj, covers those
-below it.
+below it, unless dj = 0 is the only offset and the first pass has them all.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basis import DomainError, require_positive
+from .basis import DomainError, require_finite, require_positive
+
+_STRIP = 3 << 17  # bytes of a strip's base lines, for a 2 MB L2 cache
 
 
 def _radius(delta, h, G):
@@ -51,48 +58,56 @@ def _radii(delta, hx, hy, G):
     return radii
 
 
-def _window_max(F, radii, divisor=None):
-    """Largest |F[i2, j + dj] - F[i, j]| with |i2 - i| <= radii[dj].
+def _lines(buf, V, R, pad, sign=-1.0):
+    """buf: R cells of pad, then per line of V: it, R pads, sign * it, R pads."""
+    n, G = V.shape
+    buf[:R] = pad
+    cells = buf[R:R + 2 * n * (G + R)].reshape(n, 2, G + R)
+    cells[:, 0, :G] = V
+    np.multiply(V, sign, out=cells[:, 1, :G])
+    cells[:, :, G:] = pad
+    return buf
 
-    With a divisor, each difference is divided by divisor[i, j] at its base
-    point (i, j) before the maximum is taken.
 
-    hi[k] (lo[k]) holds the max (min) of the padded rows k .. k + width - 1.
-    The y-offsets are walked from the narrowest window to the widest, so the
-    width only doubles and one level of each is kept.  Pads of -inf/+inf
-    clip the windows to the lattice.
+def _disc_max(F, radii, divisor=None):
+    """Largest |F[i2, j + dj] - F[i, j]| with |i2 - i| <= radii[dj], each
+    divided by divisor[i, j] at its base point (i, j) unless it is None.
+
+    level[k] holds the max of cells k .. k + width - 1; a range may run
+    across a pad, but the windows read never do.  The offsets go from the
+    narrowest window to the widest, so the width only doubles.
     """
-    G, H = F.shape
-    R = radii[0]
-    N = G + 2 * R
-    hi, lo = np.full((N, H), -np.inf), np.full((N, H), np.inf)
-    hi[R:R + G] = lo[R:R + G] = F
-    nhi, nlo, scratch = np.empty_like(hi), np.empty_like(lo), np.empty_like(F)
-    width, best = 1, 0.0
-    for dj in range(len(radii) - 1, -1, -1):
-        r = radii[dj]
-        while 2 * width <= 2 * r + 1:
-            k = N - 2 * width + 1
-            np.maximum(hi[:k], hi[width:width + k], out=nhi[:k])
-            np.minimum(lo[:k], lo[width:width + k], out=nlo[:k])
-            hi, nhi, lo, nlo = nhi, hi, nlo, lo
-            width *= 2
-        # window rows i - r .. i + r are two overlapping levels
-        a, b, cols = R - r, R + r + 1 - width, H - dj
-        W, Fj = scratch[:, :cols], F[:, :cols]
-        Dj = None if divisor is None else divisor[:, :cols]
-        np.maximum(hi[a:a + G, dj:], hi[b:b + G, dj:], out=W)
-        best = max(best, _largest(np.subtract(W, Fj, out=W), Dj))
-        np.minimum(lo[a:a + G, dj:], lo[b:b + G, dj:], out=W)
-        best = max(best, _largest(np.subtract(Fj, W, out=W), Dj))
+    (G, H), R, D = F.shape, radii[0], len(radii) - 1
+    N, S = 2 * (G + R), max(1, _STRIP // (16 * (G + R)))
+    work = np.empty(R + min(S + D, H) * N), np.empty(R + min(S + D, H) * N)
+    top, best, Ft = np.empty(min(S, H) * N), 0.0, np.ascontiguousarray(F.T)
+    for j0 in range(0, H, S):
+        n, s = min(S + D, H - j0), min(S, H - j0)
+        level, spare = _lines(work[0], Ft[j0:j0 + n], R, -np.inf), work[1]
+        width = 1
+        for dj in range(min(D, n - 1), -1, -1):
+            r = radii[dj]
+            while 2 * width <= 2 * r + 1:
+                k = R + n * N - 2 * width + 1
+                np.maximum(level[:k], level[width:width + k], out=spare[:k])
+                level, spare = spare, level
+                width *= 2
+            # window cells i - r .. i + r of line j + dj are two levels
+            c, a = min(s, n - dj) * N - R, dj * N + R - r
+            b = a + 2 * r + 1 - width
+            if dj < min(D, n - 1):
+                np.maximum(top[:c], level[a:a + c], out=top[:c])
+                np.maximum(top[:c], level[b:b + c], out=top[:c])
+            else:  # the first offset of the strip starts top
+                top[c:] = -np.inf
+                np.maximum(level[a:a + c], level[b:b + c], out=top[:c])
+        # less F (-F) padded with +inf: the pads, with no base point, go to -inf
+        gap = top[:s * N - R]
+        gap -= _lines(spare, Ft[j0:j0 + s], R, np.inf)[R:R + gap.size]
+        if divisor is not None:
+            gap /= _lines(spare, divisor[:, j0:j0 + s].T, R, 1.0, 1.0)[R:R + gap.size]
+        best = max(best, float(gap.max()))
     return best
-
-
-def _largest(W, divisor):
-    """Max of W, after dividing W in place by divisor unless it is None."""
-    if divisor is not None:
-        W /= divisor
-    return float(W.max())
 
 
 def lattice_moduli(xs, ys, F, full=None, partial_x=None, partial_y=None,
@@ -103,29 +118,34 @@ def lattice_moduli(xs, ys, F, full=None, partial_x=None, partial_y=None,
     Returns a dict from kind to its value, a lower estimate, with one entry
     per delta given, in the order full, partial_x, partial_y, weighted.
     Deltas past the lattice give the maximum over all lattice pairs.  Raises
-    DomainError unless G >= 2 and F has shape (G, G).
+    DomainError unless G >= 2, F has shape (G, G) and both steps are > 0, and
+    RuntimeError, with their count, if entries of F are not finite.
     """
     G = len(xs)
     if G < 2 or len(ys) != G or np.shape(F) != (G, G):
         raise DomainError(f"need a G x G lattice sample, G >= 2, got {len(xs)} x "
                           f"{len(ys)} points and F of shape {np.shape(F)}")
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    out = {}
+    require_positive("lattice x step", hx)
+    require_positive("lattice y step", hy)
+    require_finite("F", F, "lattice points")
+    # the sweep reads y-lines: lay out F's (and rho's below) contiguous once
+    Fy, out = np.ascontiguousarray(F.T).T, {}
     for kind, delta in (("full", full), ("partial_x", partial_x),
                         ("partial_y", partial_y), ("weighted", weighted)):
         if delta is None:
             continue
         require_positive("delta", delta)
         if kind == "full":
-            out[kind] = _window_max(F, _radii(delta, hx, hy, G))
+            out[kind] = _disc_max(Fy, _radii(delta, hx, hy, G))
         elif kind == "partial_x":
-            out[kind] = _window_max(F, [_radius(delta, hx, G)])
+            out[kind] = _disc_max(Fy, [_radius(delta, hx, G)])
         elif kind == "partial_y":
-            out[kind] = _window_max(F.T, [_radius(delta, hy, G)])
+            out[kind] = _disc_max(F.T, [_radius(delta, hy, G)])
         else:
-            radii, R = _radii(delta, hx, hy, G), rho(xs[:, None], ys[None, :])
-            out[kind] = max(_window_max(F, radii, R),
-                            _window_max(F[:, ::-1], radii, R[:, ::-1]))
+            radii, R = _radii(delta, hx, hy, G), rho(xs[None, :], ys[:, None]).T
+            out[kind] = max(_disc_max(Fy, radii, R), 0.0 if len(radii) == 1 else
+                            _disc_max(Fy[:, ::-1], radii, R[:, ::-1]))
     return out
 
 

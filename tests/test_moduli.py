@@ -3,7 +3,7 @@
 import itertools
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -18,6 +18,7 @@ from poslinops import (
     lattice_moduli,
     sample_lattice,
 )
+from poslinops import moduli
 from poslinops.moduli import _radius, rho
 from poslinops.operators import lattice
 
@@ -237,9 +238,21 @@ def lattice_cases(draw):
     return G, A, delta, F
 
 
+def _ints(G, seed):
+    return np.random.default_rng(seed).integers(-2, 3, (G, G))
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(lattice_cases())
-def test_window_moduli_equal_pair_loop(case):
+@given(lattice_cases(), st.integers(1, 1 << 14))
+# r_y = 24 lines of offset over strips of 1 and of 4 base lines (30 = 7 * 4 + 2)
+@example((30, 0.3, 0.25, np.random.default_rng(1).standard_normal((30, 30))), 2500)
+@example((7, 2.5, 10.0, np.random.default_rng(2).standard_normal((7, 7))), 1)
+@example((2, 1.0, 1.5, np.array([[0.0, 1.0], [3.0, -2.0]])), 1)
+@example((2, 1.0, 1.0, np.array([[0.0, 1.0], [3.0, -2.0]])), 1)
+@example((25, 1.0, 0.2, _ints(25, 3)), 1000)  # an integer F: many ties
+def test_window_moduli_equal_pair_loop(case, budget):
+    """The sweep at its default strips, at one y-line per strip (the
+    smallest budget) and at a drawn budget, which leaves a shorter last strip."""
     G, A, delta, F = case
     xs, ys = lattice(A, G)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
@@ -250,9 +263,12 @@ def test_window_moduli_equal_pair_loop(case):
         F, [(0, dj) for dj in range(1, _radius(delta, hy, G) + 1)])
     weighted = pair_loop_oracle(F, _offsets(delta, hx, hy, G),
                                 rho(xs[:, None], ys[None, :]))
-    est = lattice_moduli(xs, ys, F, full=delta, partial_x=delta, partial_y=delta,
-                         weighted=delta)
-    assert list(est.values()) == [full, along_x, along_y, weighted]
+    for strip in (moduli._STRIP, 1, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moduli, "_STRIP", strip)
+            est = lattice_moduli(xs, ys, F, full=delta, partial_x=delta,
+                                 partial_y=delta, weighted=delta)
+        assert list(est.values()) == [full, along_x, along_y, weighted], strip
 
 
 def test_delta_past_lattice_takes_all_pairs():
@@ -305,3 +321,32 @@ def test_non_finite_sample_raises_naming_f(value):
     with np.errstate(invalid="ignore"), pytest.raises(
             RuntimeError, match="bad_corner is not finite"):
         holder_ratio(f, 1.0, R1, samples=1000)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["full", "partial_x", "partial_y", "weighted"])
+def test_a_non_finite_sample_is_an_error(kind, value):
+    """Python's max drops a NaN, so a NaN in F once gave 0.0 for every kind;
+    an inf gave inf after a numpy warning."""
+    xs, ys = lattice(1.0, 11)
+    F = xs[:, None] + ys[None, :]
+    F[5, 5] = F[2, 7] = value
+    with pytest.raises(RuntimeError,
+                       match="^F is not finite at 2 of 121 lattice points"):
+        lattice_moduli(xs, ys, F, **{kind: 0.3})
+
+
+@pytest.mark.parametrize("axis, xs, ys", [
+    ("x", np.linspace(1.0, 0.0, 11), np.linspace(0.0, 1.0, 11)),
+    ("y", np.linspace(0.0, 1.0, 11), np.linspace(2.0, 0.0, 11)),
+    ("x", np.full(11, 0.5), np.linspace(0.0, 1.0, 11)),
+    ("y", np.linspace(0.0, 1.0, 11), np.zeros(11)),
+    ("x", np.full(11, np.nan), np.linspace(0.0, 1.0, 11)),
+])
+def test_a_lattice_step_not_above_zero_is_an_error(axis, xs, ys):
+    """Reversed steps once raised IndexError and zero steps ZeroDivisionError."""
+    F = np.zeros((11, 11))
+    for kind in ("full", "partial_x", "partial_y", "weighted"):
+        with pytest.raises(DomainError,
+                           match=f"^lattice {axis} step must be finite and > 0"):
+            lattice_moduli(xs, ys, F, **{kind: 0.3})
