@@ -40,8 +40,10 @@ def require_positive(name, value):
 
 
 def require_degree(**degrees):
-    """Raise DomainError naming the first degree, by keyword, that is not >= 1."""
+    """Raise DomainError naming the first degree, by keyword, not an int >= 1."""
     for name, value in degrees.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"degree {name} must be an integer, got {value!r}")
         if not value >= 1:
             raise DomainError(f"degree {name} must be >= 1, got {value}")
 

@@ -9,14 +9,13 @@ Lipschitz data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
 from typing import Optional
 
 import numpy as np
 
 from .operators import Function2D
-from .taylor import PartialDerivativeSet
+from .taylor import PartialDerivativeSet, _factored_partial
 
 
 class CorpusLookupError(KeyError):
@@ -31,38 +30,12 @@ class CorpusEntry:
     derivative_provider: Optional[PartialDerivativeSet] = None
 
 
-def _derivative(factor, k):
-    """The k-th derivative of a 1-D factor as a callable, None where it is 0:
-    a tuple lists them from the 0-th on, callables or constants, 0 past its
-    end; any other factor is the function k -> the k-th derivative."""
-    if not isinstance(factor, tuple):
-        return factor(k)
-    if k >= len(factor):
-        return None
-    d = factor[k]
-    return d if callable(d) else lambda t: d
-
-
 def _entry(name, *pairs, m_f=None, smooth=True, **metadata):
-    """The entry of f = sum of g(x) h(y) over the pairs (g, h) of 1-D factors.
-    Unless ``smooth`` is False, its provider gives d^(i+j) f / dx^i dy^j as the
-    sum of the products g^(i)(x) h^(j)(y) that are not 0, built once per (i, j),
-    or the scalar 0.0; the (0, 0) partial is f's eval, bit for bit."""
-    f = Function2D(name=name, m_f=m_f, factors=tuple(
-        (_derivative(g, 0), _derivative(h, 0)) for g, h in pairs))
-
-    @lru_cache(maxsize=None)
-    def partial(i, j):
-        terms = tuple((gi, hj) for gi, hj in (
-            (_derivative(g, i), _derivative(h, j)) for g, h in pairs)
-            if gi is not None and hj is not None)
-        return Function2D(factors=terms).eval if terms else None
-
-    def ev(i, j, x, y):
-        d = partial(i, j)
-        return 0.0 if d is None else d(x, y)
-
-    provider = PartialDerivativeSet(ev) if smooth else None
+    """The entry of f = sum of g(x) h(y) over the pairs (g, h) of 1-D factors,
+    each given by its derivatives (see ``PartialDerivativeSet``).  Unless
+    ``smooth`` is False, its provider is declared by the same pairs."""
+    f = Function2D(name=name, m_f=m_f, factors=_factored_partial(pairs, 0, 0).factors)
+    provider = PartialDerivativeSet(factors=pairs) if smooth else None
     return CorpusEntry(function=f, derivative_provider=provider, **metadata)
 
 

@@ -118,16 +118,18 @@ def lattice_moduli(xs, ys, F, full=None, partial_x=None, partial_y=None,
     Returns a dict from kind to its value, a lower estimate, with one entry
     per delta given, in the order full, partial_x, partial_y, weighted.
     Deltas past the lattice give the maximum over all lattice pairs.  Raises
-    DomainError unless G >= 2, F has shape (G, G) and both steps are > 0, and
-    RuntimeError, with their count, if entries of F are not finite.
+    DomainError unless G >= 2, F has shape (G, G) and each axis's steps are
+    uniform and > 0, and RuntimeError, counting them, if entries of F are not finite.
     """
     G = len(xs)
     if G < 2 or len(ys) != G or np.shape(F) != (G, G):
         raise DomainError(f"need a G x G lattice sample, G >= 2, got {len(xs)} x "
                           f"{len(ys)} points and F of shape {np.shape(F)}")
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    require_positive("lattice x step", hx)
-    require_positive("lattice y step", hy)
+    for axis, v, h in (("x", xs, hx), ("y", ys, hy)):
+        require_positive(f"lattice {axis} step", h)
+        if not np.ptp(np.diff(v)) <= 1e-9 * h:  # np.linspace's spread: ~G eps h
+            raise DomainError(f"lattice {axis} steps must be uniform")
     require_finite("F", F, "lattice points")
     # the sweep reads y-lines: lay out F's (and rho's below) contiguous once
     Fy, out = np.ascontiguousarray(F.T).T, {}

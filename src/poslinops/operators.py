@@ -95,22 +95,29 @@ class Function2D:
     factors: tuple = ()
 
     def __post_init__(self):
-        factors = tuple(self.factors)  # a tuple is kept, so is-identity holds
-        if not all(isinstance(p, tuple) and len(p) == 2 and all(map(callable, p))
-                   for p in factors):
-            raise DomainError(f"{self.name}'s factors must be callable pairs (g, h)")
-        object.__setattr__(self, "factors", factors)
-        if self.eval is None:
-            if not factors:
-                raise DomainError(f"{self.name} needs an eval or factors")
-            object.__setattr__(self, "eval", _FactorSum(factors))
-        elif factors:
-            ev = inspect.unwrap(self.eval)
-            if not (isinstance(ev, _FactorSum) and ev.factors is factors):
-                raise DomainError(f"{self.name} takes an eval or factors, not both")
+        _declare(self, self.name, _FactorSum)
 
     def __call__(self, x, y):
         return self.eval(x, y)
+
+
+def _declare(obj, name, total, is_factor=callable, kind="callable pairs (g, h)"):
+    """Store obj's factors as a tuple (a tuple is kept, so is-identity holds)
+    and fill in a missing eval with total(factors); raise DomainError naming
+    obj as ``Function2D`` states."""
+    factors = tuple(obj.factors)
+    if not all(isinstance(p, tuple) and len(p) == 2 and all(map(is_factor, p))
+               for p in factors):
+        raise DomainError(f"{name}'s factors must be {kind}")
+    object.__setattr__(obj, "factors", factors)
+    if obj.eval is None:
+        if not factors:
+            raise DomainError(f"{name} needs an eval or factors")
+        object.__setattr__(obj, "eval", total(factors))
+    elif factors:
+        ev = inspect.unwrap(obj.eval)
+        if not (type(ev) is total and ev.factors is factors):
+            raise DomainError(f"{name} takes an eval or factors, not both")
 
 
 class _FactorSum:

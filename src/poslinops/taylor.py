@@ -1,10 +1,11 @@
 """Order-r generalization of the operator via nodal Taylor polynomials.
 
 The nodal value f(node) is replaced by the degree-r Taylor polynomial of f at
-the node, evaluated at the target point.  Partial derivatives come either from
-closed forms or from second-order finite differences.  The sampled Lipschitz
-constant of F^(r), the r-th derivative of f along a segment, estimates the M
-of the order-r bound.
+the node, evaluated at the target point.  Partial derivatives come from closed
+forms, from 1-D factors or from second-order finite differences; the Taylor
+terms of f = sum_k g_k(x) h_k(y) are applied one axis at a time, with no node
+table.  The sampled Lipschitz constant of F^(r), the r-th derivative of f
+along a segment, estimates the M of the order-r bound.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError, require_finite, require_positive
-from .operators import Function2D, Point2D, blocked_sweep, evaluate
+from .operators import (Function2D, Point2D, _declare, _FactorSum, blocked_sweep,
+                        evaluate)
 
 _MAX_FD_ORDER = 4
 
@@ -28,11 +30,28 @@ class PartialDerivativeSet:
     ``eval(i, j, x, y)`` returns the derivative values and, like
     ``Function2D.eval``, must broadcast over numpy arrays; wrap a scalar-only
     provider in ``np.vectorize``.
+
+    ``factors`` declares f = sum_k g_k(x) h_k(y) instead, as ``Function2D``'s
+    do, each 1-D factor by its derivatives: a tuple of them from the 0-th on,
+    callables or constants, 0 past its end, or k -> the k-th derivative.
     """
 
-    eval: object
+    eval: object = None
     order: float = math.inf
     source: str = "closed_form"
+    factors: tuple = ()
+
+    def __post_init__(self):
+        _declare(self, self.source, _PartialSum, lambda g: isinstance(g, tuple)
+                 or callable(g), "pairs (g, h) of tuples or callables")
+
+
+class _PartialSum(_FactorSum):
+    """d^(i+j) f / dx^i dy^j of f = sum_k g_k(x) h_k(y): the sum of the
+    products g_k^(i)(x) h_k^(j)(y) that are not 0, or the scalar 0.0."""
+
+    def __call__(self, i, j, x, y):
+        return _factored_partial(self.factors, i, j).eval(x, y)
 
 
 @dataclass(frozen=True)
@@ -46,7 +65,7 @@ def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY):
     """Order-r operator values on the tensor grid xs x ys: ``blocked_sweep``
     of the product U_i C V_j^T for each monomial (i, j) of the Taylor
     expansion, U_i = WX * dx^i and V_j = WY * dy^j built once per power and
-    block, and C the nodal table of the partial over i! j!."""
+    block, and C the partial over i! j!, factored if the provider is."""
     _require_order(derivs, r)
     terms = [(_partial(derivs, h - j, j, math.factorial(h - j) * math.factorial(j)),
               h - j, j) for h in range(r + 1) for j in range(h + 1)]
@@ -138,19 +157,41 @@ def finite_difference_derivs(f, r, h=1e-4):
     return PartialDerivativeSet(order=r, eval=ev, source=f"finite_difference(h={h})")
 
 
+def _factored_partial(factors, i, j, scale=1, name="f"):
+    """d^(i+j) f / dx^i dy^j over scale of f = sum of g(x) h(y) over the pairs
+    (g, h) of 1-D factors: the Function2D of the pairs (g^(i) / scale, h^(j))
+    that are not 0, at scale 1 g^(i) undivided, or the constant 0."""
+
+    def d(factor, k):  # as a callable, None where it is 0
+        if not isinstance(factor, tuple):
+            return factor(k)
+        c = factor[k] if k < len(factor) else None
+        return c if c is None or callable(c) else lambda t: c
+
+    pairs = ((d(g, i), d(h, j)) for g, h in factors)
+    pairs = tuple((g if scale == 1 else lambda t, g=g: g(t) / scale, h)
+                  for g, h in pairs if g is not None and h is not None)
+    return Function2D(name=name, factors=pairs) if pairs else Function2D(
+        lambda x, y: 0.0, name=name)
+
+
 def _partial(derivs, i, j, scale=1):
-    """The provider's partial d^(i+j) f / dx^i dy^j over scale, named for errors;
+    """The provider's partial d^(i+j) f / dx^i dy^j over scale, named for
+    errors: factored for a provider with factors; else a call of the provider,
     at scale 1 undivided, which gives the same bits without a copy."""
+    name = f"partial ({i}, {j}) of {derivs.source}"
+    if derivs.factors:
+        return _factored_partial(derivs.factors, i, j, scale, name)
 
     def ev(x, y):
         out = derivs.eval(i, j, x, y)
         return out if scale == 1 else np.asarray(out, float) / scale
 
-    return Function2D(ev, name=f"partial ({i}, {j}) of {derivs.source}")
+    return Function2D(ev, name=name)
 
 
 def _require_order(derivs, r):
-    if not (isinstance(r, (int, np.integer)) and r >= 0):
+    if isinstance(r, bool) or not (isinstance(r, (int, np.integer)) and r >= 0):
         raise DomainError(f"r must be an integer >= 0, got r={r}")
     if r > 169:  # past it (r + 1)! overflows, as would Theorem 4.1's constant
         raise DomainError(f"r must be <= 169, got r={r}")

@@ -350,3 +350,28 @@ def test_a_lattice_step_not_above_zero_is_an_error(axis, xs, ys):
         with pytest.raises(DomainError,
                            match=f"^lattice {axis} step must be finite and > 0"):
             lattice_moduli(xs, ys, F, **{kind: 0.3})
+
+
+@pytest.mark.parametrize("axis, xs, ys", [
+    ("x", np.array([0.0, 0.1, 0.5, 1.0]), np.linspace(0.0, 1.0, 4)),
+    ("y", np.linspace(0.0, 1.0, 4), np.array([0.0, 1.0, 2.0, 2.5])),
+    ("x", np.array([0.0, 0.5, 1.0, 1.0]), np.linspace(0.0, 1.0, 4)),
+])
+def test_a_lattice_with_uneven_steps_is_an_error(axis, xs, ys):
+    """Every step is read as the first: with xs = [0, 0.1, 0.5, 1] and F = x,
+    partial_x at delta = 0.1 once returned 0.5, the rise over a step of 0.4."""
+    F = xs[:, None] + 0.0 * ys[None, :]
+    for kind in ("full", "partial_x", "partial_y", "weighted"):
+        with pytest.raises(DomainError, match=f"^lattice {axis} steps must be uniform"):
+            lattice_moduli(xs, ys, F, **{kind: 0.1})
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(G=st.integers(2, 1000), A=st.floats(1e-200, 1e200))
+@example(G=1000, A=1.0)
+@example(G=1000, A=1e5)
+def test_every_linspace_lattice_has_uniform_steps(G, A):
+    """np.linspace spreads the steps by about G eps relative, far inside the
+    uniformity tolerance (1.5e-11 at G = 10^5)."""
+    xs, ys = np.linspace(0.0, 1.0, G), np.linspace(0.0, A, G)
+    assert lattice_moduli(xs, ys, np.broadcast_to(0.0, (G, G))) == {}

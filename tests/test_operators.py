@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import math
+import re
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -216,6 +217,33 @@ def test_closed_forms_reject_degrees_below_one(m, n, name):
         with pytest.raises(DomainError,
                            match=f"^degree {name} must be >= 1, got {degree}$"):
             closed_form()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(axis=st.sampled_from("mn"), degree=st.one_of(
+    st.integers(1, 400), st.integers(1, 400).map(np.int64), st.booleans(),
+    st.floats(allow_nan=True), st.integers(1, 400).map(float)))
+@example(axis="m", degree=10.5)
+@example(axis="n", degree=10.5)
+@example(axis="m", degree=10.0)
+@example(axis="m", degree=True)
+@example(axis="n", degree=True)
+@example(axis="m", degree=np.int64(10))
+@example(axis="n", degree=np.int64(10))
+def test_a_degree_must_be_an_integer(axis, degree):
+    """m = 10.5 once failed with a bare TypeError from a slice, n = 10.5 gave a
+    value and m = True ran as 1; a numpy integer is a degree like its int."""
+    f, p, params = corpus_lookup("smooth").function, Point2D(0.3, 0.7), StancuParams()
+    degrees = {"m": 10, "n": 10, axis: degree}
+    if isinstance(degree, (int, np.integer)) and not isinstance(degree, bool):
+        want = apply(f, params, **{**degrees, axis: int(degree)}, p=p)
+        assert apply(f, params, **degrees, p=p) == want
+        return
+    match = re.escape(f"degree {axis} must be an integer, got {degree!r}")
+    for call in (lambda: apply(f, params, **degrees, p=p),
+                 lambda: moments_closed_form(params, **degrees, p=p)):
+        with pytest.raises(DomainError, match=f"^{match}$"):
+            call()
 
 
 def test_second_central_moment_nonnegative():

@@ -2,8 +2,10 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.stats import binom, poisson
@@ -182,10 +184,23 @@ def test_apply_rth_reproduces_polynomials_at_points_and_on_lattices(name):
                     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def peak_of(call):
+    """call()'s value and its peak traced allocation, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_constant_and_zero_partials_build_no_node_table():
-    """f = 1 at r = 3: one constant partial and nine zero ones, each called
-    once, and no array the size of the point's node table is allocated.
-    quad at r = 2: its three partials of order 2 are scalars."""
+    """The table route, a provider without factors: f = 1 at r = 3 has one
+    constant partial and nine zero ones, each called once, and no array the
+    size of the point's node table is allocated.  Nor is one on the factored
+    route, by f = 1's own provider or by the operator itself (the order-0
+    sweep).  quad at r = 2 on the table route: its three partials of order 2
+    are scalars."""
     calls = []
     const = corpus_lookup("const1").derivative_provider
 
@@ -196,28 +211,16 @@ def test_constant_and_zero_partials_build_no_node_table():
     derivs = PartialDerivativeSet(order=3, eval=counted, source="counted")
     p = Point2D(0.37, 5.0)
     m = n = 2000  # a band of 558 x 1,912 nodes: an 8 MB node table
-    apply_rth(derivs, StancuParams(), m, n, 3, p)  # warm up
-    calls.clear()
-    tracemalloc.start()
-    try:
-        value = apply_rth(derivs, StancuParams(), m, n, 3, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    value, peak = peak_of(lambda: calls.clear() or apply_rth(
+        derivs, StancuParams(), m, n, 3, p))
     assert sorted(calls) == sorted((h - j, j) for h in range(4) for j in range(h + 1))
-    assert abs(value - 1.0) <= 1e-11
-    assert peak < 2**20
-    # the operator itself, the order-0 sweep, takes the same path for f = 1
     f = corpus_lookup("const1").function
-    apply_on_grid(f, StancuParams(), m, n, [p.x], [p.y])  # warm up
-    tracemalloc.start()
-    try:
-        value = apply_on_grid(f, StancuParams(), m, n, [p.x], [p.y])[0, 0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert abs(value - 1.0) <= 1e-11
-    assert peak < 2**20
+    for value, peak in ((value, peak),
+                        peak_of(lambda: apply_rth(const, StancuParams(), m, n, 3, p)),
+                        peak_of(lambda: apply_on_grid(f, StancuParams(), m, n,
+                                                      [p.x], [p.y])[0, 0])):
+        assert abs(value - 1.0) <= 1e-11
+        assert peak < 2**20
     # quad at r = 2: its constant and zero partials are scalars too, (1, 1)
     # the scalar 0.0, so only (0, 0), (1, 0) and (0, 1) give node tables
     quad, ndims = corpus_lookup("quad").derivative_provider, []
@@ -242,16 +245,16 @@ def order_zero(f):
 @pytest.mark.parametrize("name", ["smooth", "holder_half", "const1"])
 @pytest.mark.parametrize("G", [1, 32, 33, 201])
 def test_order_zero_is_the_operator_bit_for_bit(G, name):
-    """L_0 of the provider of f is the operator of f without its factors: the
-    same table route, with the same blocks (cut past 32 points at
-    m = n = 640), operands and bits.  The provider's partial declares no
-    factors, so L_0 does not take the factored route that f itself takes."""
+    """L_0 of a provider without factors, whose only partial is f's eval, is
+    the operator of f without its factors: the same table route, with the
+    same blocks (cut past 32 points at m = n = 640), operands and bits."""
     f = corpus_lookup(name).function
     params = StancuParams(0.3, 0.9, 0.1, 0.4)
     xs, ys = lattice(3.0, G) if G > 1 else (np.array([0.37]), np.array([1.3]))
+    derivs = order_zero(f)
+    assert not derivs.factors
     want = apply_on_grid(dataclasses.replace(f, factors=()), params, 640, 640, xs, ys)
-    got = apply_rth_on_grid(order_zero(f), params, 640, 640, 0, xs, ys)
-    assert np.array_equal(got, want)
+    assert np.array_equal(apply_rth_on_grid(derivs, params, 640, 640, 0, xs, ys), want)
 
 
 def single_band_rth(derivs, params, m, n, r, xs, ys):
@@ -290,6 +293,27 @@ def test_order_must_be_a_non_negative_integer(r):
     derivs = corpus_lookup("smooth").derivative_provider
     with pytest.raises(DomainError, match=f"r must be an integer >= 0, got r={r}"):
         apply_rth_on_grid(derivs, StancuParams(), 10, 10, r, [0.3], [0.7])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(r=st.one_of(st.integers(0, 4), st.integers(0, 4).map(np.int64), st.booleans(),
+                   st.floats(allow_nan=True), st.integers(0, 4).map(float)))
+@example(r=10.5)
+@example(r=10.0)
+@example(r=True)
+@example(r=np.int64(10))
+def test_the_order_must_be_an_integer(r):
+    """r = True once ran as r = 1; a numpy integer is an order like its int."""
+    derivs, p = corpus_lookup("quad").derivative_provider, Point2D(0.3, 0.7)
+    if isinstance(r, (int, np.integer)) and not isinstance(r, bool):
+        assert apply_rth(derivs, StancuParams(), 10, 10, r, p) == apply_rth(
+            derivs, StancuParams(), 10, 10, int(r), p)
+        return
+    for call in (lambda: apply_rth(derivs, StancuParams(), 10, 10, r, p),
+                 lambda: f_rth_lipschitz_estimate(derivs, r, 1.0, CompactRegion(1.0))):
+        with pytest.raises(DomainError, match=re.escape(f"r must be an integer >= 0, "
+                                                        f"got r={r}")):
+            call()
 
 
 def test_provider_result_that_does_not_broadcast_is_named():
