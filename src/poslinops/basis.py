@@ -11,14 +11,14 @@ so a row can be built over any column range [lo, hi) that holds its mode.
 A row's window is [mean - t, mean + t] with t = L/3 + sqrt(L^2/9 + 2 L var),
 L = ln(2^60 / tail_tol) and var = m x(1 - x) (Bernstein) or ny (Poisson):
 by Bernstein's inequality the mass on either side of it is at most
-e^-L = tail_tol * 2^-60.  A Poisson row is built up to the window's right
-edge W, where the Chernoff bound P(X >= W) <= exp(-ny h(W/(ny) - 1)),
-h(u) = (1 + u) ln(1 + u) - u, joins the mass dropped past K in the row's
-tail bound.  Rows are built only as bands, by the two band builders: the
-union of their rows' windows (for Bernstein rows, less its columns of zeros:
-a row at x = 0 or 1 has one nonzero weight).  Weights below the smallest
-normal float are set to 0: subnormal operands slow the matrix products
-several-fold.
+e^-L = tail_tol * 2^-60.  A Poisson row ends before its own right edge
+W = ceil(ny + t), t with L = ln(1 / tail_tol) (``_szasz_edge``), so at most
+tail_tol of its mass lies at or past W, and is divided by the sum it keeps.
+Rows are built only as bands, by the two band builders: the union of their
+rows' windows, less its trailing columns of zeros (for Bernstein rows its
+leading ones too: a row at x = 0 or 1 has one nonzero weight).  Weights
+below the smallest normal float are set to 0: subnormal operands slow the
+matrix products several-fold.
 """
 
 from __future__ import annotations
@@ -103,15 +103,21 @@ def _mode_rows(a, b, lo, hi, widths=None):
     return rows
 
 
-def _window(mean, var, tol):
-    """Each row's window edges: at most tol * 2^-60 of its mass on each side.
+def _window(mean, var, tol, bits=60):
+    """Each row's window edges: at most tol * 2^-bits of its mass on each side.
 
     Bernstein's inequality P(|X - mean| >= t) <= exp(-t^2 / (2 (var + t/3)))
     on each side, for sums of independent variables within 1 of their means.
     """
-    L = 60 * math.log(2.0) - math.log(tol)  # 2^60 / tol overflows for tiny tol
+    L = bits * math.log(2.0) - math.log(tol)  # 2^60 / tol overflows for tiny tol
     s = np.sqrt(L * L / 9 + 2 * L * var)
     return mean - L / 3 - s, mean + L / 3 + s
+
+
+def _szasz_edge(rate, tol):
+    """The right edge W of Poisson rows at rate ny, a float: at most tol of a
+    row's mass lies at or past W (``_window`` with L = ln(1 / tol))."""
+    return np.ceil(_window(rate, rate, tol, bits=0)[1])
 
 
 # Points per block of a blocked sweep (``operators``); 32, 48 and 64 timed
@@ -123,15 +129,18 @@ def band_blocks(degree, points, policy, poisson):
     """Slices of consecutive points, each to be built over its own band: one
     when there are at most _BLOCK points or the single band, from the window
     edges of the extreme points, is at most 4 * _BLOCK columns wide; else
-    ceil(G / _BLOCK).  ``poisson`` picks the Szasz windows (variance ny)."""
+    ceil(G / _BLOCK).  ``poisson`` picks the Szasz windows (variance ny) and
+    right edges (``_szasz_edge``)."""
     g = len(points)
     if g > _BLOCK:
         x = np.array([np.min(points), np.max(points)], dtype=float)
         var = degree * x * (1.0 if poisson else 1.0 - x)
         with np.errstate(all="ignore"):  # a bad point's builder names it
             left, right = _window(degree * x, var, policy.tail_tol)
-            # A window reaches 2L/3 = 46 columns past its mean (default tail_tol):
-            # blocks narrow a band of 4 * _BLOCK columns too little to pay off.
+            if poisson:
+                right = _szasz_edge(degree * x, policy.tail_tol)
+            # A window reaches 2L/3 = 46 columns past its mean, a Szasz edge 18
+            # (default tail_tol): blocks narrow 4 * _BLOCK columns too little.
             cap = policy.max_terms if poisson else degree + 1
             if min(np.ceil(right[1]), cap) - max(np.floor(left[0]), 0.0) > 4 * _BLOCK:
                 k = -(-g // _BLOCK)
@@ -170,18 +179,37 @@ def szasz_band_matrix(n, ys, policy=DEFAULT_POLICY):
     """Truncated Poisson weights e^(-ny) (ny)^k / k!, one row per y in ys, from
     the leftmost window edge lo on; their tail bounds; and lo.
 
-    Row i ends at K_i, the smallest index at or beyond ceil(ny) (0 when ny is
-    below the smallest normal float) whose dropped mass, counted inside the
-    window plus the Chernoff bound past it, is at most tail_tol; the matrix
-    is as wide as the widest row.  tail[i] bounds the mass past K_i, and each
-    row drops at most policy.tail_tol * 2^-60 of its mass left of its window.
-    One y gets a row built from scalars, several a matrix built at once; a
-    weight of one may differ from the other's by rounding.
+    Row i ends before its right edge W_i (``_szasz_edge``) and is divided by
+    its sum, so it sums to 1 within 4 eps; the matrix is as wide as its
+    widest row less its trailing columns of zeros.  tail[i] <= tail_tol bounds
+    the mass past the row's last column: the Chernoff bound at W_i plus the
+    smallest normal float for each column left of W_i that it holds as 0.
+    Left of its window a row drops at most tail_tol * 2^-60 of its mass, so
+    the row moves the Szasz value of any h by at most
+    (tail[i] + tail_tol * 2^-60) (sup h - inf h), over all nodes.  One y gets
+    a row built from scalars, several a matrix built at once; a weight of one
+    may differ from the other's by rounding.
     """
     require_degree(n=n)
     if len(ys) == 1:
         return _szasz_row(n, float(ys[0]), policy)
     return _szasz_rows(n, ys, policy)
+
+
+def _szasz_ends(rate, policy):
+    """Each row's right edge W, capped at max_terms, and the Chernoff bound
+    P(X >= W) <= exp(W - ny + W ln(ny / W)); raises TruncationError where the
+    cap leaves more than tail_tol there (the bound needs W > ny, checked in
+    floats: past 2^63 a cast to intp wraps)."""
+    width = np.minimum(_szasz_edge(rate, policy.tail_tol), policy.max_terms)
+    chernoff = np.exp(width - rate + width * np.log(np.maximum(rate, _TINY) / width))
+    bad = np.flatnonzero((chernoff > policy.tail_tol) | (width <= rate))
+    if bad.size:
+        r, w, c = (np.ravel(v)[bad[0]] for v in (rate, width, chernoff))
+        raise TruncationError(f"mass target 1 - {policy.tail_tol} not reached within "
+                              f"{policy.max_terms} terms (rate {r})",
+                              tail=float(c) if w > r else 1.0)
+    return width, chernoff
 
 
 def _szasz_rows(n, ys, policy):
@@ -192,69 +220,34 @@ def _szasz_rows(n, ys, policy):
         bad = next(y for y in ys.tolist() if not 0.0 <= n * y < math.inf)
         raise DomainError(f"y must be >= 0 with n*y finite, got y = {bad} (n = {n})")
     rate = n * ys
-    tol = policy.tail_tol
-    left, right = _window(rate, rate, tol)
-    widths = np.minimum(np.ceil(right), policy.max_terms).astype(np.intp)
-    chernoff = np.exp(widths - rate + widths * np.log(np.maximum(rate, _TINY) / widths))
-    # A rate below the smallest normal float flushes every weight past column
-    # 0 to 0, so such a row stops at K = 0 and its tail bound is ny.
-    # Checked in floats: past 2^63 a cast to intp wraps.
-    low = np.where(rate < _TINY, 0.0, np.ceil(rate))
-    fail = (chernoff > tol) | (low >= widths)
-    if fail.any():
-        i = np.flatnonzero(fail)[0]
-        raise TruncationError(f"mass target 1 - {tol} not reached within "
-                              f"{policy.max_terms} terms (rate {rate[i]})",
-                              tail=float(chernoff[i]) if widths[i] > rate[i] else 1.0)
-    low = low.astype(np.intp)
-
+    width, chernoff = _szasz_ends(rate, policy)
+    width = width.astype(np.intp)
     # The mode floor(rate) is exact (b[k] = k + 1 >= rate past it), so rows
     # start from the lowest mode and stop the backward product at the highest.
     # Local column c is global column start + c; one column past the widest
     # row leaves room for its cut.
-    start = max(math.floor(left.min()), 0)
+    start = max(math.floor(_window(rate, rate, policy.tail_tol)[0].min()), 0)
     lo, hi = int(n * y_min) - start, int(n * y_max) - start
-    cols = widths.max() + 1 - start
-    rows = _mode_rows(rate[:, None], np.arange(start + 1.0, start + cols), lo, hi,
-                      widths - start)
-    total = rows.sum(axis=1)
-    # K_i lies in [low_i, widths_i): sum the mass past each column there only
-    g = np.arange(len(rows))
-    at = (g[:, None], np.minimum(low[:, None] - start
-                                 + np.arange((widths - low).max() + 1), cols - 1))
-    near = rows[at]
-    after = np.cumsum(near[:, :0:-1], axis=1)[:, ::-1] / total[:, None]
-    K = (after > (tol - chernoff)[:, None]).sum(axis=1)  # K_i - low_i
-    tail = after[g, K] + chernoff
-    near[np.arange(near.shape[1]) > K[:, None]] = 0.0
-    rows[at] = near
-    W = rows[:, : (low + K).max() + 1 - start]
-    W /= total[:, None]
-    W[W < _TINY] = 0.0
-    return W, tail, start
+    rows = _mode_rows(rate[:, None], np.arange(start + 1.0, width.max() + 1.0), lo, hi,
+                      width - start)
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows[rows < _TINY] = 0.0
+    nonzero = rows.any(axis=0)
+    W = rows[:, : len(nonzero) - int(nonzero[::-1].argmax())]
+    return W, chernoff + _TINY * (width - start - np.count_nonzero(W, axis=1)), start
 
 
 def _szasz_row(n, y, policy):
     """szasz_band_matrix for one y, built from scalars."""
-    rate, tol = n * y, policy.tail_tol
+    rate = n * y
     if not (y >= 0.0 and rate < math.inf):
         raise DomainError(f"y must be >= 0 with n*y finite, got y = {y} (n = {n})")
-    left, right = _window(rate, rate, tol)
-    width = min(math.ceil(right), policy.max_terms)
-    chernoff = float(np.exp(width - rate + width * np.log(max(rate, _TINY) / width)))
-    low = 0 if rate < _TINY else math.ceil(rate)
-    if chernoff > tol or low >= width:
-        raise TruncationError(f"mass target 1 - {tol} not reached within "
-                              f"{policy.max_terms} terms (rate {rate})",
-                              tail=chernoff if width > rate else 1.0)
-    start, mode = max(math.floor(left), 0), int(rate)
+    width, chernoff = _szasz_ends(rate, policy)
+    start, mode = max(math.floor(_window(rate, rate, policy.tail_tol)[0]), 0), int(rate)
     row = np.concatenate((np.cumprod(np.arange(mode, start, -1.0) / rate)[::-1], [1.0],
                           np.cumprod(rate / np.arange(mode + 1.0, width))))
-    total = row.sum()
-    # the mass past each column from low on: K - low columns are above target
-    after = np.cumsum(row[: low - start : -1])[::-1] / total
-    K = int(np.count_nonzero(after > tol - chernoff))
-    tail = (float(after[K]) if K < len(after) else 0.0) + chernoff
-    row = row[None, : low + K + 1 - start] / total
+    row /= row.sum()
     row[row < _TINY] = 0.0
-    return row, np.array([tail]), start
+    kept = np.flatnonzero(row)
+    return (row[None, : kept[-1] + 1],
+            np.array([chernoff + _TINY * (width - start - len(kept))]), start)

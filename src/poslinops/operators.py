@@ -218,8 +218,10 @@ def blocked_bands(params, m, n, xs, ys, policy=DEFAULT_POLICY,
     """The x axis, then the y axis, of the grid xs x ys, cut by ``band_blocks``,
     as ([(rows, W, offset)], nodes): W holds the weights of points[rows] over
     their block's band, offset columns into the union of the bands, whose
-    Stancu nodes are nodes.  A block's band moves an operator value by at most
-    4 * tail_tol * 2^-60 * (sup f - inf f); a bad point raises as in one band."""
+    Stancu nodes are nodes.  An operator value is within (tail + 3 tail_tol
+    2^-60)(sup f - inf f) of the untruncated one's, over all nodes (tail <=
+    tail_tol: the Szasz rows' bound), and a block's band moves it by at most
+    4 tail_tol 2^-60 (sup f - inf f); a bad point raises as in one band."""
     p, ny, axes = params, family is KernelFamily.BERNSTEIN_SZASZ, []
     for degree, points, alpha, beta, poisson in ((m, xs, p.alpha1, p.beta1, False),
                                                  (n, ys, p.alpha2, p.beta2, ny)):

@@ -10,7 +10,7 @@ along a segment, estimates the M of the order-r bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -34,12 +34,14 @@ class PartialDerivativeSet:
     ``factors`` declares f = sum_k g_k(x) h_k(y) instead, as ``Function2D``'s
     do, each 1-D factor by its derivatives: a tuple of them from the 0-th on,
     callables or constants, 0 past its end, or k -> the k-th derivative.
+    Each partial of a factored provider is built once, on first use.
     """
 
     eval: object = None
     order: float = math.inf
     source: str = "closed_form"
     factors: tuple = ()
+    _partials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _declare(self, self.source, _PartialSum, lambda g: isinstance(g, tuple)
@@ -177,11 +179,15 @@ def _factored_partial(factors, i, j, scale=1, name="f"):
 
 def _partial(derivs, i, j, scale=1):
     """The provider's partial d^(i+j) f / dx^i dy^j over scale, named for
-    errors: factored for a provider with factors; else a call of the provider,
-    at scale 1 undivided, which gives the same bits without a copy."""
+    errors: factored for a provider with factors, kept by (i, j, scale); else
+    a call of the provider, at scale 1 undivided, which gives the same bits
+    without a copy."""
     name = f"partial ({i}, {j}) of {derivs.source}"
     if derivs.factors:
-        return _factored_partial(derivs.factors, i, j, scale, name)
+        if (i, j, scale) not in derivs._partials:
+            derivs._partials[i, j, scale] = _factored_partial(derivs.factors, i, j,
+                                                              scale, name)
+        return derivs._partials[i, j, scale]
 
     def ev(x, y):
         out = derivs.eval(i, j, x, y)

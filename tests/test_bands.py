@@ -1,10 +1,12 @@
 """Weight bands: each row's window, the band builders and the banded operator.
 
 A row's window [mean - t, mean + t] leaves at most tail_tol * 2^-60 of the
-row's mass on each side (Bernstein's inequality).  The operator builds its
-weight rows and evaluates f only on its band: the union of its rows'
-windows, less the columns where every row is 0.  The rows are checked
-against exact ones: scipy's binomial pmf and the Poisson pmf below.
+row's mass on each side (Bernstein's inequality); a Szasz row ends before
+its right edge W, past which lies at most tail_tol, and is divided by its
+sum.  The operator builds its weight rows and evaluates f only on its band:
+the union of its rows' windows, less the columns where every row is 0.  The
+rows are checked against exact ones: scipy's binomial pmf and the Poisson
+pmf below.
 """
 
 import math
@@ -31,6 +33,7 @@ from poslinops import (
     corpus_lookup,
 )
 from poslinops.basis import (
+    _szasz_edge,
     _szasz_row,
     _szasz_rows,
     _window,
@@ -154,36 +157,42 @@ def test_bernstein_band_is_the_union_of_windows(m, xs):
 
 @BAND_SETTINGS
 @given(n=st.integers(1, 5000), r=rates)
+# the Chernoff term at the edge underflows to 0 at these rates: only the
+# floor of the columns held as 0 bounds the mass past the row
+@example(n=1, r=0.0)
+@example(n=1, r=1e-30)
+@example(n=1, r=1e-12)
 def test_szasz_band_is_the_window(n, r):
     y = r / n
     rate = n * y
+    tol = DEFAULT_POLICY.tail_tol
     band, tail, lo = szasz_band_matrix(n, [y])
-    left, right = _window(rate, rate, DEFAULT_POLICY.tail_tol)
+    left, W = _window(rate, rate, tol)[0], int(_szasz_edge(rate, tol))
     with mpmath.workdps(30):
         if left >= 1:  # P(X < floor(left)) is the upper regularized gamma
             assert mpmath.gammainc(math.floor(left), rate, mpmath.inf,
                                    regularized=True) <= DROP
-        assert mpmath.gammainc(math.ceil(right), 0, rate, regularized=True) <= DROP
-    assert left <= int(rate) < right  # the mode floor(ny)
-    # the row ends at K = hi - 1 inside the window, at its last nonzero
-    # weight; tail bounds the mass past K (all of it past k = 0 when K = 0)
+        assert mpmath.gammainc(W, 0, rate, regularized=True) <= tol  # P(X >= W)
+    assert left <= int(rate) < W  # the mode floor(ny)
+    # the row ends before W, at its last nonzero weight, and is the exact row
+    # divided by its mass; tail bounds the mass past it
     hi = lo + band.shape[1]
-    assert hi <= math.ceil(right) and band[0, -1] > 0.0
-    assert_band_row(band[0], lo, poisson_pmf(np.arange(hi), rate), left, right)
-    assert tail[0] <= DEFAULT_POLICY.tail_tol
+    assert hi <= W and band[0, -1] > 0.0
     with mpmath.workdps(30):
-        dropped = float(mpmath.gammainc(hi, 0, rate, regularized=True))
-    assert tail[0] >= dropped * (1 - RTOL)
-    if hi == 1:
-        assert tail[0] >= -math.expm1(-rate)
+        dropped = mpmath.gammainc(hi, 0, rate, regularized=True)
+        before = mpmath.gammainc(lo, rate, mpmath.inf, regularized=True) if lo else 0
+        kept = float(1 - before - dropped)
+    assert abs(band.sum() - 1.0) <= 4 * EPS
+    assert_band_row(band[0], lo, poisson_pmf(np.arange(hi), rate) / kept, left, W)
+    assert dropped * (1 - RTOL) <= tail[0] <= tol  # in mpmath: it may be < 5e-324
 
 
 @BAND_SETTINGS
 @given(n=st.integers(1, 5000), r=rates)
 def test_one_row_builder_matches_the_band_row(n, r):
     """A single point's Szasz row, built from scalars, has the matrix
-    builder's lo and K; its weights and tail bound differ from the matrix
-    builder's by rounding only."""
+    builder's first and last columns; its weights and tail bound differ from
+    the matrix builder's by rounding only."""
     y = r / n
     band, band_tail, lo = _szasz_rows(n, [y], DEFAULT_POLICY)
     row, tail, start = _szasz_row(n, y, DEFAULT_POLICY)
@@ -199,8 +208,8 @@ def test_one_row_builder_matches_the_band_row(n, r):
 @BAND_SETTINGS
 @given(n=st.integers(1, 5000), rs=st.lists(rates, min_size=2, max_size=5))
 def test_matrix_rows_match_the_one_row_builder(n, rs):
-    """Each row of a several-y matrix is that y's own row: the same first
-    column and K, weights within 8 eps, tail bound within 4 eps; left of the
+    """Each row of a several-y matrix is that y's own row: the same first and
+    last columns, weights within 8 eps, tail bound within 4 eps; left of the
     row's own first column it holds at most its window's dropped mass."""
     ys = [r / n for r in rs]
     W, tail, lo = szasz_band_matrix(n, ys)
@@ -216,11 +225,11 @@ def test_matrix_rows_match_the_one_row_builder(n, rs):
 @BAND_SETTINGS
 @given(n=st.integers(1, 5000), r=st.floats(1e-3, 1e5), frac=st.floats(0.0, 1.0))
 def test_one_row_builder_truncates_as_the_band_row(n, r, frac):
-    """With max_terms below the window's right edge both builders raise the
+    """With max_terms below the row's right edge both builders raise the
     same TruncationError, tail bound included, or both return the same band."""
     y = r / n
-    right = _window(n * y, n * y, DEFAULT_POLICY.tail_tol)[1]
-    policy = TruncationPolicy(max_terms=1 + int(frac * (math.ceil(right) - 2)))
+    right = _szasz_edge(n * y, DEFAULT_POLICY.tail_tol)
+    policy = TruncationPolicy(max_terms=1 + int(frac * (right - 2)))
     try:
         band, _, lo = _szasz_rows(n, [y], policy)
     except TruncationError as want:
@@ -288,11 +297,12 @@ def operator_cases(draw):
 
 def full_table_oracle(f, family, params, m, n, p):
     """wx @ F @ wy over every node column, with exact weight rows; the
-    Poisson row ends where the operator truncates it, at K."""
+    Poisson row ends where the operator's does and is divided by its sum."""
     wx = bernstein_pmf(m, p.x)
     if family is KernelFamily.BERNSTEIN_SZASZ:
         band, _, lo = szasz_band_matrix(n, [p.y])
         wy = poisson_pmf(np.arange(lo + band.shape[1]), n * p.y)
+        wy /= wy.sum()
     else:
         wy = bernstein_pmf(n, p.y)
     tx = (np.arange(len(wx)) + params.alpha1) / (m + params.beta1)

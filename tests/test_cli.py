@@ -382,6 +382,24 @@ def test_rth_and_thm41(tmp_path):
     assert rows[0][header.index("holds")] == "true"
 
 
+def test_default_check_thm41_holds(tmp_path):
+    """L_1 of the default f = x + y is f itself, so the lhs is rounding and
+    the renormalized Szasz rows keep it within the verdict's slack of rhs 0."""
+    code, out = run(tmp_path, "check-thm41")
+    assert code == 0
+    header, rows = read_csv(out)
+    assert rows[0][header.index("holds")] == "true"
+
+
+def test_converge_on_prod_is_exact_to_rounding(tmp_path):
+    """L(xy) = xy exactly: the sup error is rounding, far below tail_tol."""
+    code, out = run(tmp_path, "converge", "--function", "prod", "--A", "4",
+                    "--schedule", "10,1280", "--grid", "201")
+    assert code == 0
+    header, rows = read_csv(out)
+    assert all(float(row[header.index("sup_error")]) < 1e-12 for row in rows)
+
+
 @pytest.mark.parametrize("function, tol", [("quad", 1e-14), ("smooth", 1e-8)])
 def test_rth_closed_form_providers_serve_every_order(tmp_path, function, tol):
     """The corpus's closed-form partials are exact at every order, so r = 11

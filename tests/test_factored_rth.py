@@ -22,6 +22,7 @@ from poslinops import (
     f_rth_lipschitz_estimate,
 )
 from poslinops.operators import lattice
+from poslinops import taylor
 from poslinops.taylor import PartialDerivativeSet, apply_rth_on_grid
 
 from single_band import single_band
@@ -176,3 +177,20 @@ def test_a_provider_declared_by_its_own_factors():
     want = apply_rth_on_grid(table_route(derivs), StancuParams(), 120, 90, 3, xs, ys)
     size = term_sizes(derivs, StancuParams(), 120, 90, 3, xs, ys)
     assert np.all(np.abs(got - want) <= 16 * EPS * size + TINY)
+
+
+def test_each_partial_of_a_factored_provider_is_built_once(monkeypatch):
+    """L_r builds the partial of each Taylor term on a provider's first call
+    only; later calls, and a fresh provider, give the same bits."""
+    built, build = [], taylor._factored_partial
+    monkeypatch.setattr(taylor, "_factored_partial",
+                        lambda *args: built.append(args[1:3]) or build(*args))
+    factors = corpus_lookup("smooth").derivative_provider.factors
+    derivs, p = PartialDerivativeSet(factors=factors), Point2D(0.3, 0.7)
+    first = apply_rth(derivs, StancuParams(), 10, 10, 2, p)
+    terms = sorted((i, j) for i in range(3) for j in range(3 - i))
+    assert sorted(built) == terms
+    assert apply_rth(derivs, StancuParams(), 10, 10, 2, p) == first
+    assert sorted(built) == terms
+    assert apply_rth(PartialDerivativeSet(factors=factors), StancuParams(), 10, 10, 2,
+                     p) == first
