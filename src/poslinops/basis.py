@@ -74,8 +74,9 @@ class TruncationPolicy:
     def __post_init__(self):
         if not 0.0 < self.tail_tol < 1.0:
             raise DomainError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
+        t = self.max_terms  # an integer, so both Szasz builders cut a row alike
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
+            raise DomainError(f"max_terms must be an integer >= 1, got {t!r}")
 
 
 DEFAULT_POLICY = TruncationPolicy()

@@ -34,7 +34,7 @@ class PartialDerivativeSet:
     ``factors`` declares f = sum_k g_k(x) h_k(y) instead, as ``Function2D``'s
     do, each 1-D factor by its derivatives: a tuple of them from the 0-th on,
     callables or constants, 0 past its end, or k -> the k-th derivative.
-    Each partial of a factored provider is built once, on first use.
+    Each partial is built once per provider, on first use.
     """
 
     eval: object = None
@@ -65,14 +65,15 @@ class LipschitzWitness:
 
 def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY):
     """Order-r operator values on the tensor grid xs x ys: ``blocked_sweep``
-    of the product U_i C V_j^T for each monomial (i, j) of the Taylor
-    expansion, U_i = WX * dx^i and V_j = WY * dy^j built once per power and
-    block, and C the partial over i! j!, factored if the provider is."""
+    of the product X_i C Y_j^T for each monomial (i, j) of the Taylor
+    expansion, the weights X_i = WX * dx^i / i! and Y_j = WY * dy^j / j! built
+    once per power and block, and C the partial, factored if the provider is."""
     _require_order(derivs, r)
-    terms = [(_partial(derivs, h - j, j, math.factorial(h - j) * math.factorial(j)),
-              h - j, j) for h in range(r + 1) for j in range(h + 1)]
+    terms = [(_partial(derivs, h - j, j), h - j, j) for h in range(r + 1)
+             for j in range(h + 1)]
     return blocked_sweep(terms, params, m, n, xs, ys, policy, weigh=lambda W, x, t: [
-        W * (x[:, None] - t[None, :]) ** i if i else W for i in range(r + 1)])
+        W * (x[:, None] - t[None, :]) ** i / math.factorial(i) if i else W
+        for i in range(r + 1)])
 
 
 def apply_rth(derivs, params, m, n, r, p, policy=DEFAULT_POLICY):
@@ -159,10 +160,10 @@ def finite_difference_derivs(f, r, h=1e-4):
     return PartialDerivativeSet(order=r, eval=ev, source=f"finite_difference(h={h})")
 
 
-def _factored_partial(factors, i, j, scale=1, name="f"):
-    """d^(i+j) f / dx^i dy^j over scale of f = sum of g(x) h(y) over the pairs
-    (g, h) of 1-D factors: the Function2D of the pairs (g^(i) / scale, h^(j))
-    that are not 0, at scale 1 g^(i) undivided, or the constant 0."""
+def _factored_partial(factors, i, j, name="f"):
+    """d^(i+j) f / dx^i dy^j of f = sum of g(x) h(y) over the pairs (g, h) of
+    1-D factors: the Function2D of the pairs (g^(i), h^(j)) that are not 0, or
+    the constant 0."""
 
     def d(factor, k):  # as a callable, None where it is 0
         if not isinstance(factor, tuple):
@@ -170,30 +171,22 @@ def _factored_partial(factors, i, j, scale=1, name="f"):
         c = factor[k] if k < len(factor) else None
         return c if c is None or callable(c) else lambda t: c
 
-    pairs = ((d(g, i), d(h, j)) for g, h in factors)
-    pairs = tuple((g if scale == 1 else lambda t, g=g: g(t) / scale, h)
-                  for g, h in pairs if g is not None and h is not None)
+    pairs = tuple((g, h) for g, h in ((d(g, i), d(h, j)) for g, h in factors)
+                  if g is not None and h is not None)
     return Function2D(name=name, factors=pairs) if pairs else Function2D(
         lambda x, y: 0.0, name=name)
 
 
-def _partial(derivs, i, j, scale=1):
-    """The provider's partial d^(i+j) f / dx^i dy^j over scale, named for
-    errors: factored for a provider with factors, kept by (i, j, scale); else
-    a call of the provider, at scale 1 undivided, which gives the same bits
-    without a copy."""
-    name = f"partial ({i}, {j}) of {derivs.source}"
-    if derivs.factors:
-        if (i, j, scale) not in derivs._partials:
-            derivs._partials[i, j, scale] = _factored_partial(derivs.factors, i, j,
-                                                              scale, name)
-        return derivs._partials[i, j, scale]
-
-    def ev(x, y):
-        out = derivs.eval(i, j, x, y)
-        return out if scale == 1 else np.asarray(out, float) / scale
-
-    return Function2D(ev, name=name)
+def _partial(derivs, i, j):
+    """The provider's partial d^(i+j) f / dx^i dy^j, named for errors and kept
+    by (i, j) in the provider: factored for a provider with factors, else a
+    call of its eval, which holds the eval and not the provider (no cycle)."""
+    if (i, j) not in derivs._partials:
+        name, ev = f"partial ({i}, {j}) of {derivs.source}", derivs.eval
+        derivs._partials[i, j] = (
+            _factored_partial(derivs.factors, i, j, name) if derivs.factors
+            else Function2D(lambda x, y: ev(i, j, x, y), name=name))
+    return derivs._partials[i, j]
 
 
 def _require_order(derivs, r):

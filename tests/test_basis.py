@@ -164,6 +164,24 @@ def test_policy_validation():
         TruncationPolicy(tail_tol=1.5)
     with pytest.raises(DomainError):
         TruncationPolicy(max_terms=0)
+    for cap in (1, 5, np.int64(5)):
+        assert TruncationPolicy(max_terms=cap).max_terms == cap
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(max_terms=st.one_of(st.floats(allow_nan=True), st.booleans(),
+                           st.integers(-3, 0), st.integers(-3, 0).map(np.int64)))
+@example(max_terms=1.9)
+@example(max_terms=2.5)
+@example(max_terms=True)
+def test_max_terms_must_be_an_integer(max_terms):
+    """A fractional cap ended a row of the matrix builder at its floor and one
+    of the one-row builder at its ceiling: at tail_tol = 0.35, max_terms =
+    1.9, n = 1, y = 0.5 the matrix row was [1.0], its tail 0.321 below the
+    0.393 past it, and the one-row builder's [2/3, 1/3].  So a float, a bool
+    and a cap below 1 raise, as a degree does."""
+    with pytest.raises(DomainError, match="^max_terms must be an integer >= 1, got "):
+        TruncationPolicy(0.35, max_terms)
 
 
 # Rows of several points, built as one matrix over the union of their

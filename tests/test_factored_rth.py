@@ -4,7 +4,9 @@ and agrees with the table route of the same provider up to rounding."""
 
 import dataclasses
 import functools
+import gc
 import math
+import weakref
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -25,6 +27,7 @@ from poslinops.operators import lattice
 from poslinops import taylor
 from poslinops.taylor import PartialDerivativeSet, apply_rth_on_grid
 
+from corpus_partials import PARTIALS
 from single_band import single_band
 
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -39,9 +42,10 @@ def table_route(derivs):
 
 
 def term_sizes(derivs, params, m, n, r, xs, ys):
-    """The sum over the terms (i, j) of |U_i| @ |C| @ |V_j|.T, C the nodal
-    table of the partial over i! j!, on one band per axis; the blocked sweep
-    cuts no block at up to 32 points, so these are its operands."""
+    """The sum over the terms (i, j) of |X_i| @ |C| @ |Y_j|.T, C the nodal
+    table of the partial and X_i = WX dx^i / i!, Y_j = WY dy^j / j!, on one
+    band per axis; the blocked sweep cuts no block at up to 32 points, so
+    these are its operands."""
     WX, WY, tx, ty = single_band(params, m, n, xs, ys)
     dx, dy = np.abs(xs[:, None] - tx[None, :]), np.abs(ys[:, None] - ty[None, :])
     size = np.zeros((len(xs), len(ys)))
@@ -49,8 +53,8 @@ def term_sizes(derivs, params, m, n, r, xs, ys):
         for i, j in ((h - j, j) for j in range(h + 1)):
             C = np.broadcast_to(derivs.eval(i, j, tx[:, None], ty[None, :]),
                                 (len(tx), len(ty)))
-            size += ((WX * dx**i) @ np.abs(C) @ (WY * dy**j).T
-                     / (math.factorial(i) * math.factorial(j)))
+            size += ((WX * dx**i / math.factorial(i)) @ np.abs(C)
+                     @ (WY * dy**j / math.factorial(j)).T)
     return size
 
 
@@ -166,8 +170,7 @@ def test_an_eval_beside_the_factors_is_checked():
 def test_a_provider_declared_by_its_own_factors():
     """f = e^x y^2, its y factor a tuple of derivatives that ends at the
     second: its (0, 3) partial is 0, its (2, 1) partial e^x 2y, and L_3,
-    whose terms divide the x factor by i! j!, is the table route's within
-    rounding."""
+    whose weights carry 1 / (i! j!), is the table route's within rounding."""
     derivs = PartialDerivativeSet(factors=(
         (lambda k: np.exp, (np.square, lambda t: 2.0 * t, 2.0)),))
     assert derivs.eval(0, 3, 0.5, 2.0) == 0.0
@@ -194,3 +197,34 @@ def test_each_partial_of_a_factored_provider_is_built_once(monkeypatch):
     assert sorted(built) == terms
     assert apply_rth(PartialDerivativeSet(factors=factors), StancuParams(), 10, 10, 2,
                      p) == first
+
+
+def test_each_partial_of_an_eval_provider_is_built_once():
+    """A provider without factors keeps each partial by (i, j) too: later
+    calls of L_r and the Lipschitz estimate reuse the same objects, while the
+    eval is still called once per term per call.  The kept partials hold the
+    eval, not the provider, so a dropped provider is freed without gc."""
+    calls = []
+
+    def ev(i, j, x, y):
+        calls.append((i, j))
+        return PARTIALS["smooth"](i, j, x, y)
+
+    derivs, p = PartialDerivativeSet(eval=ev, source="counted"), Point2D(0.3, 0.7)
+    terms = sorted((i, j) for i in range(3) for j in range(3 - i))
+    first = apply_rth(derivs, StancuParams(), 10, 10, 2, p)
+    kept = dict(derivs._partials)
+    assert sorted(kept) == terms and sorted(calls) == terms
+    calls.clear()
+    assert apply_rth(derivs, StancuParams(), 10, 10, 2, p) == first
+    assert sorted(calls) == terms
+    f_rth_lipschitz_estimate(derivs, 2, 1.0, CompactRegion(1.0), 50)
+    assert derivs._partials.keys() == kept.keys()
+    assert all(derivs._partials[key] is g for key, g in kept.items())
+    ref = weakref.ref(derivs)
+    gc.disable()
+    try:
+        del derivs
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -29,6 +29,7 @@ from poslinops.operators import evaluate, lattice
 from poslinops.taylor import (PartialDerivativeSet, _directional, apply_rth_on_grid,
                               fd_stencil_weights)
 
+from corpus_partials import PARTIALS
 from single_band import single_band
 
 TIGHT = TruncationPolicy(1e-14)
@@ -136,14 +137,23 @@ def test_apply_rth_polynomial_exactness():
             assert abs(got - p.x**a * p.y**b) <= tol
 
 
-def test_apply_rth_against_direct_summation_oracle():
-    # independent brute-force evaluation of the order-r sum
-    e = corpus_lookup("smooth")
+SMOOTH_PROVIDERS = {  # the factored route, and the table route of an eval
+    "factors": corpus_lookup("smooth").derivative_provider,
+    "eval": PartialDerivativeSet(eval=PARTIALS["smooth"], source="smooth_eval"),
+}
+
+
+@pytest.mark.parametrize("route", SMOOTH_PROVIDERS)
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_apply_rth_against_direct_summation_oracle(r, route):
+    """Independent brute-force evaluation of the order-r sum, node by node,
+    with each Taylor coefficient over i! j!; at r >= 3 the weights' 1/3! and
+    1/4! round where the oracle's do not."""
+    derivs = SMOOTH_PROVIDERS[route]
     params = StancuParams(0.5, 1.5, 0.5, 1.5)
     m = n = 20
-    r = 2
     p = Point2D(0.5, 0.5)
-    got = apply_rth(e.derivative_provider, params, m, n, r, p, TIGHT)
+    got = apply_rth(derivs, params, m, n, r, p, TIGHT)
 
     wx = binom.pmf(np.arange(m + 1), m, p.x)
     wy = poisson.pmf(np.arange(80), n * p.y)  # mass past k = 80 below 1e-30
@@ -152,10 +162,8 @@ def test_apply_rth_against_direct_summation_oracle():
         tx = (nu + params.alpha1) / (m + params.beta1)
         for k in range(len(wy)):
             ty = (k + params.alpha2) / (n + params.beta2)
-            total += wx[nu] * wy[k] * taylor_poly(
-                e.derivative_provider, Point2D(tx, ty), p, r
-            )
-    assert got == pytest.approx(total, abs=1e-10)
+            total += wx[nu] * wy[k] * taylor_poly(derivs, Point2D(tx, ty), p, r)
+    assert got == pytest.approx(total, abs=1e-13)  # 1.6e-15 the largest seen
 
 
 POLYNOMIAL_DEGREES = {"const1": 0, "linear": 1, "prod": 2, "quad": 2}
@@ -259,7 +267,8 @@ def test_order_zero_is_the_operator_bit_for_bit(G, name):
 
 def single_band_rth(derivs, params, m, n, r, xs, ys):
     """L_r on xs x ys over one band per axis, and the sum over its terms of
-    |U_i| @ |C| @ |V_j|.T, which bounds every partial sum of the terms."""
+    |X_i| @ |C| @ |Y_j|.T, X_i = WX dx^i / i! and Y_j = WY dy^j / j!, which
+    bounds every partial sum of the terms."""
     WX, WY, tx, ty = single_band(params, m, n, xs, ys)
     dx, dy = xs[:, None] - tx[None, :], ys[:, None] - ty[None, :]
     want, size = np.zeros((len(xs), len(ys))), np.zeros((len(xs), len(ys)))
@@ -267,10 +276,10 @@ def single_band_rth(derivs, params, m, n, r, xs, ys):
         for j in range(h + 1):
             i = h - j
             C = np.broadcast_to(derivs.eval(i, j, tx[:, None], ty[None, :]),
-                                (len(tx), len(ty))) / (math.factorial(i) * math.factorial(j))
-            U, V = WX * dx**i, WY * dy**j
-            want += U @ C @ V.T
-            size += np.abs(U) @ np.abs(C) @ np.abs(V).T
+                                (len(tx), len(ty)))
+            X, Y = WX * dx**i / math.factorial(i), WY * dy**j / math.factorial(j)
+            want += X @ C @ Y.T
+            size += np.abs(X) @ np.abs(C) @ np.abs(Y).T
     return want, size
 
 
