@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .basis import DEFAULT_POLICY, DomainError, require_degree
+from .basis import DEFAULT_POLICY, DomainError, require_degree, require_finite
 from .moduli import lattice_moduli
 from .operators import apply_on_grid, blocked_bands, lattice_error, sample_lattice
 from .reporting import (
@@ -90,10 +90,16 @@ def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLI
     slack for rounding and underflow.  Sums and points are taken block by
     block of ``blocked_bands``.  The result is the largest value evaluated,
     the max of the full sweep over the same blocks bit for bit: each point is
-    reduced on its own, so its bits do not depend on the others.
+    reduced on its own, so its bits do not depend on the others.  Raises
+    RuntimeError naming L(|d|^p_exp) when an evaluated value is not finite
+    (|d|^p_exp overflows), and DomainError when p_exp > 2058 (C(h, h // 2)
+    overflows a float past h = 1029).
     """
     if not 0.0 < p_exp < math.inf:
         raise DomainError(f"p_exp must be finite and > 0, got {p_exp}")
+    if p_exp > 2058.0:
+        raise DomainError(f"p_exp must be <= 2058, got {p_exp}: past it the "
+                          f"binomials C(h, j) of its even moments overflow a float")
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     (xb, tx), (yb, ty) = blocked_bands(params, m, n, xs, ys, policy)
     xd = [(rows, W, (tx[None, o : o + W.shape[1]] - xs[rows, None]) ** 2)
@@ -122,8 +128,10 @@ def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLI
         keep = ~(bound[a] < cut)  # "not below" keeps NaN and inf points
         for cols, W, d2 in yd:
             if keep[cols].any():
-                vals = _distance_power_row(*xrows[a], W[keep[cols]], d2[keep[cols]],
-                                           p_exp)
+                vals = require_finite(
+                    f"L(|d|^{p_exp:g})", _distance_power_row(
+                        *xrows[a], W[keep[cols]], d2[keep[cols]], p_exp),
+                    f"points evaluated at x = {xs[a]:g}")
                 best = max(best, float(vals.max()))
     return best
 

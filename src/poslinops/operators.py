@@ -183,8 +183,9 @@ def lattice(side, grid_points):
 
     Every grid sup of the package is taken on this lattice, as (xs, ys).
     """
-    if grid_points < 2:
-        raise DomainError(f"grid_points must be >= 2, got {grid_points}")
+    if (isinstance(grid_points, bool) or not isinstance(grid_points, (int, np.integer))
+            or grid_points < 2):
+        raise DomainError(f"grid_points must be >= 2 and integral, got {grid_points!r}")
     return np.linspace(0.0, 1.0, grid_points), np.linspace(0.0, side, grid_points)
 
 
@@ -223,8 +224,10 @@ def blocked_bands(params, m, n, xs, ys, policy=DEFAULT_POLICY,
     tail_tol: the Szasz rows' bound), and a block's band moves it by at most
     4 tail_tol 2^-60 (sup f - inf f); a bad point raises as in one band."""
     p, ny, axes = params, family is KernelFamily.BERNSTEIN_SZASZ, []
-    for degree, points, alpha, beta, poisson in ((m, xs, p.alpha1, p.beta1, False),
-                                                 (n, ys, p.alpha2, p.beta2, ny)):
+    for name, degree, points, a, b, poisson in (("xs", m, xs, p.alpha1, p.beta1, False),
+                                                ("ys", n, ys, p.alpha2, p.beta2, ny)):
+        if len(shape := np.shape(points)) != 1 or not shape[0]:
+            raise DomainError(f"{name} must be nonempty 1-D, not shape {shape}")
         build = szasz_band_matrix if poisson else bernstein_band_matrix
         bands, first, last = [], np.inf, 0
         for rows in band_blocks(degree, points, policy, poisson):
@@ -232,7 +235,7 @@ def blocked_bands(params, m, n, xs, ys, policy=DEFAULT_POLICY,
             bands.append((rows, W, lo))
             first, last = min(first, lo), max(last, lo + W.shape[1])
         axes.append(([(rows, W, lo - first) for rows, W, lo in bands],
-                     (np.arange(first, last) + alpha) / (degree + beta)))
+                     (np.arange(first, last) + a) / (degree + b)))
     return axes
 
 
@@ -243,34 +246,25 @@ def blocked_sweep(terms, params, m, n, xs, ys, policy=DEFAULT_POLICY,
 
     A g with ``factors`` (g_k, h_k) builds no node table and its eval is never
     called: with the columns G = [g_k(tx)] and H = [h_k(ty)] on the nodes, it
-    adds U @ V.T, where U = X_i @ G and V = Y_j @ H block by block.  Any other
-    g is evaluated once, as its table G on the union of the bands; a constant
-    g = c adds c * outer(X_i.sum(1), Y_j.sum(1)) and builds no table."""
+    adds U @ V.T, where U = X_i @ G and V = Y_j @ H block by block; a constant
+    g = c is the one pair (c, 1), and c = 0 adds nothing.  Any other g is
+    evaluated once, as its contiguous table C on the union of the bands, and
+    adds (Y_j @ (X_i @ C).T).T, block by block on each axis."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     (xb, tx), (yb, ty) = blocked_bands(params, m, n, xs, ys, policy, family)
     xb = [(rows, weigh(W, xs[rows], tx[o : o + W.shape[1]]), o) for rows, W, o in xb]
     yb = [(cols, weigh(W, ys[cols], ty[o : o + W.shape[1]]), o) for cols, W, o in yb]
-    shape, L = (len(tx), len(ty)), None
+    L = np.zeros((len(xs), len(ys)))
     for g, i, j in terms:
         c = None if getattr(g, "factors", ()) else evaluate(g, tx[:, None], ty[None, :])
-        if c is None:
-            S = (_band_sums(xb, i, _factor_columns(g, 0, tx), len(xs))
-                 @ _band_sums(yb, j, _factor_columns(g, 1, ty), len(ys)).T)
-        elif c.ndim:
-            C = c if c.shape == shape else np.empty(shape)
-            if C is not c:  # expand a table constant along an axis, as eval_grid
-                np.copyto(C, c)
-            T = _band_sums(xb, i, C, len(xs))
-            S = np.empty((len(xs), len(ys)))
-            for cols, Y, b in yb:
-                np.matmul(T[:, b : b + Y[j].shape[1]], Y[j].T, out=S[:, cols])
-        elif c:
-            S = c * np.outer(np.concatenate([X[i].sum(axis=1) for _, X, _ in xb]),
-                             np.concatenate([Y[j].sum(axis=1) for _, Y, _ in yb]))
-        else:
-            continue
-        L = S if L is None else np.add(L, S, out=L)
-    return np.zeros((len(xs), len(ys))) if L is None else L
+        if c is not None and c.ndim:  # expanded as eval_grid: no zero-stride operand
+            C = np.ascontiguousarray(np.broadcast_to(c, (len(tx), len(ty))))
+            L += _band_sums(yb, j, _band_sums(xb, i, C, len(xs)).T, len(ys)).T
+        elif c is None or c:
+            G, H = ((_factor_columns(g, 0, tx), _factor_columns(g, 1, ty)) if c is None
+                    else (np.full((len(tx), 1), c), np.ones((len(ty), 1))))
+            L += _band_sums(xb, i, G, len(xs)) @ _band_sums(yb, j, H, len(ys)).T
+    return L
 
 
 def _band_sums(blocks, k, T, count):

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -343,6 +344,33 @@ def test_sup_distance_power_skips_most_points(monkeypatch):
 def test_sup_distance_power_rejects_bad_exponent(p_exp):
     with pytest.raises(DomainError, match="p_exp must be finite and > 0"):
         sup_distance_power_operator(StancuParams(), 10, 10, p_exp, *lattice(1.0, 11))
+
+
+def test_a_non_finite_distance_power_raises_naming_it():
+    """|d|^1000 overflows at every node, and 0 inf is NaN: the sweep dropped
+    those NaN points in Python's max and returned 0.0."""
+    with pytest.raises(RuntimeError,
+                       match=re.escape("L(|d|^1000) is not finite at 2 of 2 points")):
+        sup_distance_power_operator(StancuParams(), 10, 10, 1000, [0.5, 1.0], [1.0, 2.0])
+
+
+def test_the_order_r_bound_raises_where_the_distance_power_overflows():
+    """check-thm41 --function linear --r 169 --A 100 --M 1 --m 10 --n 10
+    --grid 11 wrote rhs = 0, yet L(|d|^170) at (0.5, 100) alone is 1.45e232."""
+    alone = sup_distance_power_operator(StancuParams(), 10, 10, 170.0, [0.5], [100.0])
+    assert alone == pytest.approx(1.4486978510012136e232, rel=1e-12)
+    entry = corpus_lookup("linear")
+    with pytest.raises(RuntimeError, match=re.escape("L(|d|^170) is not finite")):
+        theorem_4_1_bound(entry.derivative_provider, entry.function, StancuParams(),
+                          10, 10, 169, 1.0, 1.0, CompactRegion(100.0), 11)
+
+
+@pytest.mark.parametrize("p_exp", [2058.5, 2060, 1e9])
+def test_an_exponent_past_the_binomials_range_is_a_domain_error(p_exp):
+    """C(1030, 515) overflows a float: p_exp > 2058 raised a bare
+    OverflowError (and a huge p_exp would first build h moment arrays)."""
+    with pytest.raises(DomainError, match=f"p_exp must be <= 2058, got {p_exp}"):
+        sup_distance_power_operator(StancuParams(), 10, 10, p_exp, [0.5], [1.0])
 
 
 def test_theorem_4_1_linear_exact():

@@ -194,6 +194,16 @@ def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
     assert not out.exists()
 
 
+def test_an_overflowing_distance_power_exits_2_naming_it(tmp_path):
+    code, out = run(tmp_path, "check-thm41", "--function", "linear", "--r", "169",
+                    "--A", "100", "--M", "1", "--m", "10", "--n", "10", "--grid", "11")
+    assert code == 2
+    error = sidecar(out)["error"]
+    assert error["type"] == "RuntimeError"
+    assert error["message"].startswith("L(|d|^170) is not finite")
+    assert not out.exists()
+
+
 def test_non_finite_bound_exits_2_naming_the_side(tmp_path):
     # (1e308 / 6) (1 + 10^2) delta_mn overflows: an infinite RHS would hold
     code, out = run(tmp_path, "check-thm41", "--function", "quad", "--r", "2",

@@ -60,10 +60,15 @@ SUBNORMAL = [(0.00766, 731.45), (0.5118216247002567, 712.0840846754289)]
 @example(case=("smooth", StancuParams(1, 2, 0.5, 1), 64, 10,
                np.array([SUBNORMAL[0][0]]), np.array([SUBNORMAL[0][1]])))
 @example(case=("linear", StancuParams(1, 1, 2, 2), 600, 600, *lattice(5.0, 201)))
+@example(case=("const1", StancuParams(), 600, 600, *lattice(5.0, 201)))
+@example(case=("holder_half", StancuParams(1, 2, 1, 2), 600, 600, *lattice(5.0, 201)))
 def test_factored_route_agrees_with_the_table_route(case):
     """Within 64 eps (sum |W| |F| + tiny) per point: each route rounds its
     products and sums, and the factored route's g h differs from f by a few
-    ulps of |f|, or by a few subnormal ulps where e^-y underflows."""
+    ulps of |f|, or by a few subnormal ulps where e^-y underflows.  The
+    examples at m = n = 600 cut both axes into blocks; there const1's table
+    route is the scalar 1, the pair (1, 1), and holder_half's is a table
+    constant along y."""
     name, params, m, n, xs, ys = case
     f = corpus_lookup(name).function
     got = apply_on_grid(f, params, m, n, xs, ys)

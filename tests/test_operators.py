@@ -603,6 +603,22 @@ def test_a_sweep_builds_one_band_per_axis_or_a_band_per_block(monkeypatch, sweep
     assert calls.count("szasz_band_matrix") == builds
 
 
+@pytest.mark.parametrize("sweep", SWEEPS)
+@pytest.mark.parametrize("axis, xs, ys, shape", [
+    ("xs", [], [0.5], (0,)),
+    ("ys", [0.5], [], (0,)),
+    ("xs", 0.5, [0.5], ()),
+    ("ys", [0.5], 0.5, ()),
+    ("ys", [0.5], [[0.5, 1.0]], (1, 2)),
+], ids=["empty-x", "empty-y", "scalar-x", "scalar-y", "2d-y"])
+def test_a_point_axis_must_be_nonempty_and_1d(sweep, axis, xs, ys, shape):
+    """An empty, scalar or 2-D axis raised a bare numpy error (a reduction of
+    a zero-size array, len() of an unsized object); now one check names it."""
+    with pytest.raises(DomainError,
+                       match=re.escape(f"{axis} must be nonempty 1-D, not shape {shape}")):
+        SWEEPS[sweep](10, xs, ys)
+
+
 def test_apply_on_grid_names_failing_function():
     # math.sqrt rejects arrays; f must broadcast, so the error names f
     f = f2(lambda t, tau: math.sqrt(t - 2.0), name="sqrt_shifted")

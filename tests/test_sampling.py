@@ -2,6 +2,7 @@
 
 import math
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -74,6 +75,27 @@ def test_grid_checker_needs_two_lattice_points(checker, grid_points):
     call = {**CHECKERS, **LATTICE_ONLY}[checker]
     with pytest.raises(DomainError, match="grid_points must be >= 2"):
         call(QUAD, grid_points)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(grid_points=st.one_of(st.floats(allow_nan=True), st.booleans(),
+                             st.integers(max_value=1), st.fractions(),
+                             st.integers(2, 60).map(float)))
+@example(grid_points=2.5)
+@example(grid_points=True)
+def test_grid_points_must_be_an_integer_of_at_least_two(grid_points):
+    """A non-integer count (2.5, 3.0, Fraction(3)) raised a bare TypeError
+    from np.linspace; a bool is no count either."""
+    with pytest.raises(DomainError, match="grid_points must be >= 2 and integral"):
+        sample_lattice(QUAD, R1, grid_points)
+
+
+@pytest.mark.parametrize("grid_points", [2, 7, np.int64(5)])
+def test_an_integer_grid_points_gives_that_lattice(grid_points):
+    """numpy's integers count too."""
+    xs, ys, F = sample_lattice(QUAD, STRIP, grid_points)
+    assert xs.shape == ys.shape == (grid_points,)
+    assert F.shape == (grid_points, grid_points) and ys[-1] == STRIP.A
 
 
 @pytest.mark.parametrize("checker", sorted(CHECKERS))

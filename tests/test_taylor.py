@@ -25,7 +25,7 @@ from poslinops import (
     finite_difference_derivs,
 )
 from poslinops.basis import szasz_band_matrix
-from poslinops.operators import evaluate, lattice
+from poslinops.operators import blocked_bands, evaluate, lattice
 from poslinops.taylor import (PartialDerivativeSet, _directional, apply_rth_on_grid,
                               fd_stencil_weights)
 
@@ -208,7 +208,7 @@ def test_constant_and_zero_partials_build_no_node_table():
     size of the point's node table is allocated.  Nor is one on the factored
     route, by f = 1's own provider or by the operator itself (the order-0
     sweep).  quad at r = 2 on the table route: its three partials of order 2
-    are scalars."""
+    are scalars.  Last, a constant f without factors on a blocked lattice."""
     calls = []
     const = corpus_lookup("const1").derivative_provider
 
@@ -243,6 +243,15 @@ def test_constant_and_zero_partials_build_no_node_table():
     assert sorted(ndims) == [((0, 0), 2), ((0, 1), 2), ((0, 2), 0), ((1, 0), 2),
                              ((1, 1), 0), ((2, 0), 0)]
     assert abs(value - (p.x**2 + p.y**2)) <= 1e-11 * (p.x**2 + p.y**2)
+    # a constant f without factors on a lattice cut into blocks: the pair
+    # (2.5, 1), not a node table of 2,001 x 10,753 nodes (172 MB)
+    xs, ys = lattice(5.0, 201)
+    (xb, tx), (yb, ty) = blocked_bands(StancuParams(), m, n, xs, ys)
+    assert len(xb) > 1 and len(yb) > 1
+    value, peak = peak_of(lambda: apply_on_grid(Function2D(lambda x, y: 2.5),
+                                                StancuParams(), m, n, xs, ys))
+    assert np.all(np.abs(value - 2.5) <= 1e-11)
+    assert peak < len(tx) * len(ty) * 8 / 16
 
 
 def order_zero(f):
