@@ -74,26 +74,39 @@ def check_theorem_3_3(f, params, m, n, region, grid_points=201,
 
 
 _SLACK, _FLOOR = 1e-9, 2.0**-1000  # rounding, L(1) = 1 to ulps; underflow
+# The Gauss bound's slack for rounding, and the least tilted variance (per E_h^2)
+# and node ratio z2 / z1 at which its nodes are resolved from rounded moments
+_G_SLACK, _G_SPREAD, _G_NODES = 1e-6, 1e-4, 1e-6
 
 
 def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLICY):
     """Max over the tensor grid xs x ys of L(((t-x)^2 + (tau-y)^2)^(p_exp/2); x, y).
 
-    Each point's value M_q, q = p_exp, is bracketed by closed forms in the
+    Each point's value M_q, q = p_exp, is bounded above by closed forms in the
     even moments E_k = L(|d|^2k), binomial sums of products of 1-D moments.
-    With h = ceil(q/2), Hoelder gives M_q <= E_(h-1)^theta E_h^(1-theta),
-    theta = (2h - q)/2, for any non-negative weights (E_0 = L(1)).  For
-    q >= 2, Jensen gives M_q >= E_k^(q/2k), k = floor(q/2), for weights that
-    sum to at most 1.  Rows are swept by descending upper bound, and the
-    operator is evaluated only at points whose upper bound is not below the
-    best value so far nor the largest finite lower bound.  Both bounds carry
-    slack for rounding and underflow.  Sums and points are taken block by
-    block of ``blocked_bands``.  The result is the largest value evaluated,
-    the max of the full sweep over the same blocks bit for bit: each point is
-    reduced on its own, so its bits do not depend on the others.  Raises
-    RuntimeError naming L(|d|^p_exp) when an evaluated value is not finite
-    (|d|^p_exp overflows), and DomainError when p_exp > 2058 (C(h, h // 2)
-    overflows a float past h = 1029).
+    With h = ceil(q/2) and theta = (2h - q)/2, Hoelder gives the chord
+    M_q <= E_(h-1)^theta E_h^(1-theta) for any non-negative weights
+    (E_0 = L(1)); at even q it is E_h itself.  At other q, M_q is the integral
+    of z^u, u = 1 - theta, against the tilted measure Z^(h-1) dP, Z = |d|^2,
+    whose moments are E_(h-1), ..., E_(h+2), and its two-node Gauss rule G2
+    bounds it above: z^u = u/Gamma(1-u) int_0^inf (1 - e^(-tz)) t^(-1-u) dt,
+    and each 1 - e^(-tz) has a negative fourth derivative, the sign that makes
+    a two-node Gauss rule overestimate.  A point takes the smaller bound, with
+    slack 1e-9 on the chord and 1e-6 on G2 for rounding and 2^-1000 on both
+    for underflow; it keeps the chord where G2 is not finite, a node or weight
+    is negative, the tilted variance E_(h-1) E_(h+1) - E_h^2 is below
+    1e-4 E_h^2, the smaller node is below 1e-6 times the larger (rounded
+    moments resolve neither), or h + 2 > 1029.  The point of largest finite
+    bound is evaluated first, as the seed of the best value; then rows are
+    swept by descending bound, and a point is evaluated only when its bound
+    is not below the best value so far.  Sums and points are taken block by block of
+    ``blocked_bands``.  The result is the largest value evaluated, the max of
+    the full sweep over the same blocks bit for bit: each point is reduced on
+    its own, so its bits do not depend on the others.  Raises RuntimeError
+    naming L(|d|^p_exp) when an evaluated value is not finite (|d|^p_exp
+    overflows); that error is the report, so numpy's warnings are silenced
+    here.  Raises DomainError when p_exp > 2058 (C(h, h // 2) overflows a
+    float past h = 1029).
     """
     if not 0.0 < p_exp < math.inf:
         raise DomainError(f"p_exp must be finite and > 0, got {p_exp}")
@@ -102,38 +115,67 @@ def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLI
                           f"binomials C(h, j) of its even moments overflow a float")
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     (xb, tx), (yb, ty) = blocked_bands(params, m, n, xs, ys, policy)
-    xd = [(rows, W, (tx[None, o : o + W.shape[1]] - xs[rows, None]) ** 2)
-          for rows, W, o in xb]
-    yd = [(cols, W, (ys[cols, None] - ty[None, o : o + W.shape[1]]) ** 2)
-          for cols, W, o in yb]
     h = math.ceil(p_exp / 2.0)
-    mx, my = ([np.concatenate([(W * d2**j).sum(axis=1) for _, W, d2 in blocks])
-               for j in range(h + 1)] for blocks in (xd, yd))
-    xrows = [row for _, W, d2 in xd for row in zip(W, d2)]  # (wx, dx2) per x
-    E = [sum(math.comb(k, j) * np.outer(mx[j], my[k - j]) for j in range(k + 1))
-         for k in range(h + 1)]
     theta = (2 * h - p_exp) / 2.0
-    bound = ((1.0 + _SLACK) * (E[h - 1] + _FLOOR) ** theta
-             * (E[h] + _FLOOR) ** (1.0 - theta))
-    seed = 0.0
-    if p_exp >= 2.0:
-        k = math.floor(p_exp / 2.0)
-        low = E[k] ** (p_exp / (2 * k))
-        seed = (1.0 - _SLACK) * float(low[np.isfinite(low)].max(initial=0.0)) - _FLOOR
-    top, best = bound.max(axis=1), 0.0
-    for a in np.argsort(top)[::-1]:  # NaN sorts last, so its rows come first
-        cut = max(best, seed)
-        if top[a] < cut:
-            break
-        keep = ~(bound[a] < cut)  # "not below" keeps NaN and inf points
-        for cols, W, d2 in yd:
-            if keep[cols].any():
-                vals = require_finite(
-                    f"L(|d|^{p_exp:g})", _distance_power_row(
-                        *xrows[a], W[keep[cols]], d2[keep[cols]], p_exp),
-                    f"points evaluated at x = {xs[a]:g}")
-                best = max(best, float(vals.max()))
+    last = h + 2 if theta and h + 2 <= 1029 else h  # highest even moment used
+    with np.errstate(all="ignore"):
+        xd = [(rows, W, (tx[None, o : o + W.shape[1]] - xs[rows, None]) ** 2)
+              for rows, W, o in xb]
+        yd = [(cols, W, (ys[cols, None] - ty[None, o : o + W.shape[1]]) ** 2)
+              for cols, W, o in yb]
+        mx, my = ([np.concatenate([(W * d2**j).sum(axis=1) for _, W, d2 in blocks])
+                   for j in range(last + 1)] for blocks in (xd, yd))
+        xrows = [row for _, W, d2 in xd for row in zip(W, d2)]  # (wx, dx2) per x
+
+        def row_max(a, keep):  # the largest value at the kept points of row a, or 0
+            out = 0.0
+            for cols, W, d2 in yd:
+                if keep[cols].any():
+                    vals = require_finite(
+                        f"L(|d|^{p_exp:g})", _distance_power_row(
+                            *xrows[a], W[keep[cols]], d2[keep[cols]], p_exp),
+                        f"points evaluated at x = {xs[a]:g}")
+                    out = max(out, float(vals.max()))
+            return out
+
+        E = [sum(math.comb(k, j) * np.outer(mx[j], my[k - j]) for j in range(k + 1))
+             for k in range(h - 1, last + 1)]
+        bound = _power_bound(E, theta)
+        a, c = np.unravel_index(
+            np.argmax(np.where(np.isfinite(bound), bound, -np.inf)), bound.shape)
+        best = 0.0
+        if np.isfinite(bound[a, c]):  # the seed, then out of its row's batch
+            best = row_max(a, np.arange(len(ys)) == c)
+            bound[a, c] = -np.inf
+        top = bound.max(axis=1)
+        for a in np.argsort(top)[::-1]:  # NaN sorts last, so its rows come first
+            if top[a] < best:
+                break
+            best = max(best, row_max(a, ~(bound[a] < best)))  # keeps NaN and inf
     return best
+
+
+def _power_bound(E, theta):
+    """Upper bounds of L(|d|^p), p = 2h - 2 theta, from the even-moment tables
+    E = [E_(h-1), E_h], the chord, or [E_(h-1), ..., E_(h+2)], the moments of
+    the tilted measure: the smaller of the chord and G2 where G2 is formed."""
+    chord = ((1.0 + _SLACK) * (E[0] + _FLOOR) ** theta
+             * (E[1] + _FLOOR) ** (1.0 - theta))
+    if len(E) == 2:
+        return chord
+    m0, m1, m2, m3 = E
+    var = m0 * m2 - m1 * m1
+    half = 0.5 * (m0 * m3 - m1 * m2) / var  # nodes: roots of z^2 - 2 half z + b
+    b = (m1 * m3 - m2 * m2) / var
+    z1 = half + np.sqrt(half * half - b)
+    z2 = b / z1  # the product of the roots, free of cancellation
+    w1 = (m1 - m0 * z2) / (z1 - z2)
+    w2 = m0 - w1
+    u = 1.0 - theta  # G2 = w1 z1^u + w2 z2^u
+    g = (1.0 + _G_SLACK) * (w1 * z1**u + w2 * z2**u) + _FLOOR
+    ok = ((var >= _G_SPREAD * m1 * m1) & (z2 >= _G_NODES * z1)
+          & (w1 >= 0.0) & (w2 >= 0.0) & np.isfinite(g))
+    return np.where(ok, np.minimum(chord, g), chord)
 
 
 def _distance_power_row(wx, dx2, WY, dy2, p_exp):

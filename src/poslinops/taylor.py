@@ -67,13 +67,18 @@ def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY):
     """Order-r operator values on the tensor grid xs x ys: ``blocked_sweep``
     of the product X_i C Y_j^T for each monomial (i, j) of the Taylor
     expansion, the weights X_i = WX * dx^i / i! and Y_j = WY * dy^j / j! built
-    once per power and block, and C the partial, factored if the provider is."""
+    once per power and block, and C the partial, factored if the provider is.
+    A factored provider's terms whose partial is the constant 0 are dropped,
+    and powers are built only up to the highest order a kept term uses."""
     _require_order(derivs, r)
     terms = [(_partial(derivs, h - j, j), h - j, j) for h in range(r + 1)
              for j in range(h + 1)]
+    if derivs.factors:
+        terms = [term for term in terms if term[0].factors]
+    top = max((max(i, j) for _, i, j in terms), default=0)
     return blocked_sweep(terms, params, m, n, xs, ys, policy, weigh=lambda W, x, t: [
         W * (x[:, None] - t[None, :]) ** i / math.factorial(i) if i else W
-        for i in range(r + 1)])
+        for i in range(top + 1)])
 
 
 def apply_rth(derivs, params, m, n, r, p, policy=DEFAULT_POLICY):

@@ -4,6 +4,8 @@ import dataclasses
 import functools
 import math
 import re
+from unittest import mock
+import warnings
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -287,14 +289,39 @@ def sweep_cases(draw):
 @given(case=sweep_cases())
 # m = 160 and n = 60 on 33 points: both axes are cut into two blocks
 @example(case=(StancuParams(1, 2, 0.5, 1.5), 160, 60, 3.0, R1, 33))
+# alpha1 = beta1 and alpha2 = 0: the value is 0 at the corner (1, 0)
+@example(case=(StancuParams(1.5, 1.5, 0.0, 2.0), 7, 9, 2.5, R1, 5))
+# G = 2: the lattice is its four corners, the rows x in {0, 1} and y in {0, A}
+@example(case=(StancuParams(), 3, 4, 1.5, CompactRegion(2.0), 2))
+# p just above an even integer: z^u, u = 5e-10, is nearly a step at z = 0
+@example(case=(StancuParams(0.5, 1, 0, 0.5), 30, 20, 4.0 + 1e-9, R1, 11))
+# at y = 0 the m = 1 point x = 0.25 lies 1.25e-10 from the node 0.5 / (2 + 1e-9),
+# a Gauss node too small to resolve from rounded moments
+@example(case=(StancuParams(0.5, 1.0 + 1e-9, 0.0, 1.0), 1, 5, 0.5, R1, 5))
+# at y = 0 the m = 2 point x = 0.8 lies 1e-8 from the node (1 + b) / (2 + b):
+# the tilted variance is too small for rounded moments to give the Gauss rule
+@example(case=(StancuParams(3 - 2.5e-7, 3 - 2.5e-7, 0.0, 1.0), 2, 5, 3.0, R1, 6))
+# the Gauss rule is exact for the two nodes of m = 1 at y = 0 but for rounding
+@example(case=(StancuParams(), 1, 5, 3.3172862031310877,
+               CompactRegion(1.0101770661169445), 37))
 def test_sup_distance_power_is_the_full_sweep_max(case):
     params, m, n, p_exp, region, G = case
     xs, ys = lattice(region.A, G)
     table = distance_power_table(params, m, n, p_exp, xs, ys, TIGHT)
+    made, power_bound = [], bounds._power_bound
+
+    def kept(E, theta):  # the sweep marks evaluated points in its own copy
+        made.append(power_bound(E, theta))
+        return made[-1].copy()
+
+    with mock.patch.object(bounds, "_power_bound", kept):
+        got = sup_distance_power_operator(params, m, n, p_exp, xs, ys, TIGHT)
     # bit for bit: a skipped point's value lies below the best one seen
-    got = sup_distance_power_operator(params, m, n, p_exp, xs, ys, TIGHT)
     assert got == max(0.0, float(table.max()))
-    # the skipping rests on Hoelder's L(|d|^p) <= E_(h-1)^theta E_h^(1-theta),
+    # the skipping rests on a bound of every point: the smaller of the chord
+    # and, at p not even, the two-node Gauss rule
+    assert len(made) == 1 and np.all(made[0] >= table)
+    # the chord is Hoelder's L(|d|^p) <= E_(h-1)^theta E_h^(1-theta),
     # E_k = L(|d|^2k), with slack for rounding and a floor for underflow
     h = math.ceil(p_exp / 2.0)
     below, even = (even_moment_table(params, m, n, k, xs, ys, TIGHT) for k in (h - 1, h))
@@ -303,11 +330,6 @@ def test_sup_distance_power_is_the_full_sweep_max(case):
     theta, floor = (2 * h - p_exp) / 2.0, 2.0**-1000
     upper = (1.0 + 1e-9) * (below + floor) ** theta * (even + floor) ** (1.0 - theta)
     assert np.all(upper >= table)
-    # and on Jensen's L(|d|^p) >= E_k^(p/2k), k = floor(p/2), for p >= 2
-    if p_exp >= 2.0:
-        k = math.floor(p_exp / 2.0)
-        low = even_moment_table(params, m, n, k, xs, ys, TIGHT) ** (p_exp / (2 * k))
-        assert (1.0 - 1e-9) * low[np.isfinite(low)].max(initial=0.0) <= table.max()
 
 
 @pytest.mark.parametrize("p_exp", [2.0, 4.0])
@@ -331,13 +353,25 @@ def test_sup_distance_power_skips_most_points(monkeypatch):
         return row(wx, dx2, WY, dy2, p_exp)
 
     monkeypatch.setattr(bounds, "_distance_power_row", counted)
-    # even p: the bounds meet at L(|d|^p) itself, so only its max is evaluated
+    # even p: the chord is L(|d|^p) itself, so only the top point is evaluated
     sup_distance_power_operator(StancuParams(), 10, 10, 2.0, *lattice(1.0, 201), TIGHT)
     assert evaluated == [1]
-    evaluated.clear()
-    sup_distance_power_operator(StancuParams(1, 2, 1, 2), 20, 20, 3.0,
-                                *lattice(1.0, 101), TIGHT)
-    assert sum(evaluated) <= 0.05 * 101**2
+    # odd and fractional p: the two-node Gauss bound is within a few percent
+    for params, m, p_exp, share in ((StancuParams(1, 2, 1, 2), 20, 3.0, 0.01),
+                                    (StancuParams(), 40, 1.5, 0.03)):
+        evaluated.clear()
+        sup_distance_power_operator(params, m, m, p_exp, *lattice(1.0, 101), TIGHT)
+        assert sum(evaluated) <= share * 101**2
+
+
+@pytest.mark.parametrize("p_exp", [2053.5, 2057.5])
+def test_an_exponent_at_the_binomials_edge_is_the_full_sweep_max(p_exp):
+    """h = 1027 takes the Gauss bound, whose E_(h+2) needs C(1029, j); h = 1029
+    keeps the chord alone, as C(1031, j) overflows a float."""
+    xs, ys = lattice(0.1, 5)
+    table = distance_power_table(StancuParams(), 10, 1000, p_exp, xs, ys, TIGHT)
+    got = sup_distance_power_operator(StancuParams(), 10, 1000, p_exp, xs, ys, TIGHT)
+    assert got == float(table.max()) > 0.0
 
 
 @pytest.mark.parametrize("p_exp", [0.0, -1.0, math.nan, math.inf])
@@ -349,9 +383,12 @@ def test_sup_distance_power_rejects_bad_exponent(p_exp):
 def test_a_non_finite_distance_power_raises_naming_it():
     """|d|^1000 overflows at every node, and 0 inf is NaN: the sweep dropped
     those NaN points in Python's max and returned 0.0."""
-    with pytest.raises(RuntimeError,
-                       match=re.escape("L(|d|^1000) is not finite at 2 of 2 points")):
-        sup_distance_power_operator(StancuParams(), 10, 10, 1000, [0.5, 1.0], [1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error is the report: no RuntimeWarning
+        with pytest.raises(RuntimeError, match=re.escape(
+                "L(|d|^1000) is not finite at 2 of 2 points")):
+            sup_distance_power_operator(StancuParams(), 10, 10, 1000, [0.5, 1.0],
+                                        [1.0, 2.0])
 
 
 def test_the_order_r_bound_raises_where_the_distance_power_overflows():
@@ -360,9 +397,11 @@ def test_the_order_r_bound_raises_where_the_distance_power_overflows():
     alone = sup_distance_power_operator(StancuParams(), 10, 10, 170.0, [0.5], [100.0])
     assert alone == pytest.approx(1.4486978510012136e232, rel=1e-12)
     entry = corpus_lookup("linear")
-    with pytest.raises(RuntimeError, match=re.escape("L(|d|^170) is not finite")):
-        theorem_4_1_bound(entry.derivative_provider, entry.function, StancuParams(),
-                          10, 10, 169, 1.0, 1.0, CompactRegion(100.0), 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # none from the Taylor weights nor the sweep
+        with pytest.raises(RuntimeError, match=re.escape("L(|d|^170) is not finite")):
+            theorem_4_1_bound(entry.derivative_provider, entry.function, StancuParams(),
+                              10, 10, 169, 1.0, 1.0, CompactRegion(100.0), 11)
 
 
 @pytest.mark.parametrize("p_exp", [2058.5, 2060, 1e9])

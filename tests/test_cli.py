@@ -195,8 +195,11 @@ def test_invalid_input_exits_2_naming_parameter(tmp_path, args, message):
 
 
 def test_an_overflowing_distance_power_exits_2_naming_it(tmp_path):
-    code, out = run(tmp_path, "check-thm41", "--function", "linear", "--r", "169",
-                    "--A", "100", "--M", "1", "--m", "10", "--n", "10", "--grid", "11")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # none from the Taylor weights nor the sweep
+        code, out = run(tmp_path, "check-thm41", "--function", "linear", "--r", "169",
+                        "--A", "100", "--M", "1", "--m", "10", "--n", "10",
+                        "--grid", "11")
     assert code == 2
     error = sidecar(out)["error"]
     assert error["type"] == "RuntimeError"

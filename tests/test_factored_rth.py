@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import gc
 import math
+import warnings
 import weakref
 
 from hypothesis import example, given, settings, strategies as st
@@ -228,3 +229,26 @@ def test_each_partial_of_an_eval_provider_is_built_once():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_vanishing_partials_are_dropped_with_their_powers(monkeypatch):
+    """x + y has no partial past order 1: L_20 and L_169 keep the three terms
+    of L_1 and build the weights W and W dx only, so they are L_1 bit for bit,
+    and no power W dx^i / i! overflows at r = 169."""
+    derivs = corpus_lookup("linear").derivative_provider
+    xs, ys = lattice(1.0, 101)
+    swept, sweep = [], taylor.blocked_sweep
+
+    def seen(terms, *args, weigh):
+        powers = weigh(np.ones((1, 1)), np.zeros(1), np.zeros(1))
+        swept.append(([(i, j) for _, i, j in terms], len(powers)))
+        return sweep(terms, *args, weigh=weigh)
+
+    monkeypatch.setattr(taylor, "blocked_sweep", seen)
+    want = apply_rth_on_grid(derivs, StancuParams(), 80, 80, 1, xs, ys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (20, 169):
+            got = apply_rth_on_grid(derivs, StancuParams(), 80, 80, r, xs, ys)
+            assert np.array_equal(got, want)
+    assert swept == [([(0, 0), (1, 0), (0, 1)], 2)] * 3
