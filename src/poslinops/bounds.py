@@ -14,13 +14,14 @@ import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError, require_degree, require_finite
 from .moduli import lattice_moduli
-from .operators import apply_on_grid, blocked_bands, lattice_error, sample_lattice
+from .operators import (_blocked_sweep, apply_on_grid, blocked_bands, lattice_error,
+                        sample_lattice)
 from .reporting import (
     CAVEAT_NONE,
     CAVEAT_RHS_GRID_LOWER_BOUND,
     BoundReport,
 )
-from .taylor import apply_rth_on_grid
+from .taylor import _rth_terms
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,7 @@ _SLACK, _FLOOR = 1e-9, 2.0**-1000  # rounding, L(1) = 1 to ulps; underflow
 # The Gauss bound's slack for rounding, and the least tilted variance (per E_h^2)
 # and node ratio z2 / z1 at which its nodes are resolved from rounded moments
 _G_SLACK, _G_SPREAD, _G_NODES = 1e-6, 1e-4, 1e-6
+_G_RESOLVED = 2.0**40  # the least moment, per its underflow floor, G2 is formed from
 
 
 def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLICY):
@@ -93,20 +95,30 @@ def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLI
     and each 1 - e^(-tz) has a negative fourth derivative, the sign that makes
     a two-node Gauss rule overestimate.  A point takes the smaller bound, with
     slack 1e-9 on the chord and 1e-6 on G2 for rounding and 2^-1000 on both
-    for underflow; it keeps the chord where G2 is not finite, a node or weight
-    is negative, the tilted variance E_(h-1) E_(h+1) - E_h^2 is below
-    1e-4 E_h^2, the smaller node is below 1e-6 times the larger (rounded
-    moments resolve neither), or h + 2 > 1029.  The point of largest finite
-    bound is evaluated first, as the seed of the best value; then rows are
-    swept by descending bound, and a point is evaluated only when its bound
-    is not below the best value so far.  Sums and points are taken block by block of
-    ``blocked_bands``.  The result is the largest value evaluated, the max of
-    the full sweep over the same blocks bit for bit: each point is reduced on
-    its own, so its bits do not depend on the others.  Raises RuntimeError
-    naming L(|d|^p_exp) when an evaluated value is not finite (|d|^p_exp
-    overflows); that error is the report, so numpy's warnings are silenced
-    here.  Raises DomainError when p_exp > 2058 (C(h, h // 2) overflows a
-    float past h = 1029).
+    for underflow, and each E_k a floor for the terms its sums lost to
+    underflow (``_power_bound``); it keeps the chord where G2 is not finite, a
+    node or weight is negative, the tilted variance E_(h-1) E_(h+1) - E_h^2 is
+    below 1e-4 E_h^2, the smaller node is below 1e-6 times the larger (rounded
+    moments resolve neither), a moment is not well above its floor, or
+    h + 2 > 1029.  The point of largest finite bound is evaluated first, as
+    the seed of the best value.
+
+    A point whose bound is not below the seed's value is bounded again, exactly
+    in y: at each node of its y row, at squared distance d, the x row's sum
+    sum_v w_v (dx2_v + d)^(q/2) is bounded as above from the moments
+    A_k(d) = sum_(i<=k) C(k, i) mx_i d^(k-i) of Z = dx2 + d >= 0 under the x
+    weights (mx_i those of dx2^i), and these bounds are summed against the y
+    weights; the moments' floors and the guards are the same.  The point
+    keeps the smaller of its two bounds.  Then rows are swept by descending
+    bound, and a row's points whose bound is not below the best value so far
+    are evaluated, in one call per y block.  Sums and points are taken block
+    by block of ``blocked_bands``.  The result is the largest value evaluated,
+    the max of the full sweep over the same blocks bit for bit: each point is
+    reduced on its own, so its bits do not depend on the others.  Raises
+    RuntimeError naming L(|d|^p_exp) when an evaluated value is not finite
+    (|d|^p_exp overflows); that error is the report, so numpy's warnings are
+    silenced here.  Raises DomainError when p_exp > 2058 (C(h, h // 2)
+    overflows a float past h = 1029).
     """
     if not 0.0 < p_exp < math.inf:
         raise DomainError(f"p_exp must be finite and > 0, got {p_exp}")
@@ -114,10 +126,14 @@ def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLI
         raise DomainError(f"p_exp must be <= 2058, got {p_exp}: past it the "
                           f"binomials C(h, j) of its even moments overflow a float")
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    (xb, tx), (yb, ty) = blocked_bands(params, m, n, xs, ys, policy)
-    h = math.ceil(p_exp / 2.0)
-    theta = (2 * h - p_exp) / 2.0
-    last = h + 2 if theta and h + 2 <= 1029 else h  # highest even moment used
+    return _sup_distance_power(blocked_bands(params, m, n, xs, ys, policy), p_exp, xs, ys)
+
+
+def _sup_distance_power(bands, p_exp, xs, ys):
+    """``sup_distance_power_operator`` over the ``blocked_bands`` of xs x ys."""
+    (xb, tx), (yb, ty) = bands
+    last = _orders(p_exp)[2]
+    width = 1 + max(W.shape[1] for _, W, _ in xb) + max(W.shape[1] for _, W, _ in yb)
     with np.errstate(all="ignore"):
         xd = [(rows, W, (tx[None, o : o + W.shape[1]] - xs[rows, None]) ** 2)
               for rows, W, o in xb]
@@ -138,15 +154,22 @@ def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLI
                     out = max(out, float(vals.max()))
             return out
 
-        E = [sum(math.comb(k, j) * np.outer(mx[j], my[k - j]) for j in range(k + 1))
-             for k in range(h - 1, last + 1)]
-        bound = _power_bound(E, theta)
+        bound = _lattice_bound(mx, my, p_exp, width)
         a, c = np.unravel_index(
             np.argmax(np.where(np.isfinite(bound), bound, -np.inf)), bound.shape)
         best = 0.0
         if np.isfinite(bound[a, c]):  # the seed, then out of its row's batch
             best = row_max(a, np.arange(len(ys)) == c)
             bound[a, c] = -np.inf
+        for block in yd:  # the points not ruled out, bounded again exactly in y
+            cols, W, _ = block
+            a, c = np.nonzero(~(bound[:, cols] < best))  # keeps NaN and inf
+            c += cols.start
+            step = max(1, 2**16 // W.shape[1])  # points per pass: 2^16 nodes
+            for s in range(0, len(a), step):
+                at = a[s : s + step], c[s : s + step]
+                bound[at] = np.fmin(bound[at], _bound_exact_in_y(
+                    mx, block, *at, p_exp, width))
         top = bound.max(axis=1)
         for a in np.argsort(top)[::-1]:  # NaN sorts last, so its rows come first
             if top[a] < best:
@@ -155,13 +178,55 @@ def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLI
     return best
 
 
-def _power_bound(E, theta):
+def _orders(p_exp):
+    """h = ceil(p/2), theta = (2h - p)/2 and the highest even moment used."""
+    h = math.ceil(p_exp / 2.0)
+    theta = (2 * h - p_exp) / 2.0
+    return h, theta, h + 2 if theta and h + 2 <= 1029 else h
+
+
+def _lattice_bound(mx, my, p_exp, width):
+    """Upper bounds of L(|d|^p) over the lattice from the 1-D moments mx, my:
+    ``_power_bound`` of E_k = sum_j C(k, j) mx_j my_(k-j), k = h - 1 ... last."""
+    h, theta, last = _orders(p_exp)
+    E = [sum(math.comb(k, j) * np.outer(mx[j], my[k - j]) for j in range(k + 1))
+         for k in range(h - 1, last + 1)]
+    return _power_bound(E, theta, h, width)
+
+
+def _bound_exact_in_y(mx, block, a, c, p_exp, width):
+    """Upper bounds of L(|d|^p) at the points (xs[a], ys[c]) of the y block
+    (cols, W, dy2): the y weights W summed exactly against ``_power_bound`` of
+    each node's x row sum, from the moments A_k = sum_i C(k, i) mx_i dy2^(k-i)
+    of Z = dx2 + dy2 under the x weights, k = h - 1 ... last (Horner in dy2)."""
+    h, theta, last = _orders(p_exp)
+    cols, W, d2 = block
+    W, d = W[c - cols.start], d2[c - cols.start]
+    M = [mx_i[a, None] for mx_i in mx]
+    A = []
+    for k in range(h - 1, last + 1):
+        acc = M[0]
+        for i in range(1, k + 1):
+            acc = acc * d + float(math.comb(k, i)) * M[i]
+        A.append(acc)
+    return (W * _power_bound(A, theta, h, width)).sum(axis=1)
+
+
+def _power_bound(E, theta, h, width):
     """Upper bounds of L(|d|^p), p = 2h - 2 theta, from the even-moment tables
     E = [E_(h-1), E_h], the chord, or [E_(h-1), ..., E_(h+2)], the moments of
-    the tilted measure: the smaller of the chord and G2 where G2 is formed."""
-    chord = ((1.0 + _SLACK) * (E[0] + _FLOOR) ** theta
-             * (E[1] + _FLOOR) ** (1.0 - theta))
-    if len(E) == 2:
+    the tilted measure: the smaller of the chord and G2 where G2 is formed.
+
+    A table E_k summed from 1-D moments over an x band and a y band of at most
+    width - 1 columns together has lost at most f_k (1 + E_k) to underflow, with
+    f_k = width 2^(k + 2 - 1074): each 1-D moment at most a subnormal ulp per
+    column, and the binomials C(k, j) sum to 2^k.  So the chord adds f_k and
+    2^-1000 to E_k and carries the factor 1 + f_h, and G2 is formed only where
+    f_(h+2) <= 2^-40 and each of its moments is at least 2^40 (f_k + 2^-1000)."""
+    f = [width * 2.0 ** (k + 2 - 1074) for k in range(h - 1, h - 1 + len(E))]
+    chord = ((1.0 + _SLACK) * (1.0 + f[1]) * (E[0] + (f[0] + _FLOOR)) ** theta
+             * (E[1] + (f[1] + _FLOOR)) ** (1.0 - theta))
+    if len(E) == 2 or f[3] * _G_RESOLVED > 1.0:
         return chord
     m0, m1, m2, m3 = E
     var = m0 * m2 - m1 * m1
@@ -175,6 +240,8 @@ def _power_bound(E, theta):
     g = (1.0 + _G_SLACK) * (w1 * z1**u + w2 * z2**u) + _FLOOR
     ok = ((var >= _G_SPREAD * m1 * m1) & (z2 >= _G_NODES * z1)
           & (w1 >= 0.0) & (w2 >= 0.0) & np.isfinite(g))
+    for m_k, f_k in zip(E, f):
+        ok &= m_k >= _G_RESOLVED * (f_k + _FLOOR)
     return np.where(ok, np.minimum(chord, g), chord)
 
 
@@ -204,14 +271,16 @@ def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
     if not 0.0 <= M < math.inf:
         raise DomainError(f"M must be finite and >= 0, got {M}")
     xs, ys, F = sample_lattice(f, region, grid_points)
-    Lr = apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy)
+    terms, weigh = _rth_terms(derivs, r)
+    bands = blocked_bands(params, m, n, xs, ys, policy)  # for L_r and the sweep
+    Lr = _blocked_sweep(terms, bands, xs, ys, weigh)
     lhs = float(np.max(lattice_error(f, Lr, F)))
 
     # gamma M B(gamma, r) / ((gamma + r) (r - 1)!), B(gamma, r) in product form
     constant = gamma * M / math.prod(gamma + k for k in range(r + 1))
     p_exp = r + gamma
     if mode == "moment":
-        distance = sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy)
+        distance = _sup_distance_power(bands, p_exp, xs, ys)
     elif mode == "modulus":
         d = deltas(m, n, params, region)
         diam = math.sqrt(1.0 + region.A**2)

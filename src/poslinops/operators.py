@@ -251,7 +251,13 @@ def blocked_sweep(terms, params, m, n, xs, ys, policy=DEFAULT_POLICY,
     evaluated once, as its contiguous table C on the union of the bands, and
     adds (Y_j @ (X_i @ C).T).T, block by block on each axis."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    (xb, tx), (yb, ty) = blocked_bands(params, m, n, xs, ys, policy, family)
+    return _blocked_sweep(terms, blocked_bands(params, m, n, xs, ys, policy, family),
+                          xs, ys, weigh)
+
+
+def _blocked_sweep(terms, bands, xs, ys, weigh):
+    """``blocked_sweep`` over the ``blocked_bands`` of the float grid xs x ys."""
+    (xb, tx), (yb, ty) = bands
     xb = [(rows, weigh(W, xs[rows], tx[o : o + W.shape[1]]), o) for rows, W, o in xb]
     yb = [(cols, weigh(W, ys[cols], ty[o : o + W.shape[1]]), o) for cols, W, o in yb]
     L = np.zeros((len(xs), len(ys)))

@@ -34,7 +34,8 @@ class PartialDerivativeSet:
     ``factors`` declares f = sum_k g_k(x) h_k(y) instead, as ``Function2D``'s
     do, each 1-D factor by its derivatives: a tuple of them from the 0-th on,
     callables or constants, 0 past its end, or k -> the k-th derivative.
-    Each partial is built once per provider, on first use.
+    Each partial, and the list of L_r's terms for each r, is built once per
+    provider, on first use.
     """
 
     eval: object = None
@@ -42,6 +43,7 @@ class PartialDerivativeSet:
     source: str = "closed_form"
     factors: tuple = ()
     _partials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _declare(self, self.source, _PartialSum, lambda g: isinstance(g, tuple)
@@ -70,15 +72,32 @@ def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY):
     once per power and block, and C the partial, factored if the provider is.
     A factored provider's terms whose partial is the constant 0 are dropped,
     and powers are built only up to the highest order a kept term uses."""
+    terms, weigh = _rth_terms(derivs, r)
+    return blocked_sweep(terms, params, m, n, xs, ys, policy, weigh=weigh)
+
+
+def _rth_terms(derivs, r):
+    """The terms (partial, i, j) of L_r, by i + j and then j, without the
+    partials that are 0, kept in the provider by r; and their ``weigh``.  A
+    factored provider whose factors are all tuples lists its nonzero (i, j)
+    from the tuples' entries, and builds only those partials."""
     _require_order(derivs, r)
-    terms = [(_partial(derivs, h - j, j), h - j, j) for h in range(r + 1)
-             for j in range(h + 1)]
-    if derivs.factors:
-        terms = [term for term in terms if term[0].factors]
+    if r not in derivs._terms:
+        if derivs.factors and all(isinstance(g, tuple) for pair in derivs.factors
+                                  for g in pair):
+            orders = sorted({(i, j) for g, h in derivs.factors
+                             for i, gi in enumerate(g[: r + 1]) if gi is not None
+                             for j, hj in enumerate(h[: r + 1 - i]) if hj is not None},
+                            key=lambda ij: (ij[0] + ij[1], ij[1]))
+        else:
+            orders = [(h - j, j) for h in range(r + 1) for j in range(h + 1)]
+        terms = [(_partial(derivs, i, j), i, j) for i, j in orders]
+        derivs._terms[r] = [t for t in terms if t[0].factors or not derivs.factors]
+    terms = derivs._terms[r]
     top = max((max(i, j) for _, i, j in terms), default=0)
-    return blocked_sweep(terms, params, m, n, xs, ys, policy, weigh=lambda W, x, t: [
+    return terms, lambda W, x, t: [
         W * (x[:, None] - t[None, :]) ** i / math.factorial(i) if i else W
-        for i in range(top + 1)])
+        for i in range(top + 1)]
 
 
 def apply_rth(derivs, params, m, n, r, p, policy=DEFAULT_POLICY):

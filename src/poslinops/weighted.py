@@ -51,13 +51,15 @@ def operator_rho_norm_bound(params, m, n, strip, grid_points=201):
 
 def check_theorem_5_2(f, params, schedule, epsilon, strip, grid_points=201,
                       policy=DEFAULT_POLICY):
-    """Certified ||Lf - f||_rho1 estimates along an (m, n) schedule, with the
-    weight rho1 = rho^(1 + epsilon), epsilon > 0, and strip the rectangle
+    """Estimates of ||Lf - f||_rho1 along an (m, n) schedule, with the weight
+    rho1 = rho^(1 + epsilon), epsilon > 0, and strip the rectangle
     [0, 1] x [0, S] as a CompactRegion.
 
-    Each entry is a strip grid estimate plus a tail certificate for y > S:
-    |Lf - f| <= M_f (||L|| + 1) rho there, and rho / rho1 <= (1 + S^2)^-eps,
-    with ||L|| from operator_rho_norm_bound.
+    Each entry is a strip grid estimate plus a tail term for y > S:
+    |Lf - f| <= M_f (||L|| + 1) rho there, and rho / rho1 <= (1 + S^2)^-eps.
+    Neither part is certified: the first is a lattice max, and ||L|| comes
+    from operator_rho_norm_bound, whose sup over the strip is a lattice max
+    too, a lower estimate.
     """
     if f.m_f is None:
         raise DomainError("check_theorem_5_2 needs a rho-dominated f with m_f")

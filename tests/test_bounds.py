@@ -304,23 +304,37 @@ def sweep_cases(draw):
 # the Gauss rule is exact for the two nodes of m = 1 at y = 0 but for rounding
 @example(case=(StancuParams(), 1, 5, 3.3172862031310877,
                CompactRegion(1.0101770661169445), 37))
+# p = 1688: the moments' binomial sums lost terms C(k, j) mx_j my_(k-j) to
+# underflow, and the lattice bound without its floors f_k (1 + E_k) skipped
+# the max, 1.6e-132, and returned 5.4e-143
+@example(case=(StancuParams(1.5884086644782833, 2.250989947456916, 0.0,
+                            0.37053496396038366), 52, 66, 1688.0743756852912,
+               CompactRegion(0.1730443290263274), 4))
 def test_sup_distance_power_is_the_full_sweep_max(case):
     params, m, n, p_exp, region, G = case
     xs, ys = lattice(region.A, G)
     table = distance_power_table(params, m, n, p_exp, xs, ys, TIGHT)
-    made, power_bound = [], bounds._power_bound
+    formed = []  # (points, bounds) of every bound the sweep forms
+    lattice_bound, exact_in_y = bounds._lattice_bound, bounds._bound_exact_in_y
 
-    def kept(E, theta):  # the sweep marks evaluated points in its own copy
-        made.append(power_bound(E, theta))
-        return made[-1].copy()
+    def on_lattice(*args):  # the sweep marks evaluated points in its own copy
+        formed.append((np.s_[:, :], lattice_bound(*args)))
+        return formed[-1][1].copy()
 
-    with mock.patch.object(bounds, "_power_bound", kept):
+    def in_y(mx, block, a, c, *args):
+        formed.append(((a, c), exact_in_y(mx, block, a, c, *args)))
+        return formed[-1][1].copy()
+
+    with (mock.patch.object(bounds, "_lattice_bound", on_lattice),
+          mock.patch.object(bounds, "_bound_exact_in_y", in_y)):
         got = sup_distance_power_operator(params, m, n, p_exp, xs, ys, TIGHT)
     # bit for bit: a skipped point's value lies below the best one seen
     assert got == max(0.0, float(table.max()))
-    # the skipping rests on a bound of every point: the smaller of the chord
-    # and, at p not even, the two-node Gauss rule
-    assert len(made) == 1 and np.all(made[0] >= table)
+    # the skipping rests on bounds of the points: over the lattice the smaller
+    # of the chord and, at p not even, the two-node Gauss rule; at the points
+    # it leaves, the same bound of each x row sum, summed exactly in y
+    assert formed[0][1].shape == table.shape
+    assert all(np.all(bound >= table[at]) for at, bound in formed)
     # the chord is Hoelder's L(|d|^p) <= E_(h-1)^theta E_h^(1-theta),
     # E_k = L(|d|^2k), with slack for rounding and a floor for underflow
     h = math.ceil(p_exp / 2.0)
@@ -356,12 +370,77 @@ def test_sup_distance_power_skips_most_points(monkeypatch):
     # even p: the chord is L(|d|^p) itself, so only the top point is evaluated
     sup_distance_power_operator(StancuParams(), 10, 10, 2.0, *lattice(1.0, 201), TIGHT)
     assert evaluated == [1]
-    # odd and fractional p: the two-node Gauss bound is within a few percent
-    for params, m, p_exp, share in ((StancuParams(1, 2, 1, 2), 20, 3.0, 0.01),
-                                    (StancuParams(), 40, 1.5, 0.03)):
+    # odd and fractional p: the two-node Gauss bound is within a few percent,
+    # and summed exactly in y it leaves a few points of the 10,201 (the
+    # lattice bound alone left 178 at p = 1.5, m = n = 40, and 50 at p = 3,
+    # m = n = 80)
+    for params, m, p_exp, most in ((StancuParams(1, 2, 1, 2), 20, 3.0, 0.01 * 101**2),
+                                   (StancuParams(), 40, 1.5, 20),
+                                   (StancuParams(), 80, 3.0, 10)):
         evaluated.clear()
         sup_distance_power_operator(params, m, m, p_exp, *lattice(1.0, 101), TIGHT)
-        assert sum(evaluated) <= share * 101**2
+        assert sum(evaluated) <= most
+
+
+def bounds_exact_in_y(params, m, n, p_exp, xs, ys, policy):
+    """``bounds._bound_exact_in_y`` at every point of xs x ys, from x row
+    moments mx_i = sum_v wx_v dx2_v^i summed here over the blocks' bands."""
+    (xb, tx), (yb, ty) = blocked_bands(params, m, n, xs, ys, policy)
+    width = 1 + max(W.shape[1] for _, W, _ in xb) + max(W.shape[1] for _, W, _ in yb)
+    mx = np.zeros((math.ceil(p_exp / 2.0) + 3, len(xs)))
+    out = np.empty((len(xs), len(ys)))
+    with np.errstate(all="ignore"):
+        for rows, W, o in xb:
+            dx2 = (tx[None, o : o + W.shape[1]] - xs[rows, None]) ** 2
+            for i in range(len(mx)):
+                mx[i, rows] = (W * dx2**i).sum(axis=1)
+        for cols, W, o in yb:
+            block = (cols, W, (ys[cols, None] - ty[None, o : o + W.shape[1]]) ** 2)
+            a, c = (g.ravel() for g in np.meshgrid(np.arange(len(xs)),
+                                                    np.arange(cols.start, cols.stop),
+                                                    indexing="ij"))
+            out[a, c] = bounds._bound_exact_in_y(mx, block, a, c, p_exp, width)
+    return out
+
+
+@st.composite
+def exact_in_y_cases(draw):
+    """Small lattices, whose x rows 0 and 1 and y row 0 are edges, at degrees
+    1 to 400: unshifted, alpha = beta or shifted; p even, odd or fractional."""
+    kind = draw(st.sampled_from(["plain", "equal", "shifted"]))
+    if kind == "plain":
+        params = StancuParams()
+    else:
+        b1, b2 = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+        a1, a2 = ((b1, b2) if kind == "equal" else
+                  (draw(st.floats(0.0, b1)), draw(st.floats(0.0, b2))))
+        params = StancuParams(a1, b1, a2, b2)
+    m, n = draw(st.integers(1, 400)), draw(st.integers(1, 400))
+    p_exp = draw(st.one_of(st.sampled_from([2.0, 4.0, 6.0, 1.0, 3.0, 5.0, 7.0]),
+                           st.floats(0.25, 8.0)))
+    A = draw(st.floats(0.0, 5.0, exclude_min=True))
+    return params, m, n, p_exp, A, draw(st.integers(2, 6))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(case=exact_in_y_cases())
+# G = 2: the x rows 0 and 1 each hold one atom, at the nodes 1/15 and 1 for
+# alpha1 = beta1 = 0.5 and m = 7, and at the points themselves unshifted; Z =
+# dx2 + d is then a point mass, and G2 falls back to the chord
+@example(case=(StancuParams(0.5, 0.5, 0.0, 1.0), 7, 30, 1.5, 1.0, 2))
+@example(case=(StancuParams(), 400, 400, 3.0, 5.0, 2))
+# p near the cap: E_1029, the last table whose binomials fit a float, enters as
+# E_(h+2) of G2 at h = 1027 and as E_h of the chord alone at h = 1029
+@example(case=(StancuParams(), 10, 1000, 2053.5, 0.1, 3))
+@example(case=(StancuParams(1, 2, 0, 1), 40, 40, 2057.5, 0.05, 3))
+def test_the_bound_exact_in_y_is_above_every_point(case):
+    """The second bound level is >= L(|d|^p) at every lattice point, not
+    only at the points the sweep hands it."""
+    params, m, n, p_exp, A, G = case
+    xs, ys = lattice(A, G)
+    table = distance_power_table(params, m, n, p_exp, xs, ys, TIGHT)
+    got = bounds_exact_in_y(params, m, n, p_exp, xs, ys, TIGHT)
+    assert np.all((got >= table) | np.isnan(table))  # 0 inf is NaN in the table
 
 
 @pytest.mark.parametrize("p_exp", [2053.5, 2057.5])
