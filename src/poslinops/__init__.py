@@ -23,6 +23,7 @@ from .operators import (
     StancuParams,
     apply,
     apply_on_grid,
+    blocked_bands,
     moments_closed_form,
     sample_lattice,
     second_central_moment,

@@ -14,14 +14,14 @@ import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError, require_degree, require_finite
 from .moduli import lattice_moduli
-from .operators import (_blocked_sweep, apply_on_grid, blocked_bands, lattice_error,
+from .operators import (apply_on_grid, blocked_bands, blocked_sweep, lattice_error,
                         sample_lattice)
 from .reporting import (
     CAVEAT_NONE,
     CAVEAT_RHS_GRID_LOWER_BOUND,
     BoundReport,
 )
-from .taylor import _rth_terms
+from .taylor import rth_terms
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,9 @@ _G_SLACK, _G_SPREAD, _G_NODES = 1e-6, 1e-4, 1e-6
 _G_RESOLVED = 2.0**40  # the least moment, per its underflow floor, G2 is formed from
 
 
-def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLICY):
-    """Max over the tensor grid xs x ys of L(((t-x)^2 + (tau-y)^2)^(p_exp/2); x, y).
+def sup_distance_power_operator(bands, p_exp):
+    """Max over the grid xs x ys of ``bands`` (``blocked_bands``) of
+    L(((t-x)^2 + (tau-y)^2)^(p_exp/2); x, y).
 
     Each point's value M_q, q = p_exp, is bounded above by closed forms in the
     even moments E_k = L(|d|^2k), binomial sums of products of 1-D moments.
@@ -112,32 +113,31 @@ def sup_distance_power_operator(params, m, n, p_exp, xs, ys, policy=DEFAULT_POLI
     keeps the smaller of its two bounds.  Then rows are swept by descending
     bound, and a row's points whose bound is not below the best value so far
     are evaluated, in one call per y block.  Sums and points are taken block
-    by block of ``blocked_bands``.  The result is the largest value evaluated,
-    the max of the full sweep over the same blocks bit for bit: each point is
-    reduced on its own, so its bits do not depend on the others.  Raises
+    by block of ``bands``; a node of zero weight sits at distance 0, so it
+    adds +0 even where its |d|^p_exp would overflow.  The result is the largest
+    value evaluated, the max of the full sweep over the same blocks bit for bit
+    wherever that is finite: each point is reduced on its own, so its bits do
+    not depend on the others.  It is the operator over truncated rows, so a
+    lower estimate of the untruncated value too: at large p_exp the far nodes
+    the rows leave out can carry most of the mass (at p_exp = 170, m = n = 10
+    and (0.5, 100) it is 1.45e232, the untruncated value 2.14e242).  Raises
     RuntimeError naming L(|d|^p_exp) when an evaluated value is not finite
-    (|d|^p_exp overflows); that error is the report, so numpy's warnings are
-    silenced here.  Raises DomainError when p_exp > 2058 (C(h, h // 2)
-    overflows a float past h = 1029).
+    (|d|^p_exp overflows at a weight that is not 0); that error is the report,
+    so numpy's warnings are silenced here.  Raises DomainError when p_exp >
+    2058 (C(h, h // 2) overflows a float past h = 1029).
     """
     if not 0.0 < p_exp < math.inf:
         raise DomainError(f"p_exp must be finite and > 0, got {p_exp}")
     if p_exp > 2058.0:
         raise DomainError(f"p_exp must be <= 2058, got {p_exp}: past it the "
                           f"binomials C(h, j) of its even moments overflow a float")
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    return _sup_distance_power(blocked_bands(params, m, n, xs, ys, policy), p_exp, xs, ys)
-
-
-def _sup_distance_power(bands, p_exp, xs, ys):
-    """``sup_distance_power_operator`` over the ``blocked_bands`` of xs x ys."""
-    (xb, tx), (yb, ty) = bands
+    (xs, xb, tx), (ys, yb, ty) = bands
     last = _orders(p_exp)[2]
     width = 1 + max(W.shape[1] for _, W, _ in xb) + max(W.shape[1] for _, W, _ in yb)
     with np.errstate(all="ignore"):
-        xd = [(rows, W, (tx[None, o : o + W.shape[1]] - xs[rows, None]) ** 2)
+        xd = [(rows, W, _squared(W, tx[None, o : o + W.shape[1]] - xs[rows, None]))
               for rows, W, o in xb]
-        yd = [(cols, W, (ys[cols, None] - ty[None, o : o + W.shape[1]]) ** 2)
+        yd = [(cols, W, _squared(W, ys[cols, None] - ty[None, o : o + W.shape[1]]))
               for cols, W, o in yb]
         mx, my = ([np.concatenate([(W * d2**j).sum(axis=1) for _, W, d2 in blocks])
                    for j in range(last + 1)] for blocks in (xd, yd))
@@ -254,12 +254,22 @@ def _distance_power_row(wx, dx2, WY, dy2, p_exp):
     return (M.sum(axis=2) * wx).sum(axis=1)
 
 
+def _squared(W, d):
+    """d^2, or 0 where the weight W is 0: such a node adds +0 to every moment,
+    bound and value even where its |d|^p would overflow (0 inf is NaN).  There a
+    zero y weight's (dx2 + 0)^(p/2) is <= 1, and a zero x weight's y row sum is
+    at most any other x node's, so it overflows only where the value does."""
+    return np.where(W == 0.0, 0.0, d**2)
+
+
 def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
                       grid_points=101, policy=DEFAULT_POLICY, mode="moment"):
     """Order-r approximation bound, three interchangeable RHS variants.
 
     mode "moment": RHS through the lattice sup of the operator applied to the
-    distance power |.|^(r+gamma), flagged as a lower estimate.  mode "modulus":
+    distance power |.|^(r+gamma), flagged as a lower estimate: a lattice max,
+    over rows truncated at their windows (``sup_distance_power_operator``), on
+    the bands L_r is taken on.  mode "modulus":
     RHS through the closed-form modulus of the distance-power function at
     delta_mn.  mode "lipschitz": RHS through its Lipschitz constant
     (1+A^2)^(r/2) and delta_mn^gamma.
@@ -271,16 +281,16 @@ def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
     if not 0.0 <= M < math.inf:
         raise DomainError(f"M must be finite and >= 0, got {M}")
     xs, ys, F = sample_lattice(f, region, grid_points)
-    terms, weigh = _rth_terms(derivs, r)
+    terms, weigh = rth_terms(derivs, r)
     bands = blocked_bands(params, m, n, xs, ys, policy)  # for L_r and the sweep
-    Lr = _blocked_sweep(terms, bands, xs, ys, weigh)
+    Lr = blocked_sweep(terms, bands, weigh)
     lhs = float(np.max(lattice_error(f, Lr, F)))
 
     # gamma M B(gamma, r) / ((gamma + r) (r - 1)!), B(gamma, r) in product form
     constant = gamma * M / math.prod(gamma + k for k in range(r + 1))
     p_exp = r + gamma
     if mode == "moment":
-        distance = _sup_distance_power(bands, p_exp, xs, ys)
+        distance = sup_distance_power_operator(bands, p_exp)
     elif mode == "modulus":
         d = deltas(m, n, params, region)
         diam = math.sqrt(1.0 + region.A**2)

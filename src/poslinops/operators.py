@@ -216,17 +216,19 @@ def lattice_error(f, L, F):
 
 def blocked_bands(params, m, n, xs, ys, policy=DEFAULT_POLICY,
                   family=KernelFamily.BERNSTEIN_SZASZ):
-    """The x axis, then the y axis, of the grid xs x ys, cut by ``band_blocks``,
-    as ([(rows, W, offset)], nodes): W holds the weights of points[rows] over
-    their block's band, offset columns into the union of the bands, whose
-    Stancu nodes are nodes.  An operator value is within (tail + 3 tail_tol
-    2^-60)(sup f - inf f) of the untruncated one's, over all nodes (tail <=
-    tail_tol: the Szasz rows' bound), and a block's band moves it by at most
-    4 tail_tol 2^-60 (sup f - inf f); a bad point raises as in one band."""
+    """The bands every lattice sweep takes: the x axis, then the y axis, of the
+    grid xs x ys as (points, [(rows, W, offset)], nodes), the points as floats
+    cut by ``band_blocks``; W weighs points[rows] over their block's band,
+    offset columns into the union of the bands, whose Stancu nodes are nodes.
+    An operator value is within (tail + 3 tail_tol 2^-60)(sup f - inf f) of the
+    untruncated one's, over all nodes (tail <= tail_tol: the Szasz rows' bound),
+    and a block's band moves it by at most 4 tail_tol 2^-60 (sup f - inf f); a
+    bad point raises as in one band."""
     p, ny, axes = params, family is KernelFamily.BERNSTEIN_SZASZ, []
     for name, degree, points, a, b, poisson in (("xs", m, xs, p.alpha1, p.beta1, False),
                                                 ("ys", n, ys, p.alpha2, p.beta2, ny)):
-        if len(shape := np.shape(points)) != 1 or not shape[0]:
+        points = np.asarray(points, dtype=float)
+        if len(shape := points.shape) != 1 or not shape[0]:
             raise DomainError(f"{name} must be nonempty 1-D, not shape {shape}")
         build = szasz_band_matrix if poisson else bernstein_band_matrix
         bands, first, last = [], np.inf, 0
@@ -234,15 +236,14 @@ def blocked_bands(params, m, n, xs, ys, policy=DEFAULT_POLICY,
             W, *_, lo = build(degree, points[rows], policy)  # Szasz: W, tail, lo
             bands.append((rows, W, lo))
             first, last = min(first, lo), max(last, lo + W.shape[1])
-        axes.append(([(rows, W, lo - first) for rows, W, lo in bands],
+        axes.append((points, [(rows, W, lo - first) for rows, W, lo in bands],
                      (np.arange(first, last) + a) / (degree + b)))
     return axes
 
 
-def blocked_sweep(terms, params, m, n, xs, ys, policy=DEFAULT_POLICY,
-                  family=KernelFamily.BERNSTEIN_SZASZ, weigh=lambda W, x, t: [W]):
-    """Sum over terms (g, i, j), in order, of X_i @ G @ Y_j.T on the grid xs x ys:
-    [X_0, X_1, ...] = weigh(W, points, nodes) per block of ``blocked_bands``.
+def blocked_sweep(terms, bands, weigh=lambda W, x, t: [W]):
+    """Sum over terms (g, i, j), in order, of X_i @ G @ Y_j.T on the grid of
+    ``blocked_bands`` bands: [X_0, X_1, ...] = weigh(W, points, nodes) per block.
 
     A g with ``factors`` (g_k, h_k) builds no node table and its eval is never
     called: with the columns G = [g_k(tx)] and H = [h_k(ty)] on the nodes, it
@@ -250,14 +251,7 @@ def blocked_sweep(terms, params, m, n, xs, ys, policy=DEFAULT_POLICY,
     g = c is the one pair (c, 1), and c = 0 adds nothing.  Any other g is
     evaluated once, as its contiguous table C on the union of the bands, and
     adds (Y_j @ (X_i @ C).T).T, block by block on each axis."""
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    return _blocked_sweep(terms, blocked_bands(params, m, n, xs, ys, policy, family),
-                          xs, ys, weigh)
-
-
-def _blocked_sweep(terms, bands, xs, ys, weigh):
-    """``blocked_sweep`` over the ``blocked_bands`` of the float grid xs x ys."""
-    (xb, tx), (yb, ty) = bands
+    (xs, xb, tx), (ys, yb, ty) = bands
     xb = [(rows, weigh(W, xs[rows], tx[o : o + W.shape[1]]), o) for rows, W, o in xb]
     yb = [(cols, weigh(W, ys[cols], ty[o : o + W.shape[1]]), o) for cols, W, o in yb]
     L = np.zeros((len(xs), len(ys)))
@@ -304,7 +298,7 @@ def apply_on_grid(f, params, m, n, xs, ys, policy=DEFAULT_POLICY,
     ``blocked_sweep`` of the one term (f, 0, 0), two matrix products by blocks.
     An f with ``factors`` is applied one axis at a time, without calling its
     eval; any other f is evaluated once, on the union of the bands."""
-    return blocked_sweep([(f, 0, 0)], params, m, n, xs, ys, policy, family)
+    return blocked_sweep([(f, 0, 0)], blocked_bands(params, m, n, xs, ys, policy, family))
 
 
 def apply(f, params, m, n, p, policy=DEFAULT_POLICY):

@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .basis import DEFAULT_POLICY, DomainError, require_finite, require_positive
-from .operators import (Function2D, Point2D, _declare, _FactorSum, blocked_sweep,
-                        evaluate)
+from .operators import (Function2D, Point2D, _declare, _FactorSum, blocked_bands,
+                        blocked_sweep, evaluate)
 
 _MAX_FD_ORDER = 4
 
@@ -72,11 +72,11 @@ def apply_rth_on_grid(derivs, params, m, n, r, xs, ys, policy=DEFAULT_POLICY):
     once per power and block, and C the partial, factored if the provider is.
     A factored provider's terms whose partial is the constant 0 are dropped,
     and powers are built only up to the highest order a kept term uses."""
-    terms, weigh = _rth_terms(derivs, r)
-    return blocked_sweep(terms, params, m, n, xs, ys, policy, weigh=weigh)
+    terms, weigh = rth_terms(derivs, r)
+    return blocked_sweep(terms, blocked_bands(params, m, n, xs, ys, policy), weigh=weigh)
 
 
-def _rth_terms(derivs, r):
+def rth_terms(derivs, r):
     """The terms (partial, i, j) of L_r, by i + j and then j, without the
     partials that are 0, kept in the provider by r; and their ``weigh``.  A
     factored provider whose factors are all tuples lists its nonzero (i, j)

@@ -200,7 +200,7 @@ def test_one_row_builder_matches_the_band_row(n, r):
     assert np.all(np.abs(row - band) <= 8 * EPS * band + TINY)
     assert abs(tail[0] - band_tail[0]) <= 4 * EPS * band_tail[0] + TINY
     # one y gets this row, and so does a single point's operator
-    y_blocks = blocked_bands(StancuParams(), 3, n, [0.5], [y])[1][0]
+    y_blocks = blocked_bands(StancuParams(), 3, n, [0.5], [y])[1][1]
     for W in (szasz_band_matrix(n, [y])[0], y_blocks[0][1]):
         assert np.array_equal(W, row)
 

@@ -8,6 +8,7 @@ from unittest import mock
 import warnings
 
 from hypothesis import example, given, settings, strategies as st
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import beta as scipy_beta
@@ -219,7 +220,8 @@ def test_sup_distance_power_p2_matches_central_moment():
 
     params = StancuParams(1, 1, 2, 2)
     m = n = 15
-    got = sup_distance_power_operator(params, m, n, 2.0, *lattice(1.0, 41), TIGHT)
+    got = sup_distance_power_operator(
+        blocked_bands(params, m, n, *lattice(1.0, 41), TIGHT), 2.0)
     xs = np.linspace(0.0, 1.0, 41)
     ys = np.linspace(0.0, 1.0, 41)
     want = float(second_central_moment_grid(params, m, n, xs, ys).max())
@@ -230,10 +232,20 @@ def test_sup_distance_power_power_mean_ordering():
     # Jensen: L(d^p) <= L(d^2)^(p/2) for p < 2, so the sups are ordered
     params = StancuParams(1, 2, 1, 2)
     m = n = 20
-    s2 = sup_distance_power_operator(params, m, n, 2.0, *lattice(1.0, 21), TIGHT)
+    bands = blocked_bands(params, m, n, *lattice(1.0, 21), TIGHT)
+    s2 = sup_distance_power_operator(bands, 2.0)
     for p in (1.0, 1.5):
-        sp = sup_distance_power_operator(params, m, n, p, *lattice(1.0, 21), TIGHT)
+        sp = sup_distance_power_operator(bands, p)
         assert sp <= s2 ** (p / 2.0) + 1e-12
+
+
+def distance_power_row(wx, dx2, WY, dy2, p_exp):
+    """L(|d|^p_exp) at the points of one lattice row, reduced in the sweep's
+    order, over y and then over x; a zero weight adds +0, even where |d|^p_exp
+    overflows."""
+    M = (dx2[None, :, None] + dy2[:, None, :]) ** (0.5 * p_exp) * WY[:, None, :]
+    M = np.where(WY[:, None, :] == 0.0, 0.0, M)
+    return np.where(wx == 0.0, 0.0, M.sum(axis=2) * wx).sum(axis=1)
 
 
 def distance_power_table(params, m, n, p_exp, xs, ys, policy):
@@ -242,15 +254,14 @@ def distance_power_table(params, m, n, p_exp, xs, ys, policy):
 
     Each point is reduced on its own, as in the pruned sweep, so a value's
     bits do not depend on which points are evaluated with it."""
-    (xb, tx), (yb, ty) = blocked_bands(params, m, n, xs, ys, policy)
+    (xs, xb, tx), (ys, yb, ty) = blocked_bands(params, m, n, xs, ys, policy)
     out = np.empty((len(xs), len(ys)))
     for rows, WX, a in xb:
         dx2 = (tx[None, a : a + WX.shape[1]] - xs[rows, None]) ** 2
         for cols, WY, b in yb:
             dy2 = (ys[cols, None] - ty[None, b : b + WY.shape[1]]) ** 2
             for i, x in enumerate(range(rows.start, rows.stop)):
-                out[x, cols] = bounds._distance_power_row(WX[i], dx2[i], WY, dy2,
-                                                          p_exp)
+                out[x, cols] = distance_power_row(WX[i], dx2[i], WY, dy2, p_exp)
     return out
 
 
@@ -327,7 +338,8 @@ def test_sup_distance_power_is_the_full_sweep_max(case):
 
     with (mock.patch.object(bounds, "_lattice_bound", on_lattice),
           mock.patch.object(bounds, "_bound_exact_in_y", in_y)):
-        got = sup_distance_power_operator(params, m, n, p_exp, xs, ys, TIGHT)
+        got = sup_distance_power_operator(blocked_bands(params, m, n, xs, ys, TIGHT),
+                                          p_exp)
     # bit for bit: a skipped point's value lies below the best one seen
     assert got == max(0.0, float(table.max()))
     # the skipping rests on bounds of the points: over the lattice the smaller
@@ -353,7 +365,7 @@ def test_blocked_sup_agrees_with_the_single_band(p_exp):
     to 1e-14 relative."""
     params = StancuParams(0.5, 1.5, 0.25, 1.0)
     xs, ys = lattice(2.0, 41)
-    got = sup_distance_power_operator(params, 600, 600, p_exp, xs, ys)
+    got = sup_distance_power_operator(blocked_bands(params, 600, 600, xs, ys), p_exp)
     want = float(even_moment_table(params, 600, 600, int(p_exp) // 2, xs, ys,
                                    DEFAULT_POLICY).max())
     assert abs(got - want) <= 1e-14 * want
@@ -368,7 +380,8 @@ def test_sup_distance_power_skips_most_points(monkeypatch):
 
     monkeypatch.setattr(bounds, "_distance_power_row", counted)
     # even p: the chord is L(|d|^p) itself, so only the top point is evaluated
-    sup_distance_power_operator(StancuParams(), 10, 10, 2.0, *lattice(1.0, 201), TIGHT)
+    sup_distance_power_operator(
+        blocked_bands(StancuParams(), 10, 10, *lattice(1.0, 201), TIGHT), 2.0)
     assert evaluated == [1]
     # odd and fractional p: the two-node Gauss bound is within a few percent,
     # and summed exactly in y it leaves a few points of the 10,201 (the
@@ -378,14 +391,15 @@ def test_sup_distance_power_skips_most_points(monkeypatch):
                                    (StancuParams(), 40, 1.5, 20),
                                    (StancuParams(), 80, 3.0, 10)):
         evaluated.clear()
-        sup_distance_power_operator(params, m, m, p_exp, *lattice(1.0, 101), TIGHT)
+        sup_distance_power_operator(
+            blocked_bands(params, m, m, *lattice(1.0, 101), TIGHT), p_exp)
         assert sum(evaluated) <= most
 
 
 def bounds_exact_in_y(params, m, n, p_exp, xs, ys, policy):
     """``bounds._bound_exact_in_y`` at every point of xs x ys, from x row
     moments mx_i = sum_v wx_v dx2_v^i summed here over the blocks' bands."""
-    (xb, tx), (yb, ty) = blocked_bands(params, m, n, xs, ys, policy)
+    (xs, xb, tx), (ys, yb, ty) = blocked_bands(params, m, n, xs, ys, policy)
     width = 1 + max(W.shape[1] for _, W, _ in xb) + max(W.shape[1] for _, W, _ in yb)
     mx = np.zeros((math.ceil(p_exp / 2.0) + 3, len(xs)))
     out = np.empty((len(xs), len(ys)))
@@ -449,14 +463,16 @@ def test_an_exponent_at_the_binomials_edge_is_the_full_sweep_max(p_exp):
     keeps the chord alone, as C(1031, j) overflows a float."""
     xs, ys = lattice(0.1, 5)
     table = distance_power_table(StancuParams(), 10, 1000, p_exp, xs, ys, TIGHT)
-    got = sup_distance_power_operator(StancuParams(), 10, 1000, p_exp, xs, ys, TIGHT)
+    got = sup_distance_power_operator(
+        blocked_bands(StancuParams(), 10, 1000, xs, ys, TIGHT), p_exp)
     assert got == float(table.max()) > 0.0
 
 
 @pytest.mark.parametrize("p_exp", [0.0, -1.0, math.nan, math.inf])
 def test_sup_distance_power_rejects_bad_exponent(p_exp):
     with pytest.raises(DomainError, match="p_exp must be finite and > 0"):
-        sup_distance_power_operator(StancuParams(), 10, 10, p_exp, *lattice(1.0, 11))
+        sup_distance_power_operator(
+            blocked_bands(StancuParams(), 10, 10, *lattice(1.0, 11)), p_exp)
 
 
 def test_a_non_finite_distance_power_raises_naming_it():
@@ -466,14 +482,17 @@ def test_a_non_finite_distance_power_raises_naming_it():
         warnings.simplefilter("error")  # the error is the report: no RuntimeWarning
         with pytest.raises(RuntimeError, match=re.escape(
                 "L(|d|^1000) is not finite at 2 of 2 points")):
-            sup_distance_power_operator(StancuParams(), 10, 10, 1000, [0.5, 1.0],
-                                        [1.0, 2.0])
+            sup_distance_power_operator(
+                blocked_bands(StancuParams(), 10, 10, [0.5, 1.0], [1.0, 2.0]), 1000)
 
 
 def test_the_order_r_bound_raises_where_the_distance_power_overflows():
     """check-thm41 --function linear --r 169 --A 100 --M 1 --m 10 --n 10
-    --grid 11 wrote rhs = 0, yet L(|d|^170) at (0.5, 100) alone is 1.45e232."""
-    alone = sup_distance_power_operator(StancuParams(), 10, 10, 170.0, [0.5], [100.0])
+    --grid 11 wrote rhs = 0, yet the sweep of L(|d|^170) at (0.5, 100) alone
+    is 1.45e232.  That is the operator over its truncated rows, not its value:
+    the untruncated L(|d|^170) there is 2.14e242 (see the mpmath test below)."""
+    alone = sup_distance_power_operator(
+        blocked_bands(StancuParams(), 10, 10, [0.5], [100.0]), 170.0)
     assert alone == pytest.approx(1.4486978510012136e232, rel=1e-12)
     entry = corpus_lookup("linear")
     with warnings.catch_warnings():
@@ -483,12 +502,97 @@ def test_the_order_r_bound_raises_where_the_distance_power_overflows():
                               10, 10, 169, 1.0, 1.0, CompactRegion(100.0), 11)
 
 
+def test_the_swept_distance_power_is_below_the_untruncated_one():
+    """At large p the far nodes that the rows leave out carry the mass: at
+    (0.5, 100), m = n = 10, the sweep gives L(|d|^170) = 1.45e232 and the
+    untruncated operator, summed in mpmath (40 digits, k < 4000), 2.14e242.
+    The sweep's value is a lower estimate of it, not only of the sup."""
+    m = n = 10
+    with mpmath.workdps(40):
+        x, y, h = mpmath.mpf(0.5), mpmath.mpf(100), 85  # |d|^170 = (|d|^2)^85
+        bx = [mpmath.binomial(m, v) * x**v * (1 - x) ** (m - v) for v in range(m + 1)]
+        dx2 = [(mpmath.mpf(v) / m - x) ** 2 for v in range(m + 1)]
+        exact, pk = mpmath.mpf(0), mpmath.exp(-n * y)
+        for k in range(4000):
+            pk = pk * n * y / k if k else pk
+            dy2 = (mpmath.mpf(k) / n - y) ** 2
+            exact += pk * mpmath.fsum(b * (d + dy2) ** h for b, d in zip(bx, dx2))
+    swept = sup_distance_power_operator(blocked_bands(StancuParams(), m, n, [0.5],
+                                                      [100.0]), 170.0)
+    assert swept <= exact
+    assert float(exact) == pytest.approx(2.13622447314376e242, rel=1e-12)
+
+
+@st.composite
+def overflow_cases(draw):
+    """Sweeps at large p on tall lattices.  The y row 0 is one atom, so its
+    zero weights reach nodes up to A away, where |d|^p can overflow, as can the
+    far nodes of the other rows, with weights that are not 0."""
+    params = draw(st.one_of(st.just(StancuParams()), st.builds(
+        lambda b1, b2, s1, s2: StancuParams(s1 * b1, b1, s2 * b2, b2),
+        st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0))))
+    m, n = draw(st.integers(1, 60)), draw(st.integers(1, 20))
+    A = draw(st.floats(1.0, 100.0))
+    return params, m, n, draw(st.floats(20.0, 400.0)), A, draw(st.integers(2, 5))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(case=overflow_cases())
+# (0, 0) and (1, 0) have zero y weights at the nodes of the band of y = 50
+# past 65.05, up to 67.5, where |d|^170 overflows: 0 inf was NaN there, and the
+# sweep raised, though every value is finite and the largest is 1.68e204
+@example(case=(StancuParams(), 10, 10, 170.0, 50.0, 2))
+def test_a_zero_weight_adds_nothing_where_the_distance_power_overflows(case):
+    """Wherever the full sweep is finite the pruned sweep is its max, bit for
+    bit; where it is not, the pruned sweep raises naming L(|d|^p)."""
+    params, m, n, p_exp, A, G = case
+    xs, ys = lattice(A, G)
+    with np.errstate(all="ignore"):
+        table = distance_power_table(params, m, n, p_exp, xs, ys, TIGHT)
+    bands = blocked_bands(params, m, n, xs, ys, TIGHT)
+    if np.all(np.isfinite(table)):
+        assert sup_distance_power_operator(bands, p_exp) == max(0.0, float(table.max()))
+    else:
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"L(|d|^{p_exp:g}) is not finite")):
+            sup_distance_power_operator(bands, p_exp)
+
+
+def test_the_pinned_zero_weight_overflows():
+    """The pinned case above draws what it claims: a zero weight of the y row
+    0 at a node where |d|^170 overflows a float."""
+    _, (ys, [(_, WY, o)], ty) = blocked_bands(StancuParams(), 10, 10, *lattice(50.0, 2))
+    with np.errstate(over="ignore"):
+        far = np.abs(ty[o : o + WY.shape[1]] - ys[0]) ** 170.0 == np.inf
+    assert np.any(far & (WY[0] == 0.0))
+
+
+def test_moment_mode_builds_the_bands_once_for_both_sides(monkeypatch):
+    """Theorem 4.1 in moment mode hands one set of bands to L_r and to the
+    distance-power sweep: one call each of blocked_bands, blocked_sweep and
+    sup_distance_power_operator, the last two on the bands the first built."""
+    calls = {}
+    for name in ("blocked_bands", "blocked_sweep", "sup_distance_power_operator"):
+        def counted(*args, _fn=getattr(bounds, name), _name=name):
+            calls.setdefault(_name, []).append(args)
+            return _fn(*args)
+        monkeypatch.setattr(bounds, name, counted)
+    entry = corpus_lookup("smooth")
+    theorem_4_1_bound(entry.derivative_provider, entry.function, StancuParams(),
+                      20, 20, 2, 1.0, 1.0, R1, 21)
+    assert {k: len(v) for k, v in calls.items()} == {
+        "blocked_bands": 1, "blocked_sweep": 1, "sup_distance_power_operator": 1}
+    assert calls["blocked_sweep"][0][1] is calls["sup_distance_power_operator"][0][0]
+
+
 @pytest.mark.parametrize("p_exp", [2058.5, 2060, 1e9])
 def test_an_exponent_past_the_binomials_range_is_a_domain_error(p_exp):
     """C(1030, 515) overflows a float: p_exp > 2058 raised a bare
     OverflowError (and a huge p_exp would first build h moment arrays)."""
     with pytest.raises(DomainError, match=f"p_exp must be <= 2058, got {p_exp}"):
-        sup_distance_power_operator(StancuParams(), 10, 10, p_exp, [0.5], [1.0])
+        sup_distance_power_operator(
+            blocked_bands(StancuParams(), 10, 10, [0.5], [1.0]), p_exp)
 
 
 def test_theorem_4_1_linear_exact():

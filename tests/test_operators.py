@@ -32,6 +32,7 @@ from poslinops.basis import _BLOCK as B, TruncationError, szasz_band_matrix
 from poslinops.bounds import sup_distance_power_operator
 from poslinops.operators import (
     apply_on_grid,
+    blocked_bands,
     eval_grid,
     evaluate,
     lattice,
@@ -582,7 +583,7 @@ SWEEPS = {
     "apply_rth_on_grid": lambda m, xs, ys: apply_rth_on_grid(
         corpus_lookup("smooth").derivative_provider, StancuParams(), m, m, 1, xs, ys),
     "sup_distance_power_operator": lambda m, xs, ys: sup_distance_power_operator(
-        StancuParams(), m, m, 2.0, xs, ys),
+        blocked_bands(StancuParams(), m, m, xs, ys), 2.0),
 }
 
 

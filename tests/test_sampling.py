@@ -23,7 +23,7 @@ from poslinops import (
     theorem_4_1_bound,
 )
 from poslinops.cli import _run, resolve_config
-from poslinops.operators import lattice
+from poslinops.operators import blocked_bands, lattice
 
 from paper_formulas import korovkin_gaps
 
@@ -50,7 +50,7 @@ CHECKERS = {
 }
 LATTICE_ONLY = {
     "sup_distance_power_operator": lambda f, G: sup_distance_power_operator(
-        P, 10, 10, 2.0, *lattice(R1.A, G)),
+        blocked_bands(P, 10, 10, *lattice(R1.A, G)), 2.0),
     "korovkin_gaps": lambda f, G: korovkin_gaps(P, 10, 10, R1, G),
     "operator_rho_norm_bound": lambda f, G: operator_rho_norm_bound(
         P, 10, 10, STRIP, G),

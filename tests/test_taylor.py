@@ -246,7 +246,7 @@ def test_constant_and_zero_partials_build_no_node_table():
     # a constant f without factors on a lattice cut into blocks: the pair
     # (2.5, 1), not a node table of 2,001 x 10,753 nodes (172 MB)
     xs, ys = lattice(5.0, 201)
-    (xb, tx), (yb, ty) = blocked_bands(StancuParams(), m, n, xs, ys)
+    (_, xb, tx), (_, yb, ty) = blocked_bands(StancuParams(), m, n, xs, ys)
     assert len(xb) > 1 and len(yb) > 1
     value, peak = peak_of(lambda: apply_on_grid(Function2D(lambda x, y: 2.5),
                                                 StancuParams(), m, n, xs, ys))
