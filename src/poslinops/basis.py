@@ -8,17 +8,17 @@ on the far side of the mode), as two cumulative products over all rows at
 once; each row is then divided by its sum.  The recurrence needs no anchor,
 so a row can be built over any column range [lo, hi) that holds its mode.
 
-A row's window is [mean - t, mean + t] with t = L/3 + sqrt(L^2/9 + 2 L var),
-L = ln(2^60 / tail_tol) and var = m x(1 - x) (Bernstein) or ny (Poisson):
-by Bernstein's inequality the mass on either side of it is at most
-e^-L = tail_tol * 2^-60.  A Poisson row ends before its own right edge
-W = ceil(ny + t), t with L = ln(1 / tail_tol) (``_szasz_edge``), so at most
-tail_tol of its mass lies at or past W, and is divided by the sum it keeps.
-Rows are built only as bands, by the two band builders: the union of their
-rows' windows, less its trailing columns of zeros (for Bernstein rows its
-leading ones too: a row at x = 0 or 1 has one nonzero weight).  Weights
-below the smallest normal float are set to 0: subnormal operands slow the
-matrix products several-fold.
+A row's window runs from its first column max(floor(mean - t), 0) to before
+its right edge ceil(mean + t), with t = L/3 + sqrt(L^2/9 + 2 L var),
+L = ln(1 / tail_tol) and var = m x(1 - x) (Bernstein) or ny (Poisson): by
+Bernstein's inequality at most tail_tol of its mass lies on either side of
+it, for both families.  Rows are built only as bands, by the two band
+builders: the union of their rows' windows (a Poisson row ends before its own
+right edge, and a Poisson band holds at most max_terms columns), less its
+trailing columns of zeros (for Bernstein rows its leading ones too: a row at
+x = 0 or 1 has one nonzero weight); each row is divided by the sum it keeps.
+Weights below the smallest normal float are set to 0: subnormal operands
+slow the matrix products several-fold.
 """
 
 from __future__ import annotations
@@ -66,7 +66,10 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Controls truncation of the infinite Poisson sum."""
+    """How weight rows are cut: every row, Bernstein or Poisson, drops at most
+    tail_tol of its mass on each side, and a Poisson band holds at most
+    max_terms columns, from its lowest row's first column (for one point, its
+    row's width)."""
 
     tail_tol: float = 1e-12
     max_terms: int = 10**6
@@ -104,21 +107,18 @@ def _mode_rows(a, b, lo, hi, widths=None):
     return rows
 
 
-def _window(mean, var, tol, bits=60):
-    """Each row's window edges: at most tol * 2^-bits of its mass on each side.
+def _window(mean, var, tol):
+    """Each row's window edges mean -+ t: at most tol of its mass lies on
+    each side, so a row's first column is max(floor(mean - t), 0) and its
+    right edge ceil(mean + t).
 
     Bernstein's inequality P(|X - mean| >= t) <= exp(-t^2 / (2 (var + t/3)))
-    on each side, for sums of independent variables within 1 of their means.
+    on each side, for sums of independent variables within 1 of their means,
+    with L = ln(1 / tol) and t = L/3 + sqrt(L^2/9 + 2 L var).
     """
-    L = bits * math.log(2.0) - math.log(tol)  # 2^60 / tol overflows for tiny tol
+    L = -math.log(tol)
     s = np.sqrt(L * L / 9 + 2 * L * var)
     return mean - L / 3 - s, mean + L / 3 + s
-
-
-def _szasz_edge(rate, tol):
-    """The right edge W of Poisson rows at rate ny, a float: at most tol of a
-    row's mass lies at or past W (``_window`` with L = ln(1 / tol))."""
-    return np.ceil(_window(rate, rate, tol, bits=0)[1])
 
 
 # Points per block of a blocked sweep (``operators``); 32, 48 and 64 timed
@@ -130,22 +130,24 @@ def band_blocks(degree, points, policy, poisson):
     """Slices of consecutive points, each to be built over its own band: one
     when there are at most _BLOCK points or the single band, from the window
     edges of the extreme points, is at most 4 * _BLOCK columns wide; else
-    ceil(G / _BLOCK).  ``poisson`` picks the Szasz windows (variance ny) and
-    right edges (``_szasz_edge``)."""
+    ceil(G / _BLOCK).  ``poisson`` picks the Szasz windows (variance ny); cut
+    Poisson points are first checked as the one band they would make, so they
+    raise as it would (``_szasz_ends``)."""
     g = len(points)
     if g > _BLOCK:
         x = np.array([np.min(points), np.max(points)], dtype=float)
         var = degree * x * (1.0 if poisson else 1.0 - x)
         with np.errstate(all="ignore"):  # a bad point's builder names it
             left, right = _window(degree * x, var, policy.tail_tol)
+        left, right = max(np.floor(left[0]), 0.0), np.ceil(right[1])
+        # A window reaches 2L/3 = 18 columns past its mean (default
+        # tail_tol): blocks narrow 4 * _BLOCK columns too little.
+        cap = left + policy.max_terms if poisson else degree + 1
+        if min(right, cap) - left > 4 * _BLOCK:
             if poisson:
-                right = _szasz_edge(degree * x, policy.tail_tol)
-            # A window reaches 2L/3 = 46 columns past its mean, a Szasz edge 18
-            # (default tail_tol): blocks narrow 4 * _BLOCK columns too little.
-            cap = policy.max_terms if poisson else degree + 1
-            if min(np.ceil(right[1]), cap) - max(np.floor(left[0]), 0.0) > 4 * _BLOCK:
-                k = -(-g // _BLOCK)
-                return [slice(i * g // k, (i + 1) * g // k) for i in range(k)]
+                _szasz_ends(_szasz_rates(degree, points), policy)
+            k = -(-g // _BLOCK)
+            return [slice(i * g // k, (i + 1) * g // k) for i in range(k)]
     return [slice(0, g)]
 
 
@@ -154,7 +156,9 @@ def bernstein_band_matrix(m, xs, policy=DEFAULT_POLICY):
     x in xs, and lo.
 
     The band is the union of the rows' windows, less its columns of zeros;
-    each row drops at most policy.tail_tol * 2^-60 of its mass on each side.
+    each row drops at most policy.tail_tol of its mass on each side and is
+    divided by the sum it keeps, so it moves the value of any h by at most
+    (left tail + right tail)(sup h - inf h), over all nodes.
     """
     require_degree(m=m)
     x = np.asarray(xs, dtype=float)[:, None]
@@ -180,16 +184,16 @@ def szasz_band_matrix(n, ys, policy=DEFAULT_POLICY):
     """Truncated Poisson weights e^(-ny) (ny)^k / k!, one row per y in ys, from
     the leftmost window edge lo on; their tail bounds; and lo.
 
-    Row i ends before its right edge W_i (``_szasz_edge``) and is divided by
-    its sum, so it sums to 1 within 4 eps; the matrix is as wide as its
-    widest row less its trailing columns of zeros.  tail[i] <= tail_tol bounds
-    the mass past the row's last column: the Chernoff bound at W_i plus the
-    smallest normal float for each column left of W_i that it holds as 0.
-    Left of its window a row drops at most tail_tol * 2^-60 of its mass, so
-    the row moves the Szasz value of any h by at most
-    (tail[i] + tail_tol * 2^-60) (sup h - inf h), over all nodes.  One y gets
-    a row built from scalars, several a matrix built at once; a weight of one
-    may differ from the other's by rounding.
+    Row i ends before its right edge W_i (``_window``, at most max_terms
+    columns past lo) and is divided by its sum, so it sums to 1 within 4 eps;
+    the matrix is as wide as its widest row less its trailing columns of
+    zeros.  tail[i] <= tail_tol bounds the mass past the row's last column:
+    the Chernoff bound at W_i plus the smallest normal float for each column
+    left of W_i that it holds as 0.  Left of its first window column a row
+    drops at most tail_tol of its mass, so the row moves the Szasz value of
+    any h by at most (tail_tol + tail[i]) (sup h - inf h), over all nodes.
+    One y gets a row built from scalars, several a matrix built at once; a
+    weight of one may differ from the other's by rounding.
     """
     require_degree(n=n)
     if len(ys) == 1:
@@ -197,38 +201,48 @@ def szasz_band_matrix(n, ys, policy=DEFAULT_POLICY):
     return _szasz_rows(n, ys, policy)
 
 
+def _szasz_rates(n, ys):
+    """The rates n y of ys as floats; raises DomainError naming the first y
+    that is < 0 or whose n y is not finite."""
+    rate = n * np.asarray(ys, dtype=float)
+    if not (rate.min() >= 0.0 and rate.max() < math.inf):
+        bad = next(y for y in np.ravel(ys).tolist() if not 0.0 <= n * y < math.inf)
+        raise DomainError(f"y must be >= 0 with n*y finite, got y = {bad} (n = {n})")
+    return rate
+
+
 def _szasz_ends(rate, policy):
-    """Each row's right edge W, capped at max_terms, and the Chernoff bound
-    P(X >= W) <= exp(W - ny + W ln(ny / W)); raises TruncationError where the
-    cap leaves more than tail_tol there (the bound needs W > ny, checked in
-    floats: past 2^63 a cast to intp wraps)."""
-    width = np.minimum(_szasz_edge(rate, policy.tail_tol), policy.max_terms)
-    chernoff = np.exp(width - rate + width * np.log(np.maximum(rate, _TINY) / width))
+    """The band's first column lo, the smallest of its rows' (``_window``);
+    each row's right edge W, capped at lo + max_terms (for one row, at
+    max_terms past its own first column); and the Chernoff bound
+    P(X >= W) <= exp(W - ny + W ln(ny / W)), whose exponent is <= 0 (it is
+    clamped there: near 2^63 its terms cancel); raises TruncationError where
+    the cap leaves more than tail_tol there (the bound needs W > ny, checked
+    in floats: past 2^63 a cast to intp wraps)."""
+    left, right = _window(rate, rate, policy.tail_tol)
+    lo = max(np.floor(left.min() if left.ndim else left), 0.0)
+    width = np.minimum(np.ceil(right), lo + policy.max_terms)
+    exponent = width - rate + width * np.log(np.maximum(rate, _TINY) / width)
+    chernoff = np.exp(np.minimum(exponent, 0.0))
     bad = np.flatnonzero((chernoff > policy.tail_tol) | (width <= rate))
     if bad.size:
         r, w, c = (np.ravel(v)[bad[0]] for v in (rate, width, chernoff))
         raise TruncationError(f"mass target 1 - {policy.tail_tol} not reached within "
                               f"{policy.max_terms} terms (rate {r})",
                               tail=float(c) if w > r else 1.0)
-    return width, chernoff
+    return int(lo), width, chernoff
 
 
 def _szasz_rows(n, ys, policy):
     """szasz_band_matrix for several ys, built as one matrix."""
-    ys = np.asarray(ys, dtype=float)
-    y_min, y_max = float(ys.min()), float(ys.max())
-    if not (y_min >= 0.0 and n * y_max < math.inf):
-        bad = next(y for y in ys.tolist() if not 0.0 <= n * y < math.inf)
-        raise DomainError(f"y must be >= 0 with n*y finite, got y = {bad} (n = {n})")
-    rate = n * ys
-    width, chernoff = _szasz_ends(rate, policy)
+    rate = _szasz_rates(n, ys)
+    start, width, chernoff = _szasz_ends(rate, policy)
     width = width.astype(np.intp)
     # The mode floor(rate) is exact (b[k] = k + 1 >= rate past it), so rows
     # start from the lowest mode and stop the backward product at the highest.
     # Local column c is global column start + c; one column past the widest
     # row leaves room for its cut.
-    start = max(math.floor(_window(rate, rate, policy.tail_tol)[0].min()), 0)
-    lo, hi = int(n * y_min) - start, int(n * y_max) - start
+    lo, hi = int(rate.min()) - start, int(rate.max()) - start
     rows = _mode_rows(rate[:, None], np.arange(start + 1.0, width.max() + 1.0), lo, hi,
                       width - start)
     rows /= rows.sum(axis=1, keepdims=True)
@@ -243,8 +257,8 @@ def _szasz_row(n, y, policy):
     rate = n * y
     if not (y >= 0.0 and rate < math.inf):
         raise DomainError(f"y must be >= 0 with n*y finite, got y = {y} (n = {n})")
-    width, chernoff = _szasz_ends(rate, policy)
-    start, mode = max(math.floor(_window(rate, rate, policy.tail_tol)[0]), 0), int(rate)
+    start, width, chernoff = _szasz_ends(rate, policy)
+    mode = int(rate)
     row = np.concatenate((np.cumprod(np.arange(mode, start, -1.0) / rate)[::-1], [1.0],
                           np.cumprod(rate / np.arange(mode + 1.0, width))))
     row /= row.sum()

@@ -120,7 +120,7 @@ def sup_distance_power_operator(bands, p_exp):
     not depend on the others.  It is the operator over truncated rows, so a
     lower estimate of the untruncated value too: at large p_exp the far nodes
     the rows leave out can carry most of the mass (at p_exp = 170, m = n = 10
-    and (0.5, 100) it is 1.45e232, the untruncated value 2.14e242).  Raises
+    and (0.5, 100) it is 2.21e222, the untruncated value 2.14e242).  Raises
     RuntimeError naming L(|d|^p_exp) when an evaluated value is not finite
     (|d|^p_exp overflows at a weight that is not 0); that error is the report,
     so numpy's warnings are silenced here.  Raises DomainError when p_exp >

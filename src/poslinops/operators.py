@@ -220,10 +220,11 @@ def blocked_bands(params, m, n, xs, ys, policy=DEFAULT_POLICY,
     grid xs x ys as (points, [(rows, W, offset)], nodes), the points as floats
     cut by ``band_blocks``; W weighs points[rows] over their block's band,
     offset columns into the union of the bands, whose Stancu nodes are nodes.
-    An operator value is within (tail + 3 tail_tol 2^-60)(sup f - inf f) of the
-    untruncated one's, over all nodes (tail <= tail_tol: the Szasz rows' bound),
-    and a block's band moves it by at most 4 tail_tol 2^-60 (sup f - inf f); a
-    bad point raises as in one band."""
+    An operator value is within (left tail + right tail)(sup f - inf f) of the
+    untruncated one's, over all nodes, the tails of both rows summed and each
+    at most tail_tol (a Szasz row's right one is its tail bound), and a block's
+    band moves it by at most 4 tail_tol (sup f - inf f); a bad point raises as
+    in one band."""
     p, ny, axes = params, family is KernelFamily.BERNSTEIN_SZASZ, []
     for name, degree, points, a, b, poisson in (("xs", m, xs, p.alpha1, p.beta1, False),
                                                 ("ys", n, ys, p.alpha2, p.beta2, ny)):

@@ -1,10 +1,10 @@
 """Weight bands: each row's window, the band builders and the banded operator.
 
-A row's window [mean - t, mean + t] leaves at most tail_tol * 2^-60 of the
-row's mass on each side (Bernstein's inequality); a Szasz row ends before
-its right edge W, past which lies at most tail_tol, and is divided by its
-sum.  The operator builds its weight rows and evaluates f only on its band:
-the union of its rows' windows, less the columns where every row is 0.  The
+A row's window, from its first column to before its right edge W, leaves at
+most tail_tol of the row's mass on each side (Bernstein's inequality, both
+families); a row is divided by the sum it keeps.  The operator builds its
+weight rows and evaluates f only on its band: the union of its rows'
+windows, less the columns where every row is 0.  The
 rows are checked against exact ones: scipy's binomial pmf and the Poisson
 pmf below.
 """
@@ -33,7 +33,6 @@ from poslinops import (
     corpus_lookup,
 )
 from poslinops.basis import (
-    _szasz_edge,
     _szasz_row,
     _szasz_rows,
     _window,
@@ -44,7 +43,7 @@ from poslinops.operators import blocked_bands
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
-DROP = DEFAULT_POLICY.tail_tol * 2.0**-60  # mass bound on each side of a window
+DROP = DEFAULT_POLICY.tail_tol  # mass bound on each side of a window
 RTOL = 1e-12  # a built weight against the exact one
 
 unit_x = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -133,14 +132,23 @@ def assert_band_row(band, lo, exact, left, right):
 
 @BAND_SETTINGS
 @given(m=st.integers(1, 5000), x=unit_x)
+@example(m=43, x=0.25)  # 1.3e-26 lies left of the window: more than tail_tol 2^-60
 def test_bernstein_band_is_the_window(m, x):
+    """Each side of the window holds at most tail_tol of the mass, summed in
+    mpmath (P(X < a) and P(X >= b) are regularized incomplete beta
+    functions); the band row is the exact row divided by the mass it keeps."""
     exact = bernstein_pmf(m, x)
     band, lo = bernstein_band_matrix(m, [x])
     left, right = _window(m * x, m * x * (1.0 - x), DEFAULT_POLICY.tail_tol)
-    assert exact[: max(math.floor(left), 0)].sum() <= DROP
-    assert exact[math.ceil(right) :].sum() <= DROP
+    left, right = max(math.floor(left), 0), math.ceil(right)
+    with mpmath.workdps(30):
+        if left >= 1:
+            assert mpmath.betainc(m - left + 1, left, 0, 1 - mpmath.mpf(x),
+                                  regularized=True) <= DROP
+        if right <= m:
+            assert mpmath.betainc(right, m - right + 1, 0, x, regularized=True) <= DROP
     assert left <= np.argmax(exact) < right
-    assert_band_row(band[0], lo, exact, left, right)
+    assert_band_row(band[0], lo, exact / exact[left:right].sum(), left, right)
 
 
 @BAND_SETTINGS
@@ -150,8 +158,13 @@ def test_bernstein_band_is_the_union_of_windows(m, xs):
     x = np.asarray(xs)
     exact = bernstein_pmf(m, x)
     left, right = _window(m * x, m * x * (1.0 - x), DEFAULT_POLICY.tail_tol)
+    # each row is divided by its sum from the first column of the row at
+    # min(xs) to the right edge of the row at max(xs)
+    a = max(math.floor(left[np.argmin(x)]), 0)
+    b = math.ceil(right[np.argmax(x)])
     for i in range(len(xs)):
-        assert_band_row(band[i], lo, exact[i], left.min(), right.max())
+        assert_band_row(band[i], lo, exact[i] / exact[i, a:b].sum(), left.min(),
+                        right.max())
     assert band[:, 0].any() and band[:, -1].any()
 
 
@@ -162,12 +175,14 @@ def test_bernstein_band_is_the_union_of_windows(m, xs):
 @example(n=1, r=0.0)
 @example(n=1, r=1e-30)
 @example(n=1, r=1e-12)
+@example(n=1, r=83.0)  # 1.9e-30 lies left of the window: more than tail_tol 2^-60
 def test_szasz_band_is_the_window(n, r):
     y = r / n
     rate = n * y
     tol = DEFAULT_POLICY.tail_tol
     band, tail, lo = szasz_band_matrix(n, [y])
-    left, W = _window(rate, rate, tol)[0], int(_szasz_edge(rate, tol))
+    left, W = _window(rate, rate, tol)
+    W = math.ceil(W)
     with mpmath.workdps(30):
         if left >= 1:  # P(X < floor(left)) is the upper regularized gamma
             assert mpmath.gammainc(math.floor(left), rate, mpmath.inf,
@@ -208,9 +223,11 @@ def test_one_row_builder_matches_the_band_row(n, r):
 @BAND_SETTINGS
 @given(n=st.integers(1, 5000), rs=st.lists(rates, min_size=2, max_size=5))
 def test_matrix_rows_match_the_one_row_builder(n, rs):
-    """Each row of a several-y matrix is that y's own row: the same first and
-    last columns, weights within 8 eps, tail bound within 4 eps; left of the
-    row's own first column it holds at most its window's dropped mass."""
+    """Each row of a several-y matrix is that y's own row, with the same last
+    column, and also holds the columns of the matrix left of the row's own
+    first column: at most its window's dropped mass, which the row keeps.  So
+    the row over its own columns is that y's row times the mass it keeps
+    there, within 8 eps; the tail bound is within 4 eps."""
     ys = [r / n for r in rs]
     W, tail, lo = szasz_band_matrix(n, ys)
     for i, y in enumerate(ys):
@@ -218,18 +235,19 @@ def test_matrix_rows_match_the_one_row_builder(n, rs):
         a, b = start - lo, start - lo + row.shape[1]
         assert 0 <= a and W[i, b - 1] > 0.0 and not W[i, b:].any()
         assert W[i, :a].sum() <= DROP
-        assert np.all(np.abs(W[i, a:b] - row[0]) <= 8 * EPS * row[0] + TINY)
+        own = row[0] * (1.0 - W[i, :a].sum())
+        assert np.all(np.abs(W[i, a:b] - own) <= 8 * EPS * own + TINY)
         assert abs(tail[i] - row_tail[0]) <= 4 * EPS * row_tail[0] + TINY
 
 
 @BAND_SETTINGS
 @given(n=st.integers(1, 5000), r=st.floats(1e-3, 1e5), frac=st.floats(0.0, 1.0))
 def test_one_row_builder_truncates_as_the_band_row(n, r, frac):
-    """With max_terms below the row's right edge both builders raise the
-    same TruncationError, tail bound included, or both return the same band."""
+    """With max_terms below the row's width both builders raise the same
+    TruncationError, tail bound included, or both return the same band."""
     y = r / n
-    right = _szasz_edge(n * y, DEFAULT_POLICY.tail_tol)
-    policy = TruncationPolicy(max_terms=1 + int(frac * (right - 2)))
+    left, right = _window(n * y, n * y, DEFAULT_POLICY.tail_tol)
+    policy = TruncationPolicy(max_terms=1 + int(frac * (right - max(left, 0) - 2)))
     try:
         band, _, lo = _szasz_rows(n, [y], policy)
     except TruncationError as want:
@@ -318,12 +336,17 @@ def full_table_oracle(f, family, params, m, n, p):
                Point2D(4.3e-273, 4.3e-273)))
 @example(case=(KernelFamily.BERNSTEIN_BERNSTEIN, StancuParams(), 8, 2,
                Point2D(4.3e-273, 4.3e-273)))
+# 0.5^93 = 1e-28 lies right of the x window: more than 4 tail_tol 2^-60
+@example(case=(KernelFamily.BERNSTEIN_SZASZ, StancuParams(), 93, 1, Point2D(0.5, 0.0)))
 def test_apply_matches_full_table(case):
+    """The operator is the full table's weights cut to the band and divided
+    by the mass they keep there: within rounding of the full table's value
+    plus the mass off the band times sup f - inf f <= 2, and that mass is at
+    most tail_tol on each side of each axis."""
     family, params, m, n, p = case
     f = Function2D(eval=bounded, name="bounded")
     want, tx, ty = full_table_oracle(bounded, family, params, m, n, p)
     got = float(apply_on_grid(f, params, m, n, [p.x], [p.y], family=family)[0, 0])
-    assert abs(got - want) <= 1e-13 * abs(want)
 
     # f = 1 off the band and 0 on it: L_band f = 0, and the bound on
     # |L_band f - L_full f| is 4 * DROP * (sup f - inf f)
@@ -335,6 +358,7 @@ def test_apply_matches_full_table(case):
     outside, _, _ = full_table_oracle(lambda t, tau: 1.0 - on_band, family,
                                       params, m, n, p)
     assert 0.0 <= outside <= 4 * DROP
+    assert abs(got - want) <= 1e-13 * abs(want) + 2 * outside
 
 
 def test_point_evaluates_f_on_its_band_only():

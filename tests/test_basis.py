@@ -2,7 +2,9 @@
 
 A Szasz row's truncation contract: the row sums to 1 within 4 eps; its tail
 bound is at most tail_tol and at least the mass past the row's last column
-(50-digit mpmath); left of the band it drops at most tail_tol * 2^-60.
+(50-digit mpmath); left of the band it drops at most tail_tol.  A Bernstein
+row drops at most tail_tol on each side.  Every row is divided by the mass it
+keeps.
 """
 
 import math
@@ -23,7 +25,7 @@ from poslinops.basis import bernstein_band_matrix, szasz_band_matrix
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
-DROP = DEFAULT_POLICY.tail_tol * 2.0**-60  # mass bound on each side of a window
+DROP = DEFAULT_POLICY.tail_tol  # mass bound on each side of a window
 
 
 def bernstein_row(m, x):
@@ -209,6 +211,7 @@ def test_bernstein_rows_properties(m, xs):
 @example(n=1, rs=[0.0, 1e-30, 1e-12])
 @example(n=1, rs=[1e-30])
 @example(n=1, rs=[1e-12])
+@example(n=1, rs=[83.0])  # 1.9e-30 lies left of the band: more than tail_tol 2^-60
 def test_szasz_rows_properties(n, rs):
     ys = [r / n for r in rs]
     W, tail, lo = szasz_band_matrix(n, ys)
@@ -242,31 +245,42 @@ def _assert_rel(got, exact, rtol, floor=1e-280):
 
 
 # Against 50-digit mpmath the band weights hold 1e-12 relative on every entry
-# of at least 1e-280, and the band drops at most DROP of the mass on each side
-# (the Poisson rate is n*y as a float, as the builder gets it).
+# of at least 1e-280, the exact row divided by the mass the band keeps, and
+# the band drops at most DROP of the mass on each side (the Poisson rate is
+# n*y as a float, as the builder gets it).
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
-@given(m=st.integers(1, 2000), x=st.floats(0.0, 1.0, exclude_min=True,
-                                           exclude_max=True))
+@given(m=st.integers(1, 2000), x=st.one_of(st.sampled_from([0.0, 1.0]),
+                                           st.floats(0.0, 1.0)))
+@example(m=43, x=0.25)  # 1.3e-26 lies left of the band: more than tail_tol 2^-60
 def test_bernstein_weights_against_mpmath(m, x):
     got, lo = bernstein_band_matrix(m, [x])
     hi = lo + got.shape[1]
     with mpmath.workdps(50):
         xm = mpmath.mpf(x)
-        exact = _mp_row((1 - xm) ** m,
-                        lambda k: (m - k) * xm / ((k + 1) * (1 - xm)), m + 1)
+        if x <= 0.5:  # from v = 0 up, or from v = m down: (1 - x)^m is 0 at x = 1
+            exact = _mp_row((1 - xm) ** m,
+                            lambda k: (m - k) * xm / ((k + 1) * (1 - xm)), m + 1)
+        else:
+            exact = _mp_row(xm ** m,
+                            lambda k: (m - k) * (1 - xm) / ((k + 1) * xm), m + 1)[::-1]
         assert sum(exact[:lo]) <= DROP and sum(exact[hi:]) <= DROP
-    _assert_rel(got[0], exact[lo:hi], 1e-12)
+        kept = [w / mpmath.fsum(exact[lo:hi]) for w in exact[lo:hi]]
+    _assert_rel(got[0], kept, 1e-12)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
-@given(n=st.integers(1, 2000), r=st.floats(1e-3, 1e4))
+@given(n=st.integers(1, 2000), r=st.one_of(st.just(0.0), st.floats(1e-3, 1e4)))
+@example(n=1, r=83.0)  # 1.9e-30 lies left of the band: more than tail_tol 2^-60
 def test_szasz_weights_against_mpmath(n, r):
     y = r / n
     got, _, lo = szasz_band_matrix(n, [y])
+    hi = lo + got.shape[1]
     with mpmath.workdps(50):
         rate = mpmath.mpf(n * y)
-        first = mpmath.exp(lo * mpmath.log(rate) - rate - mpmath.loggamma(lo + 1))
+        first = rate**lo * mpmath.exp(-rate) / mpmath.factorial(lo)
         exact = _mp_row(first, lambda k: rate / (lo + k + 1), got.shape[1])
-        if lo:
-            assert mpmath.gammainc(lo, rate, mpmath.inf, regularized=True) <= DROP
-    _assert_rel(got[0], exact, 1e-12)
+        before = mpmath.gammainc(lo, rate, mpmath.inf, regularized=True) if lo else 0
+        past = mpmath.gammainc(hi, 0, rate, regularized=True)
+        assert before <= DROP and past <= DROP
+        kept = [w / (1 - before - past) for w in exact]
+    _assert_rel(got[0], kept, 1e-12)

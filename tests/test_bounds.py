@@ -489,11 +489,11 @@ def test_a_non_finite_distance_power_raises_naming_it():
 def test_the_order_r_bound_raises_where_the_distance_power_overflows():
     """check-thm41 --function linear --r 169 --A 100 --M 1 --m 10 --n 10
     --grid 11 wrote rhs = 0, yet the sweep of L(|d|^170) at (0.5, 100) alone
-    is 1.45e232.  That is the operator over its truncated rows, not its value:
+    is 2.21e222.  That is the operator over its truncated rows, not its value:
     the untruncated L(|d|^170) there is 2.14e242 (see the mpmath test below)."""
     alone = sup_distance_power_operator(
         blocked_bands(StancuParams(), 10, 10, [0.5], [100.0]), 170.0)
-    assert alone == pytest.approx(1.4486978510012136e232, rel=1e-12)
+    assert alone == pytest.approx(2.2091435817342792e222, rel=1e-12)
     entry = corpus_lookup("linear")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # none from the Taylor weights nor the sweep
@@ -504,7 +504,7 @@ def test_the_order_r_bound_raises_where_the_distance_power_overflows():
 
 def test_the_swept_distance_power_is_below_the_untruncated_one():
     """At large p the far nodes that the rows leave out carry the mass: at
-    (0.5, 100), m = n = 10, the sweep gives L(|d|^170) = 1.45e232 and the
+    (0.5, 100), m = n = 10, the sweep gives L(|d|^170) = 2.21e222 and the
     untruncated operator, summed in mpmath (40 digits, k < 4000), 2.14e242.
     The sweep's value is a lower estimate of it, not only of the sup."""
     m = n = 10

@@ -248,6 +248,16 @@ def test_rate_past_the_term_cap_exits_2(tmp_path, args):
     assert not out.exists()
 
 
+def test_eval_at_rate_1e6_runs(tmp_path):
+    """max_terms caps the width of a point's Poisson row, not its last index:
+    the row at ny = 1e6 holds about 15,000 columns, and ends past column
+    10^6."""
+    code, out = run(tmp_path, "eval", "--m", "10", "--n", "1000000", "--y", "1")
+    assert code == 0
+    header, rows = read_csv(out)
+    assert abs(float(rows[0][header.index("value")]) - 1.5) <= 1e-12
+
+
 def test_converge_past_the_term_cap_prints_one_line(tmp_path, capsys):
     """The lattice is built in blocks; the row that misses the target is
     still the first in lattice order, named with its rate."""

@@ -10,28 +10,31 @@ production route agrees with it within
 
 a rounding term and a renormalization term.  A row that keeps the mass S of
 its distribution and is divided by it moves the value of h by
-(1 - S) |E[h | kept] - E[h | dropped]|.  A Bernstein row drops at most
-2 DROP, and |g| <= e on the nodes in [0, 1]: dx = 4 e DROP.  A Szasz row
-drops at most tail + DROP, and |h(tau)| <= 1 + tau^2 on these factors; for a
-Poisson X, E[X | X >= W] <= ny + W and E[X^2 | X >= W] <= (ny + W)^2 + ny + W,
-so E[(X + alpha)^2 | X >= W] <= (ny + W + alpha + 1)^2 and
-dy = (tail + DROP) 2 (1 + ((ny + W + alpha + 1) / n)^2).
+(1 - S) |E[h | kept] - E[h | dropped]|.  Each row keeps the columns
+[lo, hi) of its nonzero weights, and 1 - S = P(X < lo) + P(X >= hi) is summed
+in mpmath for each row (``dropped``).  |g| <= e on the nodes in [0, 1]:
+dx = 2 e (1 - S).  |h(tau)| <= 1 + tau^2 on these factors, tau <= (X + alpha) / n.
+A Szasz row keeps the nodes X < hi and drops those at X < lo <= ny and at
+X >= hi; for a Poisson X, E[X | X >= hi] <= ny + hi and
+E[X^2 | X >= hi] <= (ny + hi)^2 + ny + hi, so both conditional means of
+(X + alpha)^2 are at most (ny + hi + alpha + 1)^2 and
+dy = (1 - S) 2 (1 + ((ny + hi + alpha + 1) / n)^2).
 """
 
+from functools import lru_cache
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from poslinops import DEFAULT_POLICY, StancuParams, apply_on_grid, corpus_lookup
-from poslinops.basis import _szasz_edge, szasz_band_matrix
+from poslinops import StancuParams, apply_on_grid, corpus_lookup
+from poslinops.basis import bernstein_band_matrix, szasz_band_matrix
 from poslinops.operators import lattice
 
 from paper_formulas import EXACT_FACTORS, exact_pairs
 
 EPS = np.finfo(float).eps
-DROP = DEFAULT_POLICY.tail_tol * 2.0**-60  # mass bound on each side of a window
 # The rounding constant: the largest |L f - exact| / (eps sum_k L|g_k| L|h_k|)
 # seen on these lattices is 18 (smooth at m = n = 1e5), renormalization included.
 C = 64
@@ -40,13 +43,56 @@ SHIFTS = (StancuParams(), StancuParams(1.0, 2.0, 0.5, 1.5))
 NAMES = ("smooth", "prod", "linear", "quad")
 
 
-def bounds(name, params, m, n, xs, ys, tail):
+def _kept_columns(W, lo):
+    """Each row's first nonzero column and one past its last, as global
+    columns."""
+    nonzero = W > 0.0
+    last = W.shape[1] - nonzero[:, ::-1].argmax(axis=1)
+    return lo + nonzero.argmax(axis=1), lo + last
+
+
+def _binomial_tail(m, x, k, step):
+    """P(X = k) + P(X = k + step) + ... for X ~ Bin(m, x), k past the mode on
+    the side of step, in the current mpmath precision: the terms fall, and
+    the sum stops where they are below 1e-40 of it."""
+    x, total = mpmath.mpf(x), 0
+    term = mpmath.binomial(m, k) * x**k * (1 - x) ** (m - k) if 0 <= k <= m else 0
+    while 0 <= k <= m and term > total * 1e-40:
+        total += term
+        term *= ((m - k) * x / ((k + 1) * (1 - x)) if step > 0
+                 else k * (1 - x) / ((m - k + 1) * x))
+        k += step
+    return total
+
+
+@lru_cache(maxsize=None)
+def dropped(m, n, A):
+    """1 - S for each row of the operator's bands on the 5 x 5 lattice of
+    [0, 1] x [0, A], summed in mpmath (30 digits): the Bernstein rows' mass
+    P(X < lo) + P(X >= hi) term by term, the Poisson rows' by regularized
+    incomplete gamma functions; and the Poisson rows' hi."""
+    xs, ys = lattice(A, 5)
+    out = []
+    with mpmath.workdps(30):
+        for x, a, b in zip(xs, *_kept_columns(*bernstein_band_matrix(m, xs))):
+            out.append(float(_binomial_tail(m, x, a - 1, -1)
+                             + _binomial_tail(m, x, b, 1)))
+        W, _, lo = szasz_band_matrix(n, ys)
+        first, hi = _kept_columns(W, lo)
+        for y, a, b in zip(ys, first, hi):
+            rate = mpmath.mpf(n * y)
+            left = mpmath.gammainc(a, rate, mpmath.inf, regularized=True) if a else 0
+            out.append(float(left + mpmath.gammainc(b, 0, rate, regularized=True)))
+    return np.array(out[:5]), np.array(out[5:]), hi
+
+
+def bounds(name, params, m, n, A):
     """The rounding and renormalization terms of the module docstring, from
-    the tail bounds of the Szasz rows at ys."""
-    rate = n * np.asarray(ys)
-    W = _szasz_edge(rate, DEFAULT_POLICY.tail_tol)
-    dx = 4 * math.e * DROP
-    dy = (tail + DROP) * 2 * (1 + ((rate + W + params.alpha2 + 1) / n) ** 2)
+    the mass each row of the operator's bands drops."""
+    xs, ys = lattice(A, 5)
+    drop_x, drop_y, hi = dropped(m, n, A)
+    dx = (2 * math.e * drop_x)[:, None]
+    dy = drop_y * 2 * (1 + ((n * ys + hi + params.alpha2 + 1) / n) ** 2)
     pairs = exact_pairs(name, params, m, n, xs, ys, absolute=True)
     sizes = sum((gx + dx) * (hy + dy) for gx, hy in pairs)
     return C * EPS * sizes, sizes - sum(gx * hy for gx, hy in pairs)
@@ -59,12 +105,11 @@ def test_the_operator_is_exact_within_rounding_and_renormalization(m, n, A):
     """Every factored corpus function, unshifted and shifted, on the 5 x 5
     lattice of [0, 1] x [0, A] (edges x in {0, 1} and y = 0 included)."""
     xs, ys = lattice(A, 5)
-    tail = szasz_band_matrix(n, ys)[1]
     for params in SHIFTS:
         for name in NAMES:
             want = sum(gx * hy for gx, hy in exact_pairs(name, params, m, n, xs, ys))
             got = apply_on_grid(corpus_lookup(name).function, params, m, n, xs, ys)
-            rounding, renormalization = bounds(name, params, m, n, xs, ys, tail)
+            rounding, renormalization = bounds(name, params, m, n, A)
             assert np.all(np.abs(got - want) <= rounding + renormalization), name
 
 
