@@ -121,34 +121,33 @@ def _window(mean, var, tol):
     return mean - L / 3 - s, mean + L / 3 + s
 
 
-# Points per block of a blocked sweep (``operators``); 32, 48 and 64 timed
-# alike on `converge` up to m = n = 1280 at G = 201, and 16 was slower.
-_BLOCK = 32
+# The fixed cost of a block of a blocked sweep (``operators``), in columns of
+# its rows: 3,000 to 9,000 timed alike on `converge`, `check-thm33` and
+# `check-thm41` from m = n = 10 to 10^5 at G = 11 to 201; at 12,000
+# `check-thm41 --r 3` at m = n = 10^5 on 11 points took 2.3 times as long.
+_BLOCK_COST = 6000.0
 
 
 def band_blocks(degree, points, policy, poisson):
-    """Slices of consecutive points, each to be built over its own band: one
-    when there are at most _BLOCK points or the single band, from the window
-    edges of the extreme points, is at most 4 * _BLOCK columns wide; else
-    ceil(G / _BLOCK).  ``poisson`` picks the Szasz windows (variance ny); cut
+    """Slices of consecutive points, each to be built over its own band.
+
+    With the points' mean column spacing s = degree (max - min) / (G - 1), k
+    points of a block hold about w + (k - 1) s columns, w a row's width, so
+    the G rows cost about G (w + (G/nb - 1) s) + nb C over nb blocks, least at
+    nb = G sqrt(s / C), whatever w is: that many near-equal slices, at most G,
+    or one when it rounds to at most 1.  ``poisson`` picks the Szasz family: cut
     Poisson points are first checked as the one band they would make, so they
-    raise as it would (``_szasz_ends``)."""
+    raise as it would (``_szasz_ends``); a bad point's builder names it."""
+    # Python floats, which do not warn: inf - inf is a NaN spacing, one block;
+    # a single point, every ``apply``, skips the reductions
     g = len(points)
-    if g > _BLOCK:
-        x = np.array([np.min(points), np.max(points)], dtype=float)
-        var = degree * x * (1.0 if poisson else 1.0 - x)
-        with np.errstate(all="ignore"):  # a bad point's builder names it
-            left, right = _window(degree * x, var, policy.tail_tol)
-        left, right = max(np.floor(left[0]), 0.0), np.ceil(right[1])
-        # A window reaches 2L/3 = 18 columns past its mean (default
-        # tail_tol): blocks narrow 4 * _BLOCK columns too little.
-        cap = left + policy.max_terms if poisson else degree + 1
-        if min(right, cap) - left > 4 * _BLOCK:
-            if poisson:
-                _szasz_ends(_szasz_rates(degree, points), policy)
-            k = -(-g // _BLOCK)
-            return [slice(i * g // k, (i + 1) * g // k) for i in range(k)]
-    return [slice(0, g)]
+    s = degree * (float(points.max()) - float(points.min())) / (g - 1) if g > 1 else 0.0
+    k = round(min(g * math.sqrt(s / _BLOCK_COST), g)) if s > 0.0 else 1
+    if k <= 1:
+        return [slice(0, g)]
+    if poisson:
+        _szasz_ends(_szasz_rates(degree, points), policy)
+    return [slice(i * g // k, (i + 1) * g // k) for i in range(k)]
 
 
 def bernstein_band_matrix(m, xs, policy=DEFAULT_POLICY):

@@ -36,6 +36,7 @@ from poslinops.basis import (
     _szasz_row,
     _szasz_rows,
     _window,
+    band_blocks,
     bernstein_band_matrix,
     szasz_band_matrix,
 )
@@ -386,3 +387,34 @@ def test_point_at_rate_1e5_stays_small():
         tracemalloc.stop()
     assert abs(value - 50.3) <= 1e-10
     assert peak < 64 * 2**20  # the full node table alone is about 1.7 GB
+
+
+GRID = np.linspace(0.0, 1.0, 201)
+
+
+@pytest.mark.parametrize("degree, points, count", [
+    (10**5, [0.5], 1),  # G = 1
+    (10**5, [0.5] * 201, 1),  # all points equal: s = 0
+    (10**5, [0.0, 5e-324] * 100 + [0.0], 1),  # a subnormal spacing
+    (10, GRID, 1),  # 201 sqrt(0.05 / 6000) = 0.58
+    (1280, GRID, 7),  # 201 sqrt(6.4 / 6000) = 6.6
+    (1280, np.random.default_rng(3).permutation(GRID), 7),  # unsorted: the spread
+    (10**5, [0.0, 1.0], 2),  # a coarse axis: one point per block
+    (10**5, np.linspace(0.0, 1.0, 41), 26),  # 41 sqrt(2500 / 6000) = 26.5
+    (10**5, [0.5, np.nan, 0.7], 1),  # a NaN spacing: one block, whose builder names it
+    (10**5, [0.5, np.inf, 0.7], 3),  # an infinite one: at most G blocks
+])
+def test_band_blocks_is_the_cost_rule(degree, points, count):
+    """G near-equal slices of consecutive points, cut into
+    min(G, round(G sqrt(s / 6000))) blocks, s = degree (max - min) / (G - 1),
+    or one; the rule is the same for both families where no Szasz check
+    raises."""
+    points = np.asarray(points, dtype=float)
+    families = (False, True) if np.all(np.isfinite(points)) else (False,)
+    for poisson in families:
+        blocks = band_blocks(degree, points, DEFAULT_POLICY, poisson)
+        assert len(blocks) == count
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == len(points)
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) - min(sizes) <= 1

@@ -298,8 +298,12 @@ def sweep_cases(draw):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(case=sweep_cases())
-# m = 160 and n = 60 on 33 points: both axes are cut into two blocks
-@example(case=(StancuParams(1, 2, 0.5, 1.5), 160, 60, 3.0, R1, 33))
+# m = n = 1500 on 9 points, 187.5 columns apart: both axes are cut into two
+# blocks (9 sqrt(187.5 / 6000) = 1.6)
+@example(case=(StancuParams(1, 2, 0.5, 1.5), 1500, 1500, 3.0, R1, 9))
+# A = 5e-324: the y points lie a subnormal n A apart, one block (a cost rule
+# from sqrt(C / s) overflowed there)
+@example(case=(StancuParams(), 1, 1, 2.0, CompactRegion(5e-324), 2))
 # alpha1 = beta1 and alpha2 = 0: the value is 0 at the corner (1, 0)
 @example(case=(StancuParams(1.5, 1.5, 0.0, 2.0), 7, 9, 2.5, R1, 5))
 # G = 2: the lattice is its four corners, the rows x in {0, 1} and y in {0, A}
@@ -360,9 +364,9 @@ def test_sup_distance_power_is_the_full_sweep_max(case):
 
 @pytest.mark.parametrize("p_exp", [2.0, 4.0])
 def test_blocked_sup_agrees_with_the_single_band(p_exp):
-    """At m = n = 600 both axes of the 41-point lattice are cut into two
-    blocks; at even p the sup is the max of E_(p/2) over one band per axis,
-    to 1e-14 relative."""
+    """At m = n = 600 the 41-point lattice of [0, 1] x [0, 2] is cut into two
+    blocks in x and three in y; at even p the sup is the max of E_(p/2) over
+    one band per axis, to 1e-14 relative."""
     params = StancuParams(0.5, 1.5, 0.25, 1.0)
     xs, ys = lattice(2.0, 41)
     got = sup_distance_power_operator(blocked_bands(params, 600, 600, xs, ys), p_exp)

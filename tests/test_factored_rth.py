@@ -45,8 +45,9 @@ def table_route(derivs):
 def term_sizes(derivs, params, m, n, r, xs, ys):
     """The sum over the terms (i, j) of |X_i| @ |C| @ |Y_j|.T, C the nodal
     table of the partial and X_i = WX dx^i / i!, Y_j = WY dy^j / j!, on one
-    band per axis; the blocked sweep cuts no block at up to 32 points, so
-    these are its operands."""
+    band per axis: the blocked sweep's operands where it keeps each axis as
+    one block, and within its truncation (about tail_tol relative) where it
+    cuts one."""
     WX, WY, tx, ty = single_band(params, m, n, xs, ys)
     dx, dy = np.abs(xs[:, None] - tx[None, :]), np.abs(ys[:, None] - ty[None, :])
     size = np.zeros((len(xs), len(ys)))
@@ -102,7 +103,8 @@ def test_the_factored_route_agrees_with_the_table_route(case):
 @pytest.mark.parametrize("G", [1, 33, 201])
 def test_order_zero_of_a_factored_provider_is_the_operator_bit_for_bit(G, name):
     """L_0 takes f's own factored route: the same factors, blocks and bits
-    (blocks cut past 32 points at m = n = 640)."""
+    (at m = n = 640 the 33 points are cut into 2 blocks in x and 3 in y, the
+    201 points into 5 and 8)."""
     entry = corpus_lookup(name)
     params = StancuParams(0.3, 0.9, 0.1, 0.4)
     xs, ys = lattice(3.0, G) if G > 1 else (np.array([0.37]), np.array([1.3]))

@@ -28,7 +28,7 @@ from poslinops import (
     square_gap_grid,
 )
 from poslinops import operators
-from poslinops.basis import _BLOCK as B, TruncationError, szasz_band_matrix
+from poslinops.basis import TruncationError, band_blocks, szasz_band_matrix
 from poslinops.bounds import sup_distance_power_operator
 from poslinops.operators import (
     apply_on_grid,
@@ -476,56 +476,90 @@ WAVY = f2(lambda t, tau: np.sin(5.0 * t) * np.cos(tau) + t * tau / (1.0 + tau),
          name="wavy")
 
 
+# WAVY declared by its factors: the factored route, for degrees whose node
+# table would not fit in memory
+WAVY_FACTORS = Function2D(name="wavy", factors=(
+    (lambda t: np.sin(5.0 * t), np.cos), (lambda t: t, lambda tau: tau / (1.0 + tau))))
+
+
 def single_band(f, params, m, n, xs, ys, family):
-    """The operator on xs x ys with each axis's weights built as one band."""
+    """The operator on xs x ys with each axis's weights built as one band, and
+    sup|f| over its nodes (for f with factors, sum_k sup|g_k| sup|h_k|, the
+    scale of the factored route's rounding)."""
     WX, WY, tx, ty = single_band_weights(params, m, n, xs, ys, family=family)
-    F = eval_grid(f, tx, ty)
-    return WX @ F @ WY.T, float(np.max(np.abs(F)))
+    if f.factors:
+        G, H = (np.column_stack([pair[axis](t) for pair in f.factors])
+                for axis, t in ((0, tx), (1, ty)))
+        sup_f = float(np.abs(G).max(axis=0) @ np.abs(H).max(axis=0))
+        return (WX @ G) @ (WY @ H).T, sup_f
+    F = eval_grid(f, tx, ty)  # contracted in the blocked sweep's order
+    return (WY @ (WX @ F).T).T, float(np.max(np.abs(F)))
+
+
+COARSE_SLACK = 8 * DEFAULT_POLICY.tail_tol  # 4 tail_tol (sup f - inf f) <= this sup|f|
 
 
 @st.composite
 def lattice_cases(draw):
     """A family, parameters, degrees up to 600 with n*A <= 3000, and G points
-    per axis: the lattice of [0, 1] x [0, A] or points drawn in any order."""
+    per axis: the lattice of [0, 1] x [0, A] or points drawn in any order; or
+    a coarse lattice (G <= 11, so x in {0, 1} and y = 0) at degrees up to
+    10^5 with n*A <= 10^5.  Last, the truncation the blocked and single-band
+    rows may differ by, per sup|f|: 0, or for a coarse lattice, whose blocks
+    can hold a row over its own window only, the 4 tail_tol (sup f - inf f)
+    of ``blocked_bands``."""
     family = draw(st.sampled_from(list(KernelFamily)))
-    m, n = draw(st.integers(1, 600)), draw(st.integers(1, 600))
+    coarse = draw(st.booleans())
+    m, n = (draw(st.integers(1, 10**5 if coarse else 600)) for _ in "mn")
     b1, b2 = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
     a1 = draw(st.one_of(st.just(b1), st.floats(0.0, b1)))
     a2 = draw(st.one_of(st.just(b2), st.floats(0.0, b2)))
     A = 1.0
     if family is KernelFamily.BERNSTEIN_SZASZ:
-        A = draw(st.floats(1e-3, 3000.0 / n))
-    G = draw(st.sampled_from([1, 2, B, B + 1, 2 * B + 3, 201]))
+        A = draw(st.floats(1e-3, (1e5 if coarse else 3000.0) / n))
+    if coarse:
+        xs, ys = lattice(A, draw(st.integers(2, 11)))
+        return family, StancuParams(a1, b1, a2, b2), m, n, A, xs, ys, COARSE_SLACK
+    G = draw(st.sampled_from([1, 2, 32, 33, 67, 201]))
     if G >= 2 and draw(st.booleans()):
         xs, ys = lattice(A, G)
     else:
         xs = np.array(draw(st.lists(unit_x, min_size=G, max_size=G)))
         ys = A * np.array(draw(st.lists(unit_x, min_size=G, max_size=G)))
-    return family, StancuParams(a1, b1, a2, b2), m, n, A, xs, ys
+    return family, StancuParams(a1, b1, a2, b2), m, n, A, xs, ys, 0.0
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(case=lattice_cases())
 @example(case=(KernelFamily.BERNSTEIN_SZASZ, StancuParams(), 600, 600, 4.0,
-               *lattice(4.0, 201)))
+               *lattice(4.0, 201), 0.0))
 @example(case=(KernelFamily.BERNSTEIN_BERNSTEIN, StancuParams(1, 2, 0.5, 1.5), 600,
-               600, 1.0, *lattice(1.0, 2 * B + 3)))
+               600, 1.0, *lattice(1.0, 67), 0.0))
+@example(case=(KernelFamily.BERNSTEIN_SZASZ, StancuParams(), 10**5, 10**5, 4.0,
+               *lattice(4.0, 41), COARSE_SLACK))
+@example(case=(KernelFamily.BERNSTEIN_SZASZ, StancuParams(), 1, 347, 30.0,
+               *lattice(30.0, 2), COARSE_SLACK))  # the y = 30 row's left tail
 def test_blocked_lattice_agrees_with_the_single_band(case):
-    """Blocks of at most B points, each normalized over its own band, agree
-    with one band per axis to 1e-14 relative plus a few eps * sup|f| on the
-    nodes; an axis of at most B points is one block and the same bits."""
-    family, params, m, n, A, xs, ys = case
-    got = apply_on_grid(WAVY, params, m, n, xs, ys, family=family)
-    want, sup_f = single_band(WAVY, params, m, n, xs, ys, family)
+    """Blocks, each normalized over its own band, agree with one band per axis
+    to 1e-14 relative plus a few eps * sup|f| on the nodes, and the case's
+    truncation slack; where the rule keeps each axis as one block, so does
+    every bit.  Degrees past 600 take WAVY by its factors: its node table
+    would not fit in memory."""
+    family, params, m, n, A, xs, ys, slack = case
+    f = WAVY if max(m, n) <= 600 else WAVY_FACTORS
+    got = apply_on_grid(f, params, m, n, xs, ys, family=family)
+    want, sup_f = single_band(f, params, m, n, xs, ys, family)
     assert got.shape == (len(xs), len(ys))
-    if len(xs) <= B:
+    poisson = family is KernelFamily.BERNSTEIN_SZASZ
+    if len(band_blocks(m, xs, DEFAULT_POLICY, False)) == 1 == len(
+            band_blocks(n, ys, DEFAULT_POLICY, poisson)):
         assert np.array_equal(got, want)
     eps = np.finfo(float).eps
-    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + 8 * eps * sup_f)
-    if len(xs) >= 2 and family is KernelFamily.BERNSTEIN_SZASZ:
-        lx, ly, F = sample_lattice(WAVY, CompactRegion(A), len(xs))
-        L = apply_on_grid(WAVY, params, m, n, lx, ly)
-        assert F.shape == L.shape == lattice_error(WAVY, L, F).shape == (len(xs),) * 2
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + (8 * eps + slack) * sup_f)
+    if len(xs) >= 2 and poisson:
+        lx, ly, F = sample_lattice(f, CompactRegion(A), len(xs))
+        L = apply_on_grid(f, params, m, n, lx, ly)
+        assert F.shape == L.shape == lattice_error(f, L, F).shape == (len(xs),) * 2
 
 
 @OPERATOR_SETTINGS
@@ -556,6 +590,24 @@ def bad_y():
     return xs, ys, TruncationPolicy()
 
 
+def inf_x():
+    xs, ys = lattice(1.0, 201)
+    xs[100] = np.inf  # an infinite spacing: the rule cuts one point per block
+    return xs, ys, TruncationPolicy()
+
+
+def inf_y():
+    xs, ys = lattice(1.0, 201)
+    ys[100] = np.inf  # cut, so the one-band Szasz check names it
+    return xs, ys, TruncationPolicy()
+
+
+def nan_x():
+    xs, ys = lattice(1.0, 201)
+    xs[100] = np.nan  # a NaN spacing: one block
+    return xs, ys, TruncationPolicy()
+
+
 def rate_past_the_cap():
     # n = 100: every row's window ends below column 420 but the last one's,
     # whose rate is 400; that row alone misses the target, by the Chernoff
@@ -567,6 +619,8 @@ def rate_past_the_cap():
 
 
 @pytest.mark.parametrize("points, kind", [(bad_x, DomainError), (bad_y, DomainError),
+                                          (inf_x, DomainError), (inf_y, DomainError),
+                                          (nan_x, DomainError),
                                           (rate_past_the_cap, TruncationError)])
 def test_bad_point_in_a_later_block_raises_as_the_single_band(points, kind):
     xs, ys, policy = points()
@@ -591,8 +645,9 @@ SWEEPS = {
 @pytest.mark.parametrize("degree, builds", [(10, 1), (1280, 7)])
 def test_a_sweep_builds_one_band_per_axis_or_a_band_per_block(monkeypatch, sweep,
                                                                degree, builds):
-    """On the 201-point lattice an axis at m = n = 10 has a band of at most
-    128 columns and is one block; at m = n = 1280 it is cut into seven."""
+    """On the 201-point lattice an axis at m = n = 10, its points 0.05 columns
+    apart, is one block; at m = n = 1280, 6.4 columns apart, it is cut into
+    seven (``band_blocks``: 201 sqrt(6.4 / 6000) = 6.6)."""
     calls = []
     for name in ("bernstein_band_matrix", "szasz_band_matrix"):
         def counted(*args, _build=getattr(operators, name), _name=name):

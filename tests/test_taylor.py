@@ -264,7 +264,8 @@ def order_zero(f):
 def test_order_zero_is_the_operator_bit_for_bit(G, name):
     """L_0 of a provider without factors, whose only partial is f's eval, is
     the operator of f without its factors: the same table route, with the
-    same blocks (cut past 32 points at m = n = 640), operands and bits."""
+    same blocks (at m = n = 640, 2 in x and 3 in y on 32 and 33 points, 5 and
+    8 on 201), operands and bits."""
     f = corpus_lookup(name).function
     params = StancuParams(0.3, 0.9, 0.1, 0.4)
     xs, ys = lattice(3.0, G) if G > 1 else (np.array([0.37]), np.array([1.3]))
