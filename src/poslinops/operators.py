@@ -20,12 +20,10 @@ import numpy as np
 from .basis import (
     DEFAULT_POLICY,
     DomainError,
-    band_blocks,
-    bernstein_band_matrix,
+    axis_bands,
     require_degree,
     require_finite,
     require_positive,
-    szasz_band_matrix,
 )
 
 
@@ -211,15 +209,16 @@ def lattice_error(f, L, F):
     the lattice and not at the operator's nodes beyond it.
     """
     label = f"L({getattr(f, 'name', 'f')})"
-    return np.abs(require_finite(label, L, "lattice points") - F)
+    err = np.subtract(require_finite(label, L, "lattice points"), F)
+    return np.abs(err, out=err)
 
 
 def blocked_bands(params, m, n, xs, ys, policy=DEFAULT_POLICY,
                   family=KernelFamily.BERNSTEIN_SZASZ):
     """The bands every lattice sweep takes: the x axis, then the y axis, of the
     grid xs x ys as (points, [(rows, W, offset)], nodes), the points as floats
-    cut by ``band_blocks``; W weighs points[rows] over their block's band,
-    offset columns into the union of the bands, whose Stancu nodes are nodes.
+    built by one ``axis_bands`` call; W weighs points[rows] over its block's
+    band, offset columns into the union of the bands, whose Stancu nodes are nodes.
     An operator value is within (left tail + right tail)(sup f - inf f) of the
     untruncated one's, over all nodes, the tails of both rows summed and each
     at most tail_tol (a Szasz row's right one is its tail bound), and a block's
@@ -231,13 +230,10 @@ def blocked_bands(params, m, n, xs, ys, policy=DEFAULT_POLICY,
         points = np.asarray(points, dtype=float)
         if len(shape := points.shape) != 1 or not shape[0]:
             raise DomainError(f"{name} must be nonempty 1-D, not shape {shape}")
-        build = szasz_band_matrix if poisson else bernstein_band_matrix
-        bands, first, last = [], np.inf, 0
-        for rows in band_blocks(degree, points, policy, poisson):
-            W, *_, lo = build(degree, points[rows], policy)  # Szasz: W, tail, lo
-            bands.append((rows, W, lo))
-            first, last = min(first, lo), max(last, lo + W.shape[1])
-        axes.append((points, [(rows, W, lo - first) for rows, W, lo in bands],
+        bands = axis_bands(degree, points, policy, poisson)  # Szasz: W, tail, lo
+        first = min([lo for *_, lo in bands])
+        last = max([lo + W.shape[1] for _, W, *_, lo in bands])
+        axes.append((points, [(rows, W, lo - first) for rows, W, *_, lo in bands],
                      (np.arange(first, last) + a) / (degree + b)))
     return axes
 
@@ -248,24 +244,28 @@ def blocked_sweep(terms, bands, weigh=lambda W, x, t: [W]):
 
     A g with ``factors`` (g_k, h_k) builds no node table and its eval is never
     called: with the columns G = [g_k(tx)] and H = [h_k(ty)] on the nodes, it
-    adds U @ V.T, where U = X_i @ G and V = Y_j @ H block by block; a constant
-    g = c is the one pair (c, 1), and c = 0 adds nothing.  Any other g is
-    evaluated once, as its contiguous table C on the union of the bands, and
-    adds (Y_j @ (X_i @ C).T).T, block by block on each axis."""
+    adds U @ V.T (U * V.T for one pair), where U = X_i @ G and V = Y_j @ H block
+    by block; a constant g = c is the one pair (c, 1), and c = 0 adds nothing.
+    Any other g is evaluated once, as its contiguous table C on the union of the
+    bands, and adds (Y_j @ (X_i @ C).T).T, block by block on each axis."""
     (xs, xb, tx), (ys, yb, ty) = bands
     xb = [(rows, weigh(W, xs[rows], tx[o : o + W.shape[1]]), o) for rows, W, o in xb]
     yb = [(cols, weigh(W, ys[cols], ty[o : o + W.shape[1]]), o) for cols, W, o in yb]
-    L = np.zeros((len(xs), len(ys)))
+    L = None
     for g, i, j in terms:
         c = None if getattr(g, "factors", ()) else evaluate(g, tx[:, None], ty[None, :])
         if c is not None and c.ndim:  # expanded as eval_grid: no zero-stride operand
             C = np.ascontiguousarray(np.broadcast_to(c, (len(tx), len(ty))))
-            L += _band_sums(yb, j, _band_sums(xb, i, C, len(xs)).T, len(ys)).T
+            T = _band_sums(yb, j, _band_sums(xb, i, C, len(xs)).T, len(ys)).T
         elif c is None or c:
             G, H = ((_factor_columns(g, 0, tx), _factor_columns(g, 1, ty)) if c is None
                     else (np.full((len(tx), 1), c), np.ones((len(ty), 1))))
-            L += _band_sums(xb, i, G, len(xs)) @ _band_sums(yb, j, H, len(ys)).T
-    return L
+            U, V = _band_sums(xb, i, G, len(xs)), _band_sums(yb, j, H, len(ys))
+            T = U * V.T if G.shape[1] == 1 else U @ V.T
+        else:
+            continue
+        L = np.add(T, 0.0, order="C") if L is None else np.add(L, T, out=L)  # as 0 + T
+    return np.zeros((len(xs), len(ys))) if L is None else L
 
 
 def _band_sums(blocks, k, T, count):

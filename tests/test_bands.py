@@ -33,9 +33,8 @@ from poslinops import (
     corpus_lookup,
 )
 from poslinops.basis import (
-    _szasz_row,
-    _szasz_rows,
     _window,
+    axis_bands,
     band_blocks,
     bernstein_band_matrix,
     szasz_band_matrix,
@@ -207,11 +206,13 @@ def test_szasz_band_is_the_window(n, r):
 @given(n=st.integers(1, 5000), r=rates)
 def test_one_row_builder_matches_the_band_row(n, r):
     """A single point's Szasz row, built from scalars, has the matrix
-    builder's first and last columns; its weights and tail bound differ from
-    the matrix builder's by rounding only."""
+    builder's first and last columns (the matrix of y twice); its weights and
+    tail bound differ from the matrix builder's by rounding only."""
     y = r / n
-    band, band_tail, lo = _szasz_rows(n, [y], DEFAULT_POLICY)
-    row, tail, start = _szasz_row(n, y, DEFAULT_POLICY)
+    band, band_tail, lo = szasz_band_matrix(n, [y, y], DEFAULT_POLICY)
+    row, tail, start = szasz_band_matrix(n, [y], DEFAULT_POLICY)
+    assert np.array_equal(band[0], band[1]) and band_tail[0] == band_tail[1]
+    band = band[:1]
     assert start == lo and row.shape == band.shape
     assert np.all(np.abs(row - band) <= 8 * EPS * band + TINY)
     assert abs(tail[0] - band_tail[0]) <= 4 * EPS * band_tail[0] + TINY
@@ -245,20 +246,21 @@ def test_matrix_rows_match_the_one_row_builder(n, rs):
 @given(n=st.integers(1, 5000), r=st.floats(1e-3, 1e5), frac=st.floats(0.0, 1.0))
 def test_one_row_builder_truncates_as_the_band_row(n, r, frac):
     """With max_terms below the row's width both builders raise the same
-    TruncationError, tail bound included, or both return the same band."""
+    TruncationError, tail bound included, or both return the same band (the
+    matrix builder's of y twice)."""
     y = r / n
     left, right = _window(n * y, n * y, DEFAULT_POLICY.tail_tol)
     policy = TruncationPolicy(max_terms=1 + int(frac * (right - max(left, 0) - 2)))
     try:
-        band, _, lo = _szasz_rows(n, [y], policy)
+        band, _, lo = szasz_band_matrix(n, [y, y], policy)
     except TruncationError as want:
         with pytest.raises(TruncationError) as got:
-            _szasz_row(n, y, policy)
+            szasz_band_matrix(n, [y], policy)
         assert str(got.value) == str(want)
         assert abs(got.value.tail - want.tail) <= 4 * EPS * want.tail
     else:
-        row, _, start = _szasz_row(n, y, policy)
-        assert start == lo and row.shape == band.shape
+        row, _, start = szasz_band_matrix(n, [y], policy)
+        assert start == lo and row.shape == band[:1].shape
 
 
 @pytest.mark.parametrize("rate", [2.0**63, 1e21, 1e300])
@@ -266,9 +268,9 @@ def test_matrix_builder_truncates_rates_past_intp(rate):
     """ceil(ny) is checked against the term cap before its cast to intp,
     which wraps past 2^63: both builders raise the same TruncationError."""
     with pytest.raises(TruncationError) as want:
-        _szasz_row(10, rate / 10, DEFAULT_POLICY)
+        szasz_band_matrix(10, [rate / 10], DEFAULT_POLICY)
     with pytest.raises(TruncationError) as got:
-        _szasz_rows(10, [0.0, rate / 10], DEFAULT_POLICY)
+        szasz_band_matrix(10, [0.0, rate / 10], DEFAULT_POLICY)
     assert str(got.value) == str(want.value)
     assert got.value.tail == want.value.tail == 1.0
 
@@ -407,14 +409,16 @@ GRID = np.linspace(0.0, 1.0, 201)
 def test_band_blocks_is_the_cost_rule(degree, points, count):
     """G near-equal slices of consecutive points, cut into
     min(G, round(G sqrt(s / 6000))) blocks, s = degree (max - min) / (G - 1),
-    or one; the rule is the same for both families where no Szasz check
-    raises."""
+    or one; the axis builder of either family builds a band per slice where
+    no point is bad."""
     points = np.asarray(points, dtype=float)
-    families = (False, True) if np.all(np.isfinite(points)) else (False,)
-    for poisson in families:
-        blocks = band_blocks(degree, points, DEFAULT_POLICY, poisson)
-        assert len(blocks) == count
-        sizes = [b.stop - b.start for b in blocks]
-        assert blocks[0].start == 0 and blocks[-1].stop == len(points)
-        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-        assert max(sizes) - min(sizes) <= 1
+    blocks = band_blocks(degree, points)
+    assert len(blocks) == count
+    sizes = [b.stop - b.start for b in blocks]
+    assert blocks[0].start == 0 and blocks[-1].stop == len(points)
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert max(sizes) - min(sizes) <= 1
+    if np.all(np.isfinite(points)):
+        for poisson in (False, True):
+            bands = axis_bands(degree, points, DEFAULT_POLICY, poisson)
+            assert [rows for rows, *_ in bands] == blocks

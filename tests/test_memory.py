@@ -65,3 +65,25 @@ def test_distance_power_sweep_holds_one_point_over_its_own_windows(A, G, p_exp):
         tracemalloc.stop()
     assert 0.0 < value < 1.0
     assert peak <= 3 * wx * wy * 8  # the lattice's union band is 10^5 by 4 10^5
+
+
+@pytest.mark.parametrize("m, n, xs, ys, mib", [
+    # the x axis's union node array, 10^7 + 1 floats and its quotient, is 152.6
+    (10**7, 10, [0.0, 1.0], [0.5], 152.7),
+    (10**5, 10**5, *lattice(4.0, 41), 10.1),
+    # one window of about 23,500 columns: here a table as wide as the axis,
+    # 76 MiB, is not hidden under a node array as wide as the axis
+    (10**7, 10, [0.5], [0.5], 0.61),
+], ids=["m=1e7-on-two-points", "m=n=1e5-on-lattice-4-41", "m=1e7-at-one-point"])
+def test_blocked_bands_peak_holds_no_table_as_wide_as_the_axis(m, n, xs, ys, mib):
+    """Each block builds its ratio table over its own band, so the tracemalloc
+    peak of an axis's bands stays within 5 % of the MiB measured here: one
+    table or ``arange`` as wide as the axis (0.8 MB at m = 10^5, 80 MB at
+    m = 10^7) would break the last case, and the first two must not grow."""
+    tracemalloc.start()
+    try:
+        blocked_bands(StancuParams(), m, n, xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * mib * 2**20

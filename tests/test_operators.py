@@ -551,8 +551,7 @@ def test_blocked_lattice_agrees_with_the_single_band(case):
     want, sup_f = single_band(f, params, m, n, xs, ys, family)
     assert got.shape == (len(xs), len(ys))
     poisson = family is KernelFamily.BERNSTEIN_SZASZ
-    if len(band_blocks(m, xs, DEFAULT_POLICY, False)) == 1 == len(
-            band_blocks(n, ys, DEFAULT_POLICY, poisson)):
+    if len(band_blocks(m, xs)) == 1 == len(band_blocks(n, ys)):
         assert np.array_equal(got, want)
     eps = np.finfo(float).eps
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + (8 * eps + slack) * sup_f)
@@ -647,16 +646,17 @@ def test_a_sweep_builds_one_band_per_axis_or_a_band_per_block(monkeypatch, sweep
                                                                degree, builds):
     """On the 201-point lattice an axis at m = n = 10, its points 0.05 columns
     apart, is one block; at m = n = 1280, 6.4 columns apart, it is cut into
-    seven (``band_blocks``: 201 sqrt(6.4 / 6000) = 6.6)."""
+    seven (``band_blocks``: 201 sqrt(6.4 / 6000) = 6.6).  The axis builder
+    runs once per axis, x then y, and builds that many bands."""
     calls = []
-    for name in ("bernstein_band_matrix", "szasz_band_matrix"):
-        def counted(*args, _build=getattr(operators, name), _name=name):
-            calls.append(_name)
-            return _build(*args)
-        monkeypatch.setattr(operators, name, counted)
+
+    def counted(degree, points, policy, poisson, _build=operators.axis_bands):
+        bands = _build(degree, points, policy, poisson)
+        calls.append((poisson, len(bands)))
+        return bands
+    monkeypatch.setattr(operators, "axis_bands", counted)
     SWEEPS[sweep](degree, *lattice(1.0, 201))
-    assert calls.count("bernstein_band_matrix") == builds
-    assert calls.count("szasz_band_matrix") == builds
+    assert calls == [(False, builds), (True, builds)]
 
 
 @pytest.mark.parametrize("sweep", SWEEPS)
