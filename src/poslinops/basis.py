@@ -56,6 +56,14 @@ def require_finite(label, values, where):
     return values
 
 
+def require_axis(name, points):
+    """points as a float array; raise DomainError naming it unless nonempty 1-D."""
+    points = np.asarray(points, dtype=float)
+    if len(shape := points.shape) != 1 or not shape[0]:
+        raise DomainError(f"{name} must be nonempty 1-D, not shape {shape}")
+    return points
+
+
 class TruncationError(RuntimeError):
     """The term cap was reached before the requested tail mass was attained."""
 
@@ -156,13 +164,16 @@ def axis_bands(degree, points, policy, poisson, blocks=None):
         require_degree(n=degree)
         if len(points) == 1:  # every ``apply``: scalars cost least
             return [(blocks[0], *_szasz_row(degree, float(points[0]), policy))]
-        rate = degree * points
-        if not (rate.min() >= 0.0 and rate.max() < math.inf):
-            bad = next(y for y in points.tolist() if not 0.0 <= degree * y < math.inf)
-            raise DomainError(f"y must be >= 0 with n*y finite, got y = {bad} "
-                              f"(n = {degree})")
+        # an n*y past the float range raises here, and a 2 L ny past it gives
+        # an infinite window that the cap bounds: neither warns first
+        with np.errstate(over="ignore"):
+            rate = degree * points
+            if not (rate.min() >= 0.0 and rate.max() < math.inf):
+                bad = next(y for y in points.tolist() if not 0.0 <= degree * y < math.inf)
+                raise DomainError(f"y must be >= 0 with n*y finite, got y = {bad} "
+                                  f"(n = {degree})")
+            left, right = _window(rate, rate, policy.tail_tol)
         starts = [rows.start for rows in blocks]
-        left, right = _window(rate, rate, policy.tail_tol)
         first = np.maximum(np.floor(np.minimum.reduceat(left, starts)), 0.0)
         width, chernoff = _szasz_ends(rate, right, first.min(), policy)  # as one band
         if width.max() >= first.min() + policy.max_terms:  # capped: redo per block
@@ -224,7 +235,7 @@ def bernstein_band_matrix(m, xs, policy=DEFAULT_POLICY):
     divided by the sum it keeps, so it moves the value of any h by at most
     (left tail + right tail)(sup h - inf h), over all nodes.
     """
-    x = np.asarray(xs, dtype=float)
+    x = require_axis("xs", xs)
     [(_, W, lo)] = axis_bands(m, x, policy, False, [slice(0, len(x))])
     return W, lo
 
@@ -244,7 +255,7 @@ def szasz_band_matrix(n, ys, policy=DEFAULT_POLICY):
     One y gets a row built from scalars, several a matrix built at once; a
     weight of one may differ from the other's by rounding.
     """
-    y = np.asarray(ys, dtype=float)
+    y = require_axis("ys", ys)
     return axis_bands(n, y, policy, True, [slice(0, len(y))])[0][1:]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -195,6 +196,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's parser: built on first use, not at import, and reused,
+    as parse_args and error leave a parser unchanged."""
+    return build_parser()
+
+
 def resolve_config(argv):
     """The run's configuration from the flags in argv.
 
@@ -202,7 +210,7 @@ def resolve_config(argv):
     of argv's, so argv wins.  null means unset, and the command key that a
     sidecar's config carries is skipped.
     """
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.config:
         try:

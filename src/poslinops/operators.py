@@ -21,6 +21,7 @@ from .basis import (
     DEFAULT_POLICY,
     DomainError,
     axis_bands,
+    require_axis,
     require_degree,
     require_finite,
     require_positive,
@@ -227,9 +228,7 @@ def blocked_bands(params, m, n, xs, ys, policy=DEFAULT_POLICY,
     p, ny, axes = params, family is KernelFamily.BERNSTEIN_SZASZ, []
     for name, degree, points, a, b, poisson in (("xs", m, xs, p.alpha1, p.beta1, False),
                                                 ("ys", n, ys, p.alpha2, p.beta2, ny)):
-        points = np.asarray(points, dtype=float)
-        if len(shape := points.shape) != 1 or not shape[0]:
-            raise DomainError(f"{name} must be nonempty 1-D, not shape {shape}")
+        points = require_axis(name, points)
         bands = axis_bands(degree, points, policy, poisson)  # Szasz: W, tail, lo
         first = min([lo for *_, lo in bands])
         last = max([lo + W.shape[1] for _, W, *_, lo in bands])

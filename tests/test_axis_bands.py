@@ -10,9 +10,13 @@ failing block's builder, with the same type, message and tail.
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
+import pytest
 
 from poslinops import DomainError, TruncationError, TruncationPolicy
 from poslinops.basis import axis_bands, band_blocks, bernstein_band_matrix, szasz_band_matrix
+
+# a numpy warning ahead of an error is a failure here, not a line in the summary
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
@@ -73,6 +77,10 @@ def outcome(build, *args):
 # caps its rows again from its own first column
 @example(case=(10**4, np.linspace(0.0, 1.0, 41), TruncationPolicy(1e-3, 10374), True))
 @example(case=(10**5, np.array([0.0, 0.5, np.nan, 1.0]), TruncationPolicy(), False))
+# y = 1e306 overflows the window's 2 L ny (TruncationError), y = 1e308 n*y
+# itself (DomainError): each raises without a numpy warning first
+@example(case=(10, np.array([0.0, 0.5, 1e306]), TruncationPolicy(), True))
+@example(case=(10, np.array([0.0, 0.5, 1e308]), TruncationPolicy(), True))
 def test_every_block_is_the_one_band_builders_band(case):
     degree, points, policy, poisson = case
     got = outcome(axis_bands, degree, points, policy, poisson)

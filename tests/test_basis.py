@@ -102,6 +102,14 @@ def test_bernstein_domain_errors():
         bernstein_band_matrix(3, [0.5, 1.1])
 
 
+@pytest.mark.parametrize("build, axis", [(bernstein_band_matrix, "xs"),
+                                         (szasz_band_matrix, "ys")])
+def test_an_empty_point_list_is_a_domain_error(build, axis):
+    # as ``blocked_bands`` names an empty axis, not a numpy reduction's error
+    with pytest.raises(DomainError, match=rf"^{axis} must be nonempty 1-D, not shape \(0,\)$"):
+        build(10, [])
+
+
 def test_szasz_rate_zero():
     band, tail, lo = szasz_band_matrix(1, [0.0])
     assert band.tolist() == [[1.0]] and lo == 0

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -309,6 +311,21 @@ def test_overflowing_function_exits_2_with_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("A, error", [
+    # 2 L ny overflows in the y window, then n*y itself
+    ("1e306", "mass target 1 - 1e-12 not reached within 1000000 terms (rate 5e+306)"),
+    ("1e308", "y must be >= 0 with n*y finite, got y = 5e+307 (n = 10)"),
+])
+def test_a_rate_past_the_float_range_prints_one_error_line(tmp_path, capsys, A, error):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, "converge", "--function", "linear", "--A", A,
+                        "--schedule", "10", "--grid", "3")
+    assert code == 2
+    assert caught == []
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_weighted_huge_strip_runs(tmp_path):
     """At alpha = beta = 0 the square gap is x(1-x)/m + y/n, which does not
     overflow, and past y ~ 1e154 its ratio to rho is 0: the sup is the y = 0
@@ -562,6 +579,74 @@ def test_bad_schedule_exits_2_naming_the_flag(tmp_path, capsys, command, schedul
     assert ("error: argument --schedule: expected comma-separated integers, "
             f"got {schedule!r}\n") in capsys.readouterr().err
     assert not out.exists()
+
+
+def child(args, cwd):
+    """A fresh interpreter running python args in cwd, poslinops importable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_the_parser_is_built_on_first_use_and_kept(tmp_path):
+    code = """if True:
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counted
+        import poslinops.cli
+        at_import = len(built)
+        codes = [poslinops.cli.main(["moments", "--out", "r.csv"]) for _ in range(3)]
+        print(at_import, len(built), codes)
+    """
+    proc = child(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 1 [0, 0, 0]\n"
+
+
+GOOD = ["converge", "--function", "prod", "--schedule", "10,20", "--grid", "21"]
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(["converge", "--function", "smooth", "--grid", "11",
+                  "--schedule", "10,x"], id="bad schedule"),
+    pytest.param(["eval", "--config", "bad.json"], id="unknown config key"),
+])
+def test_a_run_after_an_argparse_exit_is_the_run_alone(tmp_path, monkeypatch, bad):
+    alone, after = tmp_path / "alone", tmp_path / "after"
+    alone.mkdir()
+    after.mkdir()
+    proc = child(["-m", "poslinops.cli", *GOOD, "--out", "r.csv"], alone)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(after)
+    (after / "bad.json").write_text('{"m": 40, "mm": 1}')
+    assert exit_code(bad + ["--out", "r.csv"]) == 2
+    assert main(GOOD + ["--out", "r.csv"]) == 0
+    for name in ("r.csv", "r.json"):
+        assert (after / name).read_bytes() == (alone / name).read_bytes()
+
+
+def test_config_files_used_in_turn_resolve_independently(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({"m": 5, "x": 0.25, "schedule": "10,20"}))
+    second.write_text(json.dumps({"n": 7}))
+    want = resolve_config(["eval", "--config", str(first)])
+    assert want["m"] == 5 and want["x"] == 0.25 and want["schedule"] == "10,20"
+    got = resolve_config(["moments", "--config", str(second)])
+    assert got == dict(resolve_config(["moments"]), n=7)
+    assert resolve_config(["eval", "--config", str(first)]) == want
+
+
+def test_help_is_build_parsers_help(tmp_path, capsys):
+    run(tmp_path, "moments")  # help from the parser main keeps
+    capsys.readouterr()
+    assert exit_code(["--help"]) == 0
+    assert capsys.readouterr().out == cli.build_parser().format_help()
 
 
 def test_unwritable_out_is_named(tmp_path, capsys):
