@@ -85,11 +85,19 @@ def sup_distance_power_operator(bands, p_exp):
     """Max over the grid xs x ys of ``bands`` (``blocked_bands``) of
     L(((t-x)^2 + (tau-y)^2)^(p_exp/2); x, y).
 
-    Each point's value M_q, q = p_exp, is bounded above by closed forms in the
-    even moments E_k = L(|d|^2k), binomial sums of products of 1-D moments.
-    With h = ceil(q/2) and theta = (2h - q)/2, Hoelder gives the chord
+    With h = ceil(q/2), q = p_exp, the even moments E_k = L(|d|^2k) are
+    binomial sums of products of 1-D moments.  At even q each point's value
+    M_q is E_h itself, so the result is the lattice max of E_h in closed form
+    and no point is evaluated: the same quantity over the same truncated rows,
+    summed as binomial sums, within rounding of the direct sum and at most the
+    underflow floor f_h (1 + E_h) (``_power_bound``) below it.  Raises
+    RuntimeError naming L(|d|^p_exp), with a count of lattice points, where
+    E_h is not finite.
+
+    At other q, M_q is bounded above by closed forms in the E_k.  With
+    theta = (2h - q)/2, Hoelder gives the chord
     M_q <= E_(h-1)^theta E_h^(1-theta) for any non-negative weights
-    (E_0 = L(1)); at even q it is E_h itself.  At other q, M_q is the integral
+    (E_0 = L(1)).  M_q is also the integral
     of z^u, u = 1 - theta, against the tilted measure Z^(h-1) dP, Z = |d|^2,
     whose moments are E_(h-1), ..., E_(h+2), and its two-node Gauss rule G2
     bounds it above: z^u = u/Gamma(1-u) int_0^inf (1 - e^(-tz)) t^(-1-u) dt,
@@ -117,14 +125,17 @@ def sup_distance_power_operator(bands, p_exp):
     adds +0 even where its |d|^p_exp would overflow.  The result is the largest
     value evaluated, the max of the full sweep over the same blocks bit for bit
     wherever that is finite: each point is reduced on its own, so its bits do
-    not depend on the others.  It is the operator over truncated rows, so a
-    lower estimate of the untruncated value too: at large p_exp the far nodes
-    the rows leave out can carry most of the mass (at p_exp = 170, m = n = 10
-    and (0.5, 100) it is 2.21e222, the untruncated value 2.14e242).  Raises
-    RuntimeError naming L(|d|^p_exp) when an evaluated value is not finite
-    (|d|^p_exp overflows at a weight that is not 0); that error is the report,
-    so numpy's warnings are silenced here.  Raises DomainError when p_exp >
-    2058 (C(h, h // 2) overflows a float past h = 1029).
+    not depend on the others.  Raises RuntimeError naming L(|d|^p_exp) when an
+    evaluated value is not finite (|d|^p_exp overflows at a weight that is not
+    0).
+
+    At every q the value is the operator over truncated rows, so a lower
+    estimate of the untruncated value too: at large p_exp the far nodes the
+    rows leave out can carry most of the mass (at p_exp = 170, m = n = 10 and
+    (0.5, 100) it is 2.21e222, the untruncated value 2.14e242).  The
+    RuntimeError is the report, so numpy's warnings are silenced here.  Raises
+    DomainError when p_exp > 2058 (C(h, h // 2) overflows a float past
+    h = 1029).
     """
     if not 0.0 < p_exp < math.inf:
         raise DomainError(f"p_exp must be finite and > 0, got {p_exp}")
@@ -132,8 +143,7 @@ def sup_distance_power_operator(bands, p_exp):
         raise DomainError(f"p_exp must be <= 2058, got {p_exp}: past it the "
                           f"binomials C(h, j) of its even moments overflow a float")
     (xs, xb, tx), (ys, yb, ty) = bands
-    last = _orders(p_exp)[2]
-    width = 1 + max(W.shape[1] for _, W, _ in xb) + max(W.shape[1] for _, W, _ in yb)
+    h, theta, last = _orders(p_exp)
     with np.errstate(all="ignore"):
         xd = [(rows, W, _squared(W, tx[None, o : o + W.shape[1]] - xs[rows, None]))
               for rows, W, o in xb]
@@ -141,6 +151,10 @@ def sup_distance_power_operator(bands, p_exp):
               for cols, W, o in yb]
         mx, my = ([np.concatenate([(W * d2**j).sum(axis=1) for _, W, d2 in blocks])
                    for j in range(last + 1)] for blocks in (xd, yd))
+        if not theta:  # even p: L(|d|^p) is E_h itself
+            return float(require_finite(f"L(|d|^{p_exp:g})", _even_moment(mx, my, h),
+                                        "lattice points").max())
+        width = 1 + max(W.shape[1] for _, W, _ in xb) + max(W.shape[1] for _, W, _ in yb)
         xrows = [row for _, W, d2 in xd for row in zip(W, d2)]  # (wx, dx2) per x
 
         def row_max(a, keep):  # the largest value at the kept points of row a, or 0
@@ -189,9 +203,13 @@ def _lattice_bound(mx, my, p_exp, width):
     """Upper bounds of L(|d|^p) over the lattice from the 1-D moments mx, my:
     ``_power_bound`` of E_k = sum_j C(k, j) mx_j my_(k-j), k = h - 1 ... last."""
     h, theta, last = _orders(p_exp)
-    E = [sum(math.comb(k, j) * np.outer(mx[j], my[k - j]) for j in range(k + 1))
-         for k in range(h - 1, last + 1)]
+    E = [_even_moment(mx, my, k) for k in range(h - 1, last + 1)]
     return _power_bound(E, theta, h, width)
+
+
+def _even_moment(mx, my, k):
+    """E_k = L(|d|^2k) over the lattice, sum_j C(k, j) mx_j my_(k-j)."""
+    return sum(math.comb(k, j) * np.outer(mx[j], my[k - j]) for j in range(k + 1))
 
 
 def _bound_exact_in_y(mx, block, a, c, p_exp, width):
@@ -269,10 +287,13 @@ def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
     mode "moment": RHS through the lattice sup of the operator applied to the
     distance power |.|^(r+gamma), flagged as a lower estimate: a lattice max,
     over rows truncated at their windows (``sup_distance_power_operator``), on
-    the bands L_r is taken on.  mode "modulus":
-    RHS through the closed-form modulus of the distance-power function at
-    delta_mn.  mode "lipschitz": RHS through its Lipschitz constant
-    (1+A^2)^(r/2) and delta_mn^gamma.
+    the bands L_r is taken on.  At even r + gamma it is the lattice max of
+    E_h = L(|d|^(r+gamma)) in closed form, within rounding of the full sweep;
+    at every other exponent it is the full sweep's max bit for bit.
+    mode "modulus": RHS through the closed-form modulus of the distance-power
+    function at delta_mn.  mode "lipschitz": RHS through its Lipschitz
+    constant (1+A^2)^(r/2) and delta_mn^gamma.  r, gamma, M and mode are
+    checked before f is sampled or any band is built.
     """
     if r < 1:
         raise DomainError("the order-r bound requires r >= 1")
@@ -280,6 +301,8 @@ def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
         raise DomainError(f"gamma must be in (0, 1], got {gamma}")
     if not 0.0 <= M < math.inf:
         raise DomainError(f"M must be finite and >= 0, got {M}")
+    if mode not in ("moment", "modulus", "lipschitz"):
+        raise DomainError(f"unknown mode {mode!r}")
     xs, ys, F = sample_lattice(f, region, grid_points)
     terms, weigh = rth_terms(derivs, r)
     bands = blocked_bands(params, m, n, xs, ys, policy)  # for L_r and the sweep
@@ -297,11 +320,9 @@ def theorem_4_1_bound(derivs, f, params, m, n, r, gamma, M, region,
         # exact modulus of dist(., c)^p on a convex region of diameter diam
         w_g = diam**p_exp - max(diam - d.delta_mn, 0.0) ** p_exp
         distance = 1.5 * w_g
-    elif mode == "lipschitz":
+    else:  # "lipschitz"
         d = deltas(m, n, params, region)
         distance = (1.0 + region.A**2) ** (r / 2.0) * d.delta_mn**gamma
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
     caveat = CAVEAT_RHS_GRID_LOWER_BOUND if mode == "moment" else CAVEAT_NONE
     return BoundReport(lhs=lhs, rhs=constant * distance, caveat=caveat)
 

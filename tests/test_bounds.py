@@ -344,16 +344,23 @@ def test_sup_distance_power_is_the_full_sweep_max(case):
           mock.patch.object(bounds, "_bound_exact_in_y", in_y)):
         got = sup_distance_power_operator(blocked_bands(params, m, n, xs, ys, TIGHT),
                                           p_exp)
-    # bit for bit: a skipped point's value lies below the best one seen
-    assert got == max(0.0, float(table.max()))
-    # the skipping rests on bounds of the points: over the lattice the smaller
-    # of the chord and, at p not even, the two-node Gauss rule; at the points
-    # it leaves, the same bound of each x row sum, summed exactly in y
-    assert formed[0][1].shape == table.shape
-    assert all(np.all(bound >= table[at]) for at, bound in formed)
+    want = max(0.0, float(table.max()))
+    h = math.ceil(p_exp / 2.0)
+    if p_exp == 2 * h:
+        # even p: the lattice max of E_h = L(|d|^p) in closed form, within
+        # rounding of the direct sum, and no bound is formed
+        assert abs(got - want) <= 1e-12 * want
+        assert not formed
+    else:
+        # bit for bit: a skipped point's value lies below the best one seen
+        assert got == want
+        # the skipping rests on bounds of the points: over the lattice the
+        # smaller of the chord and the two-node Gauss rule; at the points it
+        # leaves, the same bound of each x row sum, summed exactly in y
+        assert formed[0][1].shape == table.shape
+        assert all(np.all(bound >= table[at]) for at, bound in formed)
     # the chord is Hoelder's L(|d|^p) <= E_(h-1)^theta E_h^(1-theta),
     # E_k = L(|d|^2k), with slack for rounding and a floor for underflow
-    h = math.ceil(p_exp / 2.0)
     below, even = (even_moment_table(params, m, n, k, xs, ys, TIGHT) for k in (h - 1, h))
     assert np.allclose(even, distance_power_table(params, m, n, 2.0 * h, xs, ys, TIGHT),
                        rtol=1e-12, atol=0.0)
@@ -383,10 +390,11 @@ def test_sup_distance_power_skips_most_points(monkeypatch):
         return row(wx, dx2, WY, dy2, p_exp)
 
     monkeypatch.setattr(bounds, "_distance_power_row", counted)
-    # even p: the chord is L(|d|^p) itself, so only the top point is evaluated
-    sup_distance_power_operator(
-        blocked_bands(StancuParams(), 10, 10, *lattice(1.0, 201), TIGHT), 2.0)
-    assert evaluated == [1]
+    # even p: L(|d|^p) is E_h in closed form, so no point is evaluated
+    for p_exp in (2.0, 4.0, 6.0):
+        sup_distance_power_operator(
+            blocked_bands(StancuParams(), 10, 10, *lattice(1.0, 201), TIGHT), p_exp)
+    assert evaluated == []
     # odd and fractional p: the two-node Gauss bound is within a few percent,
     # and summed exactly in y it leaves a few points of the 10,201 (the
     # lattice bound alone left 178 at p = 1.5, m = n = 40, and 50 at p = 3,
@@ -398,6 +406,21 @@ def test_sup_distance_power_skips_most_points(monkeypatch):
         sup_distance_power_operator(
             blocked_bands(params, m, m, *lattice(1.0, 101), TIGHT), p_exp)
         assert sum(evaluated) <= most
+
+
+def test_an_even_power_evaluates_no_point_on_a_flat_ridge(monkeypatch):
+    """check-thm41 --function quad --m 5000 --beta1 0.5 --beta2 1e8 --A 1e4
+    --M 1 (p = 2): the y nodes collapse near 0, so the value is flat in x
+    along y = A within the bounds' slack, and the sweep evaluated all 101
+    points of that ridge.  E_1 in closed form evaluates none."""
+    def evaluated(*args):
+        raise AssertionError("a lattice point was evaluated")
+
+    monkeypatch.setattr(bounds, "_distance_power_row", evaluated)
+    params, xs, ys = StancuParams(0, 0.5, 0, 1e8), *lattice(1e4, 101)
+    got = sup_distance_power_operator(blocked_bands(params, 5000, 10, xs, ys), 2.0)
+    want = float(even_moment_table(params, 5000, 10, 1, xs, ys, DEFAULT_POLICY).max())
+    assert abs(got - want) <= 1e-14 * want
 
 
 def bounds_exact_in_y(params, m, n, p_exp, xs, ys, policy):
@@ -481,11 +504,12 @@ def test_sup_distance_power_rejects_bad_exponent(p_exp):
 
 def test_a_non_finite_distance_power_raises_naming_it():
     """|d|^1000 overflows at every node, and 0 inf is NaN: the sweep dropped
-    those NaN points in Python's max and returned 0.0."""
+    those NaN points in Python's max and returned 0.0.  p = 1000 is even, so
+    E_500 in closed form is checked at all four lattice points."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the error is the report: no RuntimeWarning
         with pytest.raises(RuntimeError, match=re.escape(
-                "L(|d|^1000) is not finite at 2 of 2 points")):
+                "L(|d|^1000) is not finite at 4 of 4 lattice points")):
             sup_distance_power_operator(
                 blocked_bands(StancuParams(), 10, 10, [0.5, 1.0], [1.0, 2.0]), 1000)
 
@@ -549,14 +573,20 @@ def overflow_cases(draw):
 @example(case=(StancuParams(), 10, 10, 170.0, 50.0, 2))
 def test_a_zero_weight_adds_nothing_where_the_distance_power_overflows(case):
     """Wherever the full sweep is finite the pruned sweep is its max, bit for
-    bit; where it is not, the pruned sweep raises naming L(|d|^p)."""
+    bit at p not even and within rounding at even p; where it is not, the
+    sweep raises naming L(|d|^p)."""
     params, m, n, p_exp, A, G = case
     xs, ys = lattice(A, G)
     with np.errstate(all="ignore"):
         table = distance_power_table(params, m, n, p_exp, xs, ys, TIGHT)
     bands = blocked_bands(params, m, n, xs, ys, TIGHT)
     if np.all(np.isfinite(table)):
-        assert sup_distance_power_operator(bands, p_exp) == max(0.0, float(table.max()))
+        got = sup_distance_power_operator(bands, p_exp)
+        want = max(0.0, float(table.max()))
+        if p_exp == 2 * math.ceil(p_exp / 2.0):  # E_h in closed form
+            assert abs(got - want) <= 1e-12 * want
+        else:
+            assert got == want
     else:
         with pytest.raises(RuntimeError,
                            match=re.escape(f"L(|d|^{p_exp:g}) is not finite")):
@@ -649,7 +679,14 @@ def test_theorem_4_1_rhs_decreases():
     assert rhs[0] >= rhs[1] >= rhs[2]
 
 
-def test_theorem_4_1_validation():
+def test_theorem_4_1_validation(monkeypatch):
+    """r, gamma, M and mode are checked before f is sampled or a band built:
+    mode="bogus" sampled f, built both axes' bands and swept L_r first."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("called before the arguments were checked")
+
+    monkeypatch.setattr(bounds, "sample_lattice", unreachable)
+    monkeypatch.setattr(bounds, "blocked_bands", unreachable)
     entry = corpus_lookup("quad")
     with pytest.raises(DomainError):
         theorem_4_1_bound(entry.derivative_provider, entry.function,
@@ -657,6 +694,6 @@ def test_theorem_4_1_validation():
     with pytest.raises(DomainError):
         theorem_4_1_bound(entry.derivative_provider, entry.function,
                           StancuParams(), 10, 10, 1, 2.0, 1.0, R1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="unknown mode 'bogus'"):
         theorem_4_1_bound(entry.derivative_provider, entry.function,
                           StancuParams(), 10, 10, 1, 1.0, 1.0, R1, mode="bogus")
